@@ -2,7 +2,7 @@
 //!
 //! Evaluates the same IP/OP dataflows the kernels lower for the
 //! simulator *directly against host memory*: per-partition parallel row
-//! loops over the [`Plan`](crate::CoSparse)'s nnz-balanced row
+//! loops over the shared graph's arrival-order, nnz-balanced row
 //! partitioning, with [`GraphOp::matrix_op`] / [`GraphOp::reduce`] /
 //! [`GraphOp::vector_op`] / [`GraphOp::is_update`] inlined in the inner
 //! loop. No [`transmuter::Machine`] is anywhere in the path — this is
@@ -41,17 +41,6 @@ pub enum ExecBackend {
     ///
     /// Any invocation panics if the two backends disagree.
     Differential,
-}
-
-/// How many host worker threads to use for `parts` partitions: one per
-/// partition, capped by the host's parallelism; 1 when the host has a
-/// single CPU (the scoped-thread fan-out is pure overhead there).
-fn worker_count(parts: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(parts)
-        .max(1)
 }
 
 /// The matrix structure the inner-product host path walks — the host
@@ -101,7 +90,7 @@ pub struct StepInputs<'a, V> {
 /// [`GraphOp::is_update`], sorted by destination — bit-identical to
 /// [`crate::ops::apply`] on the same inputs.
 ///
-/// `partition` is the plan's per-worker row partitioning; each
+/// `partition` is the per-worker row partitioning; each
 /// partition's rows are evaluated independently (on parallel host
 /// threads when the host has more than one CPU).
 ///
@@ -124,7 +113,7 @@ pub fn execute<O: GraphOp>(
         csc,
         inputs,
         partition,
-        worker_count(partition.len()),
+        transmuter::host_cpus(),
     )
 }
 

@@ -68,7 +68,13 @@ pub fn compile_into(
     out: &mut Vec<Vec<Op>>,
 ) {
     let mut sink = OpBufSink::new(geometry, out, geometry.total_pes());
-    emit(coo_t, geometry, params, &mut sink);
+    emit(
+        coo_t,
+        geometry,
+        params,
+        &mut IpScratch::default(),
+        &mut sink,
+    );
 }
 
 /// Emits the IP kernel straight into a lowering [`ProgramBuilder`] — the
@@ -85,12 +91,76 @@ pub fn build(
     params: IpParams<'_>,
     builder: &mut ProgramBuilder,
 ) {
-    emit(coo_t, geometry, params, builder);
+    build_with(coo_t, geometry, params, &mut IpScratch::default(), builder);
+}
+
+/// [`build`] with caller-owned bucketing buffers: the steady-state form
+/// for sessions that emit a masked IP program per frontier, so repeated
+/// multi-vblock builds allocate nothing once the buffers have grown.
+///
+/// # Panics
+///
+/// Panics if `partition.len() != geometry.total_pes()`.
+pub fn build_with(
+    coo_t: &CooMatrix,
+    geometry: Geometry,
+    params: IpParams<'_>,
+    scratch: &mut IpScratch,
+    builder: &mut ProgramBuilder,
+) {
+    emit(coo_t, geometry, params, scratch, builder);
+}
+
+/// Reusable buffers for the per-PE vblock bucketing of multi-vblock IP
+/// builds (see [`IpScratch::bucket`]).
+#[derive(Debug, Default)]
+pub struct IpScratch {
+    /// Bucket start offsets into `entries`, one per vblock plus the end.
+    starts: Vec<usize>,
+    /// One PE's `(row, col)` pairs, grouped by vblock.
+    entries: Vec<(u32, u32)>,
+}
+
+impl IpScratch {
+    /// Groups one PE's triplets by vblock with a stable counting sort:
+    /// bucket `vb` is `entries[starts[vb]..starts[vb + 1]]`, holding that
+    /// vblock's triplets in storage (row-major) order — the reordered
+    /// storage layout of §III-B, in O(nnz + vblocks).
+    fn bucket(&mut self, entries: &[sparse::Triplet], vblocks: &VBlocks) {
+        let n_vb = vblocks.len();
+        self.starts.clear();
+        self.starts.resize(n_vb + 1, 0);
+        for t in entries {
+            self.starts[vblocks.block_of(t.col as usize) + 1] += 1;
+        }
+        for vb in 0..n_vb {
+            self.starts[vb + 1] += self.starts[vb];
+        }
+        self.entries.clear();
+        self.entries.resize(entries.len(), (0, 0));
+        // Scatter through a moving cursor per bucket: `starts[vb]` walks
+        // to the next bucket's start, so shift the table back afterwards.
+        for t in entries {
+            let vb = vblocks.block_of(t.col as usize);
+            self.entries[self.starts[vb]] = (t.row, t.col);
+            self.starts[vb] += 1;
+        }
+        for vb in (1..=n_vb).rev() {
+            self.starts[vb] = self.starts[vb - 1];
+        }
+        self.starts[0] = 0;
+    }
 }
 
 /// The one IP emitter both representations share (see the module docs of
 /// [`crate::kernels`]).
-fn emit<K: KernelSink>(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'_>, sink: &mut K) {
+fn emit<K: KernelSink>(
+    coo_t: &CooMatrix,
+    geometry: Geometry,
+    params: IpParams<'_>,
+    scratch: &mut IpScratch,
+    sink: &mut K,
+) {
     assert_eq!(
         params.partition.len(),
         geometry.total_pes(),
@@ -148,14 +218,9 @@ fn emit<K: KernelSink>(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'
             // Bucket this PE's triplets by vblock, preserving row-major
             // order inside each bucket (this is the reordered storage
             // layout of §III-B).
-            let mut bucketed: Vec<(usize, u32, u32)> = entries
-                .iter()
-                .map(|t| (params.vblocks.block_of(t.col as usize), t.row, t.col))
-                .collect();
-            bucketed.sort_by_key(|&(vb, _, _)| vb);
+            scratch.bucket(entries, params.vblocks);
 
-            sink.reserve(bucketed.len() * 5 + 16);
-            let mut cursor = 0usize; // index into bucketed
+            sink.reserve(entries.len() * 5 + 16);
             let mut seq = 0usize; // storage order within the partition
             for vb in 0..params.vblocks.len() {
                 let vb_range = params.vblocks.range(vb);
@@ -174,8 +239,8 @@ fn emit<K: KernelSink>(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'
                 }
                 // Process this PE's entries of the vblock.
                 let mut prev_row: Option<u32> = None;
-                while cursor < bucketed.len() && bucketed[cursor].0 == vb {
-                    let (_, row, col) = bucketed[cursor];
+                let bucket = scratch.starts[vb]..scratch.starts[vb + 1];
+                for &(row, col) in &scratch.entries[bucket] {
                     sink.load(params.layout.coo_entry(part_start + seq));
                     sink.compute(1);
                     let is_active = params.active.is_none_or(|mask| mask[col as usize]);
@@ -202,7 +267,6 @@ fn emit<K: KernelSink>(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'
                         }
                         prev_row = Some(row);
                     }
-                    cursor += 1;
                     seq += 1;
                 }
                 if let Some(p) = prev_row {
@@ -407,6 +471,134 @@ mod tests {
     #[test]
     fn op_count_estimate_orders() {
         assert!(op_count_estimate(100, &OpProfile::scalar()) >= 300);
+    }
+}
+
+#[cfg(test)]
+mod bucket_tests {
+    use super::*;
+    use crate::balance::{ip_partitions, Balancing};
+
+    /// Reference SCS emission bucketing with a stable comparison sort:
+    /// collect `(vblock, row, col)` per PE, `sort_by_key` on the vblock,
+    /// then walk the buckets.
+    fn reference(coo: &CooMatrix, g: Geometry, params: IpParams<'_>) -> Vec<Vec<Op>> {
+        let vw = params.profile.value_words;
+        let mac_cost = 2 + params.profile.extra_compute_per_edge;
+        let b = g.pes_per_tile();
+        let mut out = vec![Vec::new(); g.total_pes()];
+        for tile in 0..g.tiles() {
+            for pe in 0..b {
+                let part = g.pe_id(tile, pe);
+                let trange = params.partition.triplet_range(coo, part);
+                let part_start = trange.start;
+                let mut bucketed: Vec<(usize, u32, u32)> = coo.entries()[trange]
+                    .iter()
+                    .map(|t| (params.vblocks.block_of(t.col as usize), t.row, t.col))
+                    .collect();
+                bucketed.sort_by_key(|&(vb, _, _)| vb);
+                let ops = &mut out[part];
+                let mut cursor = 0;
+                for vb in 0..params.vblocks.len() {
+                    let vb_range = params.vblocks.range(vb);
+                    let words = vb_range.len() * vw;
+                    for w in words * pe / b..words * (pe + 1) / b {
+                        let elem = vb_range.start + w / vw;
+                        ops.push(Op::Load(params.layout.x_elem(elem, w % vw)));
+                        ops.push(Op::SpmStore((w * 4) as u32));
+                    }
+                    ops.push(Op::TileBarrier);
+                    let mut prev_row = None;
+                    while cursor < bucketed.len() && bucketed[cursor].0 == vb {
+                        let (_, row, col) = bucketed[cursor];
+                        ops.push(Op::Load(params.layout.coo_entry(part_start + cursor)));
+                        ops.push(Op::Compute(1));
+                        let active = params.active.is_none_or(|m| m[col as usize]);
+                        for w in 0..if active { vw } else { 1 } {
+                            let local = (col as usize - vb_range.start) * vw + w;
+                            ops.push(Op::SpmLoad((local * 4) as u32));
+                        }
+                        if active {
+                            ops.push(Op::Compute(mac_cost));
+                            if let Some(p) = prev_row.filter(|&p| p != row) {
+                                for w in 0..vw {
+                                    ops.push(Op::Store(params.layout.y_elem(p as usize, w)));
+                                }
+                            }
+                            prev_row = Some(row);
+                        }
+                        cursor += 1;
+                    }
+                    if let Some(p) = prev_row {
+                        for w in 0..vw {
+                            ops.push(Op::Store(params.layout.y_elem(p as usize, w)));
+                        }
+                    }
+                    ops.push(Op::TileBarrier);
+                }
+            }
+        }
+        out
+    }
+
+    /// The stable counting sort emits exactly the ops of the stable-sort
+    /// reference on a multi-vblock SCS partition, masked and dense, and
+    /// a scratch left dirty by a different build changes nothing.
+    #[test]
+    fn counting_sort_bucketing_matches_stable_sort_reference() {
+        let g = Geometry::new(2, 4);
+        let n = 1000;
+        let m = sparse::generate::uniform(n, n, 9000, 17).unwrap();
+        let l = Layout::new(n, n, m.nnz(), g, 2);
+        let part = ip_partitions(&m.row_counts(), g, Balancing::NnzBalanced);
+        let vblocks = VBlocks::new(n, 96);
+        assert!(vblocks.len() > 8, "the case must span many vblocks");
+        let mask: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+        let profile = OpProfile {
+            value_words: 2,
+            extra_compute_per_edge: 1,
+            vector_op_compute: 0,
+        };
+        let mut scratch = IpScratch::default();
+        // Dirty the scratch with a differently shaped build first.
+        let other = sparse::generate::uniform(300, 300, 2500, 4).unwrap();
+        let other_part = ip_partitions(&other.row_counts(), g, Balancing::NnzBalanced);
+        let other_vb = VBlocks::new(300, 40);
+        let mut bufs = Vec::new();
+        emit(
+            &other,
+            g,
+            IpParams {
+                layout: &Layout::new(300, 300, other.nnz(), g, 1),
+                partition: &other_part,
+                vblocks: &other_vb,
+                use_spm: true,
+                active: None,
+                profile: OpProfile::scalar(),
+            },
+            &mut scratch,
+            &mut OpBufSink::new(g, &mut bufs, g.total_pes()),
+        );
+        for active in [None, Some(&mask[..])] {
+            let params = IpParams {
+                layout: &l,
+                partition: &part,
+                vblocks: &vblocks,
+                use_spm: true,
+                active,
+                profile,
+            };
+            let mut got = Vec::new();
+            emit(
+                &m,
+                g,
+                params,
+                &mut scratch,
+                &mut OpBufSink::new(g, &mut got, g.total_pes()),
+            );
+            assert_eq!(got, reference(&m, g, params), "mask {}", active.is_some());
+            assert_eq!(got, compile(&m, g, params), "fresh scratch disagrees");
+        }
     }
 }
 

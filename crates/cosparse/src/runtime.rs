@@ -24,10 +24,13 @@ use crate::kernels::{formats, ip, op};
 use crate::ops::{apply, GraphOp, OpProfile, SpmvOp, Update};
 use crate::shared::{SharedCounters, SharedGraph, SharedPlan};
 use crate::verify::{run_checked, VerifyReport};
-use sparse::{CooMatrix, CscMatrix, DenseVector, FormatKind, Idx, ReorderKind, SparseVector};
+use sparse::{
+    CooMatrix, CscMatrix, DenseVector, FormatKind, Idx, Permutation, ReorderKind, SparseVector,
+};
 use std::sync::Arc;
 use transmuter::{
-    Analysis, EpochStats, HwConfig, Machine, MemoStats, ProgramBuilder, SimError, SimReport,
+    Analysis, EpochStats, Geometry, HwConfig, Machine, MemoStats, MicroArch, ProgramBuilder,
+    SimError, SimReport,
 };
 
 /// A frontier (input vector) in one of the two representations the
@@ -147,33 +150,102 @@ pub struct StepOutcome<V> {
     pub updates: Vec<Update<V>>,
 }
 
-/// The session's binding to one shared plan: an `Arc` to the immutable
-/// per-(profile, balancing) tuning state plus the per-session builder
-/// scratch that rides on it.
+/// The session's frontier-dependent program scratch: the builder every
+/// one-shot program (masked IP, OP, conversion, format pack) is emitted
+/// into, plus what it currently holds.
 ///
-/// The bound `Arc` doubles as the session's plan cache key: as long as
-/// the op profile and balancing scheme match, invocations never touch
-/// the graph's plan registry (or its lock) at all.
-#[derive(Debug)]
-struct Plan {
-    shared: Arc<SharedPlan>,
+/// It belongs to the session, not to the bound plan, so a plan rebind
+/// (an IP↔OP format switch, an SSSP↔BFS profile switch) keeps every
+/// grown buffer and the steady state allocates nothing; a rebind only
+/// forgets `key`, since the held program was lowered against the old
+/// plan's layout.
+#[derive(Debug, Default)]
+struct Scratch {
     /// The single-pass lowering pipeline: kernels emit micro-ops
     /// straight into this builder (`begin` → `kernels::*::build` →
     /// `finish`), so no intermediate op buffers are materialized on the
-    /// non-verify path. Between rebuilds it holds the most recent
-    /// frontier-dependent program (see `scratch_key`).
+    /// non-verify path.
     builder: ProgramBuilder,
-    /// What the builder's finished program currently holds:
-    /// `(software, hardware)` slot indices plus the exact frontier it
-    /// was built for. An invocation matching all three skips emission
-    /// entirely and re-runs the program as-is — the steady state of
-    /// fixed-frontier callers and converged iterative algorithms.
-    /// (Everything else the lowering reads — matrix, layout,
-    /// partitions, profile — is fixed per [`SharedPlan`].) `None`
-    /// whenever the builder was last used for something else (a
-    /// conversion build).
-    scratch_key: Option<(usize, usize)>,
-    scratch_frontier: Vec<Idx>,
+    /// What the builder's finished program currently is: the
+    /// `(software, hardware)` slot indices of a frontier-dependent
+    /// program built for `frontier` under the bound plan. An invocation
+    /// matching both skips emission entirely and re-runs the program
+    /// as-is — the steady state of fixed-frontier callers and converged
+    /// iterative algorithms. `None` when the builder was last used for
+    /// something else (a conversion or pack) or the plan was rebound.
+    key: Option<(usize, usize)>,
+    /// The frontier `key`'s program was built for, in the original
+    /// index space (the bound plan's permutation is fixed, so equal
+    /// original sets are equal permuted sets).
+    frontier: Vec<Idx>,
+    /// Vblock-bucketing buffers of multi-vblock IP builds.
+    ip: ip::IpScratch,
+    /// The sorted permuted frontier an outer-product build streams.
+    perm: Vec<Idx>,
+}
+
+impl Scratch {
+    /// Makes the builder hold the `key` program for `frontier`, emitting
+    /// it through `emit` unless it already does; counts one scratch build
+    /// or hit on `counters`.
+    fn ensure(
+        &mut self,
+        key: (usize, usize),
+        frontier: &[Idx],
+        analysis: bool,
+        target: (Geometry, HwConfig, &MicroArch),
+        counters: &SharedCounters,
+        emit: impl FnOnce(&mut ProgramBuilder, &mut ip::IpScratch, &mut Vec<Idx>),
+    ) {
+        if self.key == Some(key) && self.frontier == frontier {
+            SharedCounters::bump(&counters.scratch_program_hits);
+            return;
+        }
+        self.begin(analysis, target);
+        emit(&mut self.builder, &mut self.ip, &mut self.perm);
+        self.builder.finish();
+        self.key = Some(key);
+        self.frontier.clear();
+        self.frontier.extend_from_slice(frontier);
+        SharedCounters::bump(&counters.scratch_program_builds);
+    }
+
+    /// Starts a build, forgetting whatever program the builder held.
+    fn begin(&mut self, analysis: bool, (geometry, hw, uarch): (Geometry, HwConfig, &MicroArch)) {
+        self.key = None;
+        self.builder.set_analysis(analysis);
+        self.builder.begin(geometry, hw, uarch);
+    }
+}
+
+/// The frontier list an outer-product kernel streams: `active` itself
+/// under arrival order, else its sorted image under `perm`, staged in
+/// `buf`.
+fn op_frontier<'a>(
+    perm: Option<&Permutation>,
+    active: &'a [Idx],
+    buf: &'a mut Vec<Idx>,
+) -> &'a [Idx] {
+    match perm {
+        Some(p) => {
+            p.permute_active(active, buf);
+            buf
+        }
+        None => active,
+    }
+}
+
+/// Marks (`on`) or clears the inner-product activity mask for the
+/// original-space `active` columns, in the bound plan's column space.
+fn stage_mask(mask: &mut [bool], active: &[Idx], perm: Option<&Permutation>, on: bool) {
+    match perm {
+        Some(p) => p.mark_active(active, mask, on),
+        None => {
+            for &i in active {
+                mask[i as usize] = on;
+            }
+        }
+    }
 }
 
 /// Dense slot index of a hardware configuration in per-config tables.
@@ -259,18 +331,22 @@ pub struct CoSparse {
     adaptive: AdaptiveState,
     verify: bool,
     verify_report: VerifyReport,
-    plan: Option<Plan>,
+    /// The bound shared plan. The `Arc` doubles as the session's plan
+    /// cache key: as long as the op profile, balancing, format and
+    /// reordering match, invocations never touch the graph's plan
+    /// registry (or its lock) at all.
+    plan: Option<Arc<SharedPlan>>,
+    /// Frontier-dependent program scratch; survives plan rebinds.
+    scratch: Scratch,
+    /// Host worker threads per host step (see
+    /// [`CoSparse::set_host_threads`]).
+    host_threads: usize,
     /// IP activity-mask scratch, `cols` long, kept all-false between
     /// invocations: each call sets and clears only the active bits, so
     /// steady-state masking is O(frontier), not O(cols).
     mask_buf: Vec<bool>,
     /// Reusable staging for the active index list.
     indices_buf: Vec<Idx>,
-    /// Reusable staging for the permuted active index list (the
-    /// vector-permute contract: when the bound plan carries a
-    /// reordering, kernels see the frontier's indices mapped through it
-    /// — see [`CoSparse::execute_timed`]).
-    perm_buf: Vec<Idx>,
     /// Reusable staging for the active `(index, value)` entries.
     entries_buf: Vec<(Idx, f32)>,
     /// Analyzer verdict of the most recently executed program (cloned
@@ -328,8 +404,9 @@ impl CoSparse {
             verify: false,
             verify_report: VerifyReport::default(),
             plan: None,
+            scratch: Scratch::default(),
+            host_threads: transmuter::host_cpus(),
             indices_buf: Vec::new(),
-            perm_buf: Vec::new(),
             entries_buf: Vec::new(),
             last_analysis: None,
             deep_analysis: false,
@@ -436,6 +513,16 @@ impl CoSparse {
     /// The current execution backend.
     pub fn backend(&self) -> ExecBackend {
         self.backend
+    }
+
+    /// Sets how many host threads one host-backend step fans its row
+    /// partitions out to (default: the host's available parallelism;
+    /// values below 1 mean 1). Results are bit-identical for any count.
+    /// [`crate::GraphService`] workers run theirs inline with `1`: the
+    /// pool already keeps one worker busy per CPU, so a nested fan-out
+    /// only adds thread spawns and contention.
+    pub fn set_host_threads(&mut self, threads: usize) {
+        self.host_threads = threads.max(1);
     }
 
     /// Selects the configuration policy (default: [`Policy::Auto`]).
@@ -592,30 +679,27 @@ impl CoSparse {
         d
     }
 
-    /// (Re)binds the session's [`Plan`] when none is bound or its key —
-    /// op profile + balancing scheme + storage format + reordering — no
-    /// longer matches. The plan itself comes from the shared graph's
+    /// (Re)binds the session's shared plan when none is bound or its key
+    /// — op profile + balancing scheme + storage format + reordering —
+    /// no longer matches. The plan itself comes from the shared graph's
     /// registry (built there on the first request for the key, from any
-    /// session); only the builder scratch is per-session.
+    /// session). The session's builder scratch outlives the rebind; only
+    /// the record of which program it holds is dropped.
     fn ensure_plan(&mut self, profile: &OpProfile, format: FormatKind, reorder: ReorderKind) {
         let stale = self.plan.as_ref().is_none_or(|p| {
-            p.shared.profile != *profile
-                || p.shared.balancing != self.balancing
-                || p.shared.format != format
-                || p.shared.reorder != reorder
+            p.profile != *profile
+                || p.balancing != self.balancing
+                || p.format != format
+                || p.reorder != reorder
         });
         if !stale {
             return;
         }
-        let shared = self
-            .shared
-            .plan_for(profile, self.balancing, format, reorder);
-        self.plan = Some(Plan {
-            shared,
-            builder: ProgramBuilder::new(),
-            scratch_key: None,
-            scratch_frontier: Vec::new(),
-        });
+        self.plan = Some(
+            self.shared
+                .plan_for(profile, self.balancing, format, reorder),
+        );
+        self.scratch.key = None;
     }
 
     /// Simulates one SpMV's access pattern for the given active indices
@@ -639,7 +723,6 @@ impl CoSparse {
         profile: &OpProfile,
     ) -> Result<SimReport, SimError> {
         if self.backend == ExecBackend::Host {
-            self.ensure_plan(profile, decision.format, decision.reorder);
             return Ok(self.host_report(0.0));
         }
         self.execute_timed(decision, active, profile)
@@ -683,28 +766,25 @@ impl CoSparse {
             .shared
             .format_is_materialized(decision.format, decision.reorder);
         self.ensure_plan(profile, decision.format, decision.reorder);
+        let plan = Arc::clone(self.plan.as_ref().expect("plan ensured above"));
+        // The session machine's microarchitecture (asserted equal at
+        // construction), borrowed from the graph so the machine stays
+        // free for `&mut` runs.
+        let uarch = self.shared.uarch();
+        let target = (geometry, decision.hardware, uarch);
         // The vector-permute contract (fourth axis): when the bound plan
         // streams reordered operands, the kernels must see the
         // frontier's indices mapped into the permuted space too —
         // otherwise mask and frontier would address the wrong columns
-        // of the permuted image. The mapping is confined to this
-        // method: callers hand in original-space indices, and every
+        // of the permuted image. The frontier is permuted only where a
+        // kernel reads it: a dense frontier is the same set in either
+        // space, the masked inner product marks `mask[col_new[i]]`
+        // directly, and only an outer-product build sorts a permuted
+        // list. Callers hand in original-space indices, and every
         // functional result is computed in the original space, so
         // reordering is invisible outside the simulated address stream.
-        let mut perm_buf = std::mem::take(&mut self.perm_buf);
-        let active: &[Idx] = match self
-            .plan
-            .as_ref()
-            .expect("plan ensured above")
-            .shared
-            .perm()
-        {
-            Some(p) => {
-                p.permute_active(active, &mut perm_buf);
-                &perm_buf
-            }
-            None => active,
-        };
+        let perm = plan.perm();
+        let dense = active.len() >= self.shared.matrix().cols();
         let reconfig_cost = self.machine.reconfigure(decision.hardware);
 
         // Frontier representation conversion (§III-D.2) when the
@@ -720,10 +800,9 @@ impl CoSparse {
         };
         let mut conversion_report = None;
         if let Some(direction) = conversion {
-            let plan = self.plan.as_mut().expect("plan ensured above");
             conversion_report = Some(if self.verify {
                 let streams = convert::streams(
-                    &plan.shared.layout,
+                    &plan.layout,
                     geometry,
                     self.shared.matrix().cols(),
                     active.len(),
@@ -733,28 +812,25 @@ impl CoSparse {
                 run_checked(
                     &mut self.machine,
                     streams,
-                    &plan.shared.regions,
+                    &plan.regions,
                     &mut self.verify_report,
                 )?
             } else {
                 // Single-pass path: emit straight into the session's
                 // builder. This repurposes the builder, so any cached
                 // frontier-dependent program is gone.
-                plan.builder.set_analysis(self.deep_analysis);
-                plan.builder
-                    .begin(geometry, decision.hardware, self.machine.uarch());
+                self.scratch.begin(self.deep_analysis, target);
                 convert::build(
-                    &plan.shared.layout,
+                    &plan.layout,
                     geometry,
                     self.shared.matrix().cols(),
                     active.len(),
                     direction,
                     *profile,
-                    &mut plan.builder,
+                    &mut self.scratch.builder,
                 );
-                plan.scratch_key = None;
                 SharedCounters::bump(&self.shared.counters().conversion_builds);
-                let prog = plan.builder.finish();
+                let prog = self.scratch.builder.finish();
                 self.last_analysis = prog.analysis().cloned();
                 self.machine.run_program(prog)?
             });
@@ -767,32 +843,27 @@ impl CoSparse {
         // session on the graph — finds it warm.
         let mut pack_report = None;
         if cold_format && matches!(decision.format, FormatKind::Bitmap | FormatKind::Bcsr) {
-            let plan = self.plan.as_mut().expect("plan ensured above");
-            let image_words = (plan.shared.layout.fmt_bytes / 4) as usize;
+            let image_words = (plan.layout.fmt_bytes / 4) as usize;
             let nnz = self.shared.matrix().nnz();
             pack_report = Some(if self.verify {
-                let streams =
-                    formats::pack_streams(&plan.shared.layout, geometry, nnz, image_words);
+                let streams = formats::pack_streams(&plan.layout, geometry, nnz, image_words);
                 run_checked(
                     &mut self.machine,
                     streams,
-                    &plan.shared.regions,
+                    &plan.regions,
                     &mut self.verify_report,
                 )?
             } else {
-                plan.builder.set_analysis(self.deep_analysis);
-                plan.builder
-                    .begin(geometry, decision.hardware, self.machine.uarch());
+                self.scratch.begin(self.deep_analysis, target);
                 formats::build_pack(
-                    &plan.shared.layout,
+                    &plan.layout,
                     geometry,
                     nnz,
                     image_words,
-                    &mut plan.builder,
+                    &mut self.scratch.builder,
                 );
-                plan.scratch_key = None;
                 SharedCounters::bump(&self.shared.counters().conversion_builds);
-                let prog = plan.builder.finish();
+                let prog = self.scratch.builder.finish();
                 self.last_analysis = prog.analysis().cloned();
                 self.machine.run_program(prog)?
             });
@@ -800,7 +871,22 @@ impl CoSparse {
 
         let sw_idx = sw_index(decision.software);
         let hw_idx = hw_index(decision.hardware);
-        let mut report = match decision.software {
+        let key = (sw_idx, hw_idx);
+        let check = self.verify && !plan.is_verified(sw_idx, hw_idx);
+        let counters = self.shared.counters();
+        // §IV-C.1: a masked inner product inspects every vector element
+        // but skips the MAC and output accesses for inactive ones. Stage
+        // the mask in the all-false scratch; it is un-staged below before
+        // any error propagates.
+        let masked_ip = decision.software == SwConfig::InnerProduct && !dense;
+        if masked_ip {
+            stage_mask(&mut self.mask_buf, active, perm, true);
+        }
+        let mask: Option<&[bool]> = masked_ip.then_some(&self.mask_buf[..]);
+        // Which program runs, by cache policy: the plan's shared dense
+        // program, the session's frontier-keyed scratch program, or — on
+        // a pairing's first verified run — the checked op-stream path.
+        let run = match decision.software {
             SwConfig::InnerProduct
                 if matches!(decision.format, FormatKind::Bitmap | FormatKind::Bcsr) =>
             {
@@ -810,307 +896,171 @@ impl CoSparse {
                 // program (one per hardware slot, format-specific since
                 // the plan is format-keyed); masked frontiers go through
                 // the session builder scratch.
-                let dense = active.len() >= self.shared.matrix().cols();
-                if !dense {
-                    for &i in active {
-                        self.mask_buf[i as usize] = true;
-                    }
-                }
-                let plan = self.plan.as_mut().expect("plan ensured above");
-                let mask: Option<&[bool]> = if dense { None } else { Some(&self.mask_buf) };
                 let params = formats::FmtParams {
-                    layout: &plan.shared.layout,
-                    partition: &plan.shared.ip_partition,
+                    layout: &plan.layout,
+                    partition: &plan.ip_partition,
                     active: mask,
                     profile: *profile,
                 };
-                let result = if self.verify && !plan.shared.is_verified(sw_idx, hw_idx) {
-                    let streams = match decision.format {
-                        FormatKind::Bitmap => formats::bitmap_streams(
-                            plan.shared.bitmap(&self.shared),
+                let bitmap = matches!(decision.format, FormatKind::Bitmap)
+                    .then(|| plan.bitmap(&self.shared));
+                let bcsr = bitmap.is_none().then(|| plan.bcsr(&self.shared));
+                let emit = |builder: &mut ProgramBuilder| match bitmap {
+                    Some(bitmap) => formats::build_bitmap(bitmap, geometry, params, builder),
+                    None => formats::build_bcsr(
+                        bcsr.expect("one image resolved"),
+                        geometry,
+                        params,
+                        builder,
+                    ),
+                };
+                if check {
+                    let streams = match bitmap {
+                        Some(bitmap) => formats::bitmap_streams(bitmap, geometry, params),
+                        None => formats::bcsr_streams(
+                            bcsr.expect("one image resolved"),
                             geometry,
                             params,
                         ),
-                        _ => {
-                            formats::bcsr_streams(plan.shared.bcsr(&self.shared), geometry, params)
-                        }
                     };
-                    let run = run_checked(
+                    run_checked(
                         &mut self.machine,
                         streams,
-                        &plan.shared.regions,
+                        &plan.regions,
                         &mut self.verify_report,
-                    );
-                    if run.is_ok() {
-                        plan.shared.mark_verified(sw_idx, hw_idx);
-                    }
-                    run
+                    )
                 } else if dense {
-                    let uarch = self.machine.uarch();
-                    // Resolve the image for this plan's (format, reorder)
-                    // pairing up front, so the build closure captures a
-                    // plain reference.
-                    let bitmap = matches!(decision.format, FormatKind::Bitmap)
-                        .then(|| plan.shared.bitmap(&self.shared));
-                    let bcsr = bitmap.is_none().then(|| plan.shared.bcsr(&self.shared));
-                    let prog = plan
-                        .shared
-                        .dense_program(hw_idx, self.shared.counters(), || {
-                            let mut builder = ProgramBuilder::new();
-                            builder.set_analysis(true);
-                            builder.begin(geometry, decision.hardware, uarch);
-                            match bitmap {
-                                Some(bitmap) => {
-                                    formats::build_bitmap(bitmap, geometry, params, &mut builder)
-                                }
-                                None => formats::build_bcsr(
-                                    bcsr.expect("one image resolved"),
-                                    geometry,
-                                    params,
-                                    &mut builder,
-                                ),
-                            }
-                            builder.finish().clone()
-                        });
+                    let prog = plan.dense_program(hw_idx, counters, || {
+                        let mut builder = ProgramBuilder::new();
+                        builder.set_analysis(true);
+                        builder.begin(geometry, decision.hardware, uarch);
+                        emit(&mut builder);
+                        builder.finish().clone()
+                    });
                     self.last_analysis = prog.analysis().cloned();
-                    let run = self.machine.run_program(prog);
-                    if self.verify && run.is_ok() {
-                        self.verify_report.runs += 1;
-                    }
-                    run
+                    self.machine.run_program(prog)
                 } else {
-                    if plan.scratch_key != Some((sw_idx, hw_idx))
-                        || plan.scratch_frontier != *active
-                    {
-                        plan.builder.set_analysis(self.deep_analysis);
-                        plan.builder
-                            .begin(geometry, decision.hardware, self.machine.uarch());
-                        match decision.format {
-                            FormatKind::Bitmap => formats::build_bitmap(
-                                plan.shared.bitmap(&self.shared),
-                                geometry,
-                                params,
-                                &mut plan.builder,
-                            ),
-                            _ => formats::build_bcsr(
-                                plan.shared.bcsr(&self.shared),
-                                geometry,
-                                params,
-                                &mut plan.builder,
-                            ),
-                        }
-                        plan.builder.finish();
-                        plan.scratch_key = Some((sw_idx, hw_idx));
-                        plan.scratch_frontier.clear();
-                        plan.scratch_frontier.extend_from_slice(active);
-                        SharedCounters::bump(&self.shared.counters().scratch_program_builds);
-                    } else {
-                        SharedCounters::bump(&self.shared.counters().scratch_program_hits);
-                    }
-                    self.last_analysis = plan.builder.program().analysis().cloned();
-                    let run = self.machine.run_program(plan.builder.program());
-                    if self.verify && run.is_ok() {
-                        self.verify_report.runs += 1;
-                    }
-                    run
-                };
-                if !dense {
-                    for &i in active {
-                        self.mask_buf[i as usize] = false;
-                    }
+                    self.scratch.ensure(
+                        key,
+                        active,
+                        self.deep_analysis,
+                        target,
+                        counters,
+                        |builder, _, _| emit(builder),
+                    );
+                    self.last_analysis = self.scratch.builder.program().analysis().cloned();
+                    self.machine.run_program(self.scratch.builder.program())
                 }
-                result?
             }
             SwConfig::InnerProduct => {
                 let use_spm = decision.hardware == HwConfig::Scs;
-                if active.len() >= self.shared.matrix().cols() {
+                let coo = plan.coo(&self.shared);
+                let params = ip::IpParams {
+                    layout: &plan.layout,
+                    partition: &plan.ip_partition,
+                    vblocks: if use_spm {
+                        &plan.vblocks_scs
+                    } else {
+                        &plan.vblocks_sc
+                    },
+                    use_spm,
+                    active: mask,
+                    profile: *profile,
+                };
+                if check {
+                    let compiled = ip::compile(coo, geometry, params);
+                    let streams = ip::replay(&compiled, geometry);
+                    run_checked(
+                        &mut self.machine,
+                        streams,
+                        &plan.regions,
+                        &mut self.verify_report,
+                    )
+                } else if dense {
                     // Fully dense frontier: run the shared compiled
-                    // program, built by the first session to need this
-                    // hardware slot. This is the steady state of PR/CF
-                    // — no op regeneration or re-lowering per
-                    // iteration, and N sessions share one build.
-                    let plan = self.plan.as_mut().expect("plan ensured above");
-                    let params = ip::IpParams {
-                        layout: &plan.shared.layout,
-                        partition: &plan.shared.ip_partition,
-                        vblocks: if use_spm {
-                            &plan.shared.vblocks_scs
-                        } else {
-                            &plan.shared.vblocks_sc
-                        },
-                        use_spm,
-                        active: None,
-                        profile: *profile,
-                    };
-                    if self.verify && !plan.shared.is_verified(sw_idx, hw_idx) {
-                        let compiled = ip::compile(plan.shared.coo(&self.shared), geometry, params);
-                        let streams = ip::replay(&compiled, geometry);
-                        let run = run_checked(
-                            &mut self.machine,
-                            streams,
-                            &plan.shared.regions,
-                            &mut self.verify_report,
-                        )?;
-                        plan.shared.mark_verified(sw_idx, hw_idx);
-                        run
-                    } else {
-                        // Shared-plan cached: built once per hardware
-                        // slot through a fresh builder (the session's
-                        // own builder keeps its frontier-dependent
-                        // program), analysis always on — the cost
-                        // amortizes over every session and iteration.
-                        // The shared program keeps one id, so each
-                        // machine's steady-state memo sees the same
-                        // recurring program every iteration.
-                        let coo = plan.shared.coo(&self.shared);
-                        let uarch = self.machine.uarch();
-                        let prog =
-                            plan.shared
-                                .dense_program(hw_idx, self.shared.counters(), || {
-                                    let mut builder = ProgramBuilder::new();
-                                    builder.set_analysis(true);
-                                    builder.begin(geometry, decision.hardware, uarch);
-                                    ip::build(coo, geometry, params, &mut builder);
-                                    builder.finish().clone()
-                                });
-                        self.last_analysis = prog.analysis().cloned();
-                        let run = self.machine.run_program(prog)?;
-                        if self.verify {
-                            self.verify_report.runs += 1;
-                        }
-                        run
-                    }
+                    // program, built once per hardware slot through a
+                    // fresh builder (the session's own builder keeps its
+                    // frontier-dependent program), analysis always on —
+                    // the cost amortizes over every session and
+                    // iteration. This is the steady state of PR/CF: the
+                    // shared program keeps one id, so each machine's
+                    // steady-state memo sees the same recurring program
+                    // every iteration.
+                    let prog = plan.dense_program(hw_idx, counters, || {
+                        let mut builder = ProgramBuilder::new();
+                        builder.set_analysis(true);
+                        builder.begin(geometry, decision.hardware, uarch);
+                        ip::build(coo, geometry, params, &mut builder);
+                        builder.finish().clone()
+                    });
+                    self.last_analysis = prog.analysis().cloned();
+                    self.machine.run_program(prog)
                 } else {
-                    // §IV-C.1: IP inspects every vector element but
-                    // skips the MAC and output accesses for zeros.
-                    // Stage the mask in the all-false scratch.
-                    for &i in active {
-                        self.mask_buf[i as usize] = true;
-                    }
-                    let plan = self.plan.as_mut().expect("plan ensured above");
-                    let params = ip::IpParams {
-                        layout: &plan.shared.layout,
-                        partition: &plan.shared.ip_partition,
-                        vblocks: if use_spm {
-                            &plan.shared.vblocks_scs
-                        } else {
-                            &plan.shared.vblocks_sc
+                    // Frontier-dependent ops: emit straight into the
+                    // session's builder in one pass — no op buffers,
+                    // no separate lowering walk — and no work at all
+                    // when the builder already holds this exact
+                    // (config, frontier).
+                    self.scratch.ensure(
+                        key,
+                        active,
+                        self.deep_analysis,
+                        target,
+                        counters,
+                        |builder, ip_scratch, _| {
+                            ip::build_with(coo, geometry, params, ip_scratch, builder)
                         },
-                        use_spm,
-                        active: Some(&self.mask_buf),
-                        profile: *profile,
-                    };
-                    let result = if self.verify && !plan.shared.is_verified(sw_idx, hw_idx) {
-                        let compiled = ip::compile(plan.shared.coo(&self.shared), geometry, params);
-                        let streams = ip::replay(&compiled, geometry);
-                        let run = run_checked(
-                            &mut self.machine,
-                            streams,
-                            &plan.shared.regions,
-                            &mut self.verify_report,
-                        );
-                        if run.is_ok() {
-                            plan.shared.mark_verified(sw_idx, hw_idx);
-                        }
-                        run
-                    } else {
-                        // Frontier-dependent ops: emit straight into the
-                        // session's builder in one pass — no op buffers,
-                        // no separate lowering walk — and no work at all
-                        // when the builder already holds this exact
-                        // (config, frontier).
-                        if plan.scratch_key != Some((sw_idx, hw_idx))
-                            || plan.scratch_frontier != *active
-                        {
-                            plan.builder.set_analysis(self.deep_analysis);
-                            plan.builder
-                                .begin(geometry, decision.hardware, self.machine.uarch());
-                            ip::build(
-                                plan.shared.coo(&self.shared),
-                                geometry,
-                                params,
-                                &mut plan.builder,
-                            );
-                            plan.builder.finish();
-                            plan.scratch_key = Some((sw_idx, hw_idx));
-                            plan.scratch_frontier.clear();
-                            plan.scratch_frontier.extend_from_slice(active);
-                            SharedCounters::bump(&self.shared.counters().scratch_program_builds);
-                        } else {
-                            SharedCounters::bump(&self.shared.counters().scratch_program_hits);
-                        }
-                        self.last_analysis = plan.builder.program().analysis().cloned();
-                        let run = self.machine.run_program(plan.builder.program());
-                        if self.verify && run.is_ok() {
-                            self.verify_report.runs += 1;
-                        }
-                        run
-                    };
-                    // Un-stage before propagating any error: the scratch
-                    // must return to all-false no matter what.
-                    for &i in active {
-                        self.mask_buf[i as usize] = false;
-                    }
-                    result?
+                    );
+                    self.last_analysis = self.scratch.builder.program().analysis().cloned();
+                    self.machine.run_program(self.scratch.builder.program())
                 }
             }
             SwConfig::OuterProduct => {
-                let plan = self.plan.as_mut().expect("plan ensured above");
-                let heap_in_spm = decision.hardware == HwConfig::Ps;
-                let spm_node_cap = self.machine.uarch().bank_bytes / 8;
-                let params = op::OpParams {
-                    layout: &plan.shared.layout,
-                    tile_parts: &plan.shared.op_tile_parts,
+                let csc = plan.csc(&self.shared);
+                let base = op::OpParams {
+                    layout: &plan.layout,
+                    tile_parts: &plan.op_tile_parts,
                     frontier: active,
-                    heap_in_spm,
-                    spm_node_cap,
+                    heap_in_spm: decision.hardware == HwConfig::Ps,
+                    spm_node_cap: uarch.bank_bytes / 8,
                     profile: *profile,
                 };
-                if self.verify && !plan.shared.is_verified(sw_idx, hw_idx) {
-                    let streams = op::streams(plan.shared.csc(&self.shared), geometry, params);
-                    let run = run_checked(
+                if check {
+                    let frontier = op_frontier(perm, active, &mut self.scratch.perm);
+                    let streams = op::streams(csc, geometry, op::OpParams { frontier, ..base });
+                    run_checked(
                         &mut self.machine,
                         streams,
-                        &plan.shared.regions,
+                        &plan.regions,
                         &mut self.verify_report,
-                    )?;
-                    plan.shared.mark_verified(sw_idx, hw_idx);
-                    run
+                    )
                 } else {
-                    if plan.scratch_key != Some((sw_idx, hw_idx))
-                        || plan.scratch_frontier != *active
-                    {
-                        let sub = plan.shared.subruns(plan.shared.csc(&self.shared));
-                        plan.builder.set_analysis(self.deep_analysis);
-                        plan.builder
-                            .begin(geometry, decision.hardware, self.machine.uarch());
-                        op::build(
-                            plan.shared.csc(&self.shared),
-                            geometry,
-                            params,
-                            sub,
-                            &mut plan.builder,
-                        );
-                        plan.builder.finish();
-                        plan.scratch_key = Some((sw_idx, hw_idx));
-                        plan.scratch_frontier.clear();
-                        plan.scratch_frontier.extend_from_slice(active);
-                        SharedCounters::bump(&self.shared.counters().scratch_program_builds);
-                    } else {
-                        SharedCounters::bump(&self.shared.counters().scratch_program_hits);
-                    }
-                    self.last_analysis = plan.builder.program().analysis().cloned();
-                    let run = self.machine.run_program(plan.builder.program())?;
-                    if self.verify {
-                        self.verify_report.runs += 1;
-                    }
-                    run
+                    self.scratch.ensure(
+                        key,
+                        active,
+                        self.deep_analysis,
+                        target,
+                        counters,
+                        |builder, _, perm_buf| {
+                            let frontier = op_frontier(perm, active, perm_buf);
+                            let params = op::OpParams { frontier, ..base };
+                            op::build(csc, geometry, params, plan.subruns(csc), builder)
+                        },
+                    );
+                    self.last_analysis = self.scratch.builder.program().analysis().cloned();
+                    self.machine.run_program(self.scratch.builder.program())
                 }
             }
         };
-        // Return the permuted-frontier staging for reuse (error paths
-        // above simply drop it; the next call re-grows it).
-        self.perm_buf = perm_buf;
+        if masked_ip {
+            stage_mask(&mut self.mask_buf, active, perm, false);
+        }
+        let mut report = run?;
+        if check {
+            plan.mark_verified(sw_idx, hw_idx);
+        } else if self.verify {
+            self.verify_report.runs += 1;
+        }
         // Only remember the dataflow once its kernel actually ran: a
         // rejected or failed invocation must not convince the next call
         // that the frontier representation already switched.
@@ -1147,20 +1097,20 @@ impl CoSparse {
         }
     }
 
-    /// One host-backend step: ensures the plan (for its row
-    /// partitioning) and the decided format's host structure, then
-    /// evaluates the decided dataflow natively. Returns the updates and
-    /// a wall-clock report.
+    /// One host-backend step: resolves the decided format's host
+    /// structure and the graph's arrival-order row partitioning, then
+    /// evaluates the decided dataflow natively on
+    /// [`CoSparse::set_host_threads`] threads. Binds no plan: the host
+    /// reads no reordered operand or layout, and under
+    /// [`ExecBackend::Differential`] the simulate side's plan stays
+    /// bound. Returns the updates and a wall-clock report.
     fn host_step<O: GraphOp>(
         &mut self,
         op: &O,
         decision: Decision,
         active: &[(Idx, O::Value)],
         state: &[O::Value],
-        profile: &OpProfile,
     ) -> (Vec<Update<O::Value>>, SimReport) {
-        self.ensure_plan(profile, decision.format, decision.reorder);
-        let plan = self.plan.as_ref().expect("plan ensured above");
         // The inner dataflow walks the decided format natively against
         // the *original-order* images (the reordering axis shapes the
         // simulated address stream only); the outer dataflow always
@@ -1173,7 +1123,7 @@ impl CoSparse {
             _ => HostOperand::Csr(self.shared.csr()),
         };
         let t0 = std::time::Instant::now();
-        let updates = host::execute(
+        let updates = host::execute_with(
             op,
             decision.software,
             operand,
@@ -1183,7 +1133,8 @@ impl CoSparse {
                 state,
                 degrees: self.shared.degrees(),
             },
-            &plan.shared.ip_partition,
+            self.shared.host_partition(self.balancing),
+            self.host_threads,
         );
         let report = self.host_report(t0.elapsed().as_secs_f64());
         (updates, report)
@@ -1228,8 +1179,7 @@ impl CoSparse {
         let graph = Arc::clone(&self.shared);
         if self.backend == ExecBackend::Host {
             // Native path: no machine anywhere.
-            let (updates, report) =
-                self.host_step(&SpmvOp, decision, &entries, graph.zeros(), &profile);
+            let (updates, report) = self.host_step(&SpmvOp, decision, &entries, graph.zeros());
             self.entries_buf = entries;
             let result = wrap_updates(rows, decision.software, updates);
             return Ok(SpmvOutcome {
@@ -1273,8 +1223,7 @@ impl CoSparse {
             graph.degrees(),
         );
         if self.backend == ExecBackend::Differential {
-            let (host_updates, _) =
-                self.host_step(&SpmvOp, decision, &entries, graph.zeros(), &profile);
+            let (host_updates, _) = self.host_step(&SpmvOp, decision, &entries, graph.zeros());
             assert_backends_agree("spmv", &updates, &host_updates);
         }
         self.entries_buf = entries;
@@ -1310,7 +1259,7 @@ impl CoSparse {
         };
         let decision = self.decide_exact(active.len(), &profile);
         if self.backend == ExecBackend::Host {
-            let (updates, report) = self.host_step(op, decision, active, state, &profile);
+            let (updates, report) = self.host_step(op, decision, active, state);
             return Ok(StepOutcome {
                 software: decision.software,
                 hardware: decision.hardware,
@@ -1339,7 +1288,7 @@ impl CoSparse {
         let graph = Arc::clone(&self.shared);
         let updates = apply(op, graph.matrix_csc(), active, state, graph.degrees());
         if self.backend == ExecBackend::Differential {
-            let (host_updates, _) = self.host_step(op, decision, active, state, &profile);
+            let (host_updates, _) = self.host_step(op, decision, active, state);
             assert_backends_agree("step", &updates, &host_updates);
         }
         Ok(StepOutcome {
@@ -1794,6 +1743,94 @@ mod frontier_tests {
         let op_out = op_rt.spmv(&Frontier::Sparse(sv)).unwrap();
         assert_eq!(op_out.reorder, ReorderKind::WindowCluster);
         assert_eq!(op_out.result, op_want.result);
+    }
+
+    /// A masked-IP step followed by a rebind to a plan whose program is
+    /// smaller: the rebound session keeps the grown builder buffer, and
+    /// the held program is forgotten rather than re-run.
+    fn assert_capacity_survives_rebind(
+        rt: &mut CoSparse,
+        first: impl FnOnce(&mut CoSparse),
+        second: impl FnOnce(&mut CoSparse),
+    ) {
+        first(rt);
+        let grown = rt.scratch.builder.op_capacity();
+        let plan = Arc::clone(rt.plan.as_ref().unwrap());
+        let builds = rt.cache_stats().scratch_program_builds;
+        second(rt);
+        assert!(!Arc::ptr_eq(&plan, rt.plan.as_ref().unwrap()), "no rebind");
+        assert_eq!(rt.cache_stats().scratch_program_builds, builds + 1);
+        // The second program alone would not have grown the buffer this
+        // far, so a builder rebuilt on rebind would show less.
+        assert!(rt.scratch.builder.program().len() < grown);
+        assert_eq!(rt.scratch.builder.op_capacity(), grown);
+    }
+
+    #[test]
+    fn builder_capacity_survives_dataflow_switch() {
+        let m = sparse::generate::uniform(2048, 2048, 30_000, 4).unwrap();
+        let machine = Machine::new(
+            transmuter::Geometry::new(2, 4),
+            transmuter::MicroArch::paper(),
+        );
+        let mut rt = CoSparse::new(&m, machine);
+        let x = sparse::generate::random_sparse_vector(2048, 0.3, 1).unwrap();
+        let y = sparse::generate::random_sparse_vector(2048, 0.002, 2).unwrap();
+        assert_capacity_survives_rebind(
+            &mut rt,
+            |rt| {
+                rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
+                rt.spmv(&Frontier::Sparse(x)).unwrap();
+            },
+            |rt| {
+                rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
+                rt.spmv(&Frontier::Sparse(y)).unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn builder_capacity_survives_profile_switch() {
+        /// Min-plus relaxation with one extra compute per edge, as SSSP.
+        #[derive(Debug)]
+        struct MinPlus;
+        impl GraphOp for MinPlus {
+            type Value = f32;
+            fn matrix_op(&self, w: f32, src: f32, _dst: f32, _deg: u32) -> f32 {
+                src + w
+            }
+            fn reduce(&self, a: f32, b: f32) -> f32 {
+                a.min(b)
+            }
+            fn is_update(&self, new: f32, old: f32) -> bool {
+                new < old
+            }
+            fn profile(&self) -> OpProfile {
+                OpProfile {
+                    extra_compute_per_edge: 1,
+                    ..OpProfile::scalar()
+                }
+            }
+        }
+        // Outer product on both sides: its program size follows the
+        // frontier, so a fresh builder would not reach the first side's
+        // capacity on the second.
+        let mut rt = runtime(2048, 30_000);
+        rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
+        let state = vec![f32::INFINITY; 2048];
+        let wide: Vec<(Idx, f32)> = (0..2048).step_by(2).map(|i| (i, 0.0)).collect();
+        assert_capacity_survives_rebind(
+            &mut rt,
+            |rt| {
+                rt.step(&MinPlus, &wide, &state).unwrap();
+            },
+            |rt| {
+                // BFS-like: the scalar profile keys a different plan, and
+                // a one-vertex frontier makes a smaller program.
+                let x = SparseVector::from_entries(2048, vec![(7, 1.0f32)]).unwrap();
+                rt.spmv(&Frontier::Sparse(x)).unwrap();
+            },
+        );
     }
 
     #[test]

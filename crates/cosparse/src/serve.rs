@@ -180,10 +180,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
+        let workers = transmuter::host_cpus().min(8);
         ServeConfig {
             workers,
             batch: 16,
@@ -260,6 +257,8 @@ impl<T: Send + 'static> GraphService<T> {
             .map(|i| {
                 let mut session = graph.session();
                 session.set_backend(config.backend);
+                // The pool is the parallelism: host steps run inline.
+                session.set_host_threads(1);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cosparse-serve-{i}"))

@@ -419,6 +419,11 @@ pub struct SharedGraph {
     zeros: Vec<f32>,
     geometry: Geometry,
     uarch: MicroArch,
+    /// Arrival-order per-PE row partitions of the host backend, one slot
+    /// per [`Balancing`] scheme, built on a host step's first use. The
+    /// host walks the arrival-order images whatever reordering was
+    /// decided, so it needs no plan — and no reordered operand set.
+    host_partitions: [OnceLock<RowPartition>; 2],
     /// Registry of built plans, keyed by (profile, balancing). Locked
     /// only when a session (re)binds its plan; a handful of entries in
     /// practice, so it is a scanned Vec rather than a map.
@@ -449,6 +454,7 @@ impl SharedGraph {
             probe: OnceLock::new(),
             reorder_probe: OnceLock::new(),
             reordered: std::array::from_fn(|_| OnceLock::new()),
+            host_partitions: std::array::from_fn(|_| OnceLock::new()),
             epoch: AtomicU64::new(0),
             degrees,
             row_counts,
@@ -581,6 +587,17 @@ impl SharedGraph {
             SharedCounters::bump(&self.counters.reorder_builds);
             Arc::new(ReorderedGraph::build(kind, &self.coo))
         }))
+    }
+
+    /// The host backend's row partitioning under `balancing`: the same
+    /// per-PE split an arrival-order plan uses, derived once per scheme.
+    pub(crate) fn host_partition(&self, balancing: Balancing) -> &RowPartition {
+        let slot = match balancing {
+            Balancing::NnzBalanced => 0,
+            Balancing::EqualRows => 1,
+        };
+        self.host_partitions[slot]
+            .get_or_init(|| balance::ip_partitions(&self.row_counts, self.geometry, balancing))
     }
 
     /// The graph-content epoch: 0 for a freshly built (static) graph,

@@ -6,8 +6,8 @@
 //! for bit on cycles and traffic statistics.
 //!
 //! One builder instance is reused across every combination, mirroring
-//! how the runtime's `Plan` repurposes its builder between dense,
-//! conversion and scratch builds.
+//! how a runtime session repurposes its builder between conversion and
+//! scratch builds.
 
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
 use cosparse::kernels::convert::{self, Direction};

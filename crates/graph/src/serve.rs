@@ -20,7 +20,9 @@
 //! let service = start_service(graph, ServeConfig::default());
 //!
 //! let bfs = service.submit(GraphQuery::Bfs { source: 0 }.into_job());
-//! let pr = service.submit(GraphQuery::PageRank { damping: 0.85, iterations: 10 }.into_job());
+//! // `damping` carries the teleport probability: 0.15 is the paper's
+//! // damping factor of 0.85.
+//! let pr = service.submit(GraphQuery::PageRank { damping: 0.15, iterations: 10 }.into_job());
 //! let parents = bfs.wait()?;
 //! let ranks = pr.wait()?;
 //! println!("{:?} then {:?}", parents, ranks);
@@ -56,7 +58,10 @@ pub enum GraphQuery {
     },
     /// A PageRank snapshot; answers the rank vector.
     PageRank {
-        /// Damping factor `alpha` in `(0, 1)` (the paper uses 0.85).
+        /// Despite its name, the *teleport probability* `alpha` in
+        /// `(0, 1)`, passed to [`PageRank::new`]: the damping factor is
+        /// `1 - damping`. The paper's damping factor of 0.85 is
+        /// `damping: 0.15`.
         damping: f32,
         /// Power iterations to run.
         iterations: usize,

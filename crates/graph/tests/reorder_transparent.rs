@@ -160,3 +160,37 @@ fn pinned_reorderings_rekey_plans_and_report_the_kind() {
         "one reordered operand build per non-trivial kind"
     );
 }
+
+/// When the probe itself picks a reordering, host steps still walk the
+/// arrival-order images: a Host engine reports the decided kind on its
+/// iterations, builds no reordered operand set, and answers exactly as
+/// the simulated run that streams the permuted image.
+#[test]
+fn host_steps_build_no_reordered_operands() {
+    let adj = sparse::generate::rmat(12, 40_000, Default::default(), 42).unwrap();
+    for alg in [Bfs::new(0), Bfs::new(5)] {
+        let mut sim = Engine::new(&adj, machine());
+        let want = sim.run(&alg).unwrap();
+        assert!(
+            want.iterations
+                .iter()
+                .any(|it| it.reorder != ReorderKind::None),
+            "the probe must pick a reordering on this graph"
+        );
+        assert!(sim.runtime().shared().cache_stats().reorder_builds > 0);
+
+        let mut host = Engine::new(&adj, machine());
+        host.set_backend(ExecBackend::Host);
+        let got = host.run(&alg).unwrap();
+        assert_eq!(got.state, want.state);
+        let kinds =
+            |r: &RunResult<u32>| r.iterations.iter().map(|it| it.reorder).collect::<Vec<_>>();
+        assert_eq!(
+            kinds(&got),
+            kinds(&want),
+            "host must report the decided kinds"
+        );
+        assert_eq!(host.runtime().cache_stats().plan_builds, 0);
+        assert_eq!(host.runtime().shared().cache_stats().reorder_builds, 0);
+    }
+}

@@ -277,6 +277,21 @@ impl Permutation {
         out.extend(active.iter().map(|&c| self.col_new[c as usize]));
         out.sort_unstable();
     }
+
+    /// Sets `mask[col_new[c]] = on` for every `c` in `active` — the
+    /// membership form of [`Permutation::permute_active`] for consumers
+    /// that only test a column's activity: no output list, no sort. The
+    /// set bits after marking from an all-false mask are exactly the
+    /// entries of the sorted permuted list.
+    ///
+    /// # Panics
+    ///
+    /// If an index is out of range of `col_new` or `mask`.
+    pub fn mark_active(&self, active: &[Idx], mask: &mut [bool], on: bool) {
+        for &c in active {
+            mask[self.col_new[c as usize] as usize] = on;
+        }
+    }
 }
 
 /// Computes the permutation for `kind` on `coo`. `ReorderKind::None`

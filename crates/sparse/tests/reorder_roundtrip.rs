@@ -135,6 +135,38 @@ proptest! {
             prop_assert_eq!(back, active.clone(), "{} inverse lost indices", kind);
         }
     }
+
+    /// The lazy permute the runtime uses for masked inner products —
+    /// `mark_active` scattering straight into a column mask, no sort —
+    /// marks exactly `sort(map(col_new))` and unmarks back to all-false,
+    /// on random subsets and on the empty and full sets.
+    #[test]
+    fn mark_active_marks_exactly_the_sorted_permuted_set(case in arb_case()) {
+        let (coo, seed) = case;
+        let cols = coo.cols();
+        let random: Vec<Idx> = (0..cols)
+            .filter(|i| (*i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seed) % 5 < 2)
+            .map(|i| i as Idx)
+            .collect();
+        let full: Vec<Idx> = (0..cols as Idx).collect();
+        for active in [Vec::new(), random, full] {
+            for kind in ReorderKind::ALL {
+                let p = compute(kind, &coo);
+                let mut naive: Vec<Idx> =
+                    active.iter().map(|&c| p.col_new()[c as usize]).collect();
+                naive.sort_unstable();
+                let mut mask = vec![false; cols];
+                p.mark_active(&active, &mut mask, true);
+                let marked: Vec<Idx> = (0..cols as Idx).filter(|&i| mask[i as usize]).collect();
+                prop_assert_eq!(&marked, &naive, "{} marks disagree with map+sort", kind);
+                let mut sorted = Vec::new();
+                p.permute_active(&active, &mut sorted);
+                prop_assert_eq!(&sorted, &naive, "{} list disagrees with map+sort", kind);
+                p.mark_active(&active, &mut mask, false);
+                prop_assert!(mask.iter().all(|&m| !m), "{} left bits set", kind);
+            }
+        }
+    }
 }
 
 /// Degenerate shapes pinned: empty matrix, 1×N row, N×1 column, pure

@@ -20,6 +20,7 @@ use crate::verify::{self, Diagnostic, ProgramSet, RegionMap};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors surfaced by a simulation run.
 #[derive(Debug, Clone)]
@@ -380,6 +381,14 @@ impl Sched {
     }
 }
 
+/// The host's available parallelism (1 when it cannot be determined),
+/// resolved once per process: the query is a system call, and the
+/// simulator and the host backend consult it on hot paths.
+pub fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Execution strategy for [`Machine::run_program`].
 ///
 /// The epoch-parallel core splits a program at its global barriers and
@@ -390,14 +399,19 @@ impl Sched {
 /// identical to sequential execution in every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Epoch-parallel when the program is eligible *and* the host has
-    /// more than one CPU; sequential otherwise.
+    /// Epoch-parallel only where the static analyzer proved it pays:
+    /// on a multi-CPU host, an eligible program with at least one
+    /// [`ParCommit::Proven`] epoch runs its proven epochs on the
+    /// replay-free commit paths and every other epoch sequentially in
+    /// place — no speculative shadow-HBM attempt, replay or rollback.
+    /// Everything else runs sequentially.
     #[default]
     Auto,
     /// Always single-threaded.
     Sequential,
     /// Epoch-parallel whenever the program is eligible, even on a
-    /// single-CPU host (used by equivalence tests).
+    /// single-CPU host, with unproven epochs speculated through the
+    /// shadow-HBM replay (used by the equivalence suites).
     ParallelTiles,
 }
 
@@ -866,7 +880,11 @@ impl Machine {
             ExecMode::Sequential => false,
             ExecMode::ParallelTiles => eligible,
             ExecMode::Auto => {
-                eligible && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+                eligible
+                    && host_cpus() > 1
+                    && prog.analysis().is_some_and(|a| {
+                        a.epochs().iter().any(|v| matches!(v, ParCommit::Proven(_)))
+                    })
             }
         };
         let last_done = if parallel {
@@ -907,14 +925,16 @@ impl Machine {
     /// single-mem-active-tile and disjoint-shared-line epochs execute
     /// directly (their parallel and sequential timings provably
     /// coincide), and disjoint-channel epochs run threaded and merge
-    /// their shadow stacks after a cheap closure-mask check. Everything
-    /// else keeps the dynamic check: between global barriers, each tile
-    /// runs on its own host thread against its private banks and a
-    /// shadow HBM; the merged HBM call log is then replayed against the
-    /// real stack in sequential issue order. If every read completion
-    /// matches, the epoch's timing is provably identical to sequential
-    /// execution and it commits; otherwise the epoch is rolled back and
-    /// re-run sequentially. Returns the run's final cycle.
+    /// their shadow stacks after a cheap closure-mask check. Under
+    /// [`ExecMode::Auto`] every other epoch runs sequentially in place.
+    /// Under [`ExecMode::ParallelTiles`] it keeps the dynamic check:
+    /// between global barriers, each tile runs on its own host thread
+    /// against its private banks and a shadow HBM; the merged HBM call
+    /// log is then replayed against the real stack in sequential issue
+    /// order. If every read completion matches, the epoch's timing is
+    /// provably identical to sequential execution and it commits;
+    /// otherwise the epoch is rolled back and re-run sequentially.
+    /// Returns the run's final cycle.
     fn run_epochs(
         &mut self,
         prog: &Program,
@@ -924,12 +944,17 @@ impl Machine {
         let tiles = self.geometry().tiles();
         let spm_latency = self.uarch().l1_latency;
         let nch = self.uarch().hbm_channels as u64;
+        let speculate = self.exec_mode == ExecMode::ParallelTiles;
         let mut epoch_idx = 0usize;
         loop {
             let verdict = prog
                 .analysis()
                 .and_then(|a| a.epochs().get(epoch_idx))
                 .copied();
+            let disjoint = matches!(
+                verdict,
+                Some(ParCommit::Proven(ProvenKind::DisjointChannels))
+            );
             if matches!(
                 verdict,
                 Some(ParCommit::Proven(
@@ -942,17 +967,12 @@ impl Machine {
                 // execute directly — no shadow state, no replay.
                 exec_span(&mut self.mem, prog, lanes, 0, tiles, true)?;
                 self.epochs_proven += 1;
+            } else if speculate || disjoint {
+                self.run_epoch_threaded(prog, lanes, disjoint, nch, spm_latency)?;
             } else {
-                self.run_epoch_threaded(
-                    prog,
-                    lanes,
-                    matches!(
-                        verdict,
-                        Some(ParCommit::Proven(ProvenKind::DisjointChannels))
-                    ),
-                    nch,
-                    spm_latency,
-                )?;
+                // No proof, no speculation: the sequential run the
+                // rollback path would fall back to, minus the attempt.
+                exec_span(&mut self.mem, prog, lanes, 0, tiles, true)?;
             }
 
             // Epoch boundary: every lane is either done or parked at the

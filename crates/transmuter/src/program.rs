@@ -792,6 +792,13 @@ impl ProgramBuilder {
         }
     }
 
+    /// Micro-ops the builder holds room for without reallocating. The
+    /// buffer survives [`ProgramBuilder::begin`], so a reused builder's
+    /// capacity only grows.
+    pub fn op_capacity(&self) -> usize {
+        self.prog.ops.capacity()
+    }
+
     /// Capacity hint: reserves room for `additional` more micro-ops.
     #[inline]
     pub fn reserve(&mut self, additional: usize) {
