@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the host-side kernel machinery: stream
-//! generation, functional evaluation, format conversion and
-//! partitioning. These measure the *reproduction's* own performance
+//! generation, functional evaluation, format conversion, partitioning
+//! and the cold-start structural probes. These measure the *reproduction's* own performance
 //! (how fast the harness can generate and evaluate workloads), not the
 //! simulated machine — simulated-cycle results come from the `fig*`
 //! binaries.
@@ -11,8 +11,9 @@ use std::hint::black_box;
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
 use cosparse::kernels::{ip, op};
 use cosparse::{apply, Layout, OpProfile, SpmvOp};
+use sparse::generate::SuiteGraph;
 use sparse::partition::{RowPartition, VBlocks};
-use sparse::{CooMatrix, CscMatrix, Idx};
+use sparse::{CooMatrix, CscMatrix, FormatProbe, Idx, ReorderProbe};
 use transmuter::Geometry;
 
 const N: usize = 1 << 13;
@@ -108,6 +109,27 @@ fn bench_formats(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a graph's cold start pays before its first step, on the Pokec
+/// analogue at divisor 64 (~25k vertices, ~478k edges): the transpose
+/// that builds the operand, then the format and locality probes the
+/// decision tree reads from it.
+fn bench_probes(c: &mut Criterion) {
+    let adj = SuiteGraph::Pokec.spec().scaled(64).generate(7).unwrap();
+    let operand = adj.transpose();
+    let mut group = c.benchmark_group("probes");
+    group.sample_size(10);
+    group.bench_function("transpose_pokec64", |b| {
+        b.iter(|| black_box(adj.transpose()))
+    });
+    group.bench_function("format_probe_pokec64", |b| {
+        b.iter(|| black_box(FormatProbe::of(&operand)))
+    });
+    group.bench_function("reorder_probe_pokec64", |b| {
+        b.iter(|| black_box(ReorderProbe::of(&operand)))
+    });
+    group.finish();
+}
+
 fn bench_vector_conversion(c: &mut Criterion) {
     let dense = sparse::generate::random_sparse_vector(1 << 16, 0.02, 2)
         .unwrap()
@@ -129,6 +151,7 @@ criterion_group!(
     bench_generation,
     bench_functional,
     bench_formats,
+    bench_probes,
     bench_vector_conversion
 );
 criterion_main!(benches);

@@ -588,18 +588,29 @@ impl CoSparse {
         &self.machine
     }
 
-    /// Structural summary used by the decision tree, including the
-    /// cached format and locality probes (computed once per graph), so
-    /// the tree can steer the storage-format and reordering axes.
+    /// Structural summary used by the decision tree, with the cached
+    /// probes (each computed once per graph) that the session's backend
+    /// reads: the format probe always, since every backend walks the
+    /// decided format; the locality probe only under
+    /// [`ExecBackend::Simulate`] and [`ExecBackend::Differential`],
+    /// whose simulated address stream a reordering shapes. A
+    /// [`ExecBackend::Host`] session walks the arrival-order images
+    /// whatever the reordering, so it computes no locality probe and
+    /// decides [`ReorderKind::None`] (a pinned
+    /// [`CoSparse::set_reorder_override`] still applies).
     pub fn summary(&self) -> MatrixSummary {
         let coo = self.shared.matrix();
-        MatrixSummary::with_probe(
+        let summary = MatrixSummary::with_probe(
             coo.rows(),
             coo.cols(),
             coo.nnz(),
             *self.shared.format_probe(),
-        )
-        .with_reorder_probe(*self.shared.reorder_probe())
+        );
+        if self.backend == ExecBackend::Host {
+            summary
+        } else {
+            summary.with_reorder_probe(*self.shared.reorder_probe())
+        }
     }
 
     /// Runs the decision tree for a frontier of the given density

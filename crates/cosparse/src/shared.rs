@@ -72,6 +72,9 @@ pub struct SharedCacheStats {
     /// Reordered matrix operand sets (permutation + permuted COO/CSC)
     /// materialized, at most one per [`ReorderKind`] per graph.
     pub reorder_builds: u64,
+    /// Locality probes ([`ReorderProbe`]) computed: at most one per
+    /// graph, and none while only host sessions decide.
+    pub reorder_probes: u64,
 }
 
 /// Graph-level cache counters, updated with relaxed atomics from every
@@ -87,6 +90,7 @@ pub(crate) struct SharedCounters {
     pub(crate) conversion_builds: AtomicU64,
     pub(crate) format_builds: AtomicU64,
     pub(crate) reorder_builds: AtomicU64,
+    reorder_probes: AtomicU64,
 }
 
 impl SharedCounters {
@@ -101,6 +105,7 @@ impl SharedCounters {
             conversion_builds: self.conversion_builds.load(Ordering::Relaxed),
             format_builds: self.format_builds.load(Ordering::Relaxed),
             reorder_builds: self.reorder_builds.load(Ordering::Relaxed),
+            reorder_probes: self.reorder_probes.load(Ordering::Relaxed),
         }
     }
 
@@ -564,12 +569,15 @@ impl SharedGraph {
         self.probe.get_or_init(|| FormatProbe::of(&self.coo))
     }
 
-    /// The locality probe, computed once per graph (the first summary
-    /// pays the candidate-permutation sampling; everyone else reads the
-    /// cached statistics lock-free).
+    /// The locality probe, computed once per graph (the first
+    /// simulating session's summary pays the candidate-permutation
+    /// sampling; everyone else reads the cached statistics lock-free)
+    /// and counted in [`SharedCacheStats::reorder_probes`].
     pub(crate) fn reorder_probe(&self) -> &ReorderProbe {
-        self.reorder_probe
-            .get_or_init(|| ReorderProbe::of(&self.coo))
+        self.reorder_probe.get_or_init(|| {
+            SharedCounters::bump(&self.counters.reorder_probes);
+            ReorderProbe::of(&self.coo)
+        })
     }
 
     /// The reordered operand set for `kind`, materialized at most once

@@ -8,12 +8,14 @@
 //! simulate golden model on every SpMV step while the reordered image
 //! is streaming.
 
-use cosparse::{ExecBackend, ReorderKind};
+use cosparse::{ExecBackend, ReorderKind, ServeConfig};
 use graph::bfs::Bfs;
 use graph::pagerank::PageRank;
+use graph::serve::{start_service, GraphQuery};
 use graph::sssp::Sssp;
 use graph::{Algorithm, Engine, RunResult, Value};
 use sparse::CooMatrix;
+use std::sync::Arc;
 use transmuter::{Geometry, Machine, MicroArch};
 
 fn machine() -> Machine {
@@ -161,10 +163,11 @@ fn pinned_reorderings_rekey_plans_and_report_the_kind() {
     );
 }
 
-/// When the probe itself picks a reordering, host steps still walk the
-/// arrival-order images: a Host engine reports the decided kind on its
-/// iterations, builds no reordered operand set, and answers exactly as
-/// the simulated run that streams the permuted image.
+/// When the probe picks a reordering for simulated runs, a Host engine
+/// still walks the arrival-order images: it computes no locality probe,
+/// reports [`ReorderKind::None`] on every iteration, builds no plan and
+/// no reordered operand set, and answers exactly as the simulated run
+/// that streams the permuted image.
 #[test]
 fn host_steps_build_no_reordered_operands() {
     let adj = sparse::generate::rmat(12, 40_000, Default::default(), 42).unwrap();
@@ -183,14 +186,58 @@ fn host_steps_build_no_reordered_operands() {
         host.set_backend(ExecBackend::Host);
         let got = host.run(&alg).unwrap();
         assert_eq!(got.state, want.state);
-        let kinds =
-            |r: &RunResult<u32>| r.iterations.iter().map(|it| it.reorder).collect::<Vec<_>>();
-        assert_eq!(
-            kinds(&got),
-            kinds(&want),
-            "host must report the decided kinds"
+        assert!(
+            got.iterations
+                .iter()
+                .all(|it| it.reorder == ReorderKind::None),
+            "host iterations must report the arrival order they ran"
         );
         assert_eq!(host.runtime().cache_stats().plan_builds, 0);
         assert_eq!(host.runtime().shared().cache_stats().reorder_builds, 0);
     }
+}
+
+/// Only sessions that simulate compute the locality probe: a Host
+/// engine and a default-config service (whose workers run Host) decide
+/// every step with none, while one Differential session computes it
+/// once for the graph.
+#[test]
+fn only_simulating_sessions_probe_the_reorder_axis() {
+    let adj = sparse::generate::rmat(12, 40_000, Default::default(), 42).unwrap();
+    let shared = || Engine::shared_graph(&adj, Geometry::new(2, 4), MicroArch::paper());
+
+    let graph = shared();
+    let mut host = Engine::with_shared(&graph, machine());
+    host.set_backend(ExecBackend::Host);
+    host.run(&Bfs::new(0)).unwrap();
+    host.run(&PageRank::new(0.15, 10)).unwrap();
+    assert_eq!(graph.cache_stats().reorder_probes, 0, "host engine");
+
+    let graph = shared();
+    let config = ServeConfig::default();
+    assert_eq!(config.backend, ExecBackend::Host);
+    let service = start_service(Arc::clone(&graph), config);
+    let tickets: Vec<_> = [
+        GraphQuery::Bfs { source: 0 },
+        GraphQuery::Sssp { source: 5 },
+        GraphQuery::PageRank {
+            damping: 0.15,
+            iterations: 10,
+        },
+    ]
+    .into_iter()
+    .map(|q| service.submit(q.into_job()))
+    .collect();
+    for t in tickets {
+        t.wait().expect("served query");
+    }
+    service.shutdown();
+    assert_eq!(graph.cache_stats().reorder_probes, 0, "default service");
+
+    let graph = shared();
+    let mut diff = Engine::with_shared(&graph, machine());
+    diff.set_backend(ExecBackend::Differential);
+    diff.run(&Bfs::new(0)).unwrap();
+    diff.run(&Bfs::new(5)).unwrap();
+    assert_eq!(graph.cache_stats().reorder_probes, 1, "differential engine");
 }

@@ -5,6 +5,10 @@ use std::collections::BTreeMap;
 /// `(1, 1)` is the always-valid fallback (degenerate CSR-of-blocks).
 pub const PROBE_SHAPES: [(usize, usize); 5] = [(4, 4), (4, 2), (2, 4), (2, 2), (1, 1)];
 
+/// Number of blocked candidates: every [`PROBE_SHAPES`] entry but the
+/// trailing `(1, 1)` fallback.
+const BLOCKED_SHAPES: usize = PROBE_SHAPES.len() - 1;
+
 /// Minimum fill ratio (`nnz / stored cells`) a probed block shape must
 /// reach before it beats the `(1, 1)` fallback.
 pub const PROBE_MIN_FILL: f64 = 0.5;
@@ -103,43 +107,33 @@ impl BcsrMatrix {
 
     /// Exact fill ratio `coo` would have when blocked `br x bc`:
     /// `nnz / (block_count * br * bc)`. Returns `0.0` for an empty
-    /// matrix. `O(nnz)` — cheap enough to run per candidate shape.
+    /// matrix. One `O(nnz)` pass, no sort.
     pub fn fill_probe(coo: &CooMatrix, br: usize, bc: usize) -> f64 {
-        if coo.nnz() == 0 {
-            return 0.0;
-        }
-        // Entries are row-major; distinct blocks within a block row are
-        // counted through a sorted scan of block coordinates.
-        let mut bcols: Vec<Idx> = Vec::new();
-        let mut blocks = 0usize;
-        let mut cur_brow = Idx::MAX;
-        for t in coo.entries() {
-            let brow = t.row / br as Idx;
-            if brow != cur_brow {
-                bcols.sort_unstable();
-                bcols.dedup();
-                blocks += bcols.len();
-                bcols.clear();
-                cur_brow = brow;
-            }
-            bcols.push(t.col / bc as Idx);
-        }
-        bcols.sort_unstable();
-        bcols.dedup();
-        blocks += bcols.len();
-        coo.nnz() as f64 / (blocks * br * bc) as f64
+        let [blocks] = count_blocks(coo, [(br, bc)]);
+        fill_ratio(coo.nnz(), blocks, br, bc)
+    }
+
+    /// Fill ratio of every blocked candidate in [`PROBE_SHAPES`] (all
+    /// but the trailing `(1, 1)` fallback), in that order, from one
+    /// shared pass over the entries.
+    pub(crate) fn probe_fills(coo: &CooMatrix) -> [f64; BLOCKED_SHAPES] {
+        let shapes: [(usize, usize); BLOCKED_SHAPES] = std::array::from_fn(|k| PROBE_SHAPES[k]);
+        let blocks = count_blocks(coo, shapes);
+        std::array::from_fn(|k| fill_ratio(coo.nnz(), blocks[k], shapes[k].0, shapes[k].1))
+    }
+
+    /// Index into [`PROBE_SHAPES`] of the first blocked candidate whose
+    /// [`BcsrMatrix::probe_fills`] entry reaches [`PROBE_MIN_FILL`];
+    /// `None` means the `(1, 1)` fallback.
+    pub(crate) fn picked_shape(fills: &[f64; BLOCKED_SHAPES]) -> Option<usize> {
+        fills.iter().position(|&f| f >= PROBE_MIN_FILL)
     }
 
     /// Picks the block shape for `coo`: the largest-area candidate in
     /// [`PROBE_SHAPES`] whose fill ratio reaches [`PROBE_MIN_FILL`],
     /// falling back to `(1, 1)`.
     pub fn probe_shape(coo: &CooMatrix) -> (usize, usize) {
-        for &(r, c) in &PROBE_SHAPES {
-            if r * c == 1 || Self::fill_probe(coo, r, c) >= PROBE_MIN_FILL {
-                return (r, c);
-            }
-        }
-        (1, 1)
+        Self::picked_shape(&Self::probe_fills(coo)).map_or((1, 1), |k| PROBE_SHAPES[k])
     }
 
     /// Number of rows.
@@ -254,6 +248,39 @@ impl BcsrMatrix {
         }
         Ok(DenseVector::from(y))
     }
+}
+
+/// `nnz / (blocks * br * bc)`, or `0.0` when nothing is stored.
+fn fill_ratio(nnz: usize, blocks: usize, br: usize, bc: usize) -> f64 {
+    if nnz == 0 {
+        0.0
+    } else {
+        nnz as f64 / (blocks * br * bc) as f64
+    }
+}
+
+/// Distinct blocks `coo` occupies under each `br x bc` shape, from one
+/// pass over the entries.
+///
+/// Entries are row-major, so block rows arrive in nondecreasing order:
+/// a stamp per block column holding the last block row that touched it
+/// (plus one; zero means never) sees each block first exactly once.
+/// `O(nnz)` time and `O(cols / bc)` stamps per shape.
+fn count_blocks<const N: usize>(coo: &CooMatrix, shapes: [(usize, usize); N]) -> [usize; N] {
+    let mut stamps: [Vec<usize>; N] = shapes.map(|(_, bc)| vec![0; coo.cols().div_ceil(bc)]);
+    let mut blocks = [0usize; N];
+    for t in coo.entries() {
+        let (row, col) = (t.row as usize, t.col as usize);
+        for (k, &(br, bc)) in shapes.iter().enumerate() {
+            let tag = row / br + 1;
+            let stamp = &mut stamps[k][col / bc];
+            if *stamp != tag {
+                *stamp = tag;
+                blocks[k] += 1;
+            }
+        }
+    }
+    blocks
 }
 
 impl From<&CooMatrix> for BcsrMatrix {

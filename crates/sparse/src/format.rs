@@ -165,7 +165,7 @@ impl StoredMatrix {
 
 /// Cheap structural probe feeding the format decision tree: how well
 /// the matrix suits each candidate format, computed once per graph in
-/// `O(nnz)`.
+/// two `O(nnz)` passes (segments, then every block shape at once).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FormatProbe {
     /// Average stored entries per occupied 32-column segment
@@ -194,18 +194,14 @@ impl FormatProbe {
         } else {
             coo.nnz() as f64 / segs as f64
         };
-        let block_shape = BcsrMatrix::probe_shape(coo);
-        let block_fill = if block_shape == (1, 1) {
+        // Each candidate's fill is computed once, in one shared pass.
+        let fills = BcsrMatrix::probe_fills(coo);
+        let (block_shape, block_fill) = match BcsrMatrix::picked_shape(&fills) {
+            Some(k) => (crate::bcsr::PROBE_SHAPES[k], fills[k]),
             // (1, 1) means no candidate reached the threshold; report
             // the best real blocking so the decision tree sees a value
             // below the crossover rather than a vacuous 1.0.
-            crate::bcsr::PROBE_SHAPES
-                .iter()
-                .filter(|&&(r, c)| r * c > 1)
-                .map(|&(r, c)| BcsrMatrix::fill_probe(coo, r, c))
-                .fold(0.0, f64::max)
-        } else {
-            BcsrMatrix::fill_probe(coo, block_shape.0, block_shape.1)
+            None => ((1, 1), fills.iter().copied().fold(0.0, f64::max)),
         };
         FormatProbe {
             seg_occupancy,

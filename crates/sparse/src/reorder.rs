@@ -35,7 +35,7 @@
 
 use crate::bitmap::SEG_COLS;
 use crate::coo::CooMatrix;
-use crate::{Idx, Result, SparseError};
+use crate::{CscMatrix, Idx, Result, SparseError};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -325,27 +325,86 @@ pub fn degree_sort(coo: &CooMatrix) -> Permutation {
     }
 }
 
-/// Symmetrized adjacency lists (CSR-shaped, self-loops dropped,
-/// duplicates removed), each list pre-sorted by ascending
-/// (degree, index) — the neighbor visit order both BFS heuristics use.
-fn symmetric_adjacency(coo: &CooMatrix) -> Vec<Vec<Idx>> {
-    let n = coo.rows();
-    let mut adj: Vec<Vec<Idx>> = vec![Vec::new(); n];
-    for (r, c, _) in coo.iter() {
-        if r != c {
-            adj[r as usize].push(c);
-            adj[c as usize].push(r);
+/// Symmetrized adjacency in flat CSR form (self-loops dropped,
+/// duplicates removed): the neighbors of `v` are
+/// `nbrs[start[v]..start[v + 1]]`, each list ordered by ascending
+/// (degree, index) — the neighbor visit order of the RCM BFS.
+struct SymmetricAdjacency {
+    start: Vec<usize>,
+    nbrs: Vec<Idx>,
+    /// Every vertex, by ascending (degree, index).
+    by_degree: Vec<Idx>,
+}
+
+impl SymmetricAdjacency {
+    /// Builds the adjacency of a square `coo` in `O(nnz + n log n)`.
+    /// Vertex `v`'s neighbors are the union of row `v` and column `v`
+    /// (the latter from the CSC image), deduplicated with a
+    /// per-vertex stamp; one sort of packed keys orders the vertices,
+    /// and one scatter then fills every list in that order.
+    fn of(coo: &CooMatrix) -> Self {
+        let n = coo.rows();
+        let entries = coo.entries();
+        let csc = CscMatrix::from(coo);
+
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        let mut nbrs: Vec<Idx> = Vec::with_capacity(2 * entries.len());
+        // `seen[u] == v + 1`: `u` is already on `v`'s list.
+        let mut seen: Vec<Idx> = vec![0; n];
+        let mut at = 0usize;
+        for v in 0..n as Idx {
+            let row_from = at;
+            while at < entries.len() && entries[at].row == v {
+                at += 1;
+            }
+            let outs = entries[row_from..at].iter().map(|t| t.col);
+            let ins = csc.col(v as usize).0.iter().copied();
+            for u in outs.chain(ins) {
+                if u != v && seen[u as usize] != v + 1 {
+                    seen[u as usize] = v + 1;
+                    nbrs.push(u);
+                }
+            }
+            start.push(nbrs.len());
+        }
+
+        // Vertices by ascending (degree, index), packed into one u64
+        // key (indices are unique, so the order is total).
+        let mut keys: Vec<u64> = (0..n)
+            .map(|v| degree_key(start[v + 1] - start[v], v as Idx))
+            .collect();
+        keys.sort_unstable();
+        let by_degree: Vec<Idx> = keys.into_iter().map(|key| key as Idx).collect();
+
+        // Every list in that order without sorting it: the pattern is
+        // symmetric, so appending each `u`, taken in (degree, index)
+        // order, to the list of each of its neighbors fills list `v`
+        // with exactly `v`'s neighbors, in that order.
+        let mut ordered = vec![0 as Idx; nbrs.len()];
+        let mut cursor = start[..n].to_vec();
+        for &u in &by_degree {
+            for &v in &nbrs[start[u as usize]..start[u as usize + 1]] {
+                let slot = &mut cursor[v as usize];
+                ordered[*slot] = u;
+                *slot += 1;
+            }
+        }
+        SymmetricAdjacency {
+            start,
+            nbrs: ordered,
+            by_degree,
         }
     }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
+
+    fn neighbors(&self, v: Idx) -> &[Idx] {
+        &self.nbrs[self.start[v as usize]..self.start[v as usize + 1]]
     }
-    let degrees: Vec<usize> = adj.iter().map(Vec::len).collect();
-    for list in &mut adj {
-        list.sort_by_key(|&v| (degrees[v as usize], v));
-    }
-    adj
+}
+
+/// `(degree, index)` packed so that `u64` order is tuple order.
+fn degree_key(degree: usize, v: Idx) -> u64 {
+    ((degree as u64) << 32) | u64::from(v)
 }
 
 /// Reverse Cuthill–McKee over the symmetrized pattern: breadth-first
@@ -357,30 +416,29 @@ pub fn rcm(coo: &CooMatrix) -> Permutation {
         return Permutation::identity(coo.rows(), coo.cols());
     }
     let n = coo.rows();
-    let adj = symmetric_adjacency(coo);
+    let adj = SymmetricAdjacency::of(coo);
 
-    // Global (degree, index) order: the first unvisited vertex in this
-    // list is the minimum-degree vertex of its (entirely unvisited)
-    // component, so each component starts from a pseudo-peripheral
-    // seed.
-    let mut starts: Vec<Idx> = (0..n as Idx).collect();
-    starts.sort_by_key(|&v| (adj[v as usize].len(), v));
-
+    // Seeds come from the global (degree, index) order: its first
+    // unvisited vertex is the minimum-degree vertex of its (entirely
+    // unvisited) component, so each component starts from a
+    // pseudo-peripheral seed. `order` doubles as the BFS queue:
+    // vertices are appended when discovered and popped at `head`.
     let mut visited = vec![false; n];
     let mut order: Vec<Idx> = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-    for &start in &starts {
+    let mut head = 0usize;
+    for &start in &adj.by_degree {
         if visited[start as usize] {
             continue;
         }
         visited[start as usize] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &u in &adj[v as usize] {
+        order.push(start);
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for &u in adj.neighbors(v) {
                 if !visited[u as usize] {
                     visited[u as usize] = true;
-                    queue.push_back(u);
+                    order.push(u);
                 }
             }
         }

@@ -6,7 +6,8 @@
 //! every bit. Reordering is a locality decision, never a numerical one.
 
 use proptest::prelude::*;
-use sparse::reorder::{compute, Permutation, ReorderKind};
+use sparse::generate::SuiteGraph;
+use sparse::reorder::{compute, rcm, Permutation, ReorderKind};
 use sparse::{CooMatrix, DenseVector, FormatKind, Idx, StoredMatrix};
 
 /// Dyadic-grid values: every entry is a multiple of 1/8 with magnitude
@@ -227,4 +228,139 @@ fn inverse_of_inverse_is_the_original() {
     let got = bits_of(&moved);
     assert!(got.contains(&(2, 1, 1.0f32.to_bits())));
     assert!(got.contains(&(1, 2, (-0.5f32).to_bits())));
+}
+
+/// Reverse Cuthill–McKee over per-vertex adjacency lists: the
+/// `Vec<Vec<Idx>>` implementation the flat-array one replaced, kept as
+/// the reference its permutation must equal exactly.
+fn rcm_reference(coo: &CooMatrix) -> Permutation {
+    if coo.rows() != coo.cols() {
+        return Permutation::identity(coo.rows(), coo.cols());
+    }
+    let n = coo.rows();
+    let mut adj: Vec<Vec<Idx>> = vec![Vec::new(); n];
+    for (r, c, _) in coo.iter() {
+        if r != c {
+            adj[r as usize].push(c);
+            adj[c as usize].push(r);
+        }
+    }
+    for list in &mut adj {
+        list.sort_unstable();
+        list.dedup();
+    }
+    let degrees: Vec<usize> = adj.iter().map(Vec::len).collect();
+    for list in &mut adj {
+        list.sort_by_key(|&v| (degrees[v as usize], v));
+    }
+    let mut starts: Vec<Idx> = (0..n as Idx).collect();
+    starts.sort_by_key(|&v| (adj[v as usize].len(), v));
+    let mut visited = vec![false; n];
+    let mut order: Vec<Idx> = Vec::with_capacity(n);
+    let mut queue = std::collections::VecDeque::new();
+    for &start in &starts {
+        if visited[start as usize] {
+            continue;
+        }
+        visited[start as usize] = true;
+        queue.push_back(start);
+        while let Some(v) = queue.pop_front() {
+            order.push(v);
+            for &u in &adj[v as usize] {
+                if !visited[u as usize] {
+                    visited[u as usize] = true;
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+    order.reverse();
+    let mut new_of = vec![0 as Idx; n];
+    for (new, &old) in order.iter().enumerate() {
+        new_of[old as usize] = new as Idx;
+    }
+    Permutation::symmetric(new_of).expect("BFS visits each vertex once")
+}
+
+/// A square matrix with at most ~2 raw entries per vertex: sparse
+/// enough that most cases split into several components and leave
+/// isolated vertices, with self-loops and both edge directions drawn
+/// independently.
+fn arb_square() -> impl Strategy<Value = CooMatrix> {
+    (1usize..60).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..2 * n).prop_map(move |raw| {
+            let triplets = raw
+                .into_iter()
+                .map(|(r, c)| (r as Idx, c as Idx, 1.0))
+                .collect();
+            CooMatrix::from_triplets(n, n, triplets).expect("in-bounds")
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat-adjacency RCM yields exactly the adjacency-list RCM's
+    /// permutation.
+    #[test]
+    fn rcm_equals_the_adjacency_list_reference(coo in arb_square()) {
+        prop_assert_eq!(rcm(&coo), rcm_reference(&coo));
+    }
+
+    /// The same on the general random cases, rectangles included (both
+    /// are the identity there).
+    #[test]
+    fn rcm_equals_the_reference_on_any_shape(case in arb_case()) {
+        let (coo, _) = case;
+        prop_assert_eq!(rcm(&coo), rcm_reference(&coo));
+    }
+}
+
+/// Pinned structure for RCM: empty and one-vertex graphs, self-loops
+/// only, isolated vertices beside several components of different
+/// sizes and degree ties, and the skewed generated graphs the runtime
+/// probes (R-MAT, power law, the five suite graphs).
+#[test]
+fn rcm_equals_the_reference_on_pinned_and_generated_graphs() {
+    let components = vec![
+        // A triangle, a 4-path given one direction only, a star, and a
+        // self-loop on an otherwise isolated vertex; 14 and 15 isolated.
+        (0, 1, 1.0),
+        (1, 2, 1.0),
+        (2, 0, 1.0),
+        (3, 4, 1.0),
+        (4, 5, 1.0),
+        (5, 6, 1.0),
+        (7, 8, 1.0),
+        (7, 9, 1.0),
+        (10, 7, 1.0),
+        (11, 7, 1.0),
+        (12, 12, 1.0),
+        (13, 3, 1.0),
+    ];
+    let mut cases: Vec<CooMatrix> = vec![
+        CooMatrix::new(0, 0),
+        CooMatrix::new(1, 1),
+        CooMatrix::new(6, 6),
+        CooMatrix::from_triplets(5, 5, (0..5).map(|i| (i, i, 1.0)).collect()).unwrap(),
+        CooMatrix::from_triplets(16, 16, components).unwrap(),
+        sparse::generate::rmat(10, 8_000, Default::default(), 3).unwrap(),
+        sparse::generate::power_law(600, 600, 5_000, 2.2, 5).unwrap(),
+    ];
+    // Each suite graph scaled to ~40k edges.
+    for g in SuiteGraph::ALL {
+        let spec = g.spec();
+        cases.push(spec.scaled(spec.edges / 40_000).generate(7).unwrap());
+    }
+    for coo in &cases {
+        assert_eq!(
+            rcm(coo),
+            rcm_reference(coo),
+            "rcm on {}x{} with {} entries",
+            coo.rows(),
+            coo.cols(),
+            coo.nnz()
+        );
+    }
 }
