@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the host-side kernel machinery: stream
-//! generation, functional evaluation, format conversion, partitioning
+//! generation, functional evaluation (the golden model and one host
+//! step across frontier densities), format conversion, partitioning
 //! and the cold-start structural probes. These measure the *reproduction's* own performance
 //! (how fast the harness can generate and evaluate workloads), not the
 //! simulated machine — simulated-cycle results come from the `fig*`
@@ -9,11 +10,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
+use cosparse::host::{self, HostOperand, StepInputs};
 use cosparse::kernels::{ip, op};
+use cosparse::ops::{apply_with, Accumulator};
 use cosparse::{apply, Layout, OpProfile, SpmvOp};
-use sparse::generate::SuiteGraph;
+use sparse::generate::{RmatParams, SuiteGraph};
 use sparse::partition::{RowPartition, VBlocks};
-use sparse::{CooMatrix, CscMatrix, FormatProbe, Idx, ReorderProbe};
+use sparse::{CooMatrix, CscMatrix, CsrMatrix, FormatProbe, Idx, ReorderProbe};
 use transmuter::Geometry;
 
 const N: usize = 1 << 13;
@@ -90,6 +93,75 @@ fn bench_functional(c: &mut Criterion) {
     group.finish();
 }
 
+/// One SpMV step per frontier density on the Pokec analogue at divisor
+/// 64 (~25k vertices) and on R-MAT scale 14 (edge factor 8, ~131k
+/// edges): the golden model with a reused accumulator (`apply/*`: the
+/// push kernel below full density, the fresh dense accumulator at full)
+/// and one single-threaded host step (`host/*`: the same push, or the
+/// CSR row pull at full density).
+fn bench_push(c: &mut Criterion) {
+    let graphs = [
+        (
+            "pokec64",
+            SuiteGraph::Pokec.spec().scaled(64).generate(7).unwrap(),
+        ),
+        (
+            "rmat14",
+            sparse::generate::rmat(14, 8 << 14, RmatParams::GRAPH500, 7).unwrap(),
+        ),
+    ];
+    let mut group = c.benchmark_group("push");
+    group.sample_size(20);
+    for (name, adj) in &graphs {
+        let operand = adj.transpose();
+        let csc = CscMatrix::from(&operand);
+        let csr = CsrMatrix::from(&operand);
+        let parts = RowPartition::nnz_balanced_csr(&csr, 8);
+        let n = operand.cols();
+        let degrees: Vec<u32> = operand.col_counts().into_iter().map(|x| x as u32).collect();
+        let state = vec![0.0f32; operand.rows()];
+        for (label, divisor) in [
+            ("full", 1),
+            ("half", 2),
+            ("fifth", 5),
+            ("20th", 20),
+            ("200th", 200),
+        ] {
+            let active: Vec<(Idx, f32)> = (0..n)
+                .step_by(divisor)
+                .map(|i| (i as Idx, 1.0 + (i % 7) as f32))
+                .collect();
+            let mut acc = Accumulator::default();
+            group.bench_function(&format!("apply/{name}/{label}"), |b| {
+                b.iter(|| {
+                    black_box(apply_with(
+                        &SpmvOp, &csc, &active, &state, &degrees, &mut acc,
+                    ))
+                })
+            });
+            let inputs = StepInputs {
+                active: &active,
+                state: &state,
+                degrees: &degrees,
+            };
+            group.bench_function(&format!("host/{name}/{label}"), |b| {
+                b.iter(|| {
+                    black_box(host::execute_with(
+                        &SpmvOp,
+                        || HostOperand::Csr(&csr),
+                        &csc,
+                        inputs,
+                        &parts,
+                        1,
+                        &mut acc,
+                    ))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_formats(c: &mut Criterion) {
     let m = matrix();
     let mut group = c.benchmark_group("formats");
@@ -150,6 +222,7 @@ criterion_group!(
     benches,
     bench_generation,
     bench_functional,
+    bench_push,
     bench_formats,
     bench_probes,
     bench_vector_conversion

@@ -509,12 +509,14 @@ fn run_host_workloads(smoke: bool, out: &mut Vec<Workload>) {
 /// The query mix every serve client submits closed-loop: a BFS, an
 /// SSSP and a PageRank snapshot — the three serving-layer query types,
 /// mixing sparse-ramp and always-dense engine loops on each worker.
+/// `GraphQuery::PageRank` carries the teleport probability, so 0.15 is
+/// the paper's damping factor of 0.85.
 fn query_mix() -> [GraphQuery; 3] {
     [
         GraphQuery::Bfs { source: 0 },
         GraphQuery::Sssp { source: 0 },
         GraphQuery::PageRank {
-            damping: 0.85,
+            damping: 0.15,
             iterations: 10,
         },
     ]

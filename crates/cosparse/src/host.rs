@@ -1,24 +1,32 @@
 //! Native host execution backend.
 //!
-//! Evaluates the same IP/OP dataflows the kernels lower for the
-//! simulator *directly against host memory*: per-partition parallel row
-//! loops over the shared graph's arrival-order, nnz-balanced row
-//! partitioning, with [`GraphOp::matrix_op`] / [`GraphOp::reduce`] /
-//! [`GraphOp::vector_op`] / [`GraphOp::is_update`] inlined in the inner
-//! loop. No [`transmuter::Machine`] is anywhere in the path — this is
-//! how the framework serves *real* SpMV answers at memory bandwidth
-//! while the trace-driven simulator stays the cycle model and
-//! differential oracle (see [`ExecBackend::Differential`]).
+//! Evaluates SpMV steps *directly against host memory*, with
+//! [`GraphOp::matrix_op`] / [`GraphOp::reduce`] / [`GraphOp::vector_op`]
+//! / [`GraphOp::is_update`] inlined in the inner loop. No
+//! [`transmuter::Machine`] is anywhere in the path — this is how the
+//! framework serves *real* SpMV answers at memory bandwidth while the
+//! trace-driven simulator stays the cycle model.
 //!
-//! Both paths reduce each destination's contributions in ascending
-//! source order — exactly the order the golden model
-//! ([`crate::ops::apply`]) uses — so host results are **bit-identical**
-//! to the functional results the simulate path returns, float
-//! reductions included. The differential backend asserts this on every
-//! invocation.
+//! The kernel follows the frontier, not the simulated dataflow:
+//!
+//! - a **partial** frontier (`active.len() < cols`) runs the golden
+//!   model's own push kernel (the one behind [`crate::ops::apply_with`])
+//!   over the active CSC columns into the session's reusable
+//!   accumulator — O(touched edges), no frontier scatter, no thread
+//!   spawn — whatever dataflow and format were decided;
+//! - a **full** frontier pulls over the rows of the decided-format
+//!   operand ([`HostOperand`]: CSR, bitmap or BCSR), fanned out over the
+//!   shared graph's arrival-order, nnz-balanced row partitions.
+//!
+//! Both reduce each destination's contributions in ascending source
+//! order — exactly the order the golden model ([`crate::ops::apply`])
+//! uses — so host results are **bit-identical** to the functional
+//! results the simulate path returns, float reductions included. On
+//! full frontiers [`ExecBackend::Differential`] checks the row pull
+//! against the golden model's push on every invocation; on partial
+//! frontiers both sides run the same kernel.
 
-use crate::heuristics::SwConfig;
-use crate::ops::{GraphOp, Update};
+use crate::ops::{self, Accumulator, GraphOp, Update};
 use sparse::partition::RowPartition;
 use sparse::{BcsrMatrix, BitmapCsr, CscMatrix, CsrMatrix, Idx};
 
@@ -35,7 +43,10 @@ pub enum ExecBackend {
     Host,
     /// Runs **both** backends and asserts their results are bit-equal,
     /// making the simulate path the oracle for the host path. Returns
-    /// the simulate outcome (cycles intact).
+    /// the simulate outcome (cycles intact). Only full-frontier steps
+    /// compare two different kernels (the host's row pull over the
+    /// decided format against the golden model's push); partial
+    /// frontiers run one shared push kernel on both sides.
     ///
     /// # Panics
     ///
@@ -83,16 +94,16 @@ pub struct StepInputs<'a, V> {
     pub degrees: &'a [u32],
 }
 
-/// One host SpMV step under the generalized [`GraphOp`] semiring,
-/// dispatched by dataflow: the inner-product path walks rows of the
-/// decided-format `operand` ([`HostOperand`]), the outer-product path
-/// walks the active columns (CSC). Both return the updates that passed
+/// One host SpMV step under the generalized [`GraphOp`] semiring: a
+/// partial frontier pushes the active CSC columns of `csc` into a fresh
+/// accumulator, a full one pulls over the rows of `operand`
+/// ([`HostOperand`]). Returns the updates that passed
 /// [`GraphOp::is_update`], sorted by destination — bit-identical to
 /// [`crate::ops::apply`] on the same inputs.
 ///
-/// `partition` is the per-worker row partitioning; each
-/// partition's rows are evaluated independently (on parallel host
-/// threads when the host has more than one CPU).
+/// `partition` is the per-worker row partitioning of the full-frontier
+/// pull; each partition's rows are evaluated independently (on parallel
+/// host threads when the host has more than one CPU).
 ///
 /// # Panics
 ///
@@ -100,7 +111,6 @@ pub struct StepInputs<'a, V> {
 /// `state`/`degrees`.
 pub fn execute<O: GraphOp>(
     op: &O,
-    software: SwConfig,
     operand: HostOperand<'_>,
     csc: &CscMatrix,
     inputs: StepInputs<'_, O::Value>,
@@ -108,34 +118,47 @@ pub fn execute<O: GraphOp>(
 ) -> Vec<Update<O::Value>> {
     execute_with(
         op,
-        software,
-        operand,
+        || operand,
         csc,
         inputs,
         partition,
         transmuter::host_cpus(),
+        &mut Accumulator::default(),
     )
 }
 
-/// [`execute`] with an explicit host worker-thread count instead of the
-/// host's available parallelism — `1` forces the sequential partition
-/// walk, `≥2` forces the scoped-thread fan-out even on a single-CPU
-/// host. Results are bit-identical for any count: each partition fills
-/// its own output slot regardless of which thread runs it.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with<O: GraphOp>(
+/// [`execute`] with the operand resolved only when the frontier is full
+/// (so a partial step never materializes a format image it does not
+/// read), an explicit host worker-thread count instead of the host's
+/// available parallelism, and a caller-owned accumulator for partial
+/// frontiers (a session passes its own, so steady-state steps reuse
+/// it). `workers` applies to the full-frontier pull only: `1`
+/// forces the sequential partition walk, `≥2` forces the scoped-thread
+/// fan-out even on a single-CPU host. Results are bit-identical for any
+/// count: each partition fills its own output slot regardless of which
+/// thread runs it.
+///
+/// # Panics
+///
+/// As [`execute`].
+pub fn execute_with<'a, O: GraphOp>(
     op: &O,
-    software: SwConfig,
-    operand: HostOperand<'_>,
+    operand: impl FnOnce() -> HostOperand<'a>,
     csc: &CscMatrix,
     inputs: StepInputs<'_, O::Value>,
     partition: &RowPartition,
     workers: usize,
+    acc: &mut Accumulator<O::Value>,
 ) -> Vec<Update<O::Value>> {
-    match software {
-        SwConfig::InnerProduct => dense_rows(op, operand, inputs, partition, workers),
-        SwConfig::OuterProduct => sparse_columns(op, csc, inputs, partition, workers),
+    let StepInputs {
+        active,
+        state,
+        degrees,
+    } = inputs;
+    if active.len() < csc.cols() {
+        return ops::push(op, csc, active, state, degrees, acc);
     }
+    full_rows(op, operand(), inputs, partition, workers)
 }
 
 /// Runs `work(part_index, out)` for every partition on `workers`
@@ -178,13 +201,14 @@ where
     updates
 }
 
-/// Inner-product (dense) path: per-partition row loops over the operand
-/// matrix in whichever storage format was decided. The frontier is
-/// scattered into a dense value/mask pair once, then every row reduces
-/// its active entries in ascending column (= source) order — the same
-/// per-destination reduce order as the golden model's active-major walk
-/// over sorted actives, whichever format materializes the row.
-fn dense_rows<O: GraphOp>(
+/// Full-frontier path: per-partition row loops over the operand matrix
+/// in whichever storage format was decided. Every source is active, so
+/// `active` is the full sorted list and a source's frontier value is
+/// read straight from `active[src]` — no scatter, no mask. Every row
+/// reduces its entries in ascending column (= source) order — the same
+/// per-destination reduce order as the golden model's source-major walk,
+/// whichever format materializes the row.
+fn full_rows<O: GraphOp>(
     op: &O,
     operand: HostOperand<'_>,
     inputs: StepInputs<'_, O::Value>,
@@ -196,17 +220,14 @@ fn dense_rows<O: GraphOp>(
         state,
         degrees,
     } = inputs;
-    if active.is_empty() {
-        return Vec::new();
-    }
-    // Scatter the frontier. The fill value is arbitrary (any copy of a
-    // real value); slots whose mask bit is false are never read.
-    let mut fvals = vec![active[0].1; operand.cols()];
-    let mut mask = vec![false; operand.cols()];
-    for &(src, v) in active {
-        fvals[src as usize] = v;
-        mask[src as usize] = true;
-    }
+    debug_assert_eq!(active.len(), operand.cols(), "full frontier");
+    debug_assert!(
+        active
+            .iter()
+            .enumerate()
+            .all(|(i, &(src, _))| src as usize == i),
+        "a full frontier lists every source in order"
+    );
     fan_out(partition.len(), workers, |p, out| {
         for dst in partition.range(p) {
             let mut acc: Option<O::Value> = None;
@@ -215,13 +236,11 @@ fn dense_rows<O: GraphOp>(
                 // row walks below — the walks differ only in where the
                 // (column, weight) pairs come from.
                 let mut visit = |si: usize, w: f32| {
-                    if mask[si] {
-                        let contrib = op.matrix_op(w, fvals[si], state[dst], degrees[si]);
-                        acc = Some(match acc.take() {
-                            Some(a) => op.reduce(a, contrib),
-                            None => contrib,
-                        });
-                    }
+                    let contrib = op.matrix_op(w, active[si].1, state[dst], degrees[si]);
+                    acc = Some(match acc.take() {
+                        Some(a) => op.reduce(a, contrib),
+                        None => contrib,
+                    });
                 };
                 match operand {
                     HostOperand::Csr(csr) => {
@@ -240,7 +259,7 @@ fn dense_rows<O: GraphOp>(
                         let brow = dst / br;
                         let i = dst % br;
                         // Blocks are ascending by block column, so the
-                        // masked cells of local row `i` come out in
+                        // stored cells of local row `i` come out in
                         // ascending source order.
                         for b in m.block_row_ptr()[brow]..m.block_row_ptr()[brow + 1] {
                             let base_col = m.block_col()[b] as usize * bc;
@@ -260,62 +279,6 @@ fn dense_rows<O: GraphOp>(
                 if op.is_update(new, old) {
                     out.push((dst as Idx, new));
                 }
-            }
-        }
-    })
-}
-
-/// Outer-product (sparse-frontier) path: each partition walks the
-/// active columns of the CSC operand matrix restricted (by binary
-/// search) to its own row range, accumulating into a per-partition
-/// dense scratch with a touched list — O(active · log nnz + touched
-/// edges) per partition, independent of the matrix row count. The
-/// outer loop over sorted actives gives every destination its
-/// contributions in ascending source order, matching the golden model.
-fn sparse_columns<O: GraphOp>(
-    op: &O,
-    csc: &CscMatrix,
-    inputs: StepInputs<'_, O::Value>,
-    partition: &RowPartition,
-    workers: usize,
-) -> Vec<Update<O::Value>> {
-    let StepInputs {
-        active,
-        state,
-        degrees,
-    } = inputs;
-    if active.is_empty() {
-        return Vec::new();
-    }
-    fan_out(partition.len(), workers, |p, out| {
-        let range = partition.range(p);
-        let base = range.start;
-        let mut acc: Vec<Option<O::Value>> = vec![None; range.len()];
-        let mut touched: Vec<Idx> = Vec::new();
-        for &(src, fval) in active {
-            let deg = degrees[src as usize];
-            let (dsts, weights) = csc.col(src as usize);
-            let lo = dsts.partition_point(|&d| (d as usize) < range.start);
-            let hi = lo + dsts[lo..].partition_point(|&d| (d as usize) < range.end);
-            for (d, w) in dsts[lo..hi].iter().zip(&weights[lo..hi]) {
-                let di = *d as usize - base;
-                let contrib = op.matrix_op(*w, fval, state[*d as usize], deg);
-                acc[di] = Some(match acc[di] {
-                    Some(a) => op.reduce(a, contrib),
-                    None => {
-                        touched.push(*d);
-                        contrib
-                    }
-                });
-            }
-        }
-        touched.sort_unstable();
-        for d in touched {
-            let reduced = acc[d as usize - base].expect("touched slots hold a value");
-            let old = state[d as usize];
-            let new = op.vector_op(reduced, old);
-            if op.is_update(new, old) {
-                out.push((d, new));
             }
         }
     })
@@ -348,13 +311,11 @@ mod tests {
                 state: &state,
                 degrees: &degrees,
             };
-            for sw in [SwConfig::InnerProduct, SwConfig::OuterProduct] {
-                let got = execute(&SpmvOp, sw, HostOperand::Csr(&csr), &csc, inputs, &parts);
-                assert_eq!(got.len(), want.len(), "{sw:?} x {active_n} actives");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.0, w.0);
-                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "bit-exact at dst {}", g.0);
-                }
+            let got = execute(&SpmvOp, HostOperand::Csr(&csr), &csc, inputs, &parts);
+            assert_eq!(got.len(), want.len(), "{active_n} actives");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.0, w.0);
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "bit-exact at dst {}", g.0);
             }
         }
     }
@@ -369,9 +330,7 @@ mod tests {
             state: &state,
             degrees: &degrees,
         };
-        for sw in [SwConfig::InnerProduct, SwConfig::OuterProduct] {
-            assert!(execute(&SpmvOp, sw, HostOperand::Csr(&csr), &csc, inputs, &parts).is_empty());
-        }
+        assert!(execute(&SpmvOp, HostOperand::Csr(&csr), &csc, inputs, &parts).is_empty());
     }
 
     #[test]
@@ -400,10 +359,8 @@ mod tests {
             state: &state,
             degrees: &degrees,
         };
-        for sw in [SwConfig::InnerProduct, SwConfig::OuterProduct] {
-            let got = execute(&MinPlus, sw, HostOperand::Csr(&csr), &csc, inputs, &parts);
-            assert_eq!(got, want, "{sw:?}");
-        }
+        let got = execute(&MinPlus, HostOperand::Csr(&csr), &csc, inputs, &parts);
+        assert_eq!(got, want);
     }
 
     /// Every inner-product operand format walks rows in ascending
@@ -451,12 +408,12 @@ mod tests {
                 for workers in [1usize, 4] {
                     let got = execute_with(
                         &SpmvOp,
-                        SwConfig::InnerProduct,
-                        operand,
+                        || operand,
                         &csc,
                         inputs,
                         &parts,
                         workers,
+                        &mut Accumulator::default(),
                     );
                     assert_eq!(got.len(), want.len(), "{name} x {active_n} actives");
                     for (g, w) in got.iter().zip(&want) {
@@ -468,12 +425,12 @@ mod tests {
         }
     }
 
-    /// The ROADMAP flagged the scoped-thread fan-out as never having
-    /// run with >1 CPU (single-CPU container ⇒ `worker_count` folds to
-    /// the sequential walk). Force the threaded path over a genuine
-    /// multi-partition split and assert it is bit-identical to the
-    /// sequential walk and to the golden model — for both dataflows,
-    /// an f32 min-reduce included, at several worker counts.
+    /// Force the scoped-thread fan-out of the full-frontier row pull
+    /// over a genuine multi-partition split and assert it is
+    /// bit-identical to the sequential walk and to the golden model —
+    /// an f32 min-reduce included, at several worker counts. Partial
+    /// frontiers take the push kernel, which never fans out; they ride
+    /// along to pin that `workers` cannot change their answers either.
     #[test]
     fn forced_fan_out_is_bit_identical_to_sequential() {
         #[derive(Debug)]
@@ -496,67 +453,59 @@ mod tests {
         assert!(parts.len() >= 4, "split must be multi-partition");
         let zero_state = vec![0.0f32; n];
         let inf_state = vec![f32::INFINITY; n];
+        let mut acc = Accumulator::default();
         for active_n in [3usize, 80, 600] {
             let active: Vec<(Idx, f32)> = (0..active_n)
                 .map(|i| ((i * n / active_n) as Idx, 0.5 + i as f32))
                 .collect();
-            for sw in [SwConfig::InnerProduct, SwConfig::OuterProduct] {
-                let spmv_inputs = StepInputs {
-                    active: &active,
-                    state: &zero_state,
-                    degrees: &degrees,
-                };
-                let minplus_inputs = StepInputs {
-                    active: &active,
-                    state: &inf_state,
-                    degrees: &degrees,
-                };
-                let seq = execute_with(
+            let spmv_inputs = StepInputs {
+                active: &active,
+                state: &zero_state,
+                degrees: &degrees,
+            };
+            let minplus_inputs = StepInputs {
+                active: &active,
+                state: &inf_state,
+                degrees: &degrees,
+            };
+            let operand = HostOperand::Csr(&csr);
+            let seq = execute_with(&SpmvOp, || operand, &csc, spmv_inputs, &parts, 1, &mut acc);
+            let seq_min = execute_with(
+                &MinPlus,
+                || operand,
+                &csc,
+                minplus_inputs,
+                &parts,
+                1,
+                &mut acc,
+            );
+            let golden = apply(&SpmvOp, &csc, &active, &zero_state, &degrees);
+            for workers in [2usize, 4, 8] {
+                let par = execute_with(
                     &SpmvOp,
-                    sw,
-                    HostOperand::Csr(&csr),
+                    || operand,
                     &csc,
                     spmv_inputs,
                     &parts,
-                    1,
+                    workers,
+                    &mut acc,
                 );
-                let seq_min = execute_with(
+                assert_eq!(par.len(), seq.len(), "w={workers}");
+                for ((pd, pv), (sd, sv)) in par.iter().zip(&seq) {
+                    assert_eq!(pd, sd);
+                    assert_eq!(pv.to_bits(), sv.to_bits(), "dst {pd}, w={workers}");
+                }
+                assert_eq!(par, golden, "w={workers} vs golden model");
+                let par_min = execute_with(
                     &MinPlus,
-                    sw,
-                    HostOperand::Csr(&csr),
+                    || operand,
                     &csc,
                     minplus_inputs,
                     &parts,
-                    1,
+                    workers,
+                    &mut acc,
                 );
-                let golden = apply(&SpmvOp, &csc, &active, &zero_state, &degrees);
-                for workers in [2usize, 4, 8] {
-                    let par = execute_with(
-                        &SpmvOp,
-                        sw,
-                        HostOperand::Csr(&csr),
-                        &csc,
-                        spmv_inputs,
-                        &parts,
-                        workers,
-                    );
-                    assert_eq!(par.len(), seq.len(), "{sw:?} w={workers}");
-                    for ((pd, pv), (sd, sv)) in par.iter().zip(&seq) {
-                        assert_eq!(pd, sd);
-                        assert_eq!(pv.to_bits(), sv.to_bits(), "dst {pd}, {sw:?} w={workers}");
-                    }
-                    assert_eq!(par, golden, "{sw:?} w={workers} vs golden model");
-                    let par_min = execute_with(
-                        &MinPlus,
-                        sw,
-                        HostOperand::Csr(&csr),
-                        &csc,
-                        minplus_inputs,
-                        &parts,
-                        workers,
-                    );
-                    assert_eq!(par_min, seq_min, "min-reduce {sw:?} w={workers}");
-                }
+                assert_eq!(par_min, seq_min, "min-reduce w={workers}");
             }
         }
     }

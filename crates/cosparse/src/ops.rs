@@ -6,9 +6,17 @@
 //! post-step (`vector_op`). CoSPARSE schedules the same access pattern
 //! regardless of the op; only the host-side functional evaluation and
 //! the per-edge compute cost differ.
+//!
+//! Functional evaluation has two kernels, picked by the frontier:
+//!
+//! - a **full** frontier (every source active) reduces into a fresh
+//!   dense accumulator consumed in place ([`apply_with`]; the host
+//!   backend pulls over rows instead, see [`crate::host`]);
+//! - a **partial** frontier pushes the active sources' CSC columns into
+//!   a reusable [`Accumulator`] that records each first touch, so a
+//!   step costs O(touched edges), not O(vertices) — on both backends.
 
 use sparse::{CscMatrix, Idx};
-use std::collections::BTreeMap;
 
 /// A graph-algorithm definition in CoSPARSE's SpMV abstraction.
 ///
@@ -18,11 +26,13 @@ use std::collections::BTreeMap;
 /// Ops and their values must be shareable across threads (`Sync` /
 /// `Send + Sync`): the host execution backend ([`crate::host`])
 /// evaluates row partitions on parallel host threads with the op
-/// inlined in the inner loop. Every op is a plain value-semantics
-/// struct over scalar state, so the bounds are satisfied automatically.
+/// inlined in the inner loop. Values are also `'static`, so a session
+/// can keep one [`Accumulator`] per value type it has run. Every op is a
+/// plain value-semantics struct over scalar state, so the bounds are
+/// satisfied automatically.
 pub trait GraphOp: Sync {
     /// Per-vertex value type.
-    type Value: Copy + PartialEq + Send + Sync + std::fmt::Debug;
+    type Value: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static;
 
     /// `Matrix_Op(Sp, V)`: the contribution of edge `src → dst` with
     /// weight `weight`, given the source's frontier value and the
@@ -89,9 +99,54 @@ impl OpProfile {
 /// One state update produced by an SpMV step: `dst` takes `value`.
 pub type Update<V> = (Idx, V);
 
+/// The reusable scratch of the partial-frontier push kernel: a
+/// per-destination partial reduction, one mark bit per destination,
+/// and the destinations the current step touched. Between steps every
+/// mark is clear and the touched list is empty — a step clears only
+/// what it touched, and a value counts only while its mark is set — so
+/// one accumulator serves any number of steps (of any vertex count)
+/// without reallocating once it has grown. A [`crate::CoSparse`]
+/// session keeps one per value type it has run.
+#[derive(Debug)]
+pub struct Accumulator<V> {
+    /// Partial reductions by destination, meaningful where marked.
+    values: Vec<V>,
+    /// Bit `d % 64` of word `d / 64` is set while the current step has
+    /// touched destination `d`.
+    marks: Vec<u64>,
+    /// Destinations touched by the current step (first-touch order
+    /// while pushing, then ascending).
+    touched: Vec<Idx>,
+}
+
+impl<V> Default for Accumulator<V> {
+    fn default() -> Self {
+        Accumulator {
+            values: Vec::new(),
+            marks: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl<V> Accumulator<V> {
+    /// Retained capacity as `(values, marks, touched)` — what a session
+    /// keeps between steps.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> (usize, usize, usize) {
+        (
+            self.values.capacity(),
+            self.marks.capacity(),
+            self.touched.capacity(),
+        )
+    }
+}
+
 /// Functionally evaluates one SpMV step over the *transposed* adjacency
 /// matrix in CSC form (`csc_t.col(src)` lists the destinations of
-/// `src`'s out-edges).
+/// `src`'s out-edges), allocating a fresh [`Accumulator`] — the entry
+/// point for tests and benches; sessions call [`apply_with`] with their
+/// own.
 ///
 /// `active` holds `(src, frontier value)` pairs; `state` is the full
 /// per-vertex state vector; `degrees[src]` is the out-degree. Returns
@@ -112,58 +167,159 @@ pub fn apply<O: GraphOp>(
     state: &[O::Value],
     degrees: &[u32],
 ) -> Vec<Update<O::Value>> {
-    // Dense frontiers touch most destinations, so a direct-indexed
-    // accumulator beats a map; sparse frontiers use an ordered map to
-    // stay O(touched · log touched). Either path reduces contributions
-    // in the same per-edge order (ascending active source, then that
-    // source's column order), so the results are bit-identical — and
-    // deterministic: no structure anywhere in this function iterates in
-    // a run-dependent order, which matters because float `reduce` (the
-    // PR/CF sums) is not associative.
-    if active.len() * 4 >= state.len() && !state.is_empty() {
-        let mut acc: Vec<Option<O::Value>> = vec![None; state.len()];
-        for &(src, fval) in active {
-            let deg = degrees[src as usize];
-            let (dsts, weights) = csc_t.col(src as usize);
-            for (dst, w) in dsts.iter().zip(weights) {
-                let contrib = op.matrix_op(*w, fval, state[*dst as usize], deg);
-                let slot = &mut acc[*dst as usize];
-                *slot = Some(match *slot {
-                    Some(a) => op.reduce(a, contrib),
-                    None => contrib,
-                });
-            }
-        }
-        return acc
-            .into_iter()
-            .enumerate()
-            .filter_map(|(dst, reduced)| {
-                let old = state[dst];
-                let new = op.vector_op(reduced?, old);
-                op.is_update(new, old).then_some((dst as Idx, new))
-            })
-            .collect();
+    apply_with(
+        op,
+        csc_t,
+        active,
+        state,
+        degrees,
+        &mut Accumulator::default(),
+    )
+}
+
+/// [`apply`] with a caller-owned accumulator for partial frontiers.
+///
+/// A full frontier (`active.len() == csc_t.cols()`) reduces into a
+/// fresh dense `Vec<Option<_>>` consumed in place by the output scan —
+/// resetting a retained accumulator would only add a write stream there.
+/// Any other frontier runs the push kernel into `acc`.
+///
+/// Either way each destination's contributions reduce in the same
+/// per-edge order (the order of `active`, then each source's column
+/// order) and the updates come out sorted by destination, so the
+/// result is bit-identical whichever kernel ran, float reductions
+/// included, and no structure iterates in a run-dependent order.
+///
+/// # Panics
+///
+/// As [`apply`].
+pub fn apply_with<O: GraphOp>(
+    op: &O,
+    csc_t: &CscMatrix,
+    active: &[(Idx, O::Value)],
+    state: &[O::Value],
+    degrees: &[u32],
+    acc: &mut Accumulator<O::Value>,
+) -> Vec<Update<O::Value>> {
+    if active.len() < csc_t.cols() {
+        return push(op, csc_t, active, state, degrees, acc);
     }
-    let mut acc: BTreeMap<Idx, O::Value> = BTreeMap::new();
+    let mut dense: Vec<Option<O::Value>> = vec![None; state.len()];
     for &(src, fval) in active {
         let deg = degrees[src as usize];
         let (dsts, weights) = csc_t.col(src as usize);
         for (dst, w) in dsts.iter().zip(weights) {
             let contrib = op.matrix_op(*w, fval, state[*dst as usize], deg);
-            acc.entry(*dst)
-                .and_modify(|a| *a = op.reduce(*a, contrib))
-                .or_insert(contrib);
+            let slot = &mut dense[*dst as usize];
+            *slot = Some(match *slot {
+                Some(a) => op.reduce(a, contrib),
+                None => contrib,
+            });
         }
     }
-    // BTreeMap iterates in key order: the updates come out sorted by
-    // destination with no post-hoc sort and no hash-order anywhere.
-    acc.into_iter()
+    dense
+        .into_iter()
+        .enumerate()
         .filter_map(|(dst, reduced)| {
-            let old = state[dst as usize];
-            let new = op.vector_op(reduced, old);
-            op.is_update(new, old).then_some((dst, new))
+            let old = state[dst];
+            let new = op.vector_op(reduced?, old);
+            op.is_update(new, old).then_some((dst as Idx, new))
         })
         .collect()
+}
+
+/// Once more than 1/`SCAN_RATIO` of the vertices were touched, the push
+/// kernel collects them by scanning its marks instead of sorting its
+/// touched list.
+const SCAN_RATIO: usize = 16;
+
+/// The partial-frontier push kernel: walks the CSC columns of the
+/// `active` sources in the order given, reducing each contribution into
+/// `acc` and marking each destination's first touch; then sorts the
+/// touched list (or, when it covers more than 1/[`SCAN_RATIO`] of the
+/// vertices, rebuilds it by one ascending scan of the marks), applies
+/// [`GraphOp::vector_op`] / [`GraphOp::is_update`] and emits the
+/// updates into an exactly sized `Vec`, clearing only touched marks.
+/// O(touched edges + touched · log touched) with no allocation but the
+/// output once `acc` has grown.
+///
+/// # Panics
+///
+/// As [`apply`].
+pub(crate) fn push<O: GraphOp>(
+    op: &O,
+    csc_t: &CscMatrix,
+    active: &[(Idx, O::Value)],
+    state: &[O::Value],
+    degrees: &[u32],
+    acc: &mut Accumulator<O::Value>,
+) -> Vec<Update<O::Value>> {
+    let Accumulator {
+        values,
+        marks,
+        touched,
+    } = acc;
+    // Empty unless a step unwound mid-push (an out-of-bounds index),
+    // leaving marks set.
+    if !touched.is_empty() {
+        touched.clear();
+        marks.fill(0);
+    }
+    let n = state.len();
+    if values.len() < n {
+        // Any value fills the new slots: none is read before it is
+        // marked and written.
+        values.resize(n, state[0]);
+        marks.resize(n.div_ceil(64), 0);
+    }
+    for &(src, fval) in active {
+        let deg = degrees[src as usize];
+        let (dsts, weights) = csc_t.col(src as usize);
+        for (&dst, &w) in dsts.iter().zip(weights) {
+            let d = dst as usize;
+            let contrib = op.matrix_op(w, fval, state[d], deg);
+            let (word, bit) = (&mut marks[d / 64], 1u64 << (d % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                touched.push(dst);
+                values[d] = contrib;
+            } else {
+                values[d] = op.reduce(values[d], contrib);
+            }
+        }
+    }
+    // Fold the post-step into `values`; only real updates stay in the
+    // (ascending) touched list, so the output below is sized exactly.
+    let mut fold = |d: Idx| {
+        let d = d as usize;
+        let old = state[d];
+        let new = op.vector_op(values[d], old);
+        values[d] = new;
+        op.is_update(new, old)
+    };
+    if touched.len() * SCAN_RATIO < n {
+        touched.sort_unstable();
+        touched.retain(|&d| {
+            marks[d as usize / 64] &= !(1u64 << (d % 64));
+            fold(d)
+        });
+    } else {
+        // Long lists: one ascending scan of the marks replaces the sort.
+        touched.clear();
+        for (w, word) in marks[..n.div_ceil(64)].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let d = (w * 64) as Idx + bits.trailing_zeros();
+                bits &= bits - 1;
+                if fold(d) {
+                    touched.push(d);
+                }
+            }
+        }
+    }
+    let updates = touched.iter().map(|&d| (d, values[d as usize])).collect();
+    touched.clear();
+    updates
 }
 
 /// Plain SpMV (Table I, first row): `y = Σ Sp[src,dst] * V[src]`.
@@ -260,15 +416,14 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_accumulators_agree() {
-        // A frontier below the 1/4-density cutoff takes the HashMap
-        // path; the same frontier against a smaller state takes the
-        // direct-indexed path. Both must match the naive reduction.
+        // A partial frontier takes the push kernel; it must match the
+        // naive dense reduction.
         let adj = sparse::generate::uniform(200, 200, 2000, 11).unwrap();
         let csc_t = csc_t_of(&adj);
         let active: Vec<(Idx, f32)> = (0..10).map(|i| (i * 17 as Idx, 1.5 + i as f32)).collect();
         let state = vec![0.0f32; 200];
         let degrees = vec![1u32; 200];
-        assert!(active.len() * 4 < state.len(), "must hit the map path");
+        assert!(active.len() < csc_t.cols(), "must hit the push kernel");
         let got = apply(&SpmvOp, &csc_t, &active, &state, &degrees);
 
         let mut want = vec![0.0f32; 200];
@@ -289,8 +444,8 @@ mod tests {
 
     #[test]
     fn sparse_path_float_reductions_are_bit_deterministic() {
-        // PR-style float sums over a skewed matrix through the map
-        // (sparse-frontier) path: two applications of the same input
+        // PR-style float sums over a skewed matrix through the push
+        // (partial-frontier) kernel: two applications of the same input
         // must produce bit-identical f32 results. This pins the
         // determinism contract — no accumulation structure with a
         // run-dependent iteration order is allowed in the golden model.
@@ -299,7 +454,7 @@ mod tests {
         let active: Vec<(Idx, f32)> = (0..40)
             .map(|i| ((i * 9) as Idx, 0.1 + 0.37 * i as f32))
             .collect();
-        assert!(active.len() * 4 < 400, "must exercise the map path");
+        assert!(active.len() < 400, "must exercise the push kernel");
         let state = vec![0.0f32; 400];
         let degrees: Vec<u32> = adj.col_counts().into_iter().map(|c| c as u32).collect();
         let a = apply(&SpmvOp, &csc_t, &active, &state, &degrees);
@@ -309,6 +464,28 @@ mod tests {
             assert_eq!(da, db);
             assert_eq!(va.to_bits(), vb.to_bits(), "bitwise equal at dst {da}");
         }
+    }
+
+    #[test]
+    fn accumulator_recovers_from_an_unwound_step() {
+        let adj = sparse::generate::uniform(64, 64, 600, 5).unwrap();
+        let csc_t = csc_t_of(&adj);
+        let degrees = vec![1u32; 64];
+        let active: Vec<(Idx, f32)> = (0..64).step_by(3).map(|i| (i as Idx, 2.0)).collect();
+        let mut acc = Accumulator::default();
+        // A state shorter than the matrix panics mid-push, after some
+        // slots were set.
+        let short = vec![0.0f32; 40];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            apply_with(&SpmvOp, &csc_t, &active, &short, &degrees, &mut acc)
+        }));
+        assert!(unwound.is_err());
+        let state = vec![0.0f32; 64];
+        let want = apply(&SpmvOp, &csc_t, &active, &state, &degrees);
+        assert_eq!(
+            apply_with(&SpmvOp, &csc_t, &active, &state, &degrees, &mut acc),
+            want
+        );
     }
 
     #[test]

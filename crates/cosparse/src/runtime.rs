@@ -4,11 +4,11 @@
 //! owned by an `Arc`-shared [`SharedGraph`].
 //!
 //! A [`CoSparse`] is one *session*: it owns a [`Machine`], frontier
-//! scratch buffers, policy/adaptive state and a builder for
-//! frontier-dependent programs, while everything derivable from the
-//! matrix alone (formats, layout, partitions, compiled dense-IP
-//! programs, verify verdicts) lives in the shared graph and is read
-//! lock-free (see [`crate::shared`]). `CoSparse::new` builds a private
+//! scratch buffers, the partial-frontier push accumulators,
+//! policy/adaptive state and a builder for frontier-dependent programs,
+//! while everything derivable from the matrix alone (formats, layout,
+//! partitions, compiled dense-IP programs, verify verdicts) lives in
+//! the shared graph and is read lock-free (see [`crate::shared`]). `CoSparse::new` builds a private
 //! graph for the common single-session case;
 //! [`SharedGraph::session`] opens additional cheap sessions over an
 //! existing one.
@@ -21,12 +21,13 @@ use crate::heuristics::{
 use crate::host::{self, ExecBackend, HostOperand};
 use crate::kernels::convert::{self, Direction};
 use crate::kernels::{formats, ip, op};
-use crate::ops::{apply, GraphOp, OpProfile, SpmvOp, Update};
+use crate::ops::{apply_with, Accumulator, GraphOp, OpProfile, SpmvOp, Update};
 use crate::shared::{SharedCounters, SharedGraph, SharedPlan};
 use crate::verify::{run_checked, VerifyReport};
 use sparse::{
     CooMatrix, CscMatrix, DenseVector, FormatKind, Idx, Permutation, ReorderKind, SparseVector,
 };
+use std::any::Any;
 use std::sync::Arc;
 use transmuter::{
     Analysis, EpochStats, Geometry, HwConfig, Machine, MemoStats, MicroArch, ProgramBuilder,
@@ -218,6 +219,37 @@ impl Scratch {
     }
 }
 
+/// The session's partial-frontier push accumulators, one per value type
+/// the session has run (see [`Accumulator`]). Engines alternate value
+/// types on one session — a served BFS (`u32`) then an SSSP (`f32`) —
+/// so a single typed slot would be rebuilt on every switch; the list is
+/// as short as the number of distinct types, so a linear `TypeId` scan
+/// finds the slot.
+#[derive(Default)]
+struct Accumulators(Vec<Box<dyn Any + Send + Sync>>);
+
+impl Accumulators {
+    /// The accumulator for value type `V`, created on first use.
+    fn get<V: Send + Sync + 'static>(&mut self) -> &mut Accumulator<V> {
+        let i = match self.0.iter().position(|slot| slot.is::<Accumulator<V>>()) {
+            Some(i) => i,
+            None => {
+                self.0.push(Box::new(Accumulator::<V>::default()));
+                self.0.len() - 1
+            }
+        };
+        self.0[i]
+            .downcast_mut()
+            .expect("slots are keyed by their type")
+    }
+}
+
+impl std::fmt::Debug for Accumulators {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Accumulators({} value types)", self.0.len())
+    }
+}
+
 /// The frontier list an outer-product kernel streams: `active` itself
 /// under arrival order, else its sorted image under `perm`, staged in
 /// `buf`.
@@ -338,6 +370,9 @@ pub struct CoSparse {
     plan: Option<Arc<SharedPlan>>,
     /// Frontier-dependent program scratch; survives plan rebinds.
     scratch: Scratch,
+    /// Partial-frontier push accumulators, shared by the golden model
+    /// and the host backend.
+    accumulators: Accumulators,
     /// Host worker threads per host step (see
     /// [`CoSparse::set_host_threads`]).
     host_threads: usize,
@@ -405,6 +440,7 @@ impl CoSparse {
             verify_report: VerifyReport::default(),
             plan: None,
             scratch: Scratch::default(),
+            accumulators: Accumulators::default(),
             host_threads: transmuter::host_cpus(),
             indices_buf: Vec::new(),
             entries_buf: Vec::new(),
@@ -1108,11 +1144,11 @@ impl CoSparse {
         }
     }
 
-    /// One host-backend step: resolves the decided format's host
-    /// structure and the graph's arrival-order row partitioning, then
-    /// evaluates the decided dataflow natively on
-    /// [`CoSparse::set_host_threads`] threads. Binds no plan: the host
-    /// reads no reordered operand or layout, and under
+    /// One host-backend step: a partial frontier runs the push kernel
+    /// into the session's accumulator; a full one pulls over the decided
+    /// format's host structure and the graph's arrival-order row
+    /// partitioning on [`CoSparse::set_host_threads`] threads. Binds no
+    /// plan: the host reads no reordered operand or layout, and under
     /// [`ExecBackend::Differential`] the simulate side's plan stays
     /// bound. Returns the updates and a wall-clock report.
     fn host_step<O: GraphOp>(
@@ -1122,30 +1158,30 @@ impl CoSparse {
         active: &[(Idx, O::Value)],
         state: &[O::Value],
     ) -> (Vec<Update<O::Value>>, SimReport) {
-        // The inner dataflow walks the decided format natively against
-        // the *original-order* images (the reordering axis shapes the
-        // simulated address stream only); the outer dataflow always
-        // merges CSC columns.
-        let operand = match (decision.software, decision.format) {
-            (SwConfig::InnerProduct, FormatKind::Bitmap) => {
-                HostOperand::Bitmap(self.shared.bitmap())
-            }
-            (SwConfig::InnerProduct, FormatKind::Bcsr) => HostOperand::Bcsr(self.shared.bcsr()),
-            _ => HostOperand::Csr(self.shared.csr()),
+        // A full frontier walks the decided format natively against the
+        // *original-order* images (the reordering axis shapes the
+        // simulated address stream only); an outer-product decision,
+        // which only a pinned policy makes on a full frontier, pulls
+        // over CSR. A partial frontier builds none of them.
+        let graph = &self.shared;
+        let operand = || match (decision.software, decision.format) {
+            (SwConfig::InnerProduct, FormatKind::Bitmap) => HostOperand::Bitmap(graph.bitmap()),
+            (SwConfig::InnerProduct, FormatKind::Bcsr) => HostOperand::Bcsr(graph.bcsr()),
+            _ => HostOperand::Csr(graph.csr()),
         };
         let t0 = std::time::Instant::now();
         let updates = host::execute_with(
             op,
-            decision.software,
             operand,
-            self.shared.matrix_csc(),
+            graph.matrix_csc(),
             host::StepInputs {
                 active,
                 state,
-                degrees: self.shared.degrees(),
+                degrees: graph.degrees(),
             },
-            self.shared.host_partition(self.balancing),
+            graph.host_partition(self.balancing),
             self.host_threads,
+            self.accumulators.get(),
         );
         let report = self.host_report(t0.elapsed().as_secs_f64());
         (updates, report)
@@ -1226,12 +1262,13 @@ impl CoSparse {
         }
 
         // Functional product (golden model).
-        let updates = apply(
+        let updates = apply_with(
             &SpmvOp,
             graph.matrix_csc(),
             &entries,
             graph.zeros(),
             graph.degrees(),
+            self.accumulators.get(),
         );
         if self.backend == ExecBackend::Differential {
             let (host_updates, _) = self.host_step(&SpmvOp, decision, &entries, graph.zeros());
@@ -1250,8 +1287,9 @@ impl CoSparse {
     }
 
     /// One reconfigured step of a graph algorithm: `active` holds the
-    /// frontier's `(index, value)` pairs, `state` the per-vertex state.
-    /// Returns the updates and the simulated timing.
+    /// frontier's `(index, value)` pairs, sorted by index without
+    /// repeats, `state` the per-vertex state. Returns the updates and
+    /// the simulated timing.
     ///
     /// # Errors
     ///
@@ -1297,7 +1335,14 @@ impl CoSparse {
             );
         }
         let graph = Arc::clone(&self.shared);
-        let updates = apply(op, graph.matrix_csc(), active, state, graph.degrees());
+        let updates = apply_with(
+            op,
+            graph.matrix_csc(),
+            active,
+            state,
+            graph.degrees(),
+            self.accumulators.get(),
+        );
         if self.backend == ExecBackend::Differential {
             let (host_updates, _) = self.host_step(op, decision, active, state);
             assert_backends_agree("step", &updates, &host_updates);
@@ -1922,5 +1967,74 @@ mod frontier_tests {
         // The scalar dense-IP program survived the profile round-trip.
         assert_eq!(cs.dense_program_builds, 2);
         assert!(cs.dense_program_hits >= 1);
+    }
+
+    /// Alternating BFS-like (`u32`) and SSSP-like (`f32`) runs on one
+    /// session, on both backends: after a wide warm-up step per type,
+    /// each type keeps one accumulator whose capacity never changes —
+    /// an accumulator rebuilt per query or per value-type switch would
+    /// regrow only to the last small step's touched count.
+    #[test]
+    fn accumulators_survive_value_type_switches() {
+        #[derive(Debug)]
+        struct Level;
+        impl GraphOp for Level {
+            type Value = u32;
+            fn matrix_op(&self, _w: f32, src: u32, _dst: u32, _deg: u32) -> u32 {
+                src + 1
+            }
+            fn reduce(&self, a: u32, b: u32) -> u32 {
+                a.min(b)
+            }
+            fn is_update(&self, new: u32, old: u32) -> bool {
+                new < old
+            }
+        }
+        #[derive(Debug)]
+        struct MinPlus;
+        impl GraphOp for MinPlus {
+            type Value = f32;
+            fn matrix_op(&self, w: f32, src: f32, _dst: f32, _deg: u32) -> f32 {
+                src + w.abs()
+            }
+            fn reduce(&self, a: f32, b: f32) -> f32 {
+                a.min(b)
+            }
+            fn is_update(&self, new: f32, old: f32) -> bool {
+                new < old
+            }
+        }
+        let n = 1024;
+        let levels = vec![u32::MAX; n];
+        let dists = vec![f32::INFINITY; n];
+        let wide_u: Vec<(Idx, u32)> = (0..n as Idx).step_by(2).map(|i| (i, 0)).collect();
+        let wide_f: Vec<(Idx, f32)> = (0..n as Idx).step_by(2).map(|i| (i, 0.0)).collect();
+        for backend in [ExecBackend::Simulate, ExecBackend::Host] {
+            let mut rt = runtime(n, 12_000);
+            rt.set_backend(backend);
+            rt.step(&Level, &wide_u, &levels).unwrap();
+            rt.step(&MinPlus, &wide_f, &dists).unwrap();
+            let warm_u = rt.accumulators.get::<u32>().capacity();
+            let warm_f = rt.accumulators.get::<f32>().capacity();
+            assert!(
+                warm_u.2 > n / 4 && warm_f.2 > n / 4,
+                "{backend:?}: warm-up touched little"
+            );
+            for src in 0..6 {
+                rt.step(&Level, &[(src, 0)], &levels).unwrap();
+                rt.step(&MinPlus, &[(src, 0.0)], &dists).unwrap();
+                assert_eq!(rt.accumulators.0.len(), 2, "{backend:?}: one slot per type");
+                assert_eq!(
+                    rt.accumulators.get::<u32>().capacity(),
+                    warm_u,
+                    "{backend:?}"
+                );
+                assert_eq!(
+                    rt.accumulators.get::<f32>().capacity(),
+                    warm_f,
+                    "{backend:?}"
+                );
+            }
+        }
     }
 }
