@@ -1,5 +1,5 @@
-//! Criterion microbenchmarks of the host-side kernel machinery: stream
-//! generation, functional evaluation (the golden model and one host
+//! Criterion microbenchmarks of the host-side kernel machinery: kernel
+//! program builds, functional evaluation (the golden model and one host
 //! step across frontier densities), format conversion, partitioning
 //! and the cold-start structural probes. These measure the *reproduction's* own performance
 //! (how fast the harness can generate and evaluate workloads), not the
@@ -17,7 +17,7 @@ use cosparse::{apply, Layout, OpProfile, SpmvOp};
 use sparse::generate::{RmatParams, SuiteGraph};
 use sparse::partition::{RowPartition, VBlocks};
 use sparse::{CooMatrix, CscMatrix, CsrMatrix, FormatProbe, Idx, ReorderProbe};
-use transmuter::Geometry;
+use transmuter::{Geometry, HwConfig, MicroArch, ProgramBuilder};
 
 const N: usize = 1 << 13;
 const NNZ: usize = 80_000;
@@ -40,9 +40,16 @@ fn bench_generation(c: &mut Criterion) {
         .map(|(i, _)| i)
         .collect();
 
-    let mut group = c.benchmark_group("stream-generation");
+    let sub = op::subruns(&csc, &tiles);
+    let ua = MicroArch::paper();
+    // One reused builder, as a runtime session's scratch; analysis off,
+    // as for its one-shot builds.
+    let mut builder = ProgramBuilder::new();
+    builder.set_analysis(false);
+
+    let mut group = c.benchmark_group("program-build");
     group.sample_size(20);
-    group.bench_function("ip_streams_80k_nnz", |b| {
+    group.bench_function("ip_build_80k_nnz", |b| {
         b.iter(|| {
             let params = ip::IpParams {
                 layout: &layout,
@@ -52,10 +59,12 @@ fn bench_generation(c: &mut Criterion) {
                 active: None,
                 profile: OpProfile::scalar(),
             };
-            black_box(ip::streams(&m, g, params));
+            builder.begin(g, HwConfig::Sc, &ua);
+            ip::build(&m, g, params, &mut builder);
+            black_box(builder.finish());
         })
     });
-    group.bench_function("op_streams_2pct_frontier", |b| {
+    group.bench_function("op_build_2pct_frontier", |b| {
         b.iter(|| {
             let params = op::OpParams {
                 layout: &layout,
@@ -65,7 +74,9 @@ fn bench_generation(c: &mut Criterion) {
                 spm_node_cap: 512,
                 profile: OpProfile::scalar(),
             };
-            black_box(op::streams(&csc, g, params));
+            builder.begin(g, HwConfig::Ps, &ua);
+            op::build(&csc, g, params, &sub, &mut builder);
+            black_box(builder.finish());
         })
     });
     group.finish();

@@ -15,7 +15,16 @@ use cosparse::kernels::{ip, op};
 use cosparse::{Layout, OpProfile};
 use sparse::partition::VBlocks;
 use sparse::{CscMatrix, Idx};
-use transmuter::{Geometry, HwConfig, Machine, MicroArch};
+use transmuter::{Geometry, HwConfig, Machine, MicroArch, ProgramBuilder, SimReport};
+
+/// Emits one kernel for `machine`'s current configuration and runs the
+/// program.
+fn run(machine: &mut Machine, emit: impl FnOnce(&mut ProgramBuilder)) -> SimReport {
+    let mut builder = ProgramBuilder::new();
+    builder.begin(machine.geometry(), machine.config(), machine.uarch());
+    emit(&mut builder);
+    machine.run_program(builder.finish()).expect("run")
+}
 
 fn main() {
     let s = scale();
@@ -46,9 +55,7 @@ fn main() {
             active: None,
             profile: OpProfile::scalar(),
         };
-        let r = machine
-            .run(ip::streams(&matrix, geometry, params))
-            .expect("run");
+        let r = run(&mut machine, |b| ip::build(&matrix, geometry, params, b));
         rows.push(vec![
             name.to_string(),
             r.cycles.to_string(),
@@ -79,9 +86,7 @@ fn main() {
             active: None,
             profile: OpProfile::scalar(),
         };
-        let r = machine
-            .run(ip::streams(&matrix, geometry, params))
-            .expect("run");
+        let r = run(&mut machine, |b| ip::build(&matrix, geometry, params, b));
         rows.push(vec![
             name.to_string(),
             r.cycles.to_string(),
@@ -98,6 +103,7 @@ fn main() {
     // --- 3. OP SPM spill threshold --------------------------------------
     let csc = CscMatrix::from(&matrix);
     let tile_parts = op_tile_partitions(&matrix.row_counts(), geometry, Balancing::NnzBalanced);
+    let sub = op::subruns(&csc, &tile_parts);
     let frontier: Vec<Idx> = sparse::generate::random_sparse_vector(n, 0.04, 0xAB2)
         .expect("generator")
         .iter()
@@ -120,9 +126,7 @@ fn main() {
             spm_node_cap: cap,
             profile: OpProfile::scalar(),
         };
-        let r = machine
-            .run(op::streams(&csc, geometry, params))
-            .expect("run");
+        let r = run(&mut machine, |b| op::build(&csc, geometry, params, &sub, b));
         rows.push(vec![
             name.to_string(),
             r.cycles.to_string(),

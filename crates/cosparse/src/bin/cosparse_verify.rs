@@ -1,17 +1,18 @@
 //! `cosparse-verify`: static-analysis sweep of the shipped SpMV kernels.
 //!
 //! For every software x hardware pairing (IP/OP x SC/SCS/PC/PS) the tool
-//! generates kernel streams on a synthetic matrix, lints them against
-//! the machine configuration and the layout's address map, runs them
-//! under tracing, and feeds the trace through the race detector.
+//! runs one SpMV on a synthetic matrix in a verified session: the kernel
+//! is a checked `ProgramBuilder` build, linted against the machine
+//! configuration and the layout's address map as it is emitted, with
+//! its data races derived from its barrier structure.
 //!
-//! Each combination is additionally cross-checked against the
-//! single-pass `ProgramBuilder` pipeline (verification off): both
-//! paths must report identical simulated cycles.
+//! Each combination is additionally cross-checked against an unverified
+//! session, whose dense frontier runs the plan's cached unchecked
+//! program: the checked one-shot build must report identical simulated
+//! cycles.
 //!
 //! Exit status is nonzero if any combination is rejected by the linter,
-//! produces a race, truncates its trace, or diverges from the builder
-//! pipeline.
+//! produces a race, or diverges from the unchecked cached path.
 //!
 //! With `--explain`, each combination additionally prints the static
 //! epoch-dependence analyzer's verdict (epochs proven replay-free
@@ -121,16 +122,11 @@ fn check_combo(matrix: &CooMatrix, sw: SwConfig, hw: HwConfig, opts: &Opts) -> b
             // storage format, and locality reordering.
             let label = format!("{label} [{}/{}]", out.format, out.reorder);
             println!(
-                "{:36} {:>12} cycles  {} warning(s)  {} race(s){}",
+                "{:36} {:>12} cycles  {} warning(s)  {} race(s)",
                 label,
                 out.report.cycles,
                 report.warnings.len(),
                 report.races.len(),
-                if report.truncated {
-                    "  [trace truncated]"
-                } else {
-                    ""
-                }
             );
             for w in &report.warnings {
                 println!("    warning: {w}");
@@ -138,8 +134,9 @@ fn check_combo(matrix: &CooMatrix, sw: SwConfig, hw: HwConfig, opts: &Opts) -> b
             for race in &report.races {
                 println!("    RACE: {race}");
             }
-            // Cross-check: the single-pass builder pipeline (verify
-            // off) must time identically to the checked op-stream path.
+            // Cross-check: the unverified session's cached unchecked
+            // program must time identically to the checked one-shot
+            // build.
             let mut rt2 = CoSparse::new(matrix, Machine::new(geom, MicroArch::paper()));
             rt2.set_policy(Policy::Fixed(sw, hw));
             if opts.explain {
@@ -151,13 +148,14 @@ fn check_combo(matrix: &CooMatrix, sw: SwConfig, hw: HwConfig, opts: &Opts) -> b
                 Ok(o2) if o2.report.cycles == out.report.cycles => true,
                 Ok(o2) => {
                     println!(
-                        "    PIPELINE DIVERGENCE: builder path {} cycles vs checked {}",
+                        "    PIPELINE DIVERGENCE: unchecked cached path {} cycles vs checked \
+                         one-shot build {}",
                         o2.report.cycles, out.report.cycles
                     );
                     false
                 }
                 Err(e) => {
-                    println!("    builder path error: {e}");
+                    println!("    unchecked path error: {e}");
                     false
                 }
             };

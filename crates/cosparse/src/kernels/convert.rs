@@ -7,10 +7,10 @@
 //! paper's algorithms this happens only once or twice per run (BFS and
 //! SSSP frontiers go sparse→dense→sparse; PR and CF never convert).
 
-use crate::kernels::{KernelSink, OpBufSink};
+use crate::kernels::KernelSink;
 use crate::layout::Layout;
 use crate::ops::OpProfile;
-use transmuter::{Geometry, Op, ProgramBuilder, StreamSet};
+use transmuter::Geometry;
 
 /// Direction of a frontier conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,42 +21,13 @@ pub enum Direction {
     SparseToDense,
 }
 
-/// Compiles a conversion of a `dim`-element frontier with `active_nnz`
-/// nonzeros into per-PE streams.
+/// Emits the conversion of a `dim`-element frontier with `active_nnz`
+/// nonzeros into `sink`, one stream per PE. For a
+/// [`transmuter::ProgramBuilder`] the caller `begin`s and `finish`es it.
 ///
 /// Dense→sparse reads all `dim` elements and writes `active_nnz` pairs;
 /// sparse→dense writes the `dim`-element background (line-granular
 /// memset) and scatters `active_nnz` pairs.
-pub fn streams(
-    layout: &Layout,
-    geometry: Geometry,
-    dim: usize,
-    active_nnz: usize,
-    direction: Direction,
-    profile: OpProfile,
-) -> StreamSet<'static> {
-    let mut bufs: Vec<Vec<Op>> = Vec::new();
-    {
-        let mut sink = OpBufSink::new(geometry, &mut bufs, geometry.total_pes());
-        emit(
-            layout, geometry, dim, active_nnz, direction, profile, &mut sink,
-        );
-    }
-    let mut set = StreamSet::new(geometry);
-    let mut it = bufs.into_iter();
-    for tile in 0..geometry.tiles() {
-        for pe in 0..geometry.pes_per_tile() {
-            let ops = it.next().expect("emit fills one buffer per PE");
-            set.set_pe(tile, pe, ops.into_iter());
-        }
-    }
-    set
-}
-
-/// Emits the conversion kernel straight into a lowering
-/// [`ProgramBuilder`] — the single-pass hot path. The caller must have
-/// `begin`-reset the builder for the target configuration and
-/// `finish`es it afterwards.
 pub fn build(
     layout: &Layout,
     geometry: Geometry,
@@ -64,23 +35,7 @@ pub fn build(
     active_nnz: usize,
     direction: Direction,
     profile: OpProfile,
-    builder: &mut ProgramBuilder,
-) {
-    emit(
-        layout, geometry, dim, active_nnz, direction, profile, builder,
-    );
-}
-
-/// The one conversion emitter both representations share (see the module
-/// docs of [`crate::kernels`]).
-fn emit<K: KernelSink>(
-    layout: &Layout,
-    geometry: Geometry,
-    dim: usize,
-    active_nnz: usize,
-    direction: Direction,
-    profile: OpProfile,
-    sink: &mut K,
+    sink: &mut impl KernelSink,
 ) {
     let pes = geometry.total_pes();
     let vw = profile.value_words;
@@ -124,14 +79,16 @@ fn emit<K: KernelSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::OpBufSink;
     use transmuter::{Machine, MicroArch};
 
     fn run(dim: usize, nnz: usize, dir: Direction) -> transmuter::SimReport {
         let g = Geometry::new(2, 4);
         let l = Layout::new(dim, dim, dim, g, 1);
+        let mut sink = OpBufSink::new(g);
+        build(&l, g, dim, nnz, dir, OpProfile::scalar(), &mut sink);
         let mut m = Machine::new(g, MicroArch::paper());
-        m.run(streams(&l, g, dim, nnz, dir, OpProfile::scalar()))
-            .unwrap()
+        m.run(sink.into_stream_set()).unwrap()
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! under any [`transmuter::HwConfig`], relying on caches for vector
 //! reuse. SPM pinning remains a COO-path (SCS) specialization.
 
-use crate::kernels::{KernelSink, OpBufSink};
+use crate::kernels::KernelSink;
 use crate::layout::Layout;
 use crate::ops::OpProfile;
 use sparse::partition::RowPartition;
 use sparse::{BcsrMatrix, BitmapCsr};
-use transmuter::{Geometry, Op, ProgramBuilder, StreamSet};
+use transmuter::Geometry;
 
 /// Configuration of one format-stream invocation (the masked/dense IP
 /// knobs that apply to format streaming).
@@ -61,98 +61,19 @@ pub fn bcsr_image_bytes(m: &BcsrMatrix) -> usize {
     (m.block_row_ptr().len() + m.block_count() * (2 + r * c)) * 4
 }
 
-/// Emits the bitmap-CSR IP kernel into a lowering [`ProgramBuilder`]
-/// (single-pass hot path; the caller `begin`s and `finish`es it).
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn build_bitmap(
-    m: &BitmapCsr,
-    geometry: Geometry,
-    params: FmtParams<'_>,
-    builder: &mut ProgramBuilder,
-) {
-    emit_bitmap(m, geometry, params, builder);
-}
-
-/// Compiles the bitmap-CSR IP kernel into per-PE op streams (the
-/// verification/one-shot form).
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn bitmap_streams(
-    m: &BitmapCsr,
-    geometry: Geometry,
-    params: FmtParams<'_>,
-) -> StreamSet<'static> {
-    into_streams(geometry, |sink| emit_bitmap(m, geometry, params, sink))
-}
-
-/// Emits the blocked-CSR IP kernel into a lowering [`ProgramBuilder`].
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn build_bcsr(
-    m: &BcsrMatrix,
-    geometry: Geometry,
-    params: FmtParams<'_>,
-    builder: &mut ProgramBuilder,
-) {
-    emit_bcsr(m, geometry, params, builder);
-}
-
-/// Compiles the blocked-CSR IP kernel into per-PE op streams.
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn bcsr_streams(
-    m: &BcsrMatrix,
-    geometry: Geometry,
-    params: FmtParams<'_>,
-) -> StreamSet<'static> {
-    into_streams(geometry, |sink| emit_bcsr(m, geometry, params, sink))
-}
-
-/// Emits the one-time format materialization pass into a lowering
-/// [`ProgramBuilder`]: every COO triplet is read and the packed image
-/// written to the layout's `fmt` region, split evenly across PEs. The
-/// runtime charges this once per graph, when a decision first lands on
-/// a cold alternate format (mirroring the host side, where derived
-/// structures are cached for the graph's lifetime).
+/// Emits the one-time format materialization pass into `sink`: every
+/// COO triplet is read and the packed image written to the layout's
+/// `fmt` region, split evenly across PEs (PE `p` reads its slice of the
+/// triplet stream and writes its slice of the image words). The runtime
+/// charges this once per graph, when a decision first lands on a cold
+/// alternate format (mirroring the host side, where derived structures
+/// are cached for the graph's lifetime).
 pub fn build_pack(
     layout: &Layout,
     geometry: Geometry,
     nnz: usize,
     image_words: usize,
-    builder: &mut ProgramBuilder,
-) {
-    emit_pack(layout, geometry, nnz, image_words, builder);
-}
-
-/// [`build_pack`] as per-PE op streams for the verification path.
-pub fn pack_streams(
-    layout: &Layout,
-    geometry: Geometry,
-    nnz: usize,
-    image_words: usize,
-) -> StreamSet<'static> {
-    into_streams(geometry, |sink| {
-        emit_pack(layout, geometry, nnz, image_words, sink)
-    })
-}
-
-/// The shared pack emitter: PE `p` reads its slice of the triplet
-/// stream and writes its slice of the image words.
-fn emit_pack<K: KernelSink>(
-    layout: &Layout,
-    geometry: Geometry,
-    nnz: usize,
-    image_words: usize,
-    sink: &mut K,
+    sink: &mut impl KernelSink,
 ) {
     let pes = geometry.total_pes();
     for tile in 0..geometry.tiles() {
@@ -175,31 +96,17 @@ fn emit_pack<K: KernelSink>(
     }
 }
 
-/// Runs `emit` into fresh per-PE op buffers and wraps them as a
-/// [`StreamSet`].
-fn into_streams(geometry: Geometry, emit: impl FnOnce(&mut OpBufSink<'_>)) -> StreamSet<'static> {
-    let mut bufs: Vec<Vec<Op>> = Vec::new();
-    {
-        let mut sink = OpBufSink::new(geometry, &mut bufs, geometry.total_pes());
-        emit(&mut sink);
-    }
-    let mut set = StreamSet::new(geometry);
-    let mut it = bufs.into_iter();
-    for tile in 0..geometry.tiles() {
-        for pe in 0..geometry.pes_per_tile() {
-            let ops = it.next().expect("emit fills one buffer per PE");
-            set.set_pe(tile, pe, ops.into_iter());
-        }
-    }
-    set
-}
-
-/// The one bitmap emitter both representations share.
-fn emit_bitmap<K: KernelSink>(
+/// Emits the bitmap-CSR IP kernel into `sink`, one stream per PE. For a
+/// [`transmuter::ProgramBuilder`] the caller `begin`s and `finish`es it.
+///
+/// # Panics
+///
+/// Panics if `partition.len() != geometry.total_pes()`.
+pub fn build_bitmap(
     m: &BitmapCsr,
     geometry: Geometry,
     params: FmtParams<'_>,
-    sink: &mut K,
+    sink: &mut impl KernelSink,
 ) {
     assert_eq!(
         params.partition.len(),
@@ -259,15 +166,19 @@ fn emit_bitmap<K: KernelSink>(
     }
 }
 
-/// The one BCSR emitter both representations share. A block row is
-/// processed by the partition owning its first matrix row, so every
-/// block is streamed exactly once regardless of how the nnz-balanced
-/// split lands relative to block boundaries.
-fn emit_bcsr<K: KernelSink>(
+/// Emits the blocked-CSR IP kernel into `sink`, one stream per PE. A
+/// block row is processed by the partition owning its first matrix row,
+/// so every block is streamed exactly once regardless of how the
+/// nnz-balanced split lands relative to block boundaries.
+///
+/// # Panics
+///
+/// Panics if `partition.len() != geometry.total_pes()`.
+pub fn build_bcsr(
     m: &BcsrMatrix,
     geometry: Geometry,
     params: FmtParams<'_>,
-    sink: &mut K,
+    sink: &mut impl KernelSink,
 ) {
     assert_eq!(
         params.partition.len(),
@@ -350,6 +261,7 @@ fn emit_bcsr<K: KernelSink>(
 mod tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
+    use crate::kernels::OpBufSink;
     use crate::layout::Layout;
     use sparse::CooMatrix;
     use transmuter::{HwConfig, Machine, MicroArch};
@@ -389,7 +301,9 @@ mod tests {
                     active: None,
                     profile: OpProfile::scalar(),
                 };
-                machine.run(bitmap_streams(&m, g, params)).unwrap()
+                let mut sink = OpBufSink::new(g);
+                build_bitmap(&m, g, params, &mut sink);
+                machine.run(sink.into_stream_set()).unwrap()
             }
             sparse::FormatKind::Bcsr => {
                 let m = BcsrMatrix::from(coo);
@@ -407,7 +321,9 @@ mod tests {
                     active: None,
                     profile: OpProfile::scalar(),
                 };
-                machine.run(bcsr_streams(&m, g, params)).unwrap()
+                let mut sink = OpBufSink::new(g);
+                build_bcsr(&m, g, params, &mut sink);
+                machine.run(sink.into_stream_set()).unwrap()
             }
             _ => unreachable!("test only drives the format kernels"),
         }
@@ -430,7 +346,9 @@ mod tests {
             active: None,
             profile: OpProfile::scalar(),
         };
-        machine.run(ip::streams(coo, g, params)).unwrap()
+        let mut sink = OpBufSink::new(g);
+        ip::build(coo, g, params, &mut sink);
+        machine.run(sink.into_stream_set()).unwrap()
     }
 
     #[test]
@@ -490,7 +408,9 @@ mod tests {
                 active,
                 profile: OpProfile::scalar(),
             };
-            machine.run(bitmap_streams(&m, g, params)).unwrap()
+            let mut sink = OpBufSink::new(g);
+            build_bitmap(&m, g, params, &mut sink);
+            machine.run(sink.into_stream_set()).unwrap()
         };
         let dense = run(None);
         let none = vec![false; 256];

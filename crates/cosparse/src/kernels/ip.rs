@@ -7,12 +7,12 @@
 //! the shared caches (SC). Output accumulation happens in a register and
 //! is written back once per (row, vblock) run.
 
-use crate::kernels::{KernelSink, OpBufSink};
+use crate::kernels::KernelSink;
 use crate::layout::Layout;
 use crate::ops::OpProfile;
 use sparse::partition::{RowPartition, VBlocks};
 use sparse::CooMatrix;
-use transmuter::{Geometry, Op, ProgramBuilder, StreamSet};
+use transmuter::Geometry;
 
 /// Configuration of one IP invocation.
 #[derive(Debug, Clone, Copy)]
@@ -34,53 +34,11 @@ pub struct IpParams<'a> {
     pub profile: OpProfile,
 }
 
-/// Compiles the IP kernel into one op buffer per PE (indexed by global
-/// PE id).
+/// Emits the IP kernel into `sink`, one stream per PE. For a
+/// [`transmuter::ProgramBuilder`] the caller `begin`s and `finish`es it.
 ///
 /// Every PE iterates the same vblock sequence (with tile barriers
 /// around SPM preloads in SCS mode), so barrier counts always match.
-/// The buffers are position-independent across invocations: as long as
-/// the layout, partition, vblocks, profile and activity mask are
-/// unchanged, a compiled kernel can be re-run via [`replay`] without
-/// regeneration — the steady-state path for iterative algorithms.
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn compile(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'_>) -> Vec<Vec<Op>> {
-    let mut compiled = Vec::new();
-    compile_into(coo_t, geometry, params, &mut compiled);
-    compiled
-}
-
-/// [`compile`] into reusable per-PE buffers (indexed by global PE id),
-/// the allocation-free steady-state path for frontier-dependent
-/// (masked) invocations. Buffers beyond `geometry.total_pes()` are left
-/// untouched.
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn compile_into(
-    coo_t: &CooMatrix,
-    geometry: Geometry,
-    params: IpParams<'_>,
-    out: &mut Vec<Vec<Op>>,
-) {
-    let mut sink = OpBufSink::new(geometry, out, geometry.total_pes());
-    emit(
-        coo_t,
-        geometry,
-        params,
-        &mut IpScratch::default(),
-        &mut sink,
-    );
-}
-
-/// Emits the IP kernel straight into a lowering [`ProgramBuilder`] — the
-/// single-pass hot path, producing micro-ops and a lint verdict with no
-/// intermediate op buffers. The caller must have `begin`-reset the
-/// builder for the target configuration and `finish`es it afterwards.
 ///
 /// # Panics
 ///
@@ -89,30 +47,14 @@ pub fn build(
     coo_t: &CooMatrix,
     geometry: Geometry,
     params: IpParams<'_>,
-    builder: &mut ProgramBuilder,
+    sink: &mut impl KernelSink,
 ) {
-    build_with(coo_t, geometry, params, &mut IpScratch::default(), builder);
-}
-
-/// [`build`] with caller-owned bucketing buffers: the steady-state form
-/// for sessions that emit a masked IP program per frontier, so repeated
-/// multi-vblock builds allocate nothing once the buffers have grown.
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn build_with(
-    coo_t: &CooMatrix,
-    geometry: Geometry,
-    params: IpParams<'_>,
-    scratch: &mut IpScratch,
-    builder: &mut ProgramBuilder,
-) {
-    emit(coo_t, geometry, params, scratch, builder);
+    build_with(coo_t, geometry, params, &mut IpScratch::default(), sink);
 }
 
 /// Reusable buffers for the per-PE vblock bucketing of multi-vblock IP
-/// builds (see [`IpScratch::bucket`]).
+/// builds: each PE's triplets are grouped by vblock with a stable
+/// counting sort, in O(nnz + vblocks).
 #[derive(Debug, Default)]
 pub struct IpScratch {
     /// Bucket start offsets into `entries`, one per vblock plus the end.
@@ -152,14 +94,19 @@ impl IpScratch {
     }
 }
 
-/// The one IP emitter both representations share (see the module docs of
-/// [`crate::kernels`]).
-fn emit<K: KernelSink>(
+/// [`build`] with caller-owned bucketing buffers: the steady-state form
+/// for sessions that emit a masked IP program per frontier, so repeated
+/// multi-vblock builds allocate nothing once the buffers have grown.
+///
+/// # Panics
+///
+/// Panics if `partition.len() != geometry.total_pes()`.
+pub fn build_with(
     coo_t: &CooMatrix,
     geometry: Geometry,
     params: IpParams<'_>,
     scratch: &mut IpScratch,
-    sink: &mut K,
+    sink: &mut impl KernelSink,
 ) {
     assert_eq!(
         params.partition.len(),
@@ -284,48 +231,6 @@ fn emit<K: KernelSink>(
     }
 }
 
-/// Wraps [`compile`]d per-PE buffers as a runnable [`StreamSet`].
-///
-/// The streams borrow the buffers as slices, so a replay costs neither
-/// op regeneration nor per-op virtual dispatch.
-///
-/// # Panics
-///
-/// Panics if `compiled.len() != geometry.total_pes()`.
-pub fn replay(compiled: &[Vec<Op>], geometry: Geometry) -> StreamSet<'_> {
-    assert_eq!(
-        compiled.len(),
-        geometry.total_pes(),
-        "one compiled buffer per PE"
-    );
-    let mut set = StreamSet::new(geometry);
-    for tile in 0..geometry.tiles() {
-        for pe in 0..geometry.pes_per_tile() {
-            set.set_pe_ops(tile, pe, &compiled[geometry.pe_id(tile, pe)]);
-        }
-    }
-    set
-}
-
-/// Compiles the IP kernel into per-PE op streams (one-shot form; see
-/// [`compile`]/[`replay`] for the cached steady-state path).
-///
-/// # Panics
-///
-/// Panics if `partition.len() != geometry.total_pes()`.
-pub fn streams(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'_>) -> StreamSet<'static> {
-    let compiled = compile(coo_t, geometry, params);
-    let mut set = StreamSet::new(geometry);
-    let mut it = compiled.into_iter();
-    for tile in 0..geometry.tiles() {
-        for pe in 0..geometry.pes_per_tile() {
-            let ops = it.next().expect("compile returns one buffer per PE");
-            set.set_pe(tile, pe, ops.into_iter());
-        }
-    }
-    set
-}
-
 /// Total ops a dense-frontier IP pass will issue, cheap estimate used by
 /// tests and budgeting (not a timing model).
 pub fn op_count_estimate(nnz: usize, profile: &OpProfile) -> usize {
@@ -336,7 +241,15 @@ pub fn op_count_estimate(nnz: usize, profile: &OpProfile) -> usize {
 mod tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
-    use transmuter::{HwConfig, Machine, MicroArch};
+    use crate::kernels::OpBufSink;
+    use transmuter::{HwConfig, Machine, MicroArch, StreamSet};
+
+    /// The kernel as op streams for the machine's event loop.
+    fn streams(m: &CooMatrix, g: Geometry, params: IpParams<'_>) -> StreamSet<'static> {
+        let mut sink = OpBufSink::new(g);
+        build(m, g, params, &mut sink);
+        sink.into_stream_set()
+    }
 
     fn setup(n: usize, nnz: usize) -> (CooMatrix, Layout, Geometry) {
         let g = Geometry::new(2, 4);
@@ -478,6 +391,16 @@ mod tests {
 mod bucket_tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
+    use crate::kernels::OpBufSink;
+    use transmuter::Op;
+
+    /// One sink's PE buffers, indexed by global PE id.
+    fn pe_ops(sink: OpBufSink, g: Geometry) -> Vec<Vec<Op>> {
+        let set = transmuter::verify::ProgramSet::materialize(sink.into_stream_set());
+        (0..g.total_pes())
+            .map(|w| set.worker(w).expect("every PE is begun").to_vec())
+            .collect()
+    }
 
     /// Reference SCS emission bucketing with a stable comparison sort:
     /// collect `(vblock, row, col)` per PE, `sort_by_key` on the vblock,
@@ -564,8 +487,7 @@ mod bucket_tests {
         let other = sparse::generate::uniform(300, 300, 2500, 4).unwrap();
         let other_part = ip_partitions(&other.row_counts(), g, Balancing::NnzBalanced);
         let other_vb = VBlocks::new(300, 40);
-        let mut bufs = Vec::new();
-        emit(
+        build_with(
             &other,
             g,
             IpParams {
@@ -577,7 +499,7 @@ mod bucket_tests {
                 profile: OpProfile::scalar(),
             },
             &mut scratch,
-            &mut OpBufSink::new(g, &mut bufs, g.total_pes()),
+            &mut OpBufSink::new(g),
         );
         for active in [None, Some(&mask[..])] {
             let params = IpParams {
@@ -588,16 +510,13 @@ mod bucket_tests {
                 active,
                 profile,
             };
-            let mut got = Vec::new();
-            emit(
-                &m,
-                g,
-                params,
-                &mut scratch,
-                &mut OpBufSink::new(g, &mut got, g.total_pes()),
-            );
+            let mut got = OpBufSink::new(g);
+            build_with(&m, g, params, &mut scratch, &mut got);
+            let got = pe_ops(got, g);
             assert_eq!(got, reference(&m, g, params), "mask {}", active.is_some());
-            assert_eq!(got, compile(&m, g, params), "fresh scratch disagrees");
+            let mut fresh = OpBufSink::new(g);
+            build(&m, g, params, &mut fresh);
+            assert_eq!(got, pe_ops(fresh, g), "fresh scratch disagrees");
         }
     }
 }
@@ -606,6 +525,7 @@ mod bucket_tests {
 mod mask_tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
+    use crate::kernels::OpBufSink;
     use sparse::partition::VBlocks;
     use transmuter::{HwConfig, Machine, MicroArch};
 
@@ -630,7 +550,9 @@ mod mask_tests {
                 active,
                 profile: OpProfile::scalar(),
             };
-            machine.run(streams(&m, g, params)).unwrap()
+            let mut sink = OpBufSink::new(g);
+            build(&m, g, params, &mut sink);
+            machine.run(sink.into_stream_set()).unwrap()
         };
         let dense = run(None);
         let mask = vec![false; n]; // nothing active

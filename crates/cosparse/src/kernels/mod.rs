@@ -9,13 +9,15 @@
 //!   per-PE heap held in private SPM (PS) or cache (PC/SC), results
 //!   forwarded to the tile's LCP.
 //!
-//! Each kernel has **one** generic emitter, parameterised over a
-//! [`KernelSink`]. The hot path plugs in a lowering
-//! [`transmuter::ProgramBuilder`] and gets a verified
-//! [`transmuter::Program`] in a single pass; the verification and
-//! differential-testing oracle plugs in [`OpBufSink`] and gets the
-//! legacy per-worker [`transmuter::Op`] buffers. Because both
-//! representations come out of the same emitter body, they cannot
+//! Each kernel has **one** lowering: a public `build*` function generic
+//! over a [`KernelSink`]. The runtime only ever plugs in a
+//! [`transmuter::ProgramBuilder`], which lowers and lints each op on
+//! append and — in a checked build — also checks addresses against the
+//! layout and derives the build's data races, so the
+//! [`transmuter::Program`] that runs is the one that is verified. Tests
+//! and diagnostics plug in [`OpBufSink`] instead and get per-worker
+//! [`transmuter::Op`] buffers for the machine's event loop and its
+//! tracer. Both come out of the same emitter body, so they cannot
 //! drift.
 
 pub mod convert;
@@ -23,7 +25,7 @@ pub mod formats;
 pub mod ip;
 pub mod op;
 
-use transmuter::{Addr, Geometry, Op, ProgramBuilder};
+use transmuter::{Addr, Geometry, Op, ProgramBuilder, StreamSet};
 
 /// Emission target of the kernel compilers.
 ///
@@ -100,73 +102,97 @@ impl KernelSink for ProgramBuilder {
     }
 }
 
-/// Legacy sink: materializes per-worker [`Op`] buffers indexed by
-/// global worker id, reusing the caller's allocations. This is the
-/// representation the stream verifier (`verify::run_checked`, trace
-/// capture, race detection) consumes, and the oracle the differential
-/// suites compare the builder path against.
+/// Test and diagnostic sink: collects per-worker [`Op`] buffers, the
+/// input of the machine's event loop ([`transmuter::Machine::run`]) and
+/// its tracer, which the differential suites and the Figure 3
+/// walkthrough compare the program core against.
+///
+/// Only workers a kernel begins get a stream: an absent worker takes no
+/// part in barriers, while an empty LCP stream would change the
+/// barrier counts.
 #[derive(Debug)]
-pub struct OpBufSink<'a> {
+pub struct OpBufSink {
     geom: Geometry,
-    bufs: &'a mut Vec<Vec<Op>>,
+    bufs: Vec<Option<Vec<Op>>>,
     cur: usize,
 }
 
-impl<'a> OpBufSink<'a> {
-    /// Wraps `bufs`, growing it to at least `workers` buffers; buffers
-    /// beyond that (and buffers never begun) are left untouched.
-    pub fn new(geom: Geometry, bufs: &'a mut Vec<Vec<Op>>, workers: usize) -> Self {
-        if bufs.len() < workers {
-            bufs.resize_with(workers, Vec::new);
-        }
+impl OpBufSink {
+    /// An empty sink for `geom`.
+    pub fn new(geom: Geometry) -> Self {
         OpBufSink {
             geom,
-            bufs,
+            bufs: vec![None; geom.total_workers()],
             cur: usize::MAX,
         }
     }
+
+    /// Starts (or restarts) worker `w`'s buffer.
+    fn begin(&mut self, w: usize) {
+        self.cur = w;
+        self.bufs[w].get_or_insert_with(Vec::new).clear();
+    }
+
+    /// The open worker's buffer.
+    #[inline]
+    fn buf(&mut self) -> &mut Vec<Op> {
+        self.bufs[self.cur].as_mut().expect("no worker stream open")
+    }
+
+    /// Packs the buffers into an owned, runnable [`StreamSet`]; workers
+    /// never begun stay absent.
+    pub fn into_stream_set(self) -> StreamSet<'static> {
+        let geom = self.geom;
+        let mut set = StreamSet::new(geom);
+        for (w, ops) in self.bufs.into_iter().enumerate() {
+            let Some(ops) = ops else { continue };
+            match geom.locate(w) {
+                (tile, Some(pe)) => set.set_pe(tile, pe, ops.into_iter()),
+                (tile, None) => set.set_lcp(tile, ops.into_iter()),
+            }
+        }
+        set
+    }
 }
 
-impl KernelSink for OpBufSink<'_> {
+impl KernelSink for OpBufSink {
     fn begin_pe(&mut self, tile: usize, pe: usize) {
-        self.cur = self.geom.pe_id(tile, pe);
-        self.bufs[self.cur].clear();
+        self.begin(self.geom.pe_id(tile, pe));
     }
     fn begin_lcp(&mut self, tile: usize) {
-        self.cur = self.geom.lcp_id(tile);
-        self.bufs[self.cur].clear();
+        self.begin(self.geom.lcp_id(tile));
     }
     #[inline]
     fn reserve(&mut self, additional: usize) {
-        self.bufs[self.cur].reserve(additional);
+        self.buf().reserve(additional);
     }
     #[inline]
     fn compute(&mut self, cycles: u32) {
-        self.bufs[self.cur].push(Op::Compute(cycles));
+        self.buf().push(Op::Compute(cycles));
     }
     #[inline]
     fn load(&mut self, addr: Addr) {
-        self.bufs[self.cur].push(Op::Load(addr));
+        self.buf().push(Op::Load(addr));
     }
     #[inline]
     fn store(&mut self, addr: Addr) {
-        self.bufs[self.cur].push(Op::Store(addr));
+        self.buf().push(Op::Store(addr));
     }
     #[inline]
     fn spm_load(&mut self, offset: u32) {
-        self.bufs[self.cur].push(Op::SpmLoad(offset));
+        self.buf().push(Op::SpmLoad(offset));
     }
     #[inline]
     fn spm_store(&mut self, offset: u32) {
-        self.bufs[self.cur].push(Op::SpmStore(offset));
+        self.buf().push(Op::SpmStore(offset));
     }
     #[inline]
     fn tile_barrier(&mut self) {
-        self.bufs[self.cur].push(Op::TileBarrier);
+        self.buf().push(Op::TileBarrier);
     }
     #[inline]
     fn global_barrier(&mut self) {
-        self.bufs[self.cur].push(Op::GlobalBarrier);
+        self.buf().push(Op::GlobalBarrier);
     }
 }
 
@@ -197,13 +223,12 @@ pub(crate) fn heap_sift<K: KernelSink>(
 mod tests {
     use super::*;
 
-    fn sift_into(len: usize, mut node_ops: impl FnMut(usize, &mut OpBufSink<'_>)) -> Vec<Op> {
-        let g = Geometry::new(1, 1);
-        let mut bufs: Vec<Vec<Op>> = Vec::new();
-        let mut sink = OpBufSink::new(g, &mut bufs, 1);
+    fn sift_into(len: usize, mut node_ops: impl FnMut(usize, &mut OpBufSink)) -> Vec<Op> {
+        let mut sink = OpBufSink::new(Geometry::new(1, 1));
         sink.begin_pe(0, 0);
         heap_sift(len, &mut sink, &mut node_ops);
-        bufs.swap_remove(0)
+        let set = transmuter::verify::ProgramSet::materialize(sink.into_stream_set());
+        set.worker(0).expect("PE 0 was begun").to_vec()
     }
 
     #[test]

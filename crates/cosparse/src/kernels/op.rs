@@ -11,14 +11,14 @@
 //! final sparse output to main memory.
 
 use crate::balance::distribute_frontier;
-use crate::kernels::{heap_sift, KernelSink, OpBufSink};
+use crate::kernels::{heap_sift, KernelSink};
 use crate::layout::Layout;
 use crate::ops::OpProfile;
 use sparse::partition::RowPartition;
 use sparse::{CscMatrix, Idx};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use transmuter::{Geometry, Op, ProgramBuilder, StreamSet};
+use transmuter::Geometry;
 
 /// Configuration of one OP invocation.
 #[derive(Debug, Clone, Copy)]
@@ -61,54 +61,20 @@ pub fn subruns(csc_t: &CscMatrix, tile_parts: &RowPartition) -> Vec<(u32, u32)> 
     out
 }
 
-/// Compiles the OP kernel into per-worker op buffers, indexed by global
-/// worker id (PE ids first, then one LCP id per tile), reusing `out`'s
-/// allocations across invocations.
+/// Emits the OP kernel into `sink`: one stream per PE, then one per
+/// tile LCP. For a [`transmuter::ProgramBuilder`] the caller `begin`s
+/// and `finish`es it.
 ///
-/// The generator replays the actual merge on row indices so the op
-/// streams carry the exact column/heap/output access sequence the
-/// hardware would perform. `sub` must come from [`subruns`] for the
-/// same matrix and tile partition.
-///
-/// # Panics
-///
-/// Panics if `tile_parts.len() != geometry.tiles()` or the frontier is
-/// not strictly increasing.
-pub fn compile_into(
-    csc_t: &CscMatrix,
-    geometry: Geometry,
-    params: OpParams<'_>,
-    sub: &[(u32, u32)],
-    out: &mut Vec<Vec<Op>>,
-) {
-    let mut sink = OpBufSink::new(geometry, out, geometry.total_workers());
-    emit(csc_t, geometry, params, sub, &mut sink);
-}
-
-/// Emits the OP kernel straight into a lowering [`ProgramBuilder`] — the
-/// single-pass hot path, producing micro-ops and a lint verdict with no
-/// intermediate op buffers. The caller must have `begin`-reset the
-/// builder for the target configuration and `finish`es it afterwards.
-/// `sub` must come from [`subruns`] for the same matrix and tile
-/// partition.
+/// The generator replays the actual merge on row indices so the streams
+/// carry the exact column/heap/output access sequence the hardware
+/// would perform. `sub` must come from [`subruns`] for the same matrix
+/// and tile partition.
 ///
 /// # Panics
 ///
 /// Panics if `tile_parts.len() != geometry.tiles()` or the frontier is
 /// not strictly increasing.
-pub fn build(
-    csc_t: &CscMatrix,
-    geometry: Geometry,
-    params: OpParams<'_>,
-    sub: &[(u32, u32)],
-    builder: &mut ProgramBuilder,
-) {
-    emit(csc_t, geometry, params, sub, builder);
-}
-
-/// The one OP emitter both representations share (see the module docs of
-/// [`crate::kernels`]).
-fn emit<K: KernelSink>(
+pub fn build<K: KernelSink>(
     csc_t: &CscMatrix,
     geometry: Geometry,
     params: OpParams<'_>,
@@ -259,38 +225,19 @@ fn emit<K: KernelSink>(
     }
 }
 
-/// Compiles the OP kernel into per-PE and per-LCP op streams (one-shot
-/// form; see [`subruns`]/[`compile_into`] for the plan-cached path the
-/// runtime takes).
-///
-/// # Panics
-///
-/// Panics if `tile_parts.len() != geometry.tiles()` or the frontier is
-/// not strictly increasing.
-pub fn streams(csc_t: &CscMatrix, geometry: Geometry, params: OpParams<'_>) -> StreamSet<'static> {
-    let sub = subruns(csc_t, params.tile_parts);
-    let mut bufs: Vec<Vec<Op>> = Vec::new();
-    compile_into(csc_t, geometry, params, &sub, &mut bufs);
-    let mut set = StreamSet::new(geometry);
-    let mut it = bufs.into_iter();
-    for tile in 0..geometry.tiles() {
-        for pe in 0..geometry.pes_per_tile() {
-            let ops = it.next().expect("compile_into fills one buffer per PE");
-            set.set_pe(tile, pe, ops.into_iter());
-        }
-    }
-    for tile in 0..geometry.tiles() {
-        let ops = it.next().expect("compile_into fills one buffer per LCP");
-        set.set_lcp(tile, ops.into_iter());
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::balance::{op_tile_partitions, Balancing};
-    use transmuter::{HwConfig, Machine, MicroArch};
+    use crate::kernels::OpBufSink;
+    use transmuter::{HwConfig, Machine, MicroArch, StreamSet};
+
+    /// The kernel as op streams for the machine's event loop.
+    fn streams(csc: &CscMatrix, g: Geometry, params: OpParams<'_>) -> StreamSet<'static> {
+        let mut sink = OpBufSink::new(g);
+        build(csc, g, params, &subruns(csc, params.tile_parts), &mut sink);
+        sink.into_stream_set()
+    }
 
     fn setup(n: usize, nnz: usize) -> (CscMatrix, Layout, Geometry) {
         let g = Geometry::new(2, 4);

@@ -70,7 +70,7 @@ pub use ops::{apply, GraphOp, OpProfile, SpmvOp, Update};
 pub use runtime::{CacheStats, CoSparse, Frontier, Policy, SpmvOutcome, StepOutcome};
 pub use serve::{GraphService, ServeConfig, ServeError, ServeStats, Ticket};
 pub use shared::{SharedCacheStats, SharedGraph};
-pub use verify::{run_checked, VerifyReport};
+pub use verify::VerifyReport;
 // Re-export so downstream crates name the hardware configs, storage
 // formats and locality reorderings from here.
 pub use sparse::{FormatKind, ReorderKind};

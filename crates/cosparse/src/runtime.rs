@@ -7,7 +7,7 @@
 //! scratch buffers, the partial-frontier push accumulators,
 //! policy/adaptive state and a builder for frontier-dependent programs,
 //! while everything derivable from the matrix alone (formats, layout,
-//! partitions, compiled dense-IP programs, verify verdicts) lives in
+//! partitions, compiled dense-IP programs) lives in
 //! the shared graph and is read lock-free (see [`crate::shared`]). `CoSparse::new` builds a private
 //! graph for the common single-session case;
 //! [`SharedGraph::session`] opens additional cheap sessions over an
@@ -23,15 +23,16 @@ use crate::kernels::convert::{self, Direction};
 use crate::kernels::{formats, ip, op};
 use crate::ops::{apply_with, Accumulator, GraphOp, OpProfile, SpmvOp, Update};
 use crate::shared::{SharedCounters, SharedGraph, SharedPlan};
-use crate::verify::{run_checked, VerifyReport};
+use crate::verify::VerifyReport;
 use sparse::{
     CooMatrix, CscMatrix, DenseVector, FormatKind, Idx, Permutation, ReorderKind, SparseVector,
 };
 use std::any::Any;
 use std::sync::Arc;
+use transmuter::verify::{Diagnostic, LintKind, RegionMap, Severity};
 use transmuter::{
-    Analysis, EpochStats, Geometry, HwConfig, Machine, MemoStats, MicroArch, ProgramBuilder,
-    SimError, SimReport,
+    Analysis, EpochStats, Geometry, HwConfig, Machine, MemoStats, MicroArch, Program,
+    ProgramBuilder, SimError, SimReport,
 };
 
 /// A frontier (input vector) in one of the two representations the
@@ -164,8 +165,7 @@ pub struct StepOutcome<V> {
 struct Scratch {
     /// The single-pass lowering pipeline: kernels emit micro-ops
     /// straight into this builder (`begin` → `kernels::*::build` →
-    /// `finish`), so no intermediate op buffers are materialized on the
-    /// non-verify path.
+    /// `finish`), so no intermediate op buffers are materialized.
     builder: ProgramBuilder,
     /// What the builder's finished program currently is: the
     /// `(software, hardware)` slot indices of a frontier-dependent
@@ -173,7 +173,9 @@ struct Scratch {
     /// matching both skips emission entirely and re-runs the program
     /// as-is — the steady state of fixed-frontier callers and converged
     /// iterative algorithms. `None` when the builder was last used for
-    /// something else (a conversion or pack) or the plan was rebound.
+    /// something else (a conversion or pack), the plan was rebound, or
+    /// verification was toggled (so a held program is checked exactly
+    /// when verification is on).
     key: Option<(usize, usize)>,
     /// The frontier `key`'s program was built for, in the original
     /// index space (the bound plan's permutation is fixed, so equal
@@ -185,6 +187,18 @@ struct Scratch {
     perm: Vec<Idx>,
 }
 
+/// What a session build targets: the machine shape, whether the
+/// epoch-dependence analysis runs, and — for a checked build under
+/// verification — the plan's address map.
+#[derive(Debug, Clone, Copy)]
+struct Target<'a> {
+    geometry: Geometry,
+    hw: HwConfig,
+    uarch: &'a MicroArch,
+    analysis: bool,
+    regions: Option<&'a RegionMap>,
+}
+
 impl Scratch {
     /// Makes the builder hold the `key` program for `frontier`, emitting
     /// it through `emit` unless it already does; counts one scratch build
@@ -193,8 +207,7 @@ impl Scratch {
         &mut self,
         key: (usize, usize),
         frontier: &[Idx],
-        analysis: bool,
-        target: (Geometry, HwConfig, &MicroArch),
+        target: Target<'_>,
         counters: &SharedCounters,
         emit: impl FnOnce(&mut ProgramBuilder, &mut ip::IpScratch, &mut Vec<Idx>),
     ) {
@@ -202,7 +215,7 @@ impl Scratch {
             SharedCounters::bump(&counters.scratch_program_hits);
             return;
         }
-        self.begin(analysis, target);
+        self.begin(target);
         emit(&mut self.builder, &mut self.ip, &mut self.perm);
         self.builder.finish();
         self.key = Some(key);
@@ -211,11 +224,15 @@ impl Scratch {
         SharedCounters::bump(&counters.scratch_program_builds);
     }
 
-    /// Starts a build, forgetting whatever program the builder held.
-    fn begin(&mut self, analysis: bool, (geometry, hw, uarch): (Geometry, HwConfig, &MicroArch)) {
+    /// Starts a build for `target`, forgetting whatever program the
+    /// builder held.
+    fn begin(&mut self, target: Target<'_>) {
         self.key = None;
-        self.builder.set_analysis(analysis);
-        self.builder.begin(geometry, hw, uarch);
+        self.builder.set_analysis(target.analysis);
+        self.builder.begin(target.geometry, target.hw, target.uarch);
+        if let Some(regions) = target.regions {
+            self.builder.bind_regions(regions);
+        }
     }
 }
 
@@ -248,6 +265,24 @@ impl std::fmt::Debug for Accumulators {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Accumulators({} value types)", self.0.len())
     }
+}
+
+/// Runs `prog` on `machine`, remembering its analysis in
+/// `last_analysis`; under verification (`report` given) the program is
+/// a checked build, and its warnings and races are folded into `report`
+/// once it ran.
+fn run(
+    machine: &mut Machine,
+    prog: &Program,
+    last_analysis: &mut Option<Analysis>,
+    report: Option<&mut VerifyReport>,
+) -> Result<SimReport, SimError> {
+    *last_analysis = prog.analysis().cloned();
+    let sim = machine.run_program(prog)?;
+    if let Some(report) = report {
+        report.record(prog);
+    }
+    Ok(sim)
 }
 
 /// The frontier list an outer-product kernel streams: `active` itself
@@ -361,8 +396,9 @@ pub struct CoSparse {
     reorder_override: Option<ReorderKind>,
     prev_sw: Option<SwConfig>,
     adaptive: AdaptiveState,
-    verify: bool,
-    verify_report: VerifyReport,
+    /// The findings of the checked runs; `Some` exactly while
+    /// verification is on (see [`CoSparse::set_verify`]).
+    verify_report: Option<VerifyReport>,
     /// The bound shared plan. The `Arc` doubles as the session's plan
     /// cache key: as long as the op profile, balancing, format and
     /// reordering match, invocations never touch the graph's plan
@@ -436,8 +472,7 @@ impl CoSparse {
             reorder_override: None,
             prev_sw: None,
             adaptive: AdaptiveState::new(),
-            verify: false,
-            verify_report: VerifyReport::default(),
+            verify_report: None,
             plan: None,
             scratch: Scratch::default(),
             accumulators: Accumulators::default(),
@@ -496,29 +531,34 @@ impl CoSparse {
         self.deep_analysis = on;
     }
 
-    /// Enables (or disables) kernel verification: every subsequent
-    /// invocation is statically linted against the layout's address map
-    /// before running (rejected with [`SimError::Rejected`] on error)
-    /// and its trace is checked for data races, accumulated in
-    /// [`CoSparse::verification`]. Off by default — verification
-    /// materializes streams and records full traces.
+    /// Enables (or disables) kernel verification: every program the
+    /// session runs from then on — kernel, conversion and format pack,
+    /// on every frontier — is a checked build
+    /// ([`ProgramBuilder::bind_regions`]) against the plan's address
+    /// map. An error finding rejects the invocation with
+    /// [`SimError::Rejected`]; warnings and the program's data races
+    /// accumulate in [`CoSparse::verification`]. There is no per-plan
+    /// memo and no trace cap: every run is checked, and dense frontiers
+    /// build their own checked program instead of running the plan's
+    /// shared one. Checked programs time exactly like unchecked ones.
     ///
-    /// The verdict is memoized per `(dataflow, hardware)` pairing on the
-    /// *shared plan*: the first session to run a pairing under
-    /// verification pays the full lint + trace + race check, later
-    /// invocations — from any session on the graph — re-run the
-    /// compiled program directly (still counted in
-    /// [`VerifyReport::runs`]). The verdict is a property of the
-    /// immutable plan, so toggling verification resets this session's
-    /// report but not the plan's memo.
+    /// Off by default — a checked build records every access it emits.
+    /// Toggling resets the report and forgets the session's scratch
+    /// program, so an unchecked program is never reused as a checked one.
     pub fn set_verify(&mut self, on: bool) {
-        self.verify = on;
-        self.verify_report = VerifyReport::default();
+        self.verify_report = on.then(VerifyReport::default);
+        self.scratch.key = None;
     }
 
-    /// Findings accumulated since verification was enabled.
+    /// Findings accumulated since verification was enabled (an empty
+    /// report while it is off).
     pub fn verification(&self) -> &VerifyReport {
-        &self.verify_report
+        static OFF: VerifyReport = VerifyReport {
+            warnings: Vec::new(),
+            races: Vec::new(),
+            runs: 0,
+        };
+        self.verify_report.as_ref().unwrap_or(&OFF)
     }
 
     /// Overrides the decision thresholds.
@@ -790,16 +830,16 @@ impl CoSparse {
         let geometry = self.machine.geometry();
         // SCS splits each tile's banks between cache and SPM, which
         // needs at least two PEs per tile; the machine cannot even
-        // reconfigure into it on a 1-PE geometry. Under verification,
-        // reject statically (the same finding the stream linter
-        // reports) instead of letting the reconfigure panic.
-        if self.verify && decision.hardware == HwConfig::Scs && geometry.pes_per_tile() < 2 {
+        // reconfigure into it on a 1-PE geometry. Reject statically
+        // (the finding the linter reports) instead of letting the
+        // reconfigure panic.
+        if decision.hardware == HwConfig::Scs && geometry.pes_per_tile() < 2 {
             return Err(SimError::Rejected {
-                diagnostics: vec![transmuter::verify::Diagnostic {
+                diagnostics: vec![Diagnostic {
                     worker: 0,
                     position: None,
-                    severity: transmuter::verify::Severity::Error,
-                    kind: transmuter::verify::LintKind::UnsupportedConfig {
+                    severity: Severity::Error,
+                    kind: LintKind::UnsupportedConfig {
                         config: decision.hardware,
                     },
                 }],
@@ -818,7 +858,17 @@ impl CoSparse {
         // construction), borrowed from the graph so the machine stays
         // free for `&mut` runs.
         let uarch = self.shared.uarch();
-        let target = (geometry, decision.hardware, uarch);
+        // Under verification every build is a checked build against the
+        // plan's address map.
+        let mut report = self.verify_report.as_mut();
+        let regions = report.is_some().then_some(&plan.regions);
+        let target = Target {
+            geometry,
+            hw: decision.hardware,
+            uarch,
+            analysis: self.deep_analysis,
+            regions,
+        };
         // The vector-permute contract (fourth axis): when the bound plan
         // streams reordered operands, the kernels must see the
         // frontier's indices mapped into the permuted space too —
@@ -834,6 +884,21 @@ impl CoSparse {
         let dense = active.len() >= self.shared.matrix().cols();
         let reconfig_cost = self.machine.reconfigure(decision.hardware);
 
+        // One-shot programs — a frontier conversion, a format pack — are
+        // emitted into the session's builder and run once, so any cached
+        // frontier-dependent program is gone afterwards.
+        let mut one_shot = |emit: &dyn Fn(&mut ProgramBuilder)| {
+            self.scratch.begin(target);
+            emit(&mut self.scratch.builder);
+            SharedCounters::bump(&self.shared.counters().conversion_builds);
+            run(
+                &mut self.machine,
+                self.scratch.builder.finish(),
+                &mut self.last_analysis,
+                report.as_deref_mut(),
+            )
+        };
+
         // Frontier representation conversion (§III-D.2) when the
         // dataflow changed since the previous invocation.
         let conversion = match (self.prev_sw, decision.software) {
@@ -845,81 +910,40 @@ impl CoSparse {
             }
             _ => None,
         };
-        let mut conversion_report = None;
-        if let Some(direction) = conversion {
-            conversion_report = Some(if self.verify {
-                let streams = convert::streams(
-                    &plan.layout,
-                    geometry,
-                    self.shared.matrix().cols(),
-                    active.len(),
-                    direction,
-                    *profile,
-                );
-                run_checked(
-                    &mut self.machine,
-                    streams,
-                    &plan.regions,
-                    &mut self.verify_report,
-                )?
-            } else {
-                // Single-pass path: emit straight into the session's
-                // builder. This repurposes the builder, so any cached
-                // frontier-dependent program is gone.
-                self.scratch.begin(self.deep_analysis, target);
+        let cols = self.shared.matrix().cols();
+        let conversion_report = match conversion {
+            Some(direction) => Some(one_shot(&|builder| {
+                let nnz = active.len();
                 convert::build(
                     &plan.layout,
                     geometry,
-                    self.shared.matrix().cols(),
-                    active.len(),
+                    cols,
+                    nnz,
                     direction,
                     *profile,
-                    &mut self.scratch.builder,
-                );
-                SharedCounters::bump(&self.shared.counters().conversion_builds);
-                let prog = self.scratch.builder.finish();
-                self.last_analysis = prog.analysis().cloned();
-                self.machine.run_program(prog)?
-            });
-        }
+                    builder,
+                )
+            })?),
+            None => None,
+        };
 
         // One-time storage-format materialization (§III-D.2 analogue on
         // the format axis): the first invocation to land on a cold
         // alternate format streams the COO triplets through the PEs and
         // writes the packed image; every later invocation — from any
         // session on the graph — finds it warm.
-        let mut pack_report = None;
-        if cold_format && matches!(decision.format, FormatKind::Bitmap | FormatKind::Bcsr) {
-            let image_words = (plan.layout.fmt_bytes / 4) as usize;
-            let nnz = self.shared.matrix().nnz();
-            pack_report = Some(if self.verify {
-                let streams = formats::pack_streams(&plan.layout, geometry, nnz, image_words);
-                run_checked(
-                    &mut self.machine,
-                    streams,
-                    &plan.regions,
-                    &mut self.verify_report,
-                )?
+        let pack_report =
+            if cold_format && matches!(decision.format, FormatKind::Bitmap | FormatKind::Bcsr) {
+                let nnz = self.shared.matrix().nnz();
+                let image_words = (plan.layout.fmt_bytes / 4) as usize;
+                Some(one_shot(&|builder| {
+                    formats::build_pack(&plan.layout, geometry, nnz, image_words, builder)
+                })?)
             } else {
-                self.scratch.begin(self.deep_analysis, target);
-                formats::build_pack(
-                    &plan.layout,
-                    geometry,
-                    nnz,
-                    image_words,
-                    &mut self.scratch.builder,
-                );
-                SharedCounters::bump(&self.shared.counters().conversion_builds);
-                let prog = self.scratch.builder.finish();
-                self.last_analysis = prog.analysis().cloned();
-                self.machine.run_program(prog)?
-            });
-        }
+                None
+            };
 
-        let sw_idx = sw_index(decision.software);
-        let hw_idx = hw_index(decision.hardware);
-        let key = (sw_idx, hw_idx);
-        let check = self.verify && !plan.is_verified(sw_idx, hw_idx);
+        let key = (sw_index(decision.software), hw_index(decision.hardware));
         let counters = self.shared.counters();
         // §IV-C.1: a masked inner product inspects every vector element
         // but skips the MAC and output accesses for inactive ones. Stage
@@ -930,184 +954,85 @@ impl CoSparse {
             stage_mask(&mut self.mask_buf, active, perm, true);
         }
         let mask: Option<&[bool]> = masked_ip.then_some(&self.mask_buf[..]);
-        // Which program runs, by cache policy: the plan's shared dense
-        // program, the session's frontier-keyed scratch program, or — on
-        // a pairing's first verified run — the checked op-stream path.
-        let run = match decision.software {
-            SwConfig::InnerProduct
-                if matches!(decision.format, FormatKind::Bitmap | FormatKind::Bcsr) =>
-            {
-                // Format-streaming IP kernels (the third axis): same
-                // dataflow contract as the COO path, different matrix
-                // stream. Dense frontiers run the plan's shared compiled
-                // program (one per hardware slot, format-specific since
-                // the plan is format-keyed); masked frontiers go through
-                // the session builder scratch.
-                let params = formats::FmtParams {
-                    layout: &plan.layout,
-                    partition: &plan.ip_partition,
-                    active: mask,
-                    profile: *profile,
-                };
-                let bitmap = matches!(decision.format, FormatKind::Bitmap)
-                    .then(|| plan.bitmap(&self.shared));
-                let bcsr = bitmap.is_none().then(|| plan.bcsr(&self.shared));
-                let emit = |builder: &mut ProgramBuilder| match bitmap {
-                    Some(bitmap) => formats::build_bitmap(bitmap, geometry, params, builder),
-                    None => formats::build_bcsr(
-                        bcsr.expect("one image resolved"),
-                        geometry,
-                        params,
-                        builder,
-                    ),
-                };
-                if check {
-                    let streams = match bitmap {
-                        Some(bitmap) => formats::bitmap_streams(bitmap, geometry, params),
-                        None => formats::bcsr_streams(
-                            bcsr.expect("one image resolved"),
-                            geometry,
-                            params,
-                        ),
+        // The kernel this decision runs — the one lowering every cache
+        // policy below emits through. The format-streaming IP kernels
+        // (the third axis) keep the COO path's dataflow contract over a
+        // different matrix stream.
+        let emit = |builder: &mut ProgramBuilder,
+                    ip_scratch: &mut ip::IpScratch,
+                    perm_buf: &mut Vec<Idx>| {
+            let ip_params = |use_spm: bool| ip::IpParams {
+                layout: &plan.layout,
+                partition: &plan.ip_partition,
+                vblocks: if use_spm {
+                    &plan.vblocks_scs
+                } else {
+                    &plan.vblocks_sc
+                },
+                use_spm,
+                active: mask,
+                profile: *profile,
+            };
+            let fmt_params = formats::FmtParams {
+                layout: &plan.layout,
+                partition: &plan.ip_partition,
+                active: mask,
+                profile: *profile,
+            };
+            match (decision.software, decision.format) {
+                (SwConfig::InnerProduct, FormatKind::Bitmap) => {
+                    formats::build_bitmap(plan.bitmap(&self.shared), geometry, fmt_params, builder)
+                }
+                (SwConfig::InnerProduct, FormatKind::Bcsr) => {
+                    formats::build_bcsr(plan.bcsr(&self.shared), geometry, fmt_params, builder)
+                }
+                (SwConfig::InnerProduct, _) => ip::build_with(
+                    plan.coo(&self.shared),
+                    geometry,
+                    ip_params(decision.hardware == HwConfig::Scs),
+                    ip_scratch,
+                    builder,
+                ),
+                (SwConfig::OuterProduct, _) => {
+                    let csc = plan.csc(&self.shared);
+                    let params = op::OpParams {
+                        layout: &plan.layout,
+                        tile_parts: &plan.op_tile_parts,
+                        frontier: op_frontier(perm, active, perm_buf),
+                        heap_in_spm: decision.hardware == HwConfig::Ps,
+                        spm_node_cap: uarch.bank_bytes / 8,
+                        profile: *profile,
                     };
-                    run_checked(
-                        &mut self.machine,
-                        streams,
-                        &plan.regions,
-                        &mut self.verify_report,
-                    )
-                } else if dense {
-                    let prog = plan.dense_program(hw_idx, counters, || {
-                        let mut builder = ProgramBuilder::new();
-                        builder.set_analysis(true);
-                        builder.begin(geometry, decision.hardware, uarch);
-                        emit(&mut builder);
-                        builder.finish().clone()
-                    });
-                    self.last_analysis = prog.analysis().cloned();
-                    self.machine.run_program(prog)
-                } else {
-                    self.scratch.ensure(
-                        key,
-                        active,
-                        self.deep_analysis,
-                        target,
-                        counters,
-                        |builder, _, _| emit(builder),
-                    );
-                    self.last_analysis = self.scratch.builder.program().analysis().cloned();
-                    self.machine.run_program(self.scratch.builder.program())
-                }
-            }
-            SwConfig::InnerProduct => {
-                let use_spm = decision.hardware == HwConfig::Scs;
-                let coo = plan.coo(&self.shared);
-                let params = ip::IpParams {
-                    layout: &plan.layout,
-                    partition: &plan.ip_partition,
-                    vblocks: if use_spm {
-                        &plan.vblocks_scs
-                    } else {
-                        &plan.vblocks_sc
-                    },
-                    use_spm,
-                    active: mask,
-                    profile: *profile,
-                };
-                if check {
-                    let compiled = ip::compile(coo, geometry, params);
-                    let streams = ip::replay(&compiled, geometry);
-                    run_checked(
-                        &mut self.machine,
-                        streams,
-                        &plan.regions,
-                        &mut self.verify_report,
-                    )
-                } else if dense {
-                    // Fully dense frontier: run the shared compiled
-                    // program, built once per hardware slot through a
-                    // fresh builder (the session's own builder keeps its
-                    // frontier-dependent program), analysis always on —
-                    // the cost amortizes over every session and
-                    // iteration. This is the steady state of PR/CF: the
-                    // shared program keeps one id, so each machine's
-                    // steady-state memo sees the same recurring program
-                    // every iteration.
-                    let prog = plan.dense_program(hw_idx, counters, || {
-                        let mut builder = ProgramBuilder::new();
-                        builder.set_analysis(true);
-                        builder.begin(geometry, decision.hardware, uarch);
-                        ip::build(coo, geometry, params, &mut builder);
-                        builder.finish().clone()
-                    });
-                    self.last_analysis = prog.analysis().cloned();
-                    self.machine.run_program(prog)
-                } else {
-                    // Frontier-dependent ops: emit straight into the
-                    // session's builder in one pass — no op buffers,
-                    // no separate lowering walk — and no work at all
-                    // when the builder already holds this exact
-                    // (config, frontier).
-                    self.scratch.ensure(
-                        key,
-                        active,
-                        self.deep_analysis,
-                        target,
-                        counters,
-                        |builder, ip_scratch, _| {
-                            ip::build_with(coo, geometry, params, ip_scratch, builder)
-                        },
-                    );
-                    self.last_analysis = self.scratch.builder.program().analysis().cloned();
-                    self.machine.run_program(self.scratch.builder.program())
-                }
-            }
-            SwConfig::OuterProduct => {
-                let csc = plan.csc(&self.shared);
-                let base = op::OpParams {
-                    layout: &plan.layout,
-                    tile_parts: &plan.op_tile_parts,
-                    frontier: active,
-                    heap_in_spm: decision.hardware == HwConfig::Ps,
-                    spm_node_cap: uarch.bank_bytes / 8,
-                    profile: *profile,
-                };
-                if check {
-                    let frontier = op_frontier(perm, active, &mut self.scratch.perm);
-                    let streams = op::streams(csc, geometry, op::OpParams { frontier, ..base });
-                    run_checked(
-                        &mut self.machine,
-                        streams,
-                        &plan.regions,
-                        &mut self.verify_report,
-                    )
-                } else {
-                    self.scratch.ensure(
-                        key,
-                        active,
-                        self.deep_analysis,
-                        target,
-                        counters,
-                        |builder, _, perm_buf| {
-                            let frontier = op_frontier(perm, active, perm_buf);
-                            let params = op::OpParams { frontier, ..base };
-                            op::build(csc, geometry, params, plan.subruns(csc), builder)
-                        },
-                    );
-                    self.last_analysis = self.scratch.builder.program().analysis().cloned();
-                    self.machine.run_program(self.scratch.builder.program())
+                    op::build(csc, geometry, params, plan.subruns(csc), builder)
                 }
             }
         };
+        // Which program runs, by cache policy. A fully dense IP frontier
+        // runs the plan's shared program, built once per hardware slot
+        // through a fresh builder with analysis always on — the cost
+        // amortizes over every session and iteration, and the program
+        // keeps one id, so each machine's steady-state memo sees the
+        // same recurring program (the steady state of PR/CF). Everything
+        // else — and every checked build — is emitted into the session's
+        // builder, with no work at all when it already holds this exact
+        // (config, frontier).
+        let prog = if dense && decision.software == SwConfig::InnerProduct && regions.is_none() {
+            plan.dense_program(key.1, counters, || {
+                let mut builder = ProgramBuilder::new();
+                builder.set_analysis(true);
+                builder.begin(geometry, decision.hardware, uarch);
+                emit(&mut builder, &mut ip::IpScratch::default(), &mut Vec::new());
+                builder.finish().clone()
+            })
+        } else {
+            self.scratch.ensure(key, active, target, counters, emit);
+            self.scratch.builder.program()
+        };
+        let run = run(&mut self.machine, prog, &mut self.last_analysis, report);
         if masked_ip {
             stage_mask(&mut self.mask_buf, active, perm, false);
         }
         let mut report = run?;
-        if check {
-            plan.mark_verified(sw_idx, hw_idx);
-        } else if self.verify {
-            self.verify_report.runs += 1;
-        }
         // Only remember the dataflow once its kernel actually ran: a
         // rejected or failed invocation must not convince the next call
         // that the frontier representation already switched.
@@ -1820,6 +1745,71 @@ mod frontier_tests {
         // far, so a builder rebuilt on rebind would show less.
         assert!(rt.scratch.builder.program().len() < grown);
         assert_eq!(rt.scratch.builder.op_capacity(), grown);
+    }
+
+    #[test]
+    fn verify_toggle_never_reuses_a_scratch_program() {
+        // A repeated OP frontier re-runs the session's scratch program; a
+        // verification toggle in between must rebuild it, checked
+        // exactly when verification is on.
+        let m = sparse::generate::uniform(512, 512, 4000, 3).unwrap();
+        let machine = Machine::new(
+            transmuter::Geometry::new(2, 4),
+            transmuter::MicroArch::paper(),
+        );
+        let mut rt = CoSparse::new(&m, machine);
+        rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
+        let x = Frontier::Sparse(sparse::generate::random_sparse_vector(512, 0.05, 9).unwrap());
+        let builds = |rt: &CoSparse| rt.cache_stats().scratch_program_builds;
+        rt.spmv(&x).unwrap();
+        rt.spmv(&x).unwrap();
+        assert_eq!(rt.cache_stats().scratch_program_hits, 1);
+        let unchecked = builds(&rt);
+
+        rt.set_verify(true);
+        rt.spmv(&x).unwrap();
+        assert_eq!(builds(&rt), unchecked + 1, "unchecked program reused");
+        assert!(rt.scratch.builder.program().races().is_some());
+        // A checked program is reused while verification stays on, and
+        // every run of it counts.
+        rt.spmv(&x).unwrap();
+        assert_eq!(builds(&rt), unchecked + 1);
+        assert_eq!(rt.verification().runs, 2);
+
+        rt.set_verify(false);
+        rt.spmv(&x).unwrap();
+        assert_eq!(builds(&rt), unchecked + 2, "checked program reused");
+        assert!(rt.scratch.builder.program().races().is_none());
+    }
+
+    #[test]
+    fn verified_dense_frontier_skips_the_shared_program() {
+        let m = sparse::generate::uniform(512, 512, 4000, 3).unwrap();
+        let x = Frontier::Dense(sparse::generate::random_dense_vector(512, 4));
+        let run = |verify: bool| {
+            let machine = Machine::new(
+                transmuter::Geometry::new(2, 4),
+                transmuter::MicroArch::paper(),
+            );
+            let mut rt = CoSparse::new(&m, machine);
+            rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Scs));
+            rt.set_verify(verify);
+            let cycles = rt.spmv(&x).unwrap().report.cycles;
+            (cycles, rt.cache_stats(), rt.verification().runs)
+        };
+        let (want, stats, _) = run(false);
+        assert_eq!(stats.dense_program_builds, 1);
+        let (got, stats, runs) = run(true);
+        assert_eq!(
+            stats.dense_program_builds, 0,
+            "checked run used the shared slot"
+        );
+        assert_eq!(stats.scratch_program_builds, 1);
+        assert_eq!(runs, 1);
+        assert_eq!(
+            got, want,
+            "a checked build must time like the shared program"
+        );
     }
 
     #[test]

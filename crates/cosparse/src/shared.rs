@@ -3,8 +3,8 @@
 //! Everything derivable from the operand matrix alone — the COO/CSC
 //! (and lazily CSR) copies, the address-space [`Layout`] and its
 //! [`RegionMap`], the workload-balanced partitions and vblock tilings,
-//! the compiled dense-IP [`Program`]s per hardware configuration, and
-//! the per-pairing verify verdicts — lives in one [`SharedGraph`],
+//! and the compiled dense-IP [`Program`]s per hardware configuration —
+//! lives in one [`SharedGraph`],
 //! built once and shared via [`Arc`] by any number of concurrent
 //! sessions. A [`CoSparse`] session keeps only what is genuinely
 //! per-query: its simulated [`Machine`], frontier scratch, adaptive
@@ -12,7 +12,7 @@
 //! graph is where the setup cost lives.
 //!
 //! Read paths are lock-free in the steady state: a session caches an
-//! `Arc` to its current [`SharedPlan`] (re-looked-up only when the op
+//! `Arc` to its current `SharedPlan` (re-looked-up only when the op
 //! profile or balancing scheme changes), and the plan's dense-IP
 //! programs and OP sub-run tables sit behind [`OnceLock`]s — writes
 //! happen only on the cold miss that first derives the artifact. The
@@ -34,7 +34,7 @@ use sparse::{
     BcsrMatrix, BitmapCsr, CooMatrix, CscMatrix, CsrMatrix, FormatKind, FormatProbe, Permutation,
     ReorderKind, ReorderProbe,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use transmuter::verify::RegionMap;
 use transmuter::{Geometry, HwConfig, Machine, MicroArch, Program};
@@ -177,9 +177,7 @@ impl ReorderedGraph {
 /// The geometry-derived members (layout, partitions, vblocks) are plain
 /// immutable data; the dense-IP programs and OP sub-run bounds are
 /// derived lazily behind [`OnceLock`]s by whichever session first needs
-/// them, then read lock-free by everyone. The verify-verdict matrix is
-/// a property of the plan (a pairing that linted clean stays clean for
-/// this matrix/layout), shared as atomics.
+/// them, then read lock-free by everyone.
 #[derive(Debug)]
 pub(crate) struct SharedPlan {
     pub(crate) profile: OpProfile,
@@ -202,10 +200,6 @@ pub(crate) struct SharedPlan {
     /// Matrix-invariant OP column sub-run bounds (see
     /// [`crate::kernels::op::subruns`]).
     op_subruns: OnceLock<Vec<(u32, u32)>>,
-    /// Verify-verdict memo, indexed `[software][hardware]`: true once
-    /// the pairing was linted and race-checked on this plan by any
-    /// session.
-    verified: [[AtomicBool; 4]; 2],
 }
 
 impl SharedPlan {
@@ -279,7 +273,6 @@ impl SharedPlan {
             vblocks_scs,
             ip_programs: std::array::from_fn(|_| OnceLock::new()),
             op_subruns: OnceLock::new(),
-            verified: std::array::from_fn(|_| std::array::from_fn(|_| AtomicBool::new(false))),
         }
     }
 
@@ -312,16 +305,6 @@ impl SharedPlan {
     pub(crate) fn subruns(&self, csc: &CscMatrix) -> &[(u32, u32)] {
         self.op_subruns
             .get_or_init(|| crate::kernels::op::subruns(csc, &self.op_tile_parts))
-    }
-
-    /// True once `(sw_idx, hw_idx)` was verified clean on this plan.
-    pub(crate) fn is_verified(&self, sw_idx: usize, hw_idx: usize) -> bool {
-        self.verified[sw_idx][hw_idx].load(Ordering::Acquire)
-    }
-
-    /// Records a clean verify verdict for `(sw_idx, hw_idx)`.
-    pub(crate) fn mark_verified(&self, sw_idx: usize, hw_idx: usize) {
-        self.verified[sw_idx][hw_idx].store(true, Ordering::Release);
     }
 
     /// The permutation this plan streams under, when reordered.

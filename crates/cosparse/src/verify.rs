@@ -1,77 +1,50 @@
-//! Runtime integration of the [`transmuter::verify`] layer: every
-//! kernel invocation is statically linted against the active hardware
-//! configuration and the [`crate::Layout`]'s address map, then run
-//! under tracing, and the trace is checked for data races.
+//! Runtime integration of the [`transmuter::verify`] layer.
 //!
-//! Verification is opt-in (see [`crate::CoSparse::set_verify`]) because
-//! it materializes the lazy op streams and records a full trace — fine
-//! for tests and kernel development, too heavy for large sweeps.
+//! Under [`crate::CoSparse::set_verify`] every program a session runs is
+//! a *checked build* ([`transmuter::ProgramBuilder::bind_regions`]): the
+//! builder lints each op against the active hardware configuration and
+//! the [`crate::Layout`]'s address map as it is emitted, and derives the
+//! program's data races from its barrier structure. An error finding
+//! rejects the run ([`transmuter::SimError::Rejected`]); warnings and
+//! races accumulate in a [`VerifyReport`].
+//!
+//! Verification is opt-in because a checked build records every access
+//! it emits — fine for tests and kernel development, extra host work
+//! for large sweeps. It never changes what runs: a checked program
+//! times exactly like the unchecked one.
 
-use transmuter::verify::{self, Diagnostic, ProgramSet, Race, RegionMap};
-use transmuter::{Machine, SimError, SimReport, TraceConfig};
+use transmuter::verify::{Diagnostic, Race, Severity};
+use transmuter::Program;
 
 /// Accumulated findings across the checked runs of one runtime.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     /// Warning-severity lint findings (error findings abort the run via
-    /// [`SimError::Rejected`] instead of landing here).
+    /// [`transmuter::SimError::Rejected`] instead of landing here).
     pub warnings: Vec<Diagnostic>,
-    /// Data races detected in the recorded traces.
+    /// Data races of the checked programs.
     pub races: Vec<Race>,
-    /// Number of kernel invocations checked.
+    /// Number of checked program runs.
     pub runs: usize,
-    /// True if any trace hit the event cap, in which case race
-    /// detection may have missed conflicts (never invented them).
-    pub truncated: bool,
 }
 
 impl VerifyReport {
-    /// True if no race was detected and no trace was truncated.
+    /// True if no race was detected.
     pub fn is_clean(&self) -> bool {
-        self.races.is_empty() && !self.truncated
+        self.races.is_empty()
     }
-}
 
-/// Event cap for verification traces. Sized for the synthetic matrices
-/// verification sweeps use; `VerifyReport::truncated` reports overflow.
-const VERIFY_MAX_EVENTS: usize = 4 << 20;
-
-/// Materializes `streams`, lints them against `machine`'s current
-/// configuration and `regions`, runs them under tracing, and folds the
-/// race-detector findings into `report`.
-///
-/// A free function (not a `CoSparse` method) so the runtime can borrow
-/// its machine mutably while the streams borrow its matrices.
-///
-/// # Errors
-///
-/// [`SimError::Rejected`] when the linter finds error-severity
-/// diagnostics, or any error the run itself produces.
-pub fn run_checked(
-    machine: &mut Machine,
-    streams: transmuter::StreamSet<'_>,
-    regions: &RegionMap,
-    report: &mut VerifyReport,
-) -> Result<SimReport, SimError> {
-    let programs = ProgramSet::materialize(streams);
-    machine.set_trace(Some(TraceConfig {
-        workers: None,
-        max_events: VERIFY_MAX_EVENTS,
-    }));
-    let result = machine.run_verified(&programs, Some(regions));
-    let capture = machine.take_trace_capture();
-    machine.set_trace(None);
-    let sim = result?;
-
-    let diagnostics = verify::lint(&programs, machine.config(), machine.uarch(), Some(regions));
-    report.warnings.extend(diagnostics);
-    report.truncated |= capture.truncated;
-    report.races.extend(verify::detect_races(
-        &capture.events,
-        machine.geometry(),
-        machine.config(),
-        machine.uarch(),
-    ));
-    report.runs += 1;
-    Ok(sim)
+    /// Folds in one run of the checked program `prog`.
+    pub(crate) fn record(&mut self, prog: &Program) {
+        let diagnostics = prog.lint_diagnostics().unwrap_or_default();
+        self.warnings.extend(
+            diagnostics
+                .iter()
+                .filter(|d| d.severity == Severity::Warning)
+                .cloned(),
+        );
+        self.races
+            .extend_from_slice(prog.races().unwrap_or_default());
+        self.runs += 1;
+    }
 }

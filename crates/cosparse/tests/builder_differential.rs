@@ -1,9 +1,9 @@
 //! Kernel-level differential suite for the single-pass pipeline: every
-//! SW x HW combination is emitted twice from the same kernel emitter —
-//! once into legacy per-worker op buffers (run through the machine's
-//! event loop) and once straight into a [`ProgramBuilder`] (run through
-//! the compiled-program core) — and the two executions must agree bit
-//! for bit on cycles and traffic statistics.
+//! SW x HW combination is emitted twice from the same kernel `build` —
+//! once into an [`OpBufSink`] (per-worker op buffers, run through the
+//! machine's event loop) and once straight into a [`ProgramBuilder`]
+//! (run through the compiled-program core) — and the two executions
+//! must agree bit for bit on cycles and traffic statistics.
 //!
 //! One builder instance is reused across every combination, mirroring
 //! how a runtime session repurposes its builder between conversion and
@@ -11,7 +11,7 @@
 
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
 use cosparse::kernels::convert::{self, Direction};
-use cosparse::kernels::{ip, op};
+use cosparse::kernels::{ip, op, OpBufSink};
 use cosparse::{Layout, OpProfile};
 use sparse::partition::VBlocks;
 use sparse::{CooMatrix, CscMatrix, Idx};
@@ -40,6 +40,14 @@ fn sparse_frontier() -> Vec<Idx> {
         .iter()
         .map(|(i, _)| i)
         .collect()
+}
+
+/// Runs `build`'s op buffers through the event loop of a fresh machine
+/// configured for `hw`.
+fn event_loop(hw: HwConfig, build: impl FnOnce(&mut OpBufSink)) -> SimReport {
+    let mut sink = OpBufSink::new(geometry());
+    build(&mut sink);
+    machine(hw).run(sink.into_stream_set()).unwrap()
 }
 
 /// Asserts the two pipeline outputs are indistinguishable.
@@ -78,7 +86,7 @@ fn ip_builder_matches_legacy_event_loop_on_all_hw() {
             profile: OpProfile::scalar(),
         };
 
-        let legacy = machine(hw).run(ip::streams(&coo, g, params)).unwrap();
+        let legacy = event_loop(hw, |s| ip::build(&coo, g, params, s));
 
         builder.begin(g, hw, &ua);
         ip::build(&coo, g, params, &mut builder);
@@ -113,7 +121,7 @@ fn masked_ip_builder_matches_legacy_event_loop() {
     let mut builder = ProgramBuilder::new();
 
     for hw in [HwConfig::Sc, HwConfig::Pc] {
-        let legacy = machine(hw).run(ip::streams(&coo, g, params)).unwrap();
+        let legacy = event_loop(hw, |s| ip::build(&coo, g, params, s));
         builder.begin(g, hw, &ua);
         ip::build(&coo, g, params, &mut builder);
         let built = machine(hw).run_program(builder.finish()).unwrap();
@@ -150,7 +158,7 @@ fn op_builder_matches_legacy_event_loop_on_all_hw() {
             profile: OpProfile::scalar(),
         };
 
-        let legacy = machine(hw).run(op::streams(&csc, g, params)).unwrap();
+        let legacy = event_loop(hw, |s| op::build(&csc, g, params, &sub, s));
 
         builder.begin(g, hw, &ua);
         op::build(&csc, g, params, &sub, &mut builder);
@@ -171,16 +179,9 @@ fn conversion_builder_matches_legacy_event_loop() {
     let active_nnz = sparse_frontier().len();
 
     for dir in [Direction::DenseToSparse, Direction::SparseToDense] {
-        let legacy = machine(HwConfig::Sc)
-            .run(convert::streams(
-                &layout,
-                g,
-                N,
-                active_nnz,
-                dir,
-                OpProfile::scalar(),
-            ))
-            .unwrap();
+        let legacy = event_loop(HwConfig::Sc, |s| {
+            convert::build(&layout, g, N, active_nnz, dir, OpProfile::scalar(), s)
+        });
 
         builder.begin(g, HwConfig::Sc, &ua);
         convert::build(

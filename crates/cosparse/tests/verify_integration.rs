@@ -1,6 +1,7 @@
 //! End-to-end verification of the shipped kernels: under every legal
-//! software x hardware pairing, the generated streams must lint clean
-//! against the layout's address map and produce race-free traces.
+//! software x hardware pairing, the checked builds a verified session
+//! runs must lint clean against the layout's address map and be
+//! race-free.
 
 use cosparse::{CoSparse, Frontier, HwConfig, Policy, SwConfig};
 use transmuter::{Geometry, Machine, MicroArch};
@@ -29,7 +30,6 @@ fn check(sw: SwConfig, hw: HwConfig, density: f64) {
     assert!(out.report.cycles > 0);
     let report = rt.verification();
     assert!(report.runs >= 1, "{sw:?}/{hw}: nothing was verified");
-    assert!(!report.truncated, "{sw:?}/{hw}: trace truncated");
     assert!(
         report.races.is_empty(),
         "{sw:?}/{hw}: shipped kernel races: {:?}",
@@ -76,19 +76,24 @@ fn dataflow_switch_verifies_both_kernels() {
 #[test]
 fn conversion_kernels_verify_clean() {
     use cosparse::kernels::convert::{self, Direction};
-    use cosparse::{run_checked, Layout, OpProfile, VerifyReport};
+    use cosparse::{Layout, OpProfile};
+    use transmuter::ProgramBuilder;
 
     let geom = Geometry::new(2, 4);
     let n = 256;
     let layout = Layout::new(n, n, 2000, geom, 1);
+    let mut builder = ProgramBuilder::new();
     for dir in [Direction::DenseToSparse, Direction::SparseToDense] {
         let mut machine = Machine::new(geom, MicroArch::paper());
-        let mut report = VerifyReport::default();
-        let streams = convert::streams(&layout, geom, n, 40, dir, OpProfile::scalar());
-        run_checked(&mut machine, streams, &layout.regions(), &mut report)
+        builder.begin(geom, machine.config(), machine.uarch());
+        builder.bind_regions(&layout.regions());
+        convert::build(&layout, geom, n, 40, dir, OpProfile::scalar(), &mut builder);
+        let prog = builder.finish();
+        machine
+            .run_program(prog)
             .unwrap_or_else(|e| panic!("{dir:?}: {e}"));
-        assert!(report.races.is_empty(), "{dir:?}: {:?}", report.races);
-        assert!(!report.truncated);
+        let races = prog.races().expect("a checked build attaches its races");
+        assert!(races.is_empty(), "{dir:?}: {races:?}");
     }
 }
 
@@ -119,6 +124,22 @@ fn scs_on_single_pe_geometry_rejected_not_panicking() {
     // geometry; a verified runtime must reject statically instead.
     let geom = Geometry::new(2, 1);
     let mut rt = runtime(64, 300, geom);
+    rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Scs));
+    let x = Frontier::Dense(sparse::generate::random_dense_vector(64, 2));
+    let err = rt.spmv(&x).unwrap_err();
+    assert!(
+        matches!(err, transmuter::SimError::Rejected { .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn scs_on_single_pe_geometry_rejected_without_verification() {
+    // The static rejection does not depend on verification: an
+    // unverified session must not panic in the reconfigure either.
+    let geom = Geometry::new(2, 1);
+    let m = sparse::generate::uniform(64, 64, 300, 17).unwrap();
+    let mut rt = CoSparse::new(&m, Machine::new(geom, MicroArch::paper()));
     rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Scs));
     let x = Frontier::Dense(sparse::generate::random_dense_vector(64, 2));
     let err = rt.spmv(&x).unwrap_err();

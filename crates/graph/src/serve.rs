@@ -1,7 +1,7 @@
 //! Typed graph queries for the serving layer.
 //!
 //! [`GraphQuery`] is the wire-level request a multi-tenant
-//! [`GraphService`](cosparse::GraphService) answers: a BFS or SSSP from
+//! [`cosparse::GraphService`] answers: a BFS or SSSP from
 //! a source vertex, or a PageRank snapshot. Each query runs the full
 //! iterative engine loop ([`crate::run_algorithm`]) on whichever worker
 //! session picks it up, and returns a [`QueryAnswer`] holding the final

@@ -561,8 +561,7 @@ pub struct ReorderProbe {
 
 impl ReorderProbe {
     /// Probes `coo`: candidate permutations are computed transiently,
-    /// statistics sampled at a stride targeting [`PROBE_SAMPLES`]
-    /// entries.
+    /// statistics sampled at a stride targeting about 4096 entries.
     pub fn of(coo: &CooMatrix) -> ReorderProbe {
         let stride = (coo.nnz() / PROBE_SAMPLES).max(1);
         let mut probe = ReorderProbe {

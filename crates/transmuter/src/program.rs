@@ -33,7 +33,7 @@ use crate::memsys::{
 };
 use crate::op::{Addr, Op};
 use crate::stats::SimStats;
-use crate::verify::{self, Diagnostic, LintKind, Severity};
+use crate::verify::{self, Diagnostic, LintKind, Race, RaceAccess, RegionMap, Severity};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Source of [`Program::id`] values; 0 is reserved (never issued).
@@ -149,6 +149,9 @@ pub struct Program {
     /// from its incrementally maintained sets, and by
     /// [`Program::recompile`] via the post-hoc oracle.
     analysis: Option<Analysis>,
+    /// The data races of a checked build; `None` for every other
+    /// program (see [`ProgramBuilder::bind_regions`]).
+    races: Option<Vec<Race>>,
 }
 
 impl Program {
@@ -172,6 +175,7 @@ impl Program {
             ranges: Vec::new(),
             parallel_ok: false,
             lint: None,
+            races: None,
             analysis: None,
         };
         p.recompile(geom, hw, ua, streams);
@@ -201,6 +205,7 @@ impl Program {
         self.ranges.clear();
         self.ranges.resize(geom.total_workers(), None);
         self.lint = None;
+        self.races = None;
         self.analysis = None;
 
         let ctx = LowerCtx::new(geom, hw, ua);
@@ -287,6 +292,14 @@ impl Program {
     /// by the machine.
     pub fn analysis(&self) -> Option<&Analysis> {
         self.analysis.as_ref()
+    }
+
+    /// The data races of a checked build ([`ProgramBuilder::bind_regions`]),
+    /// sorted by (epoch, site): equal to [`verify::detect_races`] over
+    /// the trace of the same streams, whatever the schedule. `None` for
+    /// unchecked builds and for compiled programs.
+    pub fn races(&self) -> Option<&[Race]> {
+        self.races.as_deref()
     }
 
     /// Diagnostics that reject this program, if the attached lint found
@@ -567,10 +580,10 @@ fn barrier_divergence(r: &[u32], s: &[u32]) -> usize {
 /// pipeline. Kernels open one worker stream at a time
 /// ([`ProgramBuilder::begin_pe`] / [`ProgramBuilder::begin_lcp`]) and
 /// append ops through the emission verbs; each op is lowered to a
-/// [`MicroOp`] on append — cache lines, bank routing, SPM offsets and
-/// compute-cost clamping resolved exactly as [`Program::recompile`]
-/// would — while barrier-epoch congruence and the [`verify::lint`]
-/// checks run online. [`ProgramBuilder::finish`] therefore yields a
+/// pre-decoded micro-op on append — cache lines, bank routing, SPM
+/// offsets and compute-cost clamping resolved exactly as
+/// [`Program::recompile`] would — while barrier-epoch congruence and
+/// the [`verify::lint`] checks run online. [`ProgramBuilder::finish`] therefore yields a
 /// [`Program`] with the lint verdict already attached, without ever
 /// materializing an [`Op`] stream.
 ///
@@ -580,9 +593,27 @@ fn barrier_divergence(r: &[u32], s: &[u32]) -> usize {
 ///
 /// Equivalence with the two-pass path is pinned by unit tests below and
 /// by the differential suites in `transmuter/tests` and the `cosparse`
-/// crate. One deliberate difference: the builder takes no address-region
-/// map, so it never reports [`LintKind::UnmappedAddress`] — its verdict
-/// equals [`verify::lint`] called with `regions: None`.
+/// crate: an unchecked build's verdict equals [`verify::lint`] called
+/// with `regions: None`.
+///
+/// # Checked builds
+///
+/// [`ProgramBuilder::bind_regions`] makes the current build a *checked
+/// build*, which adds the two checks that need more than one op at a
+/// time:
+///
+/// * every `load`/`store` outside the bound [`RegionMap`] draws a
+///   [`LintKind::UnmappedAddress`] error, so the verdict equals
+///   [`verify::lint`] called with `Some(regions)`;
+/// * every access is recorded with its worker and barrier counts, and
+///   [`ProgramBuilder::finish`] attaches the data races among them
+///   ([`Program::races`]). Whether two accesses race depends only on
+///   program-order facts (same word, same global epoch, not ordered by a
+///   tile barrier), so this static result equals
+///   [`verify::detect_races`] over the trace of any run of the program.
+///
+/// Unchecked builds pay one predictable branch per access for all of
+/// this, shared with the analysis gate.
 #[derive(Debug)]
 pub struct ProgramBuilder {
     prog: Program,
@@ -618,12 +649,23 @@ pub struct ProgramBuilder {
     /// [`finish`]: ProgramBuilder::finish
     /// [`Analysis`]: crate::Analysis
     analysis_enabled: bool,
+    /// True for a checked build ([`ProgramBuilder::bind_regions`]);
+    /// cleared by [`ProgramBuilder::begin`].
+    checked: bool,
+    /// `analysis_enabled || checked`: the one per-access gate.
+    tracking: bool,
+    /// The address map a checked build lints accesses against.
+    regions: RegionMap,
+    /// A checked build's race records, in emission order.
+    race_accs: Vec<RaceAccess>,
     cur_worker: usize,
     cur_pe: Option<usize>,
     cur_tile: u16,
     /// Global barriers emitted so far on the open worker's stream = the
     /// epoch index its next op belongs to.
     cur_epoch: u32,
+    /// Tile barriers emitted so far on the open worker's stream.
+    cur_tile_bars: u32,
     cur_lo: u32,
     cur_seg_lo: u32,
     open: bool,
@@ -655,6 +697,7 @@ impl ProgramBuilder {
                 ranges: Vec::new(),
                 parallel_ok: false,
                 lint: None,
+                races: None,
                 analysis: None,
             },
             lower,
@@ -667,10 +710,15 @@ impl ProgramBuilder {
             diags: Vec::new(),
             arena: Vec::new(),
             analysis_enabled: true,
+            checked: false,
+            tracking: true,
+            regions: RegionMap::new(),
+            race_accs: Vec::new(),
             cur_worker: 0,
             cur_pe: None,
             cur_tile: 0,
             cur_epoch: 0,
+            cur_tile_bars: 0,
             cur_lo: 0,
             cur_seg_lo: 0,
             open: false,
@@ -682,7 +730,8 @@ impl ProgramBuilder {
     /// Resets the builder in place for a new build against
     /// `(geom, hw, ua)`, reusing every internal buffer (the streaming
     /// twin of [`Program::recompile`]). The owned program gets a fresh
-    /// identity; any attached lint verdict is discarded.
+    /// identity; any attached lint verdict is discarded, and the build
+    /// is unchecked until [`ProgramBuilder::bind_regions`].
     pub fn begin(&mut self, geom: Geometry, hw: HwConfig, ua: &MicroArch) {
         self.prog.id = NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed);
         self.prog.geom = geom;
@@ -695,6 +744,10 @@ impl ProgramBuilder {
         self.prog.ranges.resize(geom.total_workers(), None);
         self.prog.parallel_ok = false;
         self.prog.lint = None;
+        self.prog.races = None;
+        self.checked = false;
+        self.tracking = self.analysis_enabled;
+        self.race_accs.clear();
         self.unsupported = hw == HwConfig::Scs && geom.pes_per_tile() < 2;
         self.lower = LowerCtx::new(geom, hw, ua);
         self.word = ua.word_bytes as u64;
@@ -730,6 +783,27 @@ impl ProgramBuilder {
     /// setting is sticky across [`ProgramBuilder::begin`].
     pub fn set_analysis(&mut self, enabled: bool) {
         self.analysis_enabled = enabled;
+        self.tracking = enabled || self.checked;
+    }
+
+    /// Makes the current build a checked build against `regions` (see
+    /// the type docs): accesses outside the map are lint errors, and
+    /// [`ProgramBuilder::finish`] attaches the build's data races. The
+    /// binding lasts for this build only; [`ProgramBuilder::begin`]
+    /// clears it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless called between [`ProgramBuilder::begin`] and the
+    /// first `begin_pe`/`begin_lcp`.
+    pub fn bind_regions(&mut self, regions: &RegionMap) {
+        assert!(
+            !self.finished && self.seg_index.is_empty() && !self.open,
+            "bind_regions() must follow begin() before any stream opens"
+        );
+        self.regions.clone_from(regions);
+        self.checked = true;
+        self.tracking = true;
     }
 
     /// Opens PE `(tile, pe)`'s stream; emission verbs apply to it until
@@ -775,6 +849,7 @@ impl ProgramBuilder {
         self.cur_pe = pe;
         self.cur_tile = self.prog.geom.locate(worker).0 as u16;
         self.cur_epoch = 0;
+        self.cur_tile_bars = 0;
         self.cur_lo = self.prog.ops.len() as u32;
         self.cur_seg_lo = self.seg_data.len() as u32;
         self.seg_data.push(0);
@@ -826,7 +901,9 @@ impl ProgramBuilder {
     pub fn load(&mut self, addr: Addr) {
         debug_assert!(self.open, "no worker stream open");
         let m = self.lower.mem_access(addr, false, self.cur_pe);
-        self.record(&m);
+        if self.tracking {
+            self.track_mem(&m, addr, false);
+        }
         self.prog.ops.push(m);
     }
 
@@ -835,8 +912,23 @@ impl ProgramBuilder {
     pub fn store(&mut self, addr: Addr) {
         debug_assert!(self.open, "no worker stream open");
         let m = self.lower.mem_access(addr, true, self.cur_pe);
-        self.record(&m);
+        if self.tracking {
+            self.track_mem(&m, addr, true);
+        }
         self.prog.ops.push(m);
+    }
+
+    /// Records a global access about to be appended: the analysis arena
+    /// entry and, in a checked build, the region check and race record.
+    #[inline]
+    fn track_mem(&mut self, m: &MicroOp, addr: Addr, store: bool) {
+        self.record(m);
+        if self.checked {
+            if !self.regions.contains(addr, self.word) {
+                self.diag_at_cursor(Severity::Error, LintKind::UnmappedAddress { addr });
+            }
+            self.record_race(RaceAccess::global(addr, self.word), store);
+        }
     }
 
     /// Maintains the dependence-analysis arena on append (the
@@ -854,6 +946,20 @@ impl ProgramBuilder {
         {
             self.arena.push(acc);
         }
+    }
+
+    /// Appends a checked build's race record for an access of the open
+    /// worker to `site`.
+    fn record_race(&mut self, site: verify::RaceSite, store: bool) {
+        self.race_accs.push(RaceAccess {
+            site,
+            epoch: self.cur_epoch,
+            worker: self.cur_worker as u32,
+            tile_bars: self.cur_tile_bars,
+            store,
+            tile: self.cur_tile as u32,
+            pe: self.cur_pe.is_some(),
+        });
     }
 
     /// Emits a scratchpad load of byte offset `offset`.
@@ -896,7 +1002,14 @@ impl ProgramBuilder {
         let m = self
             .lower
             .spm_access(offset, is_store, self.cur_pe, &mut self.poisoned);
-        self.record(&m);
+        if self.tracking {
+            self.record(&m);
+            // Only a shared SPM can race; LCPs have no SPM port.
+            if self.checked && self.lower.l1 == L1Mode::SharedCacheSpm && self.cur_pe.is_some() {
+                let site = RaceAccess::shared_spm(self.cur_tile as usize, offset, self.word);
+                self.record_race(site, is_store);
+            }
+        }
         self.prog.ops.push(m);
     }
 
@@ -911,6 +1024,7 @@ impl ProgramBuilder {
             self.prog.ops.push(MicroOp::plain(MicroKind::PoisonLcpBar));
         } else {
             *self.seg_data.last_mut().expect("open worker has a segment") += 1;
+            self.cur_tile_bars += 1;
             self.prog.ops.push(MicroOp::plain(MicroKind::TileBarrier));
         }
     }
@@ -934,9 +1048,9 @@ impl ProgramBuilder {
     }
 
     /// Seals the build: resolves epoch congruence, assembles the lint
-    /// verdict in [`verify::lint`]'s report order, attaches it, and
-    /// returns the finished program (also reachable afterwards via
-    /// [`ProgramBuilder::program`]).
+    /// verdict in [`verify::lint`]'s report order, attaches it (and, for
+    /// a checked build, the races), and returns the finished program
+    /// (also reachable afterwards via [`ProgramBuilder::program`]).
     ///
     /// # Panics
     ///
@@ -1008,6 +1122,9 @@ impl ProgramBuilder {
             self.push_congruence_diags(&mut diags);
         }
         self.prog.attach_lint(diags);
+        if self.checked {
+            self.prog.races = Some(verify::find_races(&mut self.race_accs));
+        }
         &self.prog
     }
 

@@ -19,15 +19,20 @@
 //!   data), a race here means the *kernel generator* emitted an access
 //!   pattern whose result would depend on timing on the real machine.
 //!
+//! A checked [`crate::ProgramBuilder`] build runs both on the program
+//! that executes: the same per-op checks online (unmapped addresses
+//! included), and the same race relation over its emitted accesses.
+//! The relation depends only on program order, so both race detectors
+//! share one finder and return equal reports.
+//!
 //! The contract between the two layers: a stream set that lints clean
 //! under a legal configuration runs to completion, and a shipped kernel
-//! must additionally produce a race-free trace.
+//! must additionally be race-free.
 
 use crate::config::{Geometry, HwConfig, L1Mode, MicroArch};
 use crate::machine::{StreamSet, WorkerStream};
 use crate::op::{Addr, Op, OpStream};
 use crate::trace::TraceEvent;
-use std::collections::HashMap;
 use std::fmt;
 
 /// How serious a lint finding is.
@@ -566,7 +571,7 @@ pub enum RaceKind {
 }
 
 /// Where a racy word lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RaceSite {
     /// A word in the global address space (byte address of the word).
     Global(Addr),
@@ -590,19 +595,22 @@ impl fmt::Display for RaceSite {
     }
 }
 
-/// One detected conflict: two accesses to the same word, by different
-/// workers, with no barrier between them, at least one a store.
+/// One conflict: two accesses to the same word, by different workers,
+/// with no barrier between them, at least one a store.
+///
+/// Every field is a program-order fact, so the trace detector
+/// ([`detect_races`]) and a checked [`crate::ProgramBuilder`] build
+/// report equal races for the same streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Race {
-    /// Store/store or load/store.
+    /// [`RaceKind::StoreStore`] if any unordered store/store pair exists
+    /// on the word in this epoch, else [`RaceKind::LoadStore`].
     pub kind: RaceKind,
     /// The contested word.
     pub site: RaceSite,
-    /// The two unordered workers.
+    /// The smallest `(lower, higher)` worker pair with a conflict of
+    /// `kind`.
     pub workers: (u32, u32),
-    /// Issue cycles of the two accesses (trace order, not a
-    /// happens-before order).
-    pub cycles: (u64, u64),
     /// The global-barrier epoch both accesses fall in.
     pub epoch: usize,
 }
@@ -615,21 +623,98 @@ impl fmt::Display for Race {
         };
         write!(
             f,
-            "{kind} race on {} between workers {} (cycle {}) and {} (cycle {}) in \
-             global epoch {}",
-            self.site, self.workers.0, self.cycles.0, self.workers.1, self.cycles.1, self.epoch
+            "{kind} race on {} between workers {} and {} in global epoch {}",
+            self.site, self.workers.0, self.workers.1, self.epoch
         )
     }
 }
 
-#[derive(Clone, Copy)]
-struct Access {
-    worker: u32,
-    tile: usize,
-    is_pe: bool,
-    is_store: bool,
-    tile_epoch: usize,
-    cycle: u64,
+/// One memory access as race detection sees it. The fields are
+/// program-order facts — which word, which worker, how many global and
+/// tile barriers that worker had passed — so recording them needs no
+/// schedule: the trace detector reads them off a run, a checked
+/// [`crate::ProgramBuilder`] build off its emission.
+///
+/// The derived order (site, epoch, worker, ...) groups one word's
+/// accesses in one global epoch together, workers ascending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct RaceAccess {
+    pub(crate) site: RaceSite,
+    /// Global barriers the worker had passed.
+    pub(crate) epoch: u32,
+    pub(crate) worker: u32,
+    /// Tile barriers the worker had passed.
+    pub(crate) tile_bars: u32,
+    pub(crate) store: bool,
+    pub(crate) tile: u32,
+    /// False for an LCP.
+    pub(crate) pe: bool,
+}
+
+impl RaceAccess {
+    /// The race site of a global access to `addr`, word-granular.
+    pub(crate) fn global(addr: Addr, word: u64) -> RaceSite {
+        RaceSite::Global(addr / word * word)
+    }
+
+    /// The race site of a shared-SPM access to `offset` on `tile`.
+    pub(crate) fn shared_spm(tile: usize, offset: u32, word: u64) -> RaceSite {
+        RaceSite::SharedSpm {
+            tile,
+            offset: offset / word as u32 * word as u32,
+        }
+    }
+
+    /// True if a barrier orders `self` and `other`, two accesses of one
+    /// global epoch: PEs of the same tile are ordered by tile barriers,
+    /// everyone else only by global barriers.
+    fn ordered(&self, other: &RaceAccess) -> bool {
+        self.pe && other.pe && self.tile == other.tile && self.tile_bars != other.tile_bars
+    }
+}
+
+/// The race finder both detectors share: buckets `accesses` by (word,
+/// global epoch) and reports at most one [`Race`] per bucket that holds
+/// an unordered conflicting pair. The witness is schedule-independent
+/// (see [`Race`]) and the report is sorted by (epoch, site). Sorts and
+/// dedups `accesses` in place.
+pub(crate) fn find_races(accesses: &mut Vec<RaceAccess>) -> Vec<Race> {
+    accesses.sort_unstable();
+    accesses.dedup();
+    let mut races = Vec::new();
+    for bucket in accesses.chunk_by(|a, b| a.site == b.site && a.epoch == b.epoch) {
+        // Sorted by worker: one worker alone cannot race.
+        if bucket[0].worker == bucket[bucket.len() - 1].worker || !bucket.iter().any(|a| a.store) {
+            continue;
+        }
+        // Smallest (kind, workers) key, store/store first.
+        let mut best: Option<(bool, (u32, u32))> = None;
+        for (i, a) in bucket.iter().enumerate() {
+            for b in &bucket[i + 1..] {
+                if a.worker == b.worker || !(a.store || b.store) || a.ordered(b) {
+                    continue;
+                }
+                let key = (!(a.store && b.store), (a.worker, b.worker));
+                if best.is_none_or(|k| key < k) {
+                    best = Some(key);
+                }
+            }
+        }
+        if let Some((load_store, workers)) = best {
+            races.push(Race {
+                kind: if load_store {
+                    RaceKind::LoadStore
+                } else {
+                    RaceKind::StoreStore
+                },
+                site: bucket[0].site,
+                workers,
+                epoch: bucket[0].epoch as usize,
+            });
+        }
+    }
+    races.sort_by_key(|r| (r.epoch, r.site));
+    races
 }
 
 /// Detects data races in a recorded trace.
@@ -642,9 +727,13 @@ struct Access {
 /// are PEs of the same tile — they also share the tile epoch. Private
 /// scratchpads (PS) cannot race by construction and are skipped.
 ///
-/// At most one race is reported per (word, global epoch); a truncated
-/// trace (see [`crate::TraceCapture::truncated`]) can only cause missed
-/// races, never false positives.
+/// The counters are program-order facts (a worker's events appear in
+/// the trace in issue order), so the trace's cycles play no part: the
+/// result equals the races a checked [`crate::ProgramBuilder`] build of
+/// the same streams attaches ([`crate::Program::races`]). At most one
+/// race is reported per (word, global epoch); a truncated trace (see
+/// [`crate::TraceCapture::truncated`]) can only cause missed races,
+/// never false positives.
 pub fn detect_races(
     trace: &[TraceEvent],
     geom: Geometry,
@@ -653,10 +742,9 @@ pub fn detect_races(
 ) -> Vec<Race> {
     let word = ua.word_bytes as u64;
     let shared_spm = hw.l1() == L1Mode::SharedCacheSpm;
-    // (site, global epoch) -> accesses in that epoch.
-    let mut sites: HashMap<(RaceSite, usize), Vec<Access>> = HashMap::new();
-    let mut global_epoch = vec![0usize; geom.total_workers()];
-    let mut tile_epoch = vec![0usize; geom.total_workers()];
+    let mut global_epoch = vec![0u32; geom.total_workers()];
+    let mut tile_bars = vec![0u32; geom.total_workers()];
+    let mut accesses = Vec::new();
 
     for ev in trace {
         let w = ev.worker as usize;
@@ -667,69 +755,29 @@ pub fn detect_races(
                 continue;
             }
             Op::TileBarrier => {
-                tile_epoch[w] += 1;
+                tile_bars[w] += 1;
                 continue;
             }
             Op::Compute(_) => continue,
-            Op::Load(addr) | Op::Store(addr) => RaceSite::Global(addr / word * word),
+            Op::Load(addr) | Op::Store(addr) => RaceAccess::global(addr, word),
             Op::SpmLoad(off) | Op::SpmStore(off) => {
                 if !shared_spm {
                     // PS: the SPM is private to the PE; Sc/Pc: the run
                     // would have failed before producing this event.
                     continue;
                 }
-                RaceSite::SharedSpm {
-                    tile,
-                    offset: off / word as u32 * word as u32,
-                }
+                RaceAccess::shared_spm(tile, off, word)
             }
         };
-        let is_store = matches!(ev.op, Op::Store(_) | Op::SpmStore(_));
-        sites
-            .entry((site, global_epoch[w]))
-            .or_default()
-            .push(Access {
-                worker: ev.worker,
-                tile,
-                is_pe: pe.is_some(),
-                is_store,
-                tile_epoch: tile_epoch[w],
-                cycle: ev.cycle,
-            });
+        accesses.push(RaceAccess {
+            site,
+            epoch: global_epoch[w],
+            worker: ev.worker,
+            tile_bars: tile_bars[w],
+            store: matches!(ev.op, Op::Store(_) | Op::SpmStore(_)),
+            tile: tile as u32,
+            pe: pe.is_some(),
+        });
     }
-
-    let mut races = Vec::new();
-    for (&(site, epoch), accesses) in &sites {
-        if !accesses.iter().any(|a| a.is_store) {
-            continue;
-        }
-        'found: for (i, a) in accesses.iter().enumerate() {
-            for b in &accesses[i + 1..] {
-                if a.worker == b.worker || !(a.is_store || b.is_store) {
-                    continue;
-                }
-                // PEs of the same tile are additionally ordered by tile
-                // barriers; everyone else only by global barriers.
-                if a.is_pe && b.is_pe && a.tile == b.tile && a.tile_epoch != b.tile_epoch {
-                    continue;
-                }
-                let kind = if a.is_store && b.is_store {
-                    RaceKind::StoreStore
-                } else {
-                    RaceKind::LoadStore
-                };
-                races.push(Race {
-                    kind,
-                    site,
-                    workers: (a.worker, b.worker),
-                    cycles: (a.cycle, b.cycle),
-                    epoch,
-                });
-                break 'found;
-            }
-        }
-    }
-    // Deterministic report order regardless of hash iteration.
-    races.sort_by_key(|r| (r.cycles.0, r.cycles.1, r.workers));
-    races
+    find_races(&mut accesses)
 }

@@ -6,7 +6,7 @@
 //! builder replaced).
 
 use proptest::prelude::*;
-use transmuter::verify::{self, ProgramSet};
+use transmuter::verify::{self, ProgramSet, RegionMap};
 use transmuter::{Geometry, HwConfig, Machine, MicroArch, Op, Program, ProgramBuilder};
 
 /// Decodes one generated op. SPM offsets stay word-aligned and inside
@@ -165,5 +165,75 @@ proptest! {
                 )));
             }
         }
+    }
+
+    /// A checked build's verdict equals the batch lint with the same
+    /// address map, [`verify::LintKind::UnmappedAddress`] findings
+    /// included: word-granular, at the same worker and position. Regions
+    /// start and end off word boundaries too, so a word straddling a
+    /// region's end is unmapped on both paths.
+    #[test]
+    fn checked_builder_verdict_matches_lint_with_regions(
+        case in arb_case(),
+        raw_regions in proptest::collection::vec((0u64..0x1_0000, 0u64..0x4000), 0..4),
+    ) {
+        let (tiles, pes, hw_idx, raw) = case;
+        let geom = Geometry::new(tiles, pes);
+        let hw = HwConfig::ALL[hw_idx];
+        let ua = MicroArch::paper();
+        let mut regions = RegionMap::new();
+        for &(start, bytes) in &raw_regions {
+            regions.add("r", start, bytes);
+        }
+
+        let mut pset = ProgramSet::new(geom);
+        let mut b = ProgramBuilder::new();
+        b.begin(geom, hw, &ua);
+        b.bind_regions(&regions);
+        for (w, (selector, ops)) in raw.iter().enumerate() {
+            if *selector == 0 {
+                continue;
+            }
+            let (tile, pe) = geom.locate(w);
+            let decoded: Vec<Op> = ops
+                .iter()
+                .map(|&(k, a, o, n)| {
+                    let op = decode_op(k, a, o, n);
+                    if pe.is_none() {
+                        lcp_safe(op)
+                    } else {
+                        op
+                    }
+                })
+                .collect();
+            match pe {
+                Some(pe) => b.begin_pe(tile, pe),
+                None => b.begin_lcp(tile),
+            }
+            for op in &decoded {
+                match *op {
+                    Op::Compute(n) => b.compute(n),
+                    Op::Load(a) => b.load(a),
+                    Op::Store(a) => b.store(a),
+                    Op::SpmLoad(o) => b.spm_load(o),
+                    Op::SpmStore(o) => b.spm_store(o),
+                    Op::TileBarrier => b.tile_barrier(),
+                    Op::GlobalBarrier => b.global_barrier(),
+                }
+            }
+            match pe {
+                Some(pe) => pset.set_pe(tile, pe, decoded),
+                None => pset.set_lcp(tile, decoded),
+            }
+        }
+        let built = b.finish();
+        let want = verify::lint(&pset, hw, &ua, Some(&regions));
+        prop_assert_eq!(built.lint_diagnostics(), Some(&want[..]));
+        prop_assert_eq!(built.lint_clean(), Some(verify::is_clean(&want)));
+        prop_assert!(built.races().is_some());
+
+        // The binding lasts one build: the next build is unchecked.
+        b.begin(geom, hw, &ua);
+        prop_assert_eq!(b.finish().races(), None);
     }
 }

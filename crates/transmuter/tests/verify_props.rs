@@ -3,15 +3,59 @@
 //! the race detector must respect barrier-epoch happens-before.
 
 use proptest::prelude::*;
-use transmuter::verify::{self, LintKind, ProgramSet, RaceKind, RegionMap, Severity};
+use transmuter::verify::{
+    self, LintKind, ProgramSet, Race, RaceKind, RaceSite, RegionMap, Severity,
+};
 use transmuter::{
-    Geometry, HwConfig, Machine, MicroArch, Op, SimError, StreamBuilder, TraceConfig, TraceEvent,
+    Geometry, HwConfig, Machine, MicroArch, Op, Program, ProgramBuilder, SimError, StreamBuilder,
+    TraceConfig, TraceEvent,
 };
 
 fn machine_with(geom: Geometry, hw: HwConfig) -> Machine {
     let mut m = Machine::new(geom, MicroArch::paper());
     m.reconfigure(hw);
     m
+}
+
+/// Emits `programs` into a checked [`ProgramBuilder`] build against
+/// `regions`, worker by worker in id order.
+fn checked_build<'b>(
+    b: &'b mut ProgramBuilder,
+    programs: &ProgramSet,
+    hw: HwConfig,
+    regions: &RegionMap,
+) -> &'b Program {
+    let geom = programs.geometry();
+    b.begin(geom, hw, &MicroArch::paper());
+    b.bind_regions(regions);
+    for w in 0..geom.total_workers() {
+        let Some(ops) = programs.worker(w) else {
+            continue;
+        };
+        match geom.locate(w) {
+            (tile, Some(pe)) => b.begin_pe(tile, pe),
+            (tile, None) => b.begin_lcp(tile),
+        }
+        for &op in ops {
+            match op {
+                Op::Compute(n) => b.compute(n),
+                Op::Load(a) => b.load(a),
+                Op::Store(a) => b.store(a),
+                Op::SpmLoad(o) => b.spm_load(o),
+                Op::SpmStore(o) => b.spm_store(o),
+                Op::TileBarrier => b.tile_barrier(),
+                Op::GlobalBarrier => b.global_barrier(),
+            }
+        }
+    }
+    b.finish()
+}
+
+/// A map covering every address the generators below produce.
+fn everything() -> RegionMap {
+    let mut map = RegionMap::new();
+    map.add("all", 0, 1 << 40);
+    map
 }
 
 // ---------------------------------------------------------------------
@@ -279,6 +323,82 @@ fn shared_spm_store_store_races() {
 }
 
 #[test]
+fn checked_build_rejects_a_store_outside_every_region() {
+    let geom = Geometry::new(1, 2);
+    let mut p = ProgramSet::new(geom);
+    p.set_pe(0, 0, [Op::Load(0x1_0000), Op::Store(0x9999_0000)]);
+    let mut map = RegionMap::new();
+    map.add("x", 0x1_0000, 0x1000);
+    let mut b = ProgramBuilder::new();
+    let prog = checked_build(&mut b, &p, HwConfig::Sc, &map);
+    assert_eq!(prog.lint_clean(), Some(false));
+    let err = machine_with(geom, HwConfig::Sc)
+        .run_program(prog)
+        .unwrap_err();
+    let SimError::Rejected { diagnostics } = err else {
+        panic!("expected a static rejection, got {err}");
+    };
+    assert_eq!(
+        diagnostics
+            .iter()
+            .map(|d| (&d.kind, d.worker, d.position))
+            .collect::<Vec<_>>(),
+        [(&LintKind::UnmappedAddress { addr: 0x9999_0000 }, 0, Some(1))]
+    );
+    // The same emission unchecked knows no map and runs.
+    b.begin(geom, HwConfig::Sc, &MicroArch::paper());
+    b.begin_pe(0, 0);
+    b.load(0x1_0000);
+    b.store(0x9999_0000);
+    let prog = b.finish();
+    assert_eq!(prog.races(), None, "unchecked builds carry no races");
+    assert!(machine_with(geom, HwConfig::Sc).run_program(prog).is_ok());
+}
+
+#[test]
+fn checked_build_reports_global_and_shared_spm_races() {
+    // Tile 0's two PEs store one shared-SPM word with no tile barrier
+    // between them; PE 0 and tile 1's PE store one global word with no
+    // global barrier between them.
+    let geom = Geometry::new(2, 2);
+    let mut p = ProgramSet::new(geom);
+    p.set_pe(0, 0, [Op::SpmStore(64), Op::Store(0x2000)]);
+    p.set_pe(0, 1, [Op::Compute(3), Op::SpmStore(66)]);
+    p.set_pe(1, 0, [Op::Load(0x2002)]);
+    p.set_pe(1, 1, []);
+    let mut b = ProgramBuilder::new();
+    let prog = checked_build(&mut b, &p, HwConfig::Scs, &everything());
+    assert_eq!(prog.lint_clean(), Some(true));
+    let races = prog.races().expect("checked builds attach races");
+    assert_eq!(
+        races,
+        [
+            Race {
+                kind: RaceKind::LoadStore,
+                site: RaceSite::Global(0x2000),
+                workers: (0, 2),
+                epoch: 0,
+            },
+            Race {
+                kind: RaceKind::StoreStore,
+                site: RaceSite::SharedSpm {
+                    tile: 0,
+                    offset: 64
+                },
+                workers: (0, 1),
+                epoch: 0,
+            },
+        ]
+    );
+    // The trace detector finds exactly the same races.
+    let mut m = machine_with(geom, HwConfig::Scs);
+    m.set_trace(Some(TraceConfig::default()));
+    m.run(p.stream_set()).unwrap();
+    let traced = verify::detect_races(&m.take_trace(), geom, HwConfig::Scs, &MicroArch::paper());
+    assert_eq!(traced, races);
+}
+
+#[test]
 fn scs_on_single_pe_tiles_is_rejected_statically() {
     let geom = Geometry::new(2, 1);
     let mut p = ProgramSet::new(geom);
@@ -368,6 +488,127 @@ fn arb_machine_case() -> impl Strategy<Value = (usize, usize, usize, Vec<RawStre
     })
 }
 
+/// One congruent case: geometry, config, and per worker a presence
+/// selector plus raw `(kind, word, spm_word, cycles, slot)` op tuples.
+type CongruentCase = (usize, usize, usize, usize, usize, Vec<RawSlotted>);
+type RawSlotted = (usize, Vec<(usize, u64, u32, u32, usize)>);
+
+/// Lint-clean stream sets by construction, dense in races: every
+/// stream-bearing worker shares one barrier skeleton (`globals` global
+/// barriers, `tile_bars` tile barriers per segment on PEs), and the ops
+/// between barriers touch a handful of words, so conflicts are common
+/// and barriers decide which of them race.
+fn arb_congruent_case() -> impl Strategy<Value = CongruentCase> {
+    (1usize..3, 2usize..4, 0usize..4, 0usize..3, 0usize..3).prop_flat_map(
+        |(tiles, pes, hw, globals, tile_bars)| {
+            let workers = tiles * pes + tiles;
+            (
+                Just(tiles),
+                Just(pes),
+                Just(hw),
+                Just(globals),
+                Just(tile_bars),
+                proptest::collection::vec(
+                    (
+                        0usize..4, // 0 = no stream
+                        proptest::collection::vec(
+                            (0usize..5, 0u64..6, 0u32..4, 1u32..4, 0usize..9),
+                            0..12,
+                        ),
+                    ),
+                    workers,
+                ),
+            )
+        },
+    )
+}
+
+/// Decodes a [`CongruentCase`] into streams that share its barrier
+/// skeleton. SPM ops appear only on PEs of SPM-bearing configs.
+fn congruent_programs(case: &CongruentCase) -> (ProgramSet, HwConfig) {
+    let (tiles, pes, hw_idx, globals, tile_bars, raw) = case;
+    let geom = Geometry::new(*tiles, *pes);
+    let hw = HwConfig::ALL[*hw_idx];
+    let has_spm = matches!(hw, HwConfig::Scs | HwConfig::Ps);
+    let mut programs = ProgramSet::new(geom);
+    for (w, (selector, ops)) in raw.iter().enumerate() {
+        if *selector == 0 {
+            continue;
+        }
+        let (tile, pe) = geom.locate(w);
+        let sub_slots = if pe.is_some() { tile_bars + 1 } else { 1 };
+        let slots = (globals + 1) * sub_slots;
+        let mut slotted: Vec<(usize, Op)> = ops
+            .iter()
+            .map(|&(k, word, spm, n, slot)| {
+                let op = match k {
+                    0 => Op::Compute(n),
+                    1 => Op::Load(word * 4),
+                    2 => Op::Store(word * 4),
+                    3 if has_spm && pe.is_some() => Op::SpmLoad(spm * 4),
+                    4 if has_spm && pe.is_some() => Op::SpmStore(spm * 4),
+                    _ => Op::Store(word * 4),
+                };
+                (slot % slots, op)
+            })
+            .collect();
+        slotted.sort_by_key(|&(slot, _)| slot);
+        let mut stream = Vec::new();
+        let mut next = slotted.into_iter().peekable();
+        for slot in 0..slots {
+            if slot > 0 {
+                stream.push(if slot % sub_slots == 0 {
+                    Op::GlobalBarrier
+                } else {
+                    Op::TileBarrier
+                });
+            }
+            while let Some((_, op)) = next.next_if(|&(s, _)| s == slot) {
+                stream.push(op);
+            }
+        }
+        match pe {
+            Some(pe) => programs.set_pe(tile, pe, stream),
+            None => programs.set_lcp(tile, stream),
+        }
+    }
+    (programs, hw)
+}
+
+/// Checks that a checked build of `programs` races exactly as the trace
+/// of a run does; `programs` must lint clean.
+fn assert_static_races_match_trace(programs: &ProgramSet, hw: HwConfig) -> usize {
+    let geom = programs.geometry();
+    let ua = MicroArch::paper();
+    let mut b = ProgramBuilder::new();
+    let prog = checked_build(&mut b, programs, hw, &everything());
+    assert_eq!(prog.lint_clean(), Some(true));
+    let mut m = machine_with(geom, hw);
+    m.set_trace(Some(TraceConfig::default()));
+    m.run(programs.stream_set()).unwrap();
+    let capture = m.take_trace_capture();
+    assert!(!capture.truncated);
+    let traced = verify::detect_races(&capture.events, geom, hw, &ua);
+    assert_eq!(prog.races(), Some(&traced[..]), "{hw}");
+    traced.len()
+}
+
+#[test]
+fn congruent_cases_race_often() {
+    // The generator must exercise the race finder, not just the empty
+    // report: most cases it draws should race somewhere.
+    let mut rng = proptest::test_runner::TestRng::deterministic("congruent_cases_race_often");
+    let strategy = arb_congruent_case();
+    let racy = (0..64)
+        .filter(|_| {
+            let case = strategy.generate(&mut rng);
+            let (programs, hw) = congruent_programs(&case);
+            assert_static_races_match_trace(&programs, hw) > 0
+        })
+        .count();
+    assert!(racy >= 16, "only {racy} of 64 cases race");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -416,6 +657,43 @@ proptest! {
         if !accepted {
             prop_assert!(matches!(verified, Err(SimError::Rejected { .. })));
         }
+    }
+
+    /// A checked build's static races equal the trace detector's on a
+    /// run of the same streams, on every case the linter accepts: the
+    /// race relation is a program-order fact, whatever the schedule.
+    #[test]
+    fn checked_build_races_match_trace_races(case in arb_machine_case()) {
+        let (tiles, pes, hw_idx, raw) = case;
+        let geom = Geometry::new(tiles, pes);
+        let hw = HwConfig::ALL[hw_idx];
+        let ua = MicroArch::paper();
+
+        let mut programs = ProgramSet::new(geom);
+        for (w, (selector, ops)) in raw.iter().enumerate() {
+            if *selector == 0 {
+                continue;
+            }
+            let (tile, pe) = geom.locate(w);
+            let decoded: Vec<Op> =
+                ops.iter().map(|&(k, a, o, n)| decode_op(k, a, o, n)).collect();
+            match pe {
+                Some(pe) => programs.set_pe(tile, pe, decoded),
+                None => programs.set_lcp(tile, decoded.into_iter().map(lcp_safe)),
+            }
+        }
+        if verify::is_clean(&verify::lint(&programs, hw, &ua, None)) {
+            assert_static_races_match_trace(&programs, hw);
+        }
+    }
+
+    /// The same equality on congruent stream sets, which lint clean by
+    /// construction and race often.
+    #[test]
+    fn congruent_checked_build_races_match_trace_races(case in arb_congruent_case()) {
+        let (programs, hw) = congruent_programs(&case);
+        prop_assert!(verify::is_clean(&verify::lint(&programs, hw, &MicroArch::paper(), None)));
+        assert_static_races_match_trace(&programs, hw);
     }
 
     /// A single worker can never race with itself.

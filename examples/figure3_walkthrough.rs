@@ -84,7 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_events: 40,
         }));
         let layout = cosparse::Layout::new(6, 6, matrix.nnz(), geometry, 1);
-        let streams = match sw {
+        let mut sink = cosparse::kernels::OpBufSink::new(geometry);
+        match sw {
             SwConfig::InnerProduct => {
                 let partition = cosparse::balance::ip_partitions(
                     &matrix.row_counts(),
@@ -92,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Default::default(),
                 );
                 let vblocks = sparse::partition::VBlocks::whole(6);
-                cosparse::kernels::ip::streams(
+                cosparse::kernels::ip::build(
                     &matrix,
                     geometry,
                     cosparse::kernels::ip::IpParams {
@@ -103,7 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         active: None,
                         profile: cosparse::OpProfile::scalar(),
                     },
-                )
+                    &mut sink,
+                );
             }
             SwConfig::OuterProduct => {
                 let csc = sparse::CscMatrix::from(&matrix);
@@ -113,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Default::default(),
                 );
                 let active: Vec<u32> = x.iter().map(|(i, _)| i).collect();
-                cosparse::kernels::op::streams(
+                cosparse::kernels::op::build(
                     &csc,
                     geometry,
                     cosparse::kernels::op::OpParams {
@@ -124,10 +126,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         spm_node_cap: 512,
                         profile: cosparse::OpProfile::scalar(),
                     },
-                )
+                    &cosparse::kernels::op::subruns(&csc, &tile_parts),
+                    &mut sink,
+                );
             }
-        };
-        let _ = machine.run(streams)?;
+        }
+        let _ = machine.run(sink.into_stream_set())?;
         for e in machine.take_trace() {
             let who = if e.worker == 4 { "LCP " } else { "PE0 " };
             println!("  cyc {:>4}  {who} {}", e.cycle, op_name(e.op));
