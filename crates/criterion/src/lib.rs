@@ -3,10 +3,11 @@
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the slice of the criterion API its benches use:
 //! [`criterion_group!`] / [`criterion_main!`], [`Criterion`],
-//! [`BenchmarkGroup`], [`Bencher::iter`] / [`Bencher::iter_batched`] and
-//! [`BatchSize`]. There is no statistical analysis: each benchmark is
-//! warmed up once and then timed over a fixed number of iterations, and
-//! the mean wall-clock time per iteration is printed.
+//! [`BenchmarkGroup`], [`Bencher::iter`] / [`Bencher::iter_batched`],
+//! [`BatchSize`] and [`Throughput`]. There is no statistical analysis:
+//! each benchmark is warmed up once and then timed over a fixed number
+//! of iterations, and the mean wall-clock time per iteration (and per
+//! element, when a throughput is set) is printed.
 
 #![warn(missing_docs)]
 
@@ -22,6 +23,13 @@ pub enum BatchSize {
     LargeInput,
     /// One setup per routine call.
     PerIteration,
+}
+
+/// Work done by one iteration, for per-element reporting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// The iteration processes this many elements.
+    Elements(u64),
 }
 
 /// Timer handle passed to every benchmark closure.
@@ -62,6 +70,7 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: u64,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -69,6 +78,13 @@ impl BenchmarkGroup<'_> {
     /// Sets the iteration count used for each benchmark in this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = (n as u64).max(1);
+        self
+    }
+
+    /// Sets the work per iteration of the benchmarks that follow, so
+    /// they also report time per element.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -86,8 +102,14 @@ impl BenchmarkGroup<'_> {
         };
         f(&mut b);
         let per_iter = b.elapsed.as_secs_f64() / b.iters as f64;
+        let per_elem = match self.throughput {
+            Some(Throughput::Elements(n)) => {
+                format!(", {:.2} ns/elem", per_iter * 1e9 / n.max(1) as f64)
+            }
+            None => String::new(),
+        };
         println!(
-            "{}/{}: {:.3} ms/iter ({} iters)",
+            "{}/{}: {:.3} ms/iter ({} iters{per_elem})",
             self.name,
             id,
             per_iter * 1e3,
@@ -115,6 +137,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.to_string(),
             sample_size: 10,
+            throughput: None,
             _criterion: self,
         }
     }
@@ -156,6 +179,8 @@ mod tests {
         let mut group = c.benchmark_group("shim");
         group.sample_size(3);
         group.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
+        group.throughput(Throughput::Elements(100));
+        group.bench_function("sum_per_elem", |b| b.iter(|| (0..100u64).sum::<u64>()));
         group.bench_function("batched", |b| {
             b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
         });

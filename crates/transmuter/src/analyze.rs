@@ -740,7 +740,11 @@ pub fn analyze(prog: &Program) -> Analysis {
         let (tile, _) = geom.locate(w);
         let mut segs: Vec<u32> = vec![0];
         let mut epoch = 0u32;
-        for (pc, op) in ops[*lo as usize..*hi as usize].iter().enumerate() {
+        // Source-op position: folded compute bursts count too.
+        let mut pc = 0u32;
+        for op in &ops[*lo as usize..*hi as usize] {
+            let at = pc;
+            pc += op.source_len();
             match op.kind {
                 MicroKind::TileBarrier => *segs.last_mut().expect("segment vector non-empty") += 1,
                 MicroKind::GlobalBarrier => {
@@ -751,7 +755,7 @@ pub fn analyze(prog: &Program) -> Analysis {
                     poisoned = true
                 }
                 _ => {
-                    if let Some(acc) = acc_of(op, w as u32, tile as u16, epoch, pc as u32) {
+                    if let Some(acc) = acc_of(op, w as u32, tile as u16, epoch, at) {
                         arena.push(acc);
                     }
                 }

@@ -378,40 +378,25 @@ impl MemorySystem {
         }
     }
 
-    /// L2 bank selection: returns `(tile, bank, local_line, nbanks_total,
-    /// shared)` for a requester.
-    fn l2_route(
-        &self,
-        tile: usize,
-        pe: Option<usize>,
-        line: u64,
-    ) -> (usize, usize, u64, u64, bool) {
+    /// L2 bank selection: returns `(tile, route, shared)` for a
+    /// requester.
+    fn l2_route(&self, tile: usize, pe: Option<usize>, line: u64) -> (usize, BankRoute, bool) {
         match self.hw.l2() {
             L2Mode::SharedCache => {
                 let g = self.l2_total_div.rem(line);
-                (
-                    self.b_div.div(g) as usize,
-                    self.b_div.rem(g) as usize,
-                    self.l2_total_div.div(line),
-                    self.l2_total_div.n,
-                    true,
-                )
+                let route = BankRoute {
+                    bank: self.b_div.rem(g) as usize,
+                    local: self.l2_total_div.div(line),
+                    nbanks: self.l2_total_div.n,
+                    home: g,
+                };
+                (self.b_div.div(g) as usize, route, true)
             }
-            L2Mode::PrivateCache => match pe {
-                // Private L2: bank i is PE i's own 4 kB cache, transparent
-                // crossbar, full line space in one bank.
-                Some(pe) => (tile, pe, line, 1, false),
-                // The LCP round-robins over its tile's banks; contention
-                // with the owning PE is second-order (LCP traffic is
-                // small) and ignored.
-                None => (
-                    tile,
-                    self.b_div.rem(line) as usize,
-                    self.b_div.div(line),
-                    self.b_div.n,
-                    false,
-                ),
-            },
+            // Private L2: bank i is PE i's own 4 kB cache, transparent
+            // crossbar, full line space in one bank; the LCP round-robins
+            // over its tile's banks (contention with the owning PE is
+            // second-order, LCP traffic is small, and ignored).
+            L2Mode::PrivateCache => (tile, priv_route(self.b_div, pe, line), false),
         }
     }
 
@@ -425,7 +410,8 @@ impl MemorySystem {
         is_store: bool,
         at: u64,
     ) -> u64 {
-        let (t2, bank, local, nbanks, shared) = self.l2_route(tile, pe, line);
+        let (t2, route, shared) = self.l2_route(tile, pe, line);
+        let (bank, local) = (route.bank, route.local);
         let mut lat = self.ua.xbar_latency + self.ua.l2_latency;
         if shared {
             let conflicts = self.claim(at, PORT_L2, t2, bank);
@@ -452,8 +438,7 @@ impl MemorySystem {
             } => {
                 self.stats.l2_misses += 1;
                 if victim_dirty {
-                    let victim_global =
-                        victim_line.expect("dirty implies valid") * nbanks + (line % nbanks);
+                    let victim_global = route.global(victim_line.expect("dirty implies valid"));
                     // Writebacks consume HBM bandwidth off the critical path.
                     self.hbm.write(victim_global, at + lat);
                 }
@@ -463,12 +448,10 @@ impl MemorySystem {
         };
         if pf_wanted {
             let pf_local = local + 1;
-            let pf_global = pf_local * nbanks + (line % nbanks);
-            self.hbm.prefetch(pf_global, at + lat);
+            self.hbm.prefetch(route.global(pf_local), at + lat);
             self.stats.prefetches += 1;
             if let Some(dirty_local) = self.l2[bidx].install(pf_local) {
-                self.hbm
-                    .write(dirty_local * nbanks + (line % nbanks), at + lat);
+                self.hbm.write(route.global(dirty_local), at + lat);
             }
         }
         completion
@@ -477,7 +460,8 @@ impl MemorySystem {
     /// Installs an L1 dirty victim into L2 (write-back path, off the
     /// critical path; charged for energy/bandwidth only).
     fn l2_writeback(&mut self, tile: usize, pe: Option<usize>, line: u64, at: u64) {
-        let (t2, bank, local, nbanks, shared) = self.l2_route(tile, pe, line);
+        let (t2, route, shared) = self.l2_route(tile, pe, line);
+        let (bank, local) = (route.bank, route.local);
         if shared {
             self.stats.xbar_traversals += 1;
         }
@@ -485,7 +469,7 @@ impl MemorySystem {
         let bidx = t2 * self.l2_banks + bank;
         // A full-line writeback needs no fetch: install directly, dirty.
         if let Some(dirty_local) = self.l2[bidx].install(local) {
-            self.hbm.write(dirty_local * nbanks + (line % nbanks), at);
+            self.hbm.write(route.global(dirty_local), at);
         }
         // Mark dirty via a store probe (guaranteed hit after install;
         // only bank-internal counters are touched, not run stats).
@@ -736,14 +720,46 @@ pub(crate) struct MemSnapshot {
     hbm: Hbm,
 }
 
-/// Private-L2 bank selection within a tile: `(bank, local_line, nbanks)`.
-/// A PE owns bank `pe` outright (full line space, transparent crossbar);
-/// the LCP round-robins over the tile's banks.
+/// Where a line lives in an interleaved L2: bank `bank` holds it as
+/// local line `local`, and that bank's local line `x` is global line
+/// `x * nbanks + home` (`home = line % nbanks`).
+#[derive(Debug, Clone, Copy)]
+struct BankRoute {
+    bank: usize,
+    local: u64,
+    nbanks: u64,
+    home: u64,
+}
+
+impl BankRoute {
+    /// Global line of this bank's local line `local`.
+    #[inline]
+    fn global(self, local: u64) -> u64 {
+        local * self.nbanks + self.home
+    }
+}
+
+/// Private-L2 bank selection within a tile (`b_div` divides by PEs per
+/// tile). A PE owns bank `pe` outright (full line space, transparent
+/// crossbar); the LCP round-robins over the tile's banks.
 #[inline]
-pub(crate) fn priv_route(p: &PrivParams, pe: Option<usize>, line: u64) -> (usize, u64, u64) {
+fn priv_route(b_div: FastDiv, pe: Option<usize>, line: u64) -> BankRoute {
     match pe {
-        Some(pe) => (pe, line, 1),
-        None => (p.b_div.rem(line) as usize, p.b_div.div(line), p.b_div.n),
+        Some(pe) => BankRoute {
+            bank: pe,
+            local: line,
+            nbanks: 1,
+            home: 0,
+        },
+        None => {
+            let home = b_div.rem(line);
+            BankRoute {
+                bank: home as usize,
+                local: b_div.div(line),
+                nbanks: b_div.n,
+                home,
+            }
+        }
     }
 }
 
@@ -777,7 +793,8 @@ pub(crate) fn priv_l2_fill<H: HbmSink>(
     is_store: bool,
     at: u64,
 ) -> u64 {
-    let (bank, local, nbanks) = priv_route(p, pe, line);
+    let route = priv_route(p.b_div, pe, line);
+    let (bank, local) = (route.bank, route.local);
     let lat = p.xbar + p.l2_latency;
     let bank_ref = &mut t.l2[bank];
     let probe = bank_ref.access(local, is_store);
@@ -797,8 +814,7 @@ pub(crate) fn priv_l2_fill<H: HbmSink>(
         } => {
             t.stats.l2_misses += 1;
             if victim_dirty {
-                let victim_global =
-                    victim_line.expect("dirty implies valid") * nbanks + (line % nbanks);
+                let victim_global = route.global(victim_line.expect("dirty implies valid"));
                 // Writebacks consume HBM bandwidth off the critical path.
                 let _ = t.hbm.write(victim_global, at + lat);
             }
@@ -808,13 +824,10 @@ pub(crate) fn priv_l2_fill<H: HbmSink>(
     };
     if pf_wanted {
         let pf_local = local + 1;
-        let pf_global = pf_local * nbanks + (line % nbanks);
-        let _ = t.hbm.prefetch(pf_global, at + lat);
+        let _ = t.hbm.prefetch(route.global(pf_local), at + lat);
         t.stats.prefetches += 1;
         if let Some(dirty_local) = t.l2[bank].install(pf_local) {
-            let _ = t
-                .hbm
-                .write(dirty_local * nbanks + (line % nbanks), at + lat);
+            let _ = t.hbm.write(route.global(dirty_local), at + lat);
         }
     }
     completion
@@ -828,11 +841,12 @@ pub(crate) fn priv_l2_writeback<H: HbmSink>(
     line: u64,
     at: u64,
 ) {
-    let (bank, local, nbanks) = priv_route(p, pe, line);
+    let route = priv_route(p.b_div, pe, line);
+    let (bank, local) = (route.bank, route.local);
     t.stats.l2_writeback_installs += 1;
     // A full-line writeback needs no fetch: install directly, dirty.
     if let Some(dirty_local) = t.l2[bank].install(local) {
-        let _ = t.hbm.write(dirty_local * nbanks + (line % nbanks), at);
+        let _ = t.hbm.write(route.global(dirty_local), at);
     }
     // Mark dirty via a store probe (guaranteed hit after install;
     // only bank-internal counters are touched, not run stats).

@@ -10,7 +10,8 @@
 //!
 //! Lowering resolves everything that is invariant for a given
 //! `(Geometry, HwConfig, MicroArch)` at build time: line numbers, L1
-//! bank routing, SPM bank selection, compute-cost clamping, and the
+//! bank routing, SPM bank selection, compute-cost clamping (each burst
+//! folded into the micro-op before it, see `MicroOp`), and the
 //! *poisoning* of ops that the event loop would reject at run time
 //! (SPM ops without SPM, LCP tile barriers) — executing a poisoned op
 //! reproduces [`crate::Machine::run`]'s exact error or panic at the
@@ -82,29 +83,98 @@ pub(crate) enum MicroKind {
     PoisonLcpBar,
 }
 
+impl MicroKind {
+    /// True if a micro-op of this kind may carry folded compute bursts:
+    /// every kind that completes through the interpreter's common
+    /// `done` path. Barriers park the lane instead, and poisoned ops
+    /// fail before completing, so neither carries a fold.
+    #[inline]
+    fn carries_fold(self) -> bool {
+        !matches!(
+            self,
+            MicroKind::TileBarrier
+                | MicroKind::GlobalBarrier
+                | MicroKind::PoisonSpm
+                | MicroKind::PoisonLcpSpm
+                | MicroKind::PoisonLcpBar
+        )
+    }
+}
+
 /// One pre-decoded micro-op (24 bytes; the interpreter walks dense
 /// arrays of these).
+///
+/// A micro-op may carry the compute bursts that follow it in its
+/// stream (see [`push_compute`]): `post` is their summed, clamped
+/// cycles and `folded` their count, so one interpreter step executes
+/// the op and then the bursts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MicroOp {
     /// Compute cycles, or the bank-local line for shared-L1 accesses.
     pub(crate) a: u64,
     /// Global line number for memory accesses.
     pub(crate) b: u64,
-    pub(crate) kind: MicroKind,
+    /// Cycles of the compute bursts folded into this op.
+    pub(crate) post: u32,
     /// Resolved bank / PE index, where the kind needs one.
     pub(crate) bank: u16,
+    pub(crate) kind: MicroKind,
+    /// Number of compute bursts folded into this op.
+    pub(crate) folded: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 24);
 
 impl MicroOp {
     #[inline]
     fn plain(kind: MicroKind) -> Self {
+        MicroOp::new(kind, 0, 0, 0)
+    }
+
+    #[inline]
+    fn new(kind: MicroKind, a: u64, b: u64, bank: u16) -> Self {
         MicroOp {
-            a: 0,
-            b: 0,
+            a,
+            b,
+            post: 0,
+            bank,
             kind,
-            bank: 0,
+            folded: 0,
         }
     }
+
+    /// Source ops this micro-op stands for: itself plus its folds.
+    #[inline]
+    pub(crate) fn source_len(&self) -> u32 {
+        1 + self.folded as u32
+    }
+}
+
+/// Appends a compute burst of `cycles` (already clamped to ≥ 1) to the
+/// stream whose micro-ops start at `lo`. The burst folds into the
+/// stream's last micro-op when that op can carry it and neither its
+/// fold count nor its `post` sum would overflow; otherwise — at the
+/// head of a stream, after a barrier or a poisoned op, or on overflow —
+/// it becomes a `Compute` micro-op, which later bursts can fold into.
+/// Returns true when the burst folded.
+///
+/// Folding is exact: a burst touches no shared state and moves only
+/// its own lane's clock, so finishing it in the same interpreter step
+/// as the op before it leaves every other lane's events, and the
+/// `(cycle, worker)` order they are popped in, unchanged.
+#[inline]
+fn push_compute(ops: &mut Vec<MicroOp>, lo: usize, cycles: u32) -> bool {
+    if let Some(last) = ops[lo..].last_mut() {
+        if last.kind.carries_fold() && last.folded < u8::MAX {
+            if let Some(post) = last.post.checked_add(cycles) {
+                last.post = post;
+                last.folded += 1;
+                return true;
+            }
+        }
+    }
+    ops.push(MicroOp::new(MicroKind::Compute, cycles as u64, 0, 0));
+    false
 }
 
 /// Verifier verdict attached to a compiled program.
@@ -225,12 +295,10 @@ impl Program {
             let mut segs: Vec<u32> = vec![0];
             for &op in ops {
                 let m = match op {
-                    Op::Compute(n) => MicroOp {
-                        a: n.max(1) as u64,
-                        b: 0,
-                        kind: MicroKind::Compute,
-                        bank: 0,
-                    },
+                    Op::Compute(n) => {
+                        push_compute(&mut self.ops, lo as usize, n.max(1));
+                        continue;
+                    }
                     Op::Load(addr) => ctx.mem_access(addr, false, pe),
                     Op::Store(addr) => ctx.mem_access(addr, true, pe),
                     Op::SpmLoad(off) => ctx.spm_access(off, false, pe, &mut poisoned),
@@ -338,7 +406,10 @@ impl Program {
         self.parallel_ok
     }
 
-    /// Total micro-ops across all workers.
+    /// Total micro-ops across all workers. This counts micro-ops after
+    /// compute folding, not source ops: most compute bursts ride on the
+    /// micro-op before them, so a program is usually shorter than the
+    /// op streams it was built from.
     pub fn len(&self) -> usize {
         self.ops.len()
     }
@@ -470,47 +541,47 @@ impl LowerCtx {
         let line = self.line_div.div(addr);
         let word = self.word_div.div(addr);
         match (pe, self.l1) {
-            (None, _) => MicroOp {
-                a: word,
-                b: line,
-                kind: match (self.shared_l2, is_store) {
+            (None, _) => MicroOp::new(
+                match (self.shared_l2, is_store) {
                     (true, false) => MicroKind::SharedDirLoad,
                     (true, true) => MicroKind::SharedDirStore,
                     (false, false) => MicroKind::DirLcpLoad,
                     (false, true) => MicroKind::DirLcpStore,
                 },
-                bank: 0,
-            },
-            (Some(_), L1Mode::SharedCache | L1Mode::SharedCacheSpm) => MicroOp {
-                a: self.l1_div.div(line),
-                b: line,
-                kind: if is_store {
+                word,
+                line,
+                0,
+            ),
+            (Some(_), L1Mode::SharedCache | L1Mode::SharedCacheSpm) => MicroOp::new(
+                if is_store {
                     MicroKind::SharedStore
                 } else {
                     MicroKind::SharedLoad
                 },
-                bank: self.l1_div.rem(line) as u16,
-            },
-            (Some(pe), L1Mode::PrivateCache) => MicroOp {
-                a: word,
-                b: line,
-                kind: if is_store {
+                self.l1_div.div(line),
+                line,
+                self.l1_div.rem(line) as u16,
+            ),
+            (Some(pe), L1Mode::PrivateCache) => MicroOp::new(
+                if is_store {
                     MicroKind::PrivStore
                 } else {
                     MicroKind::PrivLoad
                 },
-                bank: pe as u16,
-            },
-            (Some(pe), L1Mode::PrivateSpm) => MicroOp {
-                a: word,
-                b: line,
-                kind: if is_store {
+                word,
+                line,
+                pe as u16,
+            ),
+            (Some(pe), L1Mode::PrivateSpm) => MicroOp::new(
+                if is_store {
                     MicroKind::DirPeStore
                 } else {
                     MicroKind::DirPeLoad
                 },
-                bank: pe as u16,
-            },
+                word,
+                line,
+                pe as u16,
+            ),
         }
     }
 
@@ -535,19 +606,19 @@ impl LowerCtx {
             MicroOp::plain(MicroKind::PoisonLcpSpm)
         } else if self.l1 == L1Mode::SharedCacheSpm {
             let word = self.word_div.div(off as u64);
-            MicroOp {
-                a: is_store as u64,
-                b: word,
-                kind: MicroKind::SpmShared,
-                bank: self.spm_div.rem(word) as u16,
-            }
+            MicroOp::new(
+                MicroKind::SpmShared,
+                is_store as u64,
+                word,
+                self.spm_div.rem(word) as u16,
+            )
         } else {
-            MicroOp {
-                a: is_store as u64,
-                b: self.word_div.div(off as u64),
-                kind: MicroKind::SpmPrivate,
-                bank: 0,
-            }
+            MicroOp::new(
+                MicroKind::SpmPrivate,
+                is_store as u64,
+                self.word_div.div(off as u64),
+                0,
+            )
         }
     }
 }
@@ -667,6 +738,9 @@ pub struct ProgramBuilder {
     /// Tile barriers emitted so far on the open worker's stream.
     cur_tile_bars: u32,
     cur_lo: u32,
+    /// Compute bursts folded so far on the open worker's stream: the
+    /// next op's source position is its micro-op offset plus this.
+    cur_folded: u32,
     cur_seg_lo: u32,
     open: bool,
     finished: bool,
@@ -720,6 +794,7 @@ impl ProgramBuilder {
             cur_epoch: 0,
             cur_tile_bars: 0,
             cur_lo: 0,
+            cur_folded: 0,
             cur_seg_lo: 0,
             open: false,
             // A fresh builder holds no emission; require begin() first.
@@ -851,6 +926,7 @@ impl ProgramBuilder {
         self.cur_epoch = 0;
         self.cur_tile_bars = 0;
         self.cur_lo = self.prog.ops.len() as u32;
+        self.cur_folded = 0;
         self.cur_seg_lo = self.seg_data.len() as u32;
         self.seg_data.push(0);
         self.open = true;
@@ -882,18 +958,23 @@ impl ProgramBuilder {
 
     /// Emits a compute burst of `cycles` (clamped to ≥ 1 like the
     /// machine; a zero burst draws the `ZeroCycleCompute` lint warning).
+    /// The burst usually folds into the micro-op before it (see
+    /// [`Program::len`]).
     #[inline]
     pub fn compute(&mut self, cycles: u32) {
         debug_assert!(self.open, "no worker stream open");
         if cycles == 0 && !self.unsupported {
             self.diag_at_cursor(Severity::Warning, LintKind::ZeroCycleCompute);
         }
-        self.prog.ops.push(MicroOp {
-            a: cycles.max(1) as u64,
-            b: 0,
-            kind: MicroKind::Compute,
-            bank: 0,
-        });
+        if push_compute(&mut self.prog.ops, self.cur_lo as usize, cycles.max(1)) {
+            self.cur_folded += 1;
+        }
+    }
+
+    /// Source-op position of the next op on the open worker's stream.
+    #[inline]
+    fn cursor(&self) -> u32 {
+        self.prog.ops.len() as u32 - self.cur_lo + self.cur_folded
     }
 
     /// Emits a global-memory load of `addr`.
@@ -940,7 +1021,7 @@ impl ProgramBuilder {
         if !self.analysis_enabled {
             return;
         }
-        let pc = self.prog.ops.len() as u32 - self.cur_lo;
+        let pc = self.cursor();
         if let Some(acc) =
             analyze::acc_of(m, self.cur_worker as u32, self.cur_tile, self.cur_epoch, pc)
         {
@@ -1041,7 +1122,7 @@ impl ProgramBuilder {
     fn diag_at_cursor(&mut self, severity: Severity, kind: LintKind) {
         self.diags.push(Diagnostic {
             worker: self.cur_worker,
-            position: Some(self.prog.ops.len() - self.cur_lo as usize),
+            position: Some(self.cursor() as usize),
             severity,
             kind,
         });
@@ -1255,13 +1336,17 @@ impl ProgramBuilder {
         for &(w, lo, hi) in &order {
             let new_lo = new_ops.len() as u32;
             let mut ordinal = 0usize;
+            // Source-op positions of the removed barriers.
             let mut cut: Vec<u32> = Vec::new();
-            for (pc, op) in old_ops[lo as usize..hi as usize].iter().enumerate() {
+            let mut pc = 0u32;
+            for op in &old_ops[lo as usize..hi as usize] {
+                let at = pc;
+                pc += op.source_len();
                 if op.kind == MicroKind::GlobalBarrier {
                     let g = ordinal;
                     ordinal += 1;
                     if g < elide.len() && elide[g] {
-                        cut.push(pc as u32);
+                        cut.push(at);
                         continue;
                     }
                 }
@@ -1613,7 +1698,7 @@ pub(crate) fn exec_span<C: ExecCtx>(
             }
             let op = &ops[lane.pos as usize];
             lane.pos += 1;
-            ctx.stats().ops += 1;
+            ctx.stats().ops += op.source_len() as u64;
             let done = match op.kind {
                 MicroKind::Compute => {
                     ctx.stats().compute_cycles += op.a;
@@ -1687,6 +1772,9 @@ pub(crate) fn exec_span<C: ExecCtx>(
                     return Err(SimError::LcpBarrier { tile });
                 }
             };
+            // The folded bursts run after the op's stall is counted.
+            ctx.stats().compute_cycles += op.post as u64;
+            let done = done + op.post as u64;
             match sched.step(done, li) {
                 Some(next) => {
                     cur = Some(next);
@@ -1761,7 +1849,7 @@ mod tests {
         let streams = ops_of(vec![(0, b)]);
         let p = compile(HwConfig::Sc, &streams);
         let ops = p.micro_ops();
-        assert_eq!(ops.len(), 3);
+        assert_eq!(ops.len(), 2);
         assert_eq!(ops[0].kind, MicroKind::SharedLoad);
         // line = 0x1000 / 64 = 64; 4 L1 banks in SC: bank 0, local 16.
         assert_eq!(ops[0].b, 64);
@@ -1769,9 +1857,57 @@ mod tests {
         assert_eq!(ops[0].a, 16);
         assert_eq!(ops[1].kind, MicroKind::SharedStore);
         assert_eq!(ops[1].bank, 1);
-        // Compute(0) clamps to 1 at compile time.
-        assert_eq!(ops[2].kind, MicroKind::Compute);
-        assert_eq!(ops[2].a, 1);
+        // Compute(0) clamps to 1 at compile time and folds into the
+        // store before it.
+        assert_eq!((ops[1].post, ops[1].folded), (1, 1));
+    }
+
+    #[test]
+    fn compute_folds_only_where_the_interpreter_completes_an_op() {
+        let mut b = StreamBuilder::new();
+        b.compute(3).compute(4).load(0).compute(5).compute(6);
+        b.tile_barrier().compute(7).global_barrier().compute(8);
+        let streams = ops_of(vec![(0, b)]);
+        let p = compile(HwConfig::Sc, &streams);
+        let got: Vec<(MicroKind, u64, u32, u8)> = p
+            .micro_ops()
+            .iter()
+            .map(|m| (m.kind, m.a, m.post, m.folded))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                // A stream-leading burst stays a Compute op and carries
+                // the next one.
+                (MicroKind::Compute, 3, 4, 1),
+                (MicroKind::SharedLoad, 0, 11, 2),
+                // Barriers never carry a fold.
+                (MicroKind::TileBarrier, 0, 0, 0),
+                (MicroKind::Compute, 7, 0, 0),
+                (MicroKind::GlobalBarrier, 0, 0, 0),
+                (MicroKind::Compute, 8, 0, 0),
+            ]
+        );
+
+        // A full fold count or a `post` sum past u32::MAX starts a new
+        // carrier.
+        let mut ops = vec![Op::Load(0)];
+        ops.extend(std::iter::repeat_n(Op::Compute(1), 256));
+        ops.extend([Op::Compute(u32::MAX), Op::Compute(1)]);
+        let p = compile(HwConfig::Sc, &[(0, ops)]);
+        let got: Vec<(MicroKind, u64, u32, u8)> = p
+            .micro_ops()
+            .iter()
+            .map(|m| (m.kind, m.a, m.post, m.folded))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (MicroKind::SharedLoad, 0, 255, 255),
+                (MicroKind::Compute, 1, u32::MAX, 1),
+                (MicroKind::Compute, 1, 0, 0),
+            ]
+        );
     }
 
     #[test]
@@ -1857,10 +1993,11 @@ mod tests {
             &ua(),
             streams2.iter().map(|(w, v)| (*w, v.as_slice())),
         );
-        assert_eq!(p.len(), 2);
+        // The second burst folds into the first.
+        assert_eq!(p.len(), 1);
         assert_eq!(p.hw(), HwConfig::Ps);
         assert!(p.ranges[0].is_none());
-        assert_eq!(p.ranges[1], Some((0, 2)));
+        assert_eq!(p.ranges[1], Some((0, 1)));
         assert_eq!(p.lint_clean(), None);
     }
 
@@ -1970,6 +2107,71 @@ mod tests {
             );
             assert_eq!(b.lint_clean(), Some(verify::is_clean(&want)));
         }
+    }
+
+    #[test]
+    fn elision_reanchors_positions_past_folded_bursts() {
+        let g = geom();
+        // (`StreamBuilder` clamps bursts, so the zero burst is literal.)
+        let mk = |base: u64| {
+            use Op::*;
+            vec![
+                Store(base),
+                Compute(1),
+                Compute(1),
+                GlobalBarrier,
+                Compute(0),
+                Store(base + 0x2000),
+                Compute(2),
+                Store(base + 0x2000),
+            ]
+        };
+        let streams = vec![(g.pe_id(0, 0), mk(0)), (g.pe_id(1, 0), mk(0x40))];
+        let mut b = ProgramBuilder::new();
+        b.begin(g, HwConfig::Pc, &ua());
+        for (w, ops) in &streams {
+            let (tile, pe) = g.locate(*w);
+            b.begin_pe(tile, pe.expect("PE streams"));
+            for &op in ops {
+                match op {
+                    Op::Compute(n) => b.compute(n),
+                    Op::Store(a) => b.store(a),
+                    Op::GlobalBarrier => b.global_barrier(),
+                    other => unreachable!("{other:?}"),
+                }
+            }
+        }
+        b.finish();
+        assert_eq!(b.elide_proven_barriers(), 1);
+
+        // The elided program reports what the barrier-free streams do.
+        let elided: Vec<(usize, Vec<Op>)> = streams
+            .iter()
+            .map(|(w, ops)| {
+                let kept = ops.iter().copied().filter(|&op| op != Op::GlobalBarrier);
+                (*w, kept.collect())
+            })
+            .collect();
+        let want = verify::lint(&materialize(&elided), HwConfig::Pc, &ua(), None);
+        assert!(matches!(
+            want[..],
+            [
+                Diagnostic {
+                    position: Some(3),
+                    ..
+                },
+                ..
+            ]
+        ));
+        let p = b.program();
+        assert_eq!(p.lint_diagnostics(), Some(&want[..]));
+        let got = p.analysis().expect("re-derived").diagnostics();
+        let oracle = compile(HwConfig::Pc, &elided);
+        assert_eq!(got, oracle.analysis().expect("analyzed").diagnostics());
+        assert!(
+            got.iter().any(|d| d.position == Some(4)),
+            "the dead store sits behind three folded bursts: {got:?}"
+        );
     }
 
     #[test]

@@ -3,11 +3,16 @@
 //! micro-op count, parallel-epoch eligibility, lint verdict, and
 //! simulated execution — from one compiled out of materialized op
 //! streams and linted after the fact (the legacy two-pass pipeline the
-//! builder replaced).
+//! builder replaced). The fold oracle then checks both against the op
+//! streams themselves: folding compute bursts into the micro-op before
+//! them must not change a run or a reported position.
 
 use proptest::prelude::*;
-use transmuter::verify::{self, ProgramSet, RegionMap};
-use transmuter::{Geometry, HwConfig, Machine, MicroArch, Op, Program, ProgramBuilder};
+use transmuter::verify::{self, Diagnostic, LintKind, ProgramSet, RegionMap};
+use transmuter::{
+    analyze, Analysis, ExecMode, Geometry, HwConfig, Machine, MicroArch, Op, Program,
+    ProgramBuilder, SimError, SimReport,
+};
 
 /// Decodes one generated op. SPM offsets stay word-aligned and inside
 /// the smallest capacity any SPM-bearing config offers, mirroring the
@@ -31,6 +36,19 @@ fn lcp_safe(op: Op) -> Op {
     match op {
         Op::SpmLoad(off) | Op::SpmStore(off) => Op::Load(off as u64),
         other => other,
+    }
+}
+
+/// Emits one op through the builder's verb for it.
+fn emit(b: &mut ProgramBuilder, op: Op) {
+    match op {
+        Op::Compute(n) => b.compute(n),
+        Op::Load(a) => b.load(a),
+        Op::Store(a) => b.store(a),
+        Op::SpmLoad(o) => b.spm_load(o),
+        Op::SpmStore(o) => b.spm_store(o),
+        Op::TileBarrier => b.tile_barrier(),
+        Op::GlobalBarrier => b.global_barrier(),
     }
 }
 
@@ -123,15 +141,7 @@ proptest! {
                 None => b.begin_lcp(tile),
             }
             for op in ops {
-                match *op {
-                    Op::Compute(n) => b.compute(n),
-                    Op::Load(a) => b.load(a),
-                    Op::Store(a) => b.store(a),
-                    Op::SpmLoad(o) => b.spm_load(o),
-                    Op::SpmStore(o) => b.spm_store(o),
-                    Op::TileBarrier => b.tile_barrier(),
-                    Op::GlobalBarrier => b.global_barrier(),
-                }
+                emit(&mut b, *op);
             }
         }
         let built = b.finish();
@@ -211,15 +221,7 @@ proptest! {
                 None => b.begin_lcp(tile),
             }
             for op in &decoded {
-                match *op {
-                    Op::Compute(n) => b.compute(n),
-                    Op::Load(a) => b.load(a),
-                    Op::Store(a) => b.store(a),
-                    Op::SpmLoad(o) => b.spm_load(o),
-                    Op::SpmStore(o) => b.spm_store(o),
-                    Op::TileBarrier => b.tile_barrier(),
-                    Op::GlobalBarrier => b.global_barrier(),
-                }
+                emit(&mut b, *op);
             }
             match pe {
                 Some(pe) => pset.set_pe(tile, pe, decoded),
@@ -235,5 +237,298 @@ proptest! {
         // The binding lasts one build: the next build is unchecked.
         b.begin(geom, hw, &ua);
         prop_assert_eq!(b.finish().races(), None);
+    }
+
+    /// The fold oracle: builder-built and compiled programs, whose
+    /// compute bursts ride on the micro-op before them, run exactly
+    /// like [`Machine::run`] over the unfolded op streams — same
+    /// cycles, every stats field, energy, and the same error on
+    /// poisoned or deadlocking streams — on the sequential and the
+    /// epoch-parallel core. Lint and analysis positions stay op-stream
+    /// positions.
+    #[test]
+    fn folded_programs_run_like_their_op_streams(case in arb_fold_case()) {
+        let (geom, hw, streams) = fold_streams(&case);
+        let ua = MicroArch::paper();
+
+        let mut pset = ProgramSet::new(geom);
+        let mut b = ProgramBuilder::new();
+        b.begin(geom, hw, &ua);
+        for (w, ops) in &streams {
+            match geom.locate(*w) {
+                (tile, Some(pe)) => {
+                    b.begin_pe(tile, pe);
+                    pset.set_pe(tile, pe, ops.iter().copied());
+                }
+                (tile, None) => {
+                    b.begin_lcp(tile);
+                    pset.set_lcp(tile, ops.iter().copied());
+                }
+            }
+            for &op in ops {
+                emit(&mut b, op);
+            }
+        }
+        let built = b.finish().clone();
+        let compiled = Program::compile(
+            geom,
+            hw,
+            &ua,
+            streams.iter().map(|(w, v)| (*w, v.as_slice())),
+        );
+        let source_ops: usize = streams.iter().map(|(_, v)| v.len()).sum();
+        prop_assert!(built.len() <= source_ops);
+        prop_assert_eq!(built.len(), compiled.len());
+
+        // Execution: the compiled program carries no lint verdict, so
+        // it runs into the same errors as the op streams; the builder's
+        // program carries one, so it answers like `run_verified`.
+        let reference = machine(geom, hw, ExecMode::Sequential).run(pset.stream_set());
+        let verified = machine(geom, hw, ExecMode::Sequential).run_verified(&pset, None);
+        for mode in [ExecMode::Sequential, ExecMode::ParallelTiles] {
+            let got = machine(geom, hw, mode).run_program(&compiled);
+            prop_assert_eq!(outcome(&got), outcome(&reference), "compiled, {:?}", mode);
+            let got = machine(geom, hw, mode).run_program(&built);
+            prop_assert_eq!(outcome(&got), outcome(&verified), "built, {:?}", mode);
+        }
+
+        // Lint positions: the batch lint reads the op streams.
+        let want = verify::lint(&pset, hw, &ua, None);
+        prop_assert_eq!(built.lint_diagnostics(), Some(&want[..]));
+
+        // Analysis positions: the streams with their compute bursts
+        // stripped hold no foldable op and make the same accesses, so
+        // their analysis, re-indexed to the full streams, is the
+        // unfolded oracle.
+        let mut index: Vec<Vec<usize>> = vec![Vec::new(); geom.total_workers()];
+        let mut stripped = Vec::new();
+        for (w, ops) in &streams {
+            index[*w] = (0..ops.len())
+                .filter(|&i| !matches!(ops[i], Op::Compute(_)))
+                .collect();
+            stripped.push((*w, index[*w].iter().map(|&i| ops[i]).collect::<Vec<Op>>()));
+        }
+        let unfolded = Program::compile(
+            geom,
+            hw,
+            &ua,
+            stripped.iter().map(|(w, v)| (*w, v.as_slice())),
+        );
+        let oracle = reindexed(&analyze(&unfolded), &index);
+        prop_assert_eq!(&summary(built.analysis().expect("analysis on by default")), &oracle);
+        prop_assert_eq!(&summary(compiled.analysis().expect("compile analyzes")), &oracle);
+    }
+}
+
+fn machine(geom: Geometry, hw: HwConfig, mode: ExecMode) -> Machine {
+    let mut m = Machine::new(geom, MicroArch::paper());
+    m.reconfigure(hw);
+    m.set_exec_mode(mode);
+    m
+}
+
+/// A run's outcome in comparable form: the whole report (cycles, every
+/// stats field, energy) or the error.
+fn outcome(r: &Result<SimReport, SimError>) -> Result<SimReport, String> {
+    r.clone().map_err(|e| format!("{e:?}"))
+}
+
+/// Cycle counts a fold case draws from: zero-cycle bursts (clamped to
+/// one, with a lint warning), small ones, and `u32::MAX`, whose sums
+/// overflow a carrier's `u32` budget.
+const FOLD_CYCLES: [u32; 4] = [0, 1, 3, u32::MAX];
+
+/// Burst-run lengths: runs past 255 overflow a carrier's fold count.
+const FOLD_RUNS: [usize; 4] = [1, 2, 5, 300];
+
+/// One fold-case worker stream: a presence selector (0 = no stream)
+/// plus raw `(kind, word, spm_word, cycles, run, slot)` elements; kinds
+/// 7 and 8 are runs of `FOLD_RUNS[run]` bursts of `FOLD_CYCLES[cycles]`.
+type FoldStream = (usize, Vec<(usize, u64, u32, usize, usize, usize)>);
+
+/// One fold case: geometry, config, a barrier skeleton (global
+/// barriers, tile barriers per segment), a mode selector (0 = free
+/// barriers) and the worker streams.
+type FoldCase = (usize, usize, usize, (usize, usize, usize), Vec<FoldStream>);
+
+/// Stream sets dense in the shapes the fold rule distinguishes: bursts
+/// at the head of a stream and after tile and global barriers, zero-
+/// cycle bursts, runs of 300, `u32` overflow and LCP streams. Most
+/// cases share one barrier skeleton across workers, as the kernels do,
+/// so they run to completion; the rest place barriers freely and keep
+/// SPM ops where the config has none, so they deadlock or hit poisoned
+/// ops (SPM without SPM, LCP tile barriers). Few distinct words, so the
+/// analysis reports dead stores and hazards with positions.
+fn arb_fold_case() -> impl Strategy<Value = FoldCase> {
+    (
+        1usize..3,
+        2usize..4,
+        0usize..4,
+        (0usize..3, 0usize..3, 0usize..4),
+    )
+        .prop_flat_map(|(tiles, pes, hw, skeleton)| {
+            let workers = tiles * pes + tiles;
+            (
+                Just(tiles),
+                Just(pes),
+                Just(hw),
+                Just(skeleton),
+                proptest::collection::vec(
+                    (
+                        0usize..3, // 0 = no stream
+                        proptest::collection::vec(
+                            (
+                                0usize..9,
+                                0u64..24,
+                                0u32..64,
+                                0usize..4,
+                                0usize..4,
+                                0usize..9,
+                            ),
+                            0..10,
+                        ),
+                    ),
+                    workers,
+                ),
+            )
+        })
+}
+
+/// Decodes a fold case into `(worker, ops)` streams and its config.
+fn fold_streams(case: &FoldCase) -> (Geometry, HwConfig, Vec<(usize, Vec<Op>)>) {
+    let (tiles, pes, hw_idx, (globals, tile_bars, mode), raw) = case;
+    let geom = Geometry::new(*tiles, *pes);
+    let hw = HwConfig::ALL[*hw_idx];
+    let has_spm = matches!(hw, HwConfig::Scs | HwConfig::Ps);
+    let free = *mode == 0;
+    let mut streams = Vec::new();
+    for (w, (selector, elems)) in raw.iter().enumerate() {
+        if *selector == 0 {
+            continue;
+        }
+        let pe = geom.locate(w).1;
+        let sub_slots = if pe.is_some() { tile_bars + 1 } else { 1 };
+        let slots = if free { 1 } else { (globals + 1) * sub_slots };
+        let mut slotted: Vec<(usize, Vec<Op>)> = elems
+            .iter()
+            .map(|&(k, word, spm, c, run, slot)| {
+                let n = FOLD_CYCLES[c];
+                // In skeleton mode barriers come from the skeleton and
+                // SPM ops stay only where they can run.
+                let keep = free || (k < 5 && has_spm && pe.is_some());
+                let ops = match k {
+                    7 | 8 => vec![Op::Compute(n); FOLD_RUNS[run]],
+                    3..=6 if !keep => vec![Op::Store(word * 4)],
+                    _ if pe.is_none() => vec![lcp_safe(decode_op(k, word, spm, n))],
+                    _ => vec![decode_op(k, word, spm, n)],
+                };
+                (slot % slots, ops)
+            })
+            .collect();
+        slotted.sort_by_key(|(slot, _)| *slot);
+        let mut ops = Vec::new();
+        let mut next = slotted.into_iter().peekable();
+        for slot in 0..slots {
+            if slot > 0 {
+                ops.push(if slot % sub_slots == 0 {
+                    Op::GlobalBarrier
+                } else {
+                    Op::TileBarrier
+                });
+            }
+            while let Some((_, elem)) = next.next_if(|(s, _)| *s == slot) {
+                ops.extend(elem);
+            }
+        }
+        streams.push((w, ops));
+    }
+    (geom, hw, streams)
+}
+
+/// An [`Analysis`] with every position mapped through `index`
+/// (per worker: stripped-stream position → full-stream position).
+#[derive(Debug, PartialEq)]
+struct AnalysisSummary {
+    congruent: bool,
+    epochs: Vec<transmuter::ParCommit>,
+    conflict: Option<transmuter::Conflict>,
+    diagnostics: Vec<Diagnostic>,
+    suppressed: usize,
+    elision_candidates: Vec<u32>,
+    conflict_edges: Vec<(u32, u32)>,
+}
+
+fn summary(a: &Analysis) -> AnalysisSummary {
+    AnalysisSummary {
+        congruent: a.congruent(),
+        epochs: a.epochs().to_vec(),
+        conflict: a.conflict().copied(),
+        diagnostics: a.diagnostics().to_vec(),
+        suppressed: a.suppressed(),
+        elision_candidates: a.elision_candidates().to_vec(),
+        conflict_edges: a.conflict_edges().to_vec(),
+    }
+}
+
+fn reindexed(a: &Analysis, index: &[Vec<usize>]) -> AnalysisSummary {
+    let mut s = summary(a);
+    for d in &mut s.diagnostics {
+        if let Some(p) = d.position.as_mut() {
+            *p = index[d.worker][*p];
+        }
+        if let LintKind::CrossEpochWriteHazard { first, second, .. } = &mut d.kind {
+            first.2 = index[first.0][first.2];
+            second.2 = index[second.0][second.2];
+        }
+    }
+    s
+}
+
+#[test]
+fn fold_cases_cover_every_shape() {
+    // The oracle above only means something if its generator reaches
+    // every fold boundary; count how often each shape shows up.
+    let mut rng = proptest::test_runner::TestRng::deterministic("fold_cases_cover_every_shape");
+    let strategy = arb_fold_case();
+    let mut seen = [0usize; 8];
+    for _ in 0..64 {
+        let (geom, _, streams) = fold_streams(&strategy.generate(&mut rng));
+        for (w, ops) in streams {
+            let burst = |op: &Op| matches!(op, Op::Compute(_));
+            seen[0] += ops.first().is_some_and(burst) as usize;
+            for pair in ops.windows(2) {
+                seen[1] += (pair[0] == Op::TileBarrier && burst(&pair[1])) as usize;
+                seen[2] += (pair[0] == Op::GlobalBarrier && burst(&pair[1])) as usize;
+            }
+            seen[3] += ops.contains(&Op::Compute(0)) as usize;
+            let mut run = 0usize;
+            let mut longest = 0usize;
+            let mut max_bursts = 0usize;
+            for op in &ops {
+                run = if burst(op) { run + 1 } else { 0 };
+                longest = longest.max(run);
+                max_bursts += (*op == Op::Compute(u32::MAX)) as usize;
+            }
+            seen[4] += (longest >= 256) as usize;
+            seen[5] += ops
+                .windows(2)
+                .any(|p| p[0] == Op::Compute(u32::MAX) && p[1] == Op::Compute(u32::MAX))
+                as usize;
+            seen[6] += (geom.locate(w).1.is_none() && ops.iter().any(burst)) as usize;
+            seen[7] += max_bursts.min(1);
+        }
+    }
+    let names = [
+        "leading burst",
+        "burst after a tile barrier",
+        "burst after a global barrier",
+        "zero-cycle burst",
+        "256+ consecutive bursts",
+        "u32 sum overflow",
+        "LCP stream with bursts",
+        "u32::MAX burst",
+    ];
+    for (name, n) in names.iter().zip(seen) {
+        assert!(n >= 4, "{name}: only {n} streams in 64 cases");
     }
 }

@@ -593,6 +593,36 @@ fn assert_static_races_match_trace(programs: &ProgramSet, hw: HwConfig) -> usize
     traced.len()
 }
 
+/// Lint ⟺ run: the linter accepts `programs` iff the machine runs them
+/// to completion, and `run_verified` agrees with both.
+fn assert_lint_accepts_iff_run_completes(
+    programs: &ProgramSet,
+    hw: HwConfig,
+) -> Result<(), TestCaseError> {
+    let geom = programs.geometry();
+    let diags = verify::lint(programs, hw, &MicroArch::paper(), None);
+    let accepted = verify::is_clean(&diags);
+
+    let mut m = machine_with(geom, hw);
+    let run = m.run(programs.stream_set());
+    prop_assert_eq!(
+        accepted,
+        run.is_ok(),
+        "lint accepted={} but run={:?} (diags: {:?})",
+        accepted,
+        run.as_ref().map(|r| r.cycles).map_err(|e| e.to_string()),
+        &diags
+    );
+
+    let mut m = machine_with(geom, hw);
+    let verified = m.run_verified(programs, None);
+    prop_assert_eq!(accepted, verified.is_ok());
+    if !accepted {
+        prop_assert!(matches!(verified, Err(SimError::Rejected { .. })));
+    }
+    Ok(())
+}
+
 #[test]
 fn congruent_cases_race_often() {
     // The generator must exercise the race finder, not just the empty
@@ -614,13 +644,17 @@ proptest! {
 
     /// The linter accepts a stream set iff the machine runs it to
     /// completion (over the domain where the simulator's error reporting
-    /// is well-defined; see `decode_op`).
+    /// is well-defined; see `decode_op`). Random streams mostly exercise
+    /// the reject side; congruent ones, which lint clean by
+    /// construction, the accept side.
     #[test]
-    fn lint_accepts_iff_run_completes(case in arb_machine_case()) {
+    fn lint_accepts_iff_run_completes(
+        case in arb_machine_case(),
+        congruent in arb_congruent_case(),
+    ) {
         let (tiles, pes, hw_idx, raw) = case;
         let geom = Geometry::new(tiles, pes);
         let hw = HwConfig::ALL[hw_idx];
-        let ua = MicroArch::paper();
 
         let mut programs = ProgramSet::new(geom);
         for (w, (selector, ops)) in raw.iter().enumerate() {
@@ -635,28 +669,10 @@ proptest! {
                 None => programs.set_lcp(tile, decoded.into_iter().map(lcp_safe)),
             }
         }
+        assert_lint_accepts_iff_run_completes(&programs, hw)?;
 
-        let diags = verify::lint(&programs, hw, &ua, None);
-        let accepted = verify::is_clean(&diags);
-
-        let mut m = machine_with(geom, hw);
-        let run = m.run(programs.stream_set());
-        prop_assert_eq!(
-            accepted,
-            run.is_ok(),
-            "lint accepted={} but run={:?} (diags: {:?})",
-            accepted,
-            run.as_ref().map(|r| r.cycles).map_err(|e| e.to_string()),
-            &diags
-        );
-
-        // And run_verified agrees with both.
-        let mut m = machine_with(geom, hw);
-        let verified = m.run_verified(&programs, None);
-        prop_assert_eq!(accepted, verified.is_ok());
-        if !accepted {
-            prop_assert!(matches!(verified, Err(SimError::Rejected { .. })));
-        }
+        let (programs, hw) = congruent_programs(&congruent);
+        assert_lint_accepts_iff_run_completes(&programs, hw)?;
     }
 
     /// A checked build's static races equal the trace detector's on a
