@@ -42,10 +42,8 @@ fn bench_generation(c: &mut Criterion) {
 
     let sub = op::subruns(&csc, &tiles);
     let ua = MicroArch::paper();
-    // One reused builder, as a runtime session's scratch; analysis off,
-    // as for its one-shot builds.
+    // One reused builder, as a runtime session's scratch.
     let mut builder = ProgramBuilder::new();
-    builder.set_analysis(false);
 
     let mut group = c.benchmark_group("program-build");
     group.sample_size(20);

@@ -130,10 +130,10 @@ fn bench_end_to_end(c: &mut Criterion) {
 /// iteration, on its graph (the Pokec analogue at divisor 64, ~25k
 /// vertices, ~478k edges) and geometry (2 tiles × 4 PEs): a masked
 /// IP/SCS program over a 10% frontier and an OP/PS program over a 1%
-/// frontier. Builds go through one reused builder with the analysis
-/// off, as a session's scratch builds do; runs start from a fresh
-/// machine. Both report time per *source* op — the ops the kernel
-/// emits, before compute bursts fold into the micro-op they follow.
+/// frontier. Builds go through one reused builder, as a session's
+/// scratch builds do; runs start from a fresh machine. Both report
+/// time per *source* op — the ops the kernel emits, before compute
+/// bursts fold into the micro-op they follow.
 fn bench_pokec_programs(c: &mut Criterion) {
     let adj = SuiteGraph::Pokec.spec().scaled(64).generate(7).unwrap();
     let coo = adj.transpose();
@@ -151,7 +151,6 @@ fn bench_pokec_programs(c: &mut Criterion) {
     let sub = op::subruns(&csc, &tiles);
     let mut scratch = ip::IpScratch::default();
     let mut builder = ProgramBuilder::new();
-    builder.set_analysis(false);
     let mut build = |builder: &mut ProgramBuilder, hw: HwConfig| {
         builder.begin(g, hw, &ua);
         if hw == HwConfig::Scs {

@@ -73,7 +73,7 @@ use sparse::CooMatrix;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use transmuter::{EpochStats, ExecMode, Geometry, HwConfig, Machine, MicroArch};
+use transmuter::{Geometry, HwConfig, Machine, MicroArch};
 
 struct Workload {
     name: &'static str,
@@ -93,9 +93,6 @@ struct Workload {
     /// serve workloads sample every individual query instead.
     p50_ms: f64,
     p99_ms: f64,
-    /// Epoch-commit counters accumulated by the workload's machine
-    /// (proven replay-free / dynamically replayed / rolled back).
-    epochs: EpochStats,
 }
 
 fn median_of(mut xs: Vec<f64>) -> f64 {
@@ -195,7 +192,6 @@ fn measure_with<F: FnMut() -> f64>(
         cold,
         p50_ms,
         p99_ms,
-        epochs: EpochStats::default(),
     }
 }
 
@@ -249,9 +245,7 @@ fn blocked(n: usize) -> CooMatrix {
 
 /// An `n`-square matrix whose nonzeros all land in the top half of the
 /// rows: under `EqualRows` balancing the bottom-half workers own only
-/// empty rows and issue no memory traffic, which lets the static
-/// epoch-dependence analyzer prove the program's epochs
-/// single-mem-active-tile (replay-free commits).
+/// empty rows and issue no memory traffic.
 fn synthetic_top_half(n: usize, nnz: usize, seed: u64) -> CooMatrix {
     let m = sparse::generate::uniform(n / 2, n, nnz, seed).expect("valid synthetic matrix");
     CooMatrix::from_triplets(n, n, m.iter().collect()).expect("re-embedded matrix")
@@ -292,10 +286,6 @@ fn print_cache_stats(rt: &CoSparse) {
         memo.misses,
         memo.hit_rate() * 100.0,
     );
-    println!(
-        "    epochs: {} proven (replay-free) | {} replayed | {} rolled back",
-        cs.epochs.proven, cs.epochs.replayed, cs.epochs.rolled_back,
-    );
 }
 
 /// The simulate-backend workload section. `warmup` in full mode is
@@ -312,10 +302,9 @@ fn run_sim_workloads(smoke: bool, out: &mut Vec<Workload>) {
         let mut rt = CoSparse::new(&m, machine());
         rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
         let x = Frontier::Dense(sparse::generate::random_dense_vector(2048, 1));
-        let mut w = measure("spmv_dense_2048", "spmv", warmup, repeats, || {
+        let w = measure("spmv_dense_2048", "spmv", warmup, repeats, || {
             spmv_pass(&mut rt, &x, calls)
         });
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -327,10 +316,9 @@ fn run_sim_workloads(smoke: bool, out: &mut Vec<Workload>) {
         rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
         let sv = sparse::generate::random_sparse_vector(2048, 0.02, 9).expect("valid density");
         let x = Frontier::Sparse(sv);
-        let mut w = measure("spmv_sparse_2048", "spmv", warmup, repeats, || {
+        let w = measure("spmv_sparse_2048", "spmv", warmup, repeats, || {
             spmv_pass(&mut rt, &x, calls)
         });
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -343,11 +331,10 @@ fn run_sim_workloads(smoke: bool, out: &mut Vec<Workload>) {
         let iters = if smoke { 6 } else { 20 };
         let pr = PageRank::new(0.85, iters);
         let mut engine = Engine::new(&m, machine());
-        let mut w = measure("engine_pagerank_2048", "iter", warmup, repeats, || {
+        let w = measure("engine_pagerank_2048", "iter", warmup, repeats, || {
             let r = engine.run(&pr).expect("pagerank converges");
             r.iterations.len() as f64
         });
-        w.epochs = engine.runtime().cache_stats().epochs;
         out.push(w);
         print_cache_stats(engine.runtime());
     }
@@ -363,11 +350,10 @@ fn run_sim_workloads(smoke: bool, out: &mut Vec<Workload>) {
         let m = pokec_like(n, nnz);
         let sssp = Sssp::new(0);
         let mut engine = Engine::new(&m, machine());
-        let mut w = measure("engine_sssp_pokec_like", "iter", warmup, repeats, || {
+        let w = measure("engine_sssp_pokec_like", "iter", warmup, repeats, || {
             let r = engine.run(&sssp).expect("sssp converges");
             r.iterations.len().max(1) as f64
         });
-        w.epochs = engine.runtime().cache_stats().epochs;
         out.push(w);
         print_cache_stats(engine.runtime());
     }
@@ -388,39 +374,30 @@ fn run_sim_workloads(smoke: bool, out: &mut Vec<Workload>) {
                 )
             })
             .collect();
-        let mut w = measure("spmv_op_oneshot_2048", "spmv", warmup, repeats, || {
+        let w = measure("spmv_op_oneshot_2048", "spmv", warmup, repeats, || {
             for f in &frontiers {
                 let out = rt.spmv(f).expect("simulation succeeds");
                 std::hint::black_box(out.report.cycles);
             }
             frontiers.len() as f64
         });
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
 
     // 6. Row-imbalanced IP SpMV (IP/SC, EqualRows): every nonzero lives
     //    in the top row half, so the bottom tile's workers are memory-
-    //    silent and the analyzer proves each epoch single-mem-active-
-    //    tile — the `epochs: N proven` cache-stats line below is the
-    //    replay-free-commit acceptance signal.
+    //    silent while the top tile's carry the whole matrix — the
+    //    load-imbalanced shape of the dense inner-product kernel.
     {
         let half = synthetic_top_half(2048, 24_000, 4);
-        // Pin ParallelTiles: with every epoch statically proven, the
-        // epoch driver commits directly (no threads, no replay), so the
-        // replay-free path is exercised deterministically even on a
-        // single-CPU host where Auto would stay sequential.
-        let mut mach = machine();
-        mach.set_exec_mode(ExecMode::ParallelTiles);
-        let mut rt = CoSparse::new(&half, mach);
+        let mut rt = CoSparse::new(&half, machine());
         rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
         rt.set_balancing(Balancing::EqualRows);
         let x = Frontier::Dense(sparse::generate::random_dense_vector(2048, 1));
-        let mut w = measure("spmv_ip_imbalanced_2048", "spmv", warmup, repeats, || {
+        let w = measure("spmv_ip_imbalanced_2048", "spmv", warmup, repeats, || {
             spmv_pass(&mut rt, &x, calls)
         });
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -770,10 +747,9 @@ fn run_format_workloads(smoke: bool, out: &mut Vec<Workload>) {
         rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
         let sv = sparse::generate::random_sparse_vector(2048, 0.02, 9).expect("valid density");
         let x = Frontier::Sparse(sv);
-        let mut w = measure("fmt_csc_banded_2048", "spmv", warmup, repeats, || {
+        let w = measure("fmt_csc_banded_2048", "spmv", warmup, repeats, || {
             spmv_pass(&mut rt, &x, calls)
         });
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -794,8 +770,7 @@ fn run_format_workloads(smoke: bool, out: &mut Vec<Workload>) {
         } else {
             calls
         };
-        let mut w = measure(name, "spmv", warmup, repeats, || spmv_pass(&mut rt, &x, c));
-        w.epochs = rt.cache_stats().epochs;
+        let w = measure(name, "spmv", warmup, repeats, || spmv_pass(&mut rt, &x, c));
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -816,8 +791,7 @@ fn run_format_workloads(smoke: bool, out: &mut Vec<Workload>) {
         } else {
             calls
         };
-        let mut w = measure(name, "spmv", warmup, repeats, || spmv_pass(&mut rt, &x, c));
-        w.epochs = rt.cache_stats().epochs;
+        let w = measure(name, "spmv", warmup, repeats, || spmv_pass(&mut rt, &x, c));
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -943,10 +917,9 @@ fn run_reorder_workloads(smoke: bool, out: &mut Vec<Workload>) {
         rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
         rt.set_reorder_override(Some(ReorderKind::Rcm));
         let x = Frontier::Dense(sparse::generate::random_dense_vector(2048, 1));
-        let mut w = measure("reorder_rcm_ip_pokec_2048", "spmv", warmup, repeats, || {
+        let w = measure("reorder_rcm_ip_pokec_2048", "spmv", warmup, repeats, || {
             spmv_pass(&mut rt, &x, calls)
         });
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -961,14 +934,13 @@ fn run_reorder_workloads(smoke: bool, out: &mut Vec<Workload>) {
         rt.set_reorder_override(Some(ReorderKind::WindowCluster));
         let sv = sparse::generate::random_sparse_vector(2048, 0.02, 9).expect("valid density");
         let x = Frontier::Sparse(sv);
-        let mut w = measure(
+        let w = measure(
             "reorder_window_op_pokec_2048",
             "spmv",
             warmup,
             repeats,
             || spmv_pass(&mut rt, &x, calls),
         );
-        w.epochs = rt.cache_stats().epochs;
         out.push(w);
         print_cache_stats(&rt);
     }
@@ -1036,8 +1008,7 @@ fn workloads_json(workloads: &[Workload], indent: &str) -> String {
             s,
             "{indent}  {{\"name\": \"{}\", \"unit\": \"{}\", \"work_per_pass\": {}, \
              \"median_per_sec\": {:.3}, \"min_per_sec\": {:.3}, \"max_per_sec\": {:.3}, \
-             \"cold_per_sec\": {:.3}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"epochs_proven\": {}, \"epochs_replayed\": {}, \"epochs_rolled_back\": {}}}{comma}",
+             \"cold_per_sec\": {:.3}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}",
             json_escape(w.name),
             json_escape(w.unit),
             w.work,
@@ -1047,9 +1018,6 @@ fn workloads_json(workloads: &[Workload], indent: &str) -> String {
             w.cold,
             w.p50_ms,
             w.p99_ms,
-            w.epochs.proven,
-            w.epochs.replayed,
-            w.epochs.rolled_back,
         );
     }
     let _ = write!(s, "{indent}]");

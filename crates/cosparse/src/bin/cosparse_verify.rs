@@ -15,10 +15,9 @@
 //! produces a race, or diverges from the unchecked cached path.
 //!
 //! With `--explain`, each combination additionally prints the static
-//! epoch-dependence analyzer's verdict (epochs proven replay-free
-//! versus dynamically checked) and, when parallel execution is denied,
-//! the first blocking interference witness — which epoch's tiles
-//! interfere, and on what address.
+//! analyzer's lints over the programs its checked builds ran (dead
+//! stores, dead SPM writes, cross-epoch write-write hazards, redundant
+//! barriers). They are warnings and do not fail the sweep.
 //!
 //! ```text
 //! cosparse-verify [--tiles A] [--pes B] [--n N] [--nnz M]
@@ -27,7 +26,7 @@
 
 use cosparse::{CoSparse, Frontier, HwConfig, Policy, SwConfig};
 use sparse::CooMatrix;
-use transmuter::{Geometry, Machine, MicroArch, ParCommit};
+use transmuter::{Geometry, Machine, MicroArch};
 
 struct Opts {
     tiles: usize,
@@ -134,16 +133,19 @@ fn check_combo(matrix: &CooMatrix, sw: SwConfig, hw: HwConfig, opts: &Opts) -> b
             for race in &report.races {
                 println!("    RACE: {race}");
             }
+            if opts.explain {
+                if report.analyzer.is_empty() {
+                    println!("    analyzer: no lints");
+                }
+                for d in &report.analyzer {
+                    println!("    analyzer: {d}");
+                }
+            }
             // Cross-check: the unverified session's cached unchecked
             // program must time identically to the checked one-shot
             // build.
             let mut rt2 = CoSparse::new(matrix, Machine::new(geom, MicroArch::paper()));
             rt2.set_policy(Policy::Fixed(sw, hw));
-            if opts.explain {
-                // Analyze one-shot scratch/conversion builds too, so
-                // every combo has a verdict to explain.
-                rt2.set_deep_analysis(true);
-            }
             let agree = match rt2.spmv(&frontier_for(sw, opts)) {
                 Ok(o2) if o2.report.cycles == out.report.cycles => true,
                 Ok(o2) => {
@@ -159,44 +161,11 @@ fn check_combo(matrix: &CooMatrix, sw: SwConfig, hw: HwConfig, opts: &Opts) -> b
                     false
                 }
             };
-            if opts.explain {
-                explain_analysis(&rt2);
-            }
             clean && agree
         }
         Err(e) => {
             println!("{label:24} REJECTED: {e}");
             false
-        }
-    }
-}
-
-/// Prints the analyzer verdict of the combo's last executed program:
-/// the per-epoch commit tally and, when replay-free parallel commit was
-/// denied for some epoch, the first blocking interference witness.
-fn explain_analysis(rt: &CoSparse) {
-    let Some(a) = rt.last_analysis() else {
-        println!("    analyzer: no compiled program executed");
-        return;
-    };
-    if !a.congruent() {
-        println!("    analyzer: inapplicable (incongruent, poisoned or unsupported program)");
-        return;
-    }
-    let total = a.epochs().len();
-    let proven = a
-        .epochs()
-        .iter()
-        .filter(|e| matches!(e, ParCommit::Proven(_)))
-        .count();
-    println!(
-        "    analyzer: {total} epoch(s): {proven} proven replay-free, {} dynamically checked",
-        total - proven
-    );
-    if proven < total {
-        match a.conflict() {
-            Some(c) => println!("    analyzer: parallel commit denied: {c}"),
-            None => println!("    analyzer: parallel commit denied (no single witness)"),
         }
     }
 }

@@ -39,6 +39,17 @@ pub fn build(
 ) {
     let pes = geometry.total_pes();
     let vw = profile.value_words;
+    // Exact micro-op count: every compute burst folds into the load or
+    // store before it.
+    sink.reserve(match direction {
+        Direction::DenseToSparse => dim + active_nnz,
+        Direction::SparseToDense => {
+            let memset: usize = (0..pes)
+                .map(|p| ((dim * (p + 1) / pes - dim * p / pes) * vw).div_ceil(16))
+                .sum();
+            memset + 2 * active_nnz
+        }
+    });
     for tile in 0..geometry.tiles() {
         for pe in 0..geometry.pes_per_tile() {
             let p = geometry.pe_id(tile, pe);
@@ -47,7 +58,6 @@ pub fn build(
             let outs = (active_nnz * (p + 1) / pes) - (active_nnz * p / pes);
             let out_start = active_nnz * p / pes;
             sink.begin_pe(tile, pe);
-            sink.reserve(elems * (vw + 1) + outs * (vw + 1));
             match direction {
                 Direction::DenseToSparse => {
                     for e in 0..elems {

@@ -76,6 +76,8 @@ pub fn build_pack(
     sink: &mut impl KernelSink,
 ) {
     let pes = geometry.total_pes();
+    // Exact: each compute burst folds into its load.
+    sink.reserve(nnz + image_words);
     for tile in 0..geometry.tiles() {
         for pe in 0..geometry.pes_per_tile() {
             let p = geometry.pe_id(tile, pe);
@@ -84,7 +86,6 @@ pub fn build_pack(
             let w_lo = image_words * p / pes;
             let w_hi = image_words * (p + 1) / pes;
             sink.begin_pe(tile, pe);
-            sink.reserve((e_hi - e_lo) * 2 + (w_hi - w_lo));
             for k in e_lo..e_hi {
                 sink.load(layout.coo_entry(k));
                 sink.compute(1);
@@ -120,13 +121,25 @@ pub fn build_bitmap(
     let l0_base = l1_words * 2;
     let val_base = l0_base + m.l0().len();
     let desc_base = val_base + m.nnz();
+    // Micro-op bound (compute bursts fold into the load before them):
+    // per row a descriptor load, the level-1 words its segment bits span
+    // and `vw` output stores; per occupied segment a level-0 load; per
+    // entry a value load and at most `vw` vector loads.
+    let bound: usize = params
+        .partition
+        .iter()
+        .map(|range| {
+            let nnz_here = m.row_ptr()[range.end] - m.row_ptr()[range.start];
+            let segs_here = m.row_seg_ptr()[range.end] - m.row_seg_ptr()[range.start];
+            range.len() * (2 + spr.div_ceil(64) + vw) + segs_here + nnz_here * (1 + vw)
+        })
+        .sum();
+    sink.reserve(bound);
     for tile in 0..geometry.tiles() {
         for pe in 0..geometry.pes_per_tile() {
             let part = geometry.pe_id(tile, pe);
             let range = params.partition.range(part);
             sink.begin_pe(tile, pe);
-            let nnz_here: usize = range.clone().map(|r| m.row_nnz(r)).sum();
-            sink.reserve(range.len() * 3 + nnz_here * (2 + vw) + vw);
             for r in range {
                 // Row descriptor (segment/value prefix sums).
                 sink.load(params.layout.fmt_word(desc_base + r));
@@ -191,21 +204,33 @@ pub fn build_bcsr(
     let block_rows = m.rows().div_ceil(br);
     let hdr_base = block_rows + 1;
     let val_base = hdr_base + m.block_count() * 2;
+    // Block rows whose first matrix row falls in a partition.
+    let block_rows_of = |range: std::ops::Range<usize>| {
+        range.start.div_ceil(br)..range.end.div_ceil(br).min(block_rows)
+    };
+    // Micro-op bound (compute bursts fold into the load before them):
+    // per block row its pointer load and at most `br * vw` output
+    // stores; per block its header, at most `vw` vector loads per block
+    // column and the value slab.
+    let bound: usize = params
+        .partition
+        .iter()
+        .map(|range| {
+            let brows = block_rows_of(range);
+            let blocks = if brows.is_empty() {
+                0
+            } else {
+                m.block_row_ptr()[brows.end] - m.block_row_ptr()[brows.start]
+            };
+            brows.len() * (1 + br * vw) + blocks * (1 + bc * vw + br * bc)
+        })
+        .sum();
+    sink.reserve(bound);
     for tile in 0..geometry.tiles() {
         for pe in 0..geometry.pes_per_tile() {
             let part = geometry.pe_id(tile, pe);
-            let range = params.partition.range(part);
             sink.begin_pe(tile, pe);
-            // Block rows whose first matrix row falls in this partition.
-            let b_lo = range.start.div_ceil(br);
-            let b_hi = range.end.div_ceil(br).min(block_rows);
-            let blocks_here = if b_lo < b_hi {
-                m.block_row_ptr()[b_hi] - m.block_row_ptr()[b_lo]
-            } else {
-                0
-            };
-            sink.reserve((b_hi.saturating_sub(b_lo)) * 2 + blocks_here * (2 + bc + br * bc) + vw);
-            for brow in b_lo..b_hi {
+            for brow in block_rows_of(params.partition.range(part)) {
                 sink.load(params.layout.fmt_word(brow)); // block-row pointer
                 let mut row_active = [false; 16];
                 for b in m.block_row_ptr()[brow]..m.block_row_ptr()[brow + 1] {

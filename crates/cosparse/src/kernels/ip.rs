@@ -116,6 +116,7 @@ pub fn build_with(
     let vw = params.profile.value_words;
     let mac_cost = 2 + params.profile.extra_compute_per_edge;
     let b = geometry.pes_per_tile();
+    sink.reserve(micro_op_bound(coo_t, geometry, params));
 
     for tile in 0..geometry.tiles() {
         for pe in 0..b {
@@ -131,7 +132,6 @@ pub fn build_with(
             // is one "block". This is the common steady-state shape
             // (VBlocks::whole), so skipping the sort matters.
             if params.vblocks.len() <= 1 && !params.use_spm {
-                sink.reserve(entries.len() * (3 + vw) + vw);
                 let mut prev_row: Option<u32> = None;
                 for (seq, t) in entries.iter().enumerate() {
                     let (row, col) = (t.row, t.col);
@@ -167,7 +167,6 @@ pub fn build_with(
             // layout of §III-B).
             scratch.bucket(entries, params.vblocks);
 
-            sink.reserve(entries.len() * 5 + 16);
             let mut seq = 0usize; // storage order within the partition
             for vb in 0..params.vblocks.len() {
                 let vb_range = params.vblocks.range(vb);
@@ -229,6 +228,30 @@ pub fn build_with(
             }
         }
     }
+}
+
+/// Upper bound on the micro-ops [`build_with`] emits. Compute bursts
+/// always follow a load here, so they fold and take no slot. Each
+/// triplet costs its COO load and at most `vw` vector loads; output
+/// stores come once per row run, and a vblock's triplets stay
+/// row-major, so a PE has at most one run per partition row and
+/// vblock; an SCS preload adds the tile's vector segment as loads and
+/// SPM stores plus two tile barriers per PE and vblock.
+fn micro_op_bound(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'_>) -> usize {
+    let vw = params.profile.value_words;
+    let n_vb = params.vblocks.len().max(1);
+    let mut bound = 0;
+    for part in 0..params.partition.len() {
+        let entries = params.partition.triplet_range(coo_t, part).len();
+        let rows = params.partition.range(part).len();
+        bound += entries * (1 + vw) + vw * entries.min(n_vb * rows);
+    }
+    if params.use_spm {
+        let b = geometry.pes_per_tile();
+        let cols: usize = params.vblocks.iter().map(|r| r.len()).sum();
+        bound += geometry.tiles() * (2 * cols * vw + 2 * b * n_vb);
+    }
+    bound
 }
 
 /// Total ops a dense-frontier IP pass will issue, cheap estimate used by

@@ -39,7 +39,9 @@ pub trait KernelSink {
     fn begin_pe(&mut self, tile: usize, pe: usize);
     /// Starts (or restarts) tile `tile`'s LCP stream.
     fn begin_lcp(&mut self, tile: usize);
-    /// Capacity hint for ops about to be emitted.
+    /// Capacity hint: an upper bound on the micro-ops the whole program
+    /// will hold once built (compute bursts that fold into the op before
+    /// them take no slot), given once before the first stream opens.
     fn reserve(&mut self, additional: usize);
     /// Busies the current worker for `cycles`.
     fn compute(&mut self, cycles: u32);
@@ -162,10 +164,9 @@ impl KernelSink for OpBufSink {
     fn begin_lcp(&mut self, tile: usize) {
         self.begin(self.geom.lcp_id(tile));
     }
-    #[inline]
-    fn reserve(&mut self, additional: usize) {
-        self.buf().reserve(additional);
-    }
+    /// The hint counts micro-ops for the whole program, which says
+    /// nothing about one worker's op buffer: ignored.
+    fn reserve(&mut self, _additional: usize) {}
     #[inline]
     fn compute(&mut self, cycles: u32) {
         self.buf().push(Op::Compute(cycles));
@@ -245,5 +246,147 @@ mod tests {
         let mut nodes = Vec::new();
         let _ = sift_into(7, |n, _| nodes.push(n));
         assert_eq!(nodes, vec![0, 1, 3]);
+    }
+
+    /// A [`ProgramBuilder`] that adds up the capacity hints it receives.
+    struct Hinted(ProgramBuilder, usize);
+
+    impl KernelSink for Hinted {
+        fn begin_pe(&mut self, tile: usize, pe: usize) {
+            self.0.begin_pe(tile, pe);
+        }
+        fn begin_lcp(&mut self, tile: usize) {
+            self.0.begin_lcp(tile);
+        }
+        fn reserve(&mut self, additional: usize) {
+            self.1 += additional;
+        }
+        fn compute(&mut self, cycles: u32) {
+            self.0.compute(cycles);
+        }
+        fn load(&mut self, addr: Addr) {
+            self.0.load(addr);
+        }
+        fn store(&mut self, addr: Addr) {
+            self.0.store(addr);
+        }
+        fn spm_load(&mut self, offset: u32) {
+            self.0.spm_load(offset);
+        }
+        fn spm_store(&mut self, offset: u32) {
+            self.0.spm_store(offset);
+        }
+        fn tile_barrier(&mut self) {
+            self.0.tile_barrier();
+        }
+        fn global_barrier(&mut self) {
+            self.0.global_barrier();
+        }
+    }
+
+    /// Every kernel's capacity hint bounds the micro-ops it builds (an
+    /// undershoot would make the builder reallocate); the conversion and
+    /// pack hints are exact. With one-word values the bounds are also
+    /// tight; a masked kernel with wider values charges every inactive
+    /// entry its full vector load, which it skips.
+    #[test]
+    fn capacity_hints_bound_the_built_program() {
+        use crate::balance::{ip_partitions, op_tile_partitions, Balancing};
+        use crate::{Layout, OpProfile};
+        use sparse::partition::VBlocks;
+        use sparse::{BcsrMatrix, BitmapCsr, CscMatrix, Idx};
+        use transmuter::{HwConfig, MicroArch};
+
+        let g = Geometry::new(2, 4);
+        let n = 512;
+        let coo = sparse::generate::uniform(n, n, 6000, 3).unwrap();
+        let csc = CscMatrix::from(&coo);
+        let bitmap = BitmapCsr::from(&coo);
+        let bcsr = BcsrMatrix::from(&coo);
+        let wide = OpProfile {
+            value_words: 3,
+            ..OpProfile::scalar()
+        };
+        let part = ip_partitions(&coo.row_counts(), g, Balancing::NnzBalanced);
+        let tiles = op_tile_partitions(&coo.row_counts(), g, Balancing::NnzBalanced);
+        let sub = op::subruns(&csc, &tiles);
+        let mask: Vec<bool> = (0..n).map(|i| i % 7 == 0).collect();
+        let frontier: Vec<Idx> = (0..n as Idx).step_by(9).collect();
+        let ua = MicroArch::paper();
+        let check = |hw: HwConfig, exact: bool, tight: bool, emit: &dyn Fn(&mut Hinted)| {
+            let mut sink = Hinted(ProgramBuilder::new(), 0);
+            sink.0.begin(g, hw, &ua);
+            emit(&mut sink);
+            let len = sink.0.finish().len();
+            assert!(
+                len <= sink.1,
+                "{hw}: {len} micro-ops over a {} hint",
+                sink.1
+            );
+            assert!(
+                !exact || len == sink.1,
+                "{hw}: {len} micro-ops, hint {}",
+                sink.1
+            );
+            assert!(
+                !tight || 2 * sink.1 <= 3 * len,
+                "{hw}: hint {} for {len}",
+                sink.1
+            );
+        };
+        for profile in [OpProfile::scalar(), wide] {
+            let vw = profile.value_words;
+            let tight = vw == 1;
+            let layout = Layout::with_format_bytes(n, n, coo.nnz(), g, vw, 1 << 16);
+            for (hw, vblocks) in [
+                (HwConfig::Sc, VBlocks::whole(n)),
+                (HwConfig::Sc, VBlocks::new(n, 96)),
+                (HwConfig::Scs, VBlocks::new(n, 96)),
+            ] {
+                for active in [None, Some(&mask[..])] {
+                    let params = ip::IpParams {
+                        layout: &layout,
+                        partition: &part,
+                        vblocks: &vblocks,
+                        use_spm: hw == HwConfig::Scs,
+                        active,
+                        profile,
+                    };
+                    check(hw, false, tight, &|s| ip::build(&coo, g, params, s));
+                    let fmt = formats::FmtParams {
+                        layout: &layout,
+                        partition: &part,
+                        active,
+                        profile,
+                    };
+                    check(hw, false, tight, &|s| {
+                        formats::build_bitmap(&bitmap, g, fmt, s)
+                    });
+                    check(hw, false, tight, &|s| formats::build_bcsr(&bcsr, g, fmt, s));
+                }
+            }
+            for (hw, heap_in_spm) in [(HwConfig::Pc, false), (HwConfig::Ps, true)] {
+                let params = op::OpParams {
+                    layout: &layout,
+                    tile_parts: &tiles,
+                    frontier: &frontier,
+                    heap_in_spm,
+                    spm_node_cap: 16,
+                    profile,
+                };
+                check(hw, false, tight, &|s| op::build(&csc, g, params, &sub, s));
+            }
+            for dir in [
+                convert::Direction::DenseToSparse,
+                convert::Direction::SparseToDense,
+            ] {
+                check(HwConfig::Sc, true, true, &|s| {
+                    convert::build(&layout, g, n, 40, dir, profile, s)
+                });
+            }
+            check(HwConfig::Sc, true, true, &|s| {
+                formats::build_pack(&layout, g, coo.nnz(), 3000, s)
+            });
+        }
     }
 }

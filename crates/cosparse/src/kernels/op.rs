@@ -94,6 +94,7 @@ pub fn build<K: KernelSink>(
     let cols = csc_t.cols();
     let vw = params.profile.value_words;
     let merge_cost = 1 + params.profile.extra_compute_per_edge;
+    sink.reserve(micro_op_bound(geometry, params, sub, cols));
 
     for tile in 0..geometry.tiles() {
         let chunks = distribute_frontier(params.frontier.len(), b);
@@ -196,7 +197,6 @@ pub fn build<K: KernelSink>(
         tile_outputs.dedup();
         let distinct = tile_outputs.len();
         sink.begin_lcp(tile);
-        sink.reserve(lcp_elements * 2 + distinct * (1 + vw));
         let way_cost = usize::BITS - b.leading_zeros(); // log2(B) compare steps
         let mut element = 0usize;
         let mut written = 0usize;
@@ -223,6 +223,41 @@ pub fn build<K: KernelSink>(
             written += 1;
         }
     }
+}
+
+/// Upper bound on the micro-ops [`build`] emits. In a PE stream every
+/// compute burst folds into the load or store before it: per frontier
+/// entry two loads; per non-empty column sub-run a sift; per merged
+/// element a sift and one load (its column's head or the advance). A
+/// sift costs two accesses per heap level, and the heap never holds
+/// more than one head per non-empty sub-run. A PE forwards one output
+/// per distinct row it pops; the LCP stores each distinct row once and
+/// its bursts need a `Compute` carrier at the stream head and after
+/// every micro-op whose 255 fold slots fill up.
+fn micro_op_bound(
+    geometry: Geometry,
+    params: OpParams<'_>,
+    sub: &[(u32, u32)],
+    cols: usize,
+) -> usize {
+    let vw = params.profile.value_words;
+    let mut bound = 0;
+    for tile in 0..geometry.tiles() {
+        let rows = params.tile_parts.range(tile).len();
+        let mut outputs = 0;
+        for chunk in distribute_frontier(params.frontier.len(), geometry.pes_per_tile()) {
+            let (runs, elements) = chunk.clone().fold((0, 0), |(runs, elements), k| {
+                let (lo, hi) = sub[tile * cols + params.frontier[k] as usize];
+                let len = (hi - lo) as usize;
+                (runs + (len > 0) as usize, elements + len)
+            });
+            let levels = (usize::BITS - runs.max(1).leading_zeros()) as usize;
+            bound += 2 * chunk.len() + 2 * levels * runs + (1 + 2 * levels) * elements;
+            outputs += elements.min(rows);
+        }
+        bound += vw * outputs.min(rows) + 1 + 2 * outputs / 255;
+    }
+    bound
 }
 
 #[cfg(test)]

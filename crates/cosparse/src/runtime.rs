@@ -31,8 +31,8 @@ use std::any::Any;
 use std::sync::Arc;
 use transmuter::verify::{Diagnostic, LintKind, RegionMap, Severity};
 use transmuter::{
-    Analysis, EpochStats, Geometry, HwConfig, Machine, MemoStats, MicroArch, Program,
-    ProgramBuilder, SimError, SimReport,
+    EpochStats, Geometry, HwConfig, Machine, MemoStats, MicroArch, Program, ProgramBuilder,
+    SimError, SimReport,
 };
 
 /// A frontier (input vector) in one of the two representations the
@@ -187,15 +187,13 @@ struct Scratch {
     perm: Vec<Idx>,
 }
 
-/// What a session build targets: the machine shape, whether the
-/// epoch-dependence analysis runs, and — for a checked build under
-/// verification — the plan's address map.
+/// What a session build targets: the machine shape and — for a
+/// checked build under verification — the plan's address map.
 #[derive(Debug, Clone, Copy)]
 struct Target<'a> {
     geometry: Geometry,
     hw: HwConfig,
     uarch: &'a MicroArch,
-    analysis: bool,
     regions: Option<&'a RegionMap>,
 }
 
@@ -228,7 +226,6 @@ impl Scratch {
     /// builder held.
     fn begin(&mut self, target: Target<'_>) {
         self.key = None;
-        self.builder.set_analysis(target.analysis);
         self.builder.begin(target.geometry, target.hw, target.uarch);
         if let Some(regions) = target.regions {
             self.builder.bind_regions(regions);
@@ -267,17 +264,14 @@ impl std::fmt::Debug for Accumulators {
     }
 }
 
-/// Runs `prog` on `machine`, remembering its analysis in
-/// `last_analysis`; under verification (`report` given) the program is
-/// a checked build, and its warnings and races are folded into `report`
-/// once it ran.
+/// Runs `prog` on `machine`; under verification (`report` given) the
+/// program is a checked build, and its warnings, races and analyzer
+/// lints are folded into `report` once it ran.
 fn run(
     machine: &mut Machine,
     prog: &Program,
-    last_analysis: &mut Option<Analysis>,
     report: Option<&mut VerifyReport>,
 ) -> Result<SimReport, SimError> {
-    *last_analysis = prog.analysis().cloned();
     let sim = machine.run_program(prog)?;
     if let Some(report) = report {
         report.record(prog);
@@ -338,7 +332,7 @@ fn sw_index(sw: SwConfig) -> usize {
 /// served from a cached artifact. The build/hit counter pairs live on
 /// the session's [`SharedGraph`] and are summed over *every* session
 /// sharing it (for a privately-built runtime they are simply its own);
-/// `steady_memo`/`epochs` are this session's machine verdicts.
+/// `steady_memo` is this session's machine's memo.
 ///
 /// `plan_builds`/`plan_hits` count plan registry builds versus reuses;
 /// `dense_program_builds`/`dense_program_hits` count dense-IP programs
@@ -365,9 +359,8 @@ pub struct CacheStats {
     pub conversion_builds: u64,
     /// The machine's steady-state memo counters.
     pub steady_memo: MemoStats,
-    /// The machine's epoch-commit counters: epochs committed replay-free
-    /// on a static `Proven` verdict, epochs dynamically replayed, and
-    /// replays rolled back to sequential (see [`EpochStats`]).
+    /// Retired: always zero, since the machine executes every program
+    /// sequentially (see [`EpochStats`]).
     pub epochs: EpochStats,
 }
 
@@ -420,13 +413,6 @@ pub struct CoSparse {
     indices_buf: Vec<Idx>,
     /// Reusable staging for the active `(index, value)` entries.
     entries_buf: Vec<(Idx, f32)>,
-    /// Analyzer verdict of the most recently executed program (cloned
-    /// off the program at dispatch; see [`CoSparse::last_analysis`]).
-    last_analysis: Option<Analysis>,
-    /// When true, one-shot builds (conversions, frontier-dependent
-    /// scratch programs) also run the epoch-dependence analysis; see
-    /// [`CoSparse::set_deep_analysis`].
-    deep_analysis: bool,
 }
 
 impl CoSparse {
@@ -479,8 +465,6 @@ impl CoSparse {
             host_threads: transmuter::host_cpus(),
             indices_buf: Vec::new(),
             entries_buf: Vec::new(),
-            last_analysis: None,
-            deep_analysis: false,
         }
     }
 
@@ -492,7 +476,7 @@ impl CoSparse {
     /// Pipeline cache counters: the shared graph's build/hit pairs
     /// (summed over every session on the graph — a privately-built
     /// runtime's own history) merged with this session machine's
-    /// steady-state memo and epoch verdicts.
+    /// steady-state memo counters.
     pub fn cache_stats(&self) -> CacheStats {
         let shared = self.shared.cache_stats();
         CacheStats {
@@ -504,31 +488,8 @@ impl CoSparse {
             scratch_program_hits: shared.scratch_program_hits,
             conversion_builds: shared.conversion_builds,
             steady_memo: self.machine.memo_stats(),
-            epochs: self.machine.epoch_stats(),
+            epochs: EpochStats::default(),
         }
-    }
-
-    /// The static epoch-dependence verdict of the most recently executed
-    /// program (see [`transmuter::analyze`]): per-epoch commit modes,
-    /// the first interference witness, and the analyzer lints. `None`
-    /// until an invocation has run, or when the last program was a
-    /// one-shot build with the analysis skipped (see
-    /// [`CoSparse::set_deep_analysis`]).
-    pub fn last_analysis(&self) -> Option<&Analysis> {
-        self.last_analysis.as_ref()
-    }
-
-    /// Extends the epoch-dependence analysis to one-shot program builds
-    /// (conversions and frontier-dependent scratch programs). Off by
-    /// default: those programs execute exactly once, so the machine
-    /// gains nothing from a static verdict it can only use on repeats,
-    /// while the analysis itself sorts every access the program makes —
-    /// a measurable host-time cost in iteration-heavy runs. Plan-cached
-    /// dense programs are always analyzed. Turn this on to get
-    /// [`CoSparse::last_analysis`] for every combo (as
-    /// `cosparse-verify --explain` does).
-    pub fn set_deep_analysis(&mut self, on: bool) {
-        self.deep_analysis = on;
     }
 
     /// Enables (or disables) kernel verification: every program the
@@ -536,11 +497,12 @@ impl CoSparse {
     /// on every frontier — is a checked build
     /// ([`ProgramBuilder::bind_regions`]) against the plan's address
     /// map. An error finding rejects the invocation with
-    /// [`SimError::Rejected`]; warnings and the program's data races
-    /// accumulate in [`CoSparse::verification`]. There is no per-plan
-    /// memo and no trace cap: every run is checked, and dense frontiers
-    /// build their own checked program instead of running the plan's
-    /// shared one. Checked programs time exactly like unchecked ones.
+    /// [`SimError::Rejected`]; warnings, the program's data races and
+    /// its analyzer lints accumulate in [`CoSparse::verification`].
+    /// There is no per-plan memo and no trace cap: every run is checked,
+    /// and dense frontiers build their own checked program instead of
+    /// running the plan's shared one. Checked programs time exactly like
+    /// unchecked ones.
     ///
     /// Off by default — a checked build records every access it emits.
     /// Toggling resets the report and forgets the session's scratch
@@ -556,6 +518,7 @@ impl CoSparse {
         static OFF: VerifyReport = VerifyReport {
             warnings: Vec::new(),
             races: Vec::new(),
+            analyzer: Vec::new(),
             runs: 0,
         };
         self.verify_report.as_ref().unwrap_or(&OFF)
@@ -866,7 +829,6 @@ impl CoSparse {
             geometry,
             hw: decision.hardware,
             uarch,
-            analysis: self.deep_analysis,
             regions,
         };
         // The vector-permute contract (fourth axis): when the bound plan
@@ -894,7 +856,6 @@ impl CoSparse {
             run(
                 &mut self.machine,
                 self.scratch.builder.finish(),
-                &mut self.last_analysis,
                 report.as_deref_mut(),
             )
         };
@@ -1009,17 +970,16 @@ impl CoSparse {
         };
         // Which program runs, by cache policy. A fully dense IP frontier
         // runs the plan's shared program, built once per hardware slot
-        // through a fresh builder with analysis always on — the cost
-        // amortizes over every session and iteration, and the program
-        // keeps one id, so each machine's steady-state memo sees the
-        // same recurring program (the steady state of PR/CF). Everything
+        // through a fresh builder — the cost amortizes over every
+        // session and iteration, and the program keeps one id, so each
+        // machine's steady-state memo sees the same recurring program
+        // (the steady state of PR/CF). Everything
         // else — and every checked build — is emitted into the session's
         // builder, with no work at all when it already holds this exact
         // (config, frontier).
         let prog = if dense && decision.software == SwConfig::InnerProduct && regions.is_none() {
             plan.dense_program(key.1, counters, || {
                 let mut builder = ProgramBuilder::new();
-                builder.set_analysis(true);
                 builder.begin(geometry, decision.hardware, uarch);
                 emit(&mut builder, &mut ip::IpScratch::default(), &mut Vec::new());
                 builder.finish().clone()
@@ -1028,7 +988,7 @@ impl CoSparse {
             self.scratch.ensure(key, active, target, counters, emit);
             self.scratch.builder.program()
         };
-        let run = run(&mut self.machine, prog, &mut self.last_analysis, report);
+        let run = run(&mut self.machine, prog, report);
         if masked_ip {
             stage_mask(&mut self.mask_buf, active, perm, false);
         }
@@ -1353,6 +1313,32 @@ mod tests {
         let out = rt.spmv(&x).unwrap();
         assert_eq!(out.software, SwConfig::OuterProduct);
         assert!(matches!(out.result, Frontier::Sparse(_)));
+    }
+
+    /// Only checked builds run the analyzer: an unverified session's
+    /// plan-cached dense program and its scratch program carry no
+    /// analysis, a verified session's checked build does.
+    #[test]
+    fn only_checked_builds_carry_an_analysis() {
+        let mut rt = runtime(512, 8000);
+        rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
+        let dense = Frontier::Dense(sparse::generate::random_dense_vector(512, 3));
+        rt.spmv(&dense).unwrap();
+        let plan = Arc::clone(rt.plan.as_ref().expect("plan bound"));
+        let cached = plan.dense_program(hw_index(HwConfig::Sc), rt.shared.counters(), || {
+            unreachable!("the spmv above built it")
+        });
+        assert!(cached.analysis().is_none());
+
+        rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
+        let sparse_f =
+            Frontier::Sparse(sparse::generate::random_sparse_vector(512, 0.02, 5).unwrap());
+        rt.spmv(&sparse_f).unwrap();
+        assert!(rt.scratch.builder.program().analysis().is_none());
+
+        rt.set_verify(true);
+        rt.spmv(&sparse_f).unwrap();
+        assert!(rt.scratch.builder.program().analysis().is_some());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! a *checked build* ([`transmuter::ProgramBuilder::bind_regions`]): the
 //! builder lints each op against the active hardware configuration and
 //! the [`crate::Layout`]'s address map as it is emitted, and derives the
-//! program's data races from its barrier structure. An error finding
-//! rejects the run ([`transmuter::SimError::Rejected`]); warnings and
-//! races accumulate in a [`VerifyReport`].
+//! program's data races from its barrier structure and its analyzer
+//! lints ([`transmuter::analyze()`]) from the same access records. An
+//! error finding rejects the run ([`transmuter::SimError::Rejected`]);
+//! warnings, races and analyzer lints accumulate in a [`VerifyReport`].
 //!
 //! Verification is opt-in because a checked build records every access
 //! it emits — fine for tests and kernel development, extra host work
@@ -24,6 +25,10 @@ pub struct VerifyReport {
     pub warnings: Vec<Diagnostic>,
     /// Data races of the checked programs.
     pub races: Vec<Race>,
+    /// Analyzer lints of the checked programs (dead stores, dead SPM
+    /// writes, cross-epoch hazards, redundant barriers; at most 32 per
+    /// program, see [`transmuter::Analysis::diagnostics`]).
+    pub analyzer: Vec<Diagnostic>,
     /// Number of checked program runs.
     pub runs: usize,
 }
@@ -45,6 +50,9 @@ impl VerifyReport {
         );
         self.races
             .extend_from_slice(prog.races().unwrap_or_default());
+        if let Some(analysis) = prog.analysis() {
+            self.analyzer.extend_from_slice(analysis.diagnostics());
+        }
         self.runs += 1;
     }
 }

@@ -97,6 +97,32 @@ fn conversion_kernels_verify_clean() {
     }
 }
 
+/// A verified session's report carries the analyzer lints of the
+/// programs it checked: IP x SCS leaves SPM stores that are never read
+/// back, which the analyzer reports as dead SPM writes. An unverified
+/// session reports none.
+#[test]
+fn verified_session_reports_analyzer_lints() {
+    use transmuter::{LintKind, Severity};
+
+    let geom = Geometry::new(2, 4);
+    let n = 256;
+    let x = Frontier::Dense(sparse::generate::random_dense_vector(n, 5));
+    let mut rt = runtime(n, 2000, geom);
+    rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Scs));
+    rt.spmv(&x).unwrap();
+    let lints = &rt.verification().analyzer;
+    assert!(!lints.is_empty(), "no analyzer lints reported");
+    for d in lints {
+        assert_eq!(d.severity, Severity::Warning, "{d}");
+        assert!(matches!(d.kind, LintKind::DeadSpmWrite { .. }), "{d}");
+    }
+
+    rt.set_verify(false);
+    rt.spmv(&x).unwrap();
+    assert!(rt.verification().analyzer.is_empty());
+}
+
 #[test]
 fn auto_policy_verifies_across_iterations() {
     // A BFS-like frontier sweep under the decision tree: every chosen

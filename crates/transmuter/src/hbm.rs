@@ -2,37 +2,6 @@
 //! a sustained service rate and an 80–150 ns access latency window
 //! (paper Table II).
 
-/// Sink for HBM-level traffic: either the real [`Hbm`] stack or a
-/// per-tile shadow that logs every call so the epoch-parallel execution
-/// core can replay and validate them against the real stack (see
-/// DESIGN.md §9). The memory-system fill/writeback paths are generic
-/// over this trait so both run against identical code.
-pub(crate) trait HbmSink {
-    /// Demand line read; returns the completion cycle.
-    fn read(&mut self, line: u64, cycle: u64) -> u64;
-    /// Line writeback (consumes bandwidth; caller ignores the result).
-    fn write(&mut self, line: u64, cycle: u64) -> u64;
-    /// Prefetch line read (bandwidth + read count; result ignored).
-    fn prefetch(&mut self, line: u64, cycle: u64) -> u64;
-}
-
-impl HbmSink for Hbm {
-    #[inline]
-    fn read(&mut self, line: u64, cycle: u64) -> u64 {
-        Hbm::read(self, line, cycle)
-    }
-
-    #[inline]
-    fn write(&mut self, line: u64, cycle: u64) -> u64 {
-        Hbm::write(self, line, cycle)
-    }
-
-    #[inline]
-    fn prefetch(&mut self, line: u64, cycle: u64) -> u64 {
-        Hbm::prefetch(self, line, cycle)
-    }
-}
-
 /// HBM2 stack model.
 ///
 /// Channels are line-address interleaved. Each channel serialises line
@@ -134,31 +103,6 @@ impl Hbm {
     /// (bandwidth-bound indicator).
     pub fn queue_cycles(&self) -> u64 {
         self.queue_cycles
-    }
-
-    /// Commits a set of per-tile shadow stacks whose channel footprints
-    /// are pairwise disjoint: each channel's occupancy becomes the
-    /// maximum over the shadows (each channel was driven by at most one
-    /// shadow, so the max *is* that owner's exact sequential value —
-    /// channel occupancy only ever increases on issue), and the traffic
-    /// counters absorb each shadow's delta over the shared `proto`
-    /// snapshot all shadows started from.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if a shadow's channel count differs from ours.
-    pub(crate) fn merge_disjoint(&mut self, proto: &Hbm, shadows: &[Hbm]) {
-        for s in shadows {
-            debug_assert_eq!(s.channels.len(), self.channels.len());
-            for (ch, &occ) in s.channels.iter().enumerate() {
-                if occ > self.channels[ch] {
-                    self.channels[ch] = occ;
-                }
-            }
-            self.reads += s.reads - proto.reads;
-            self.writes += s.writes - proto.writes;
-            self.queue_cycles += s.queue_cycles - proto.queue_cycles;
-        }
     }
 
     /// Resets statistics and channel occupancy.

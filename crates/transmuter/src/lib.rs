@@ -55,12 +55,12 @@ mod stats;
 mod trace;
 pub mod verify;
 
-pub use analyze::{analyze, Analysis, Conflict, ParCommit, ProvenKind};
+pub use analyze::{analyze, Analysis};
 pub use cache::{CacheBank, ProbeResult};
 pub use config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use hbm::Hbm;
-pub use machine::{host_cpus, ExecMode, Machine, SimError, StreamSet};
+pub use machine::{host_cpus, Machine, SimError, StreamSet};
 pub use memsys::MemorySystem;
 pub use op::{Addr, Op, OpStream, StreamBuilder};
 pub use program::{Program, ProgramBuilder};

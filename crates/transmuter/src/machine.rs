@@ -6,15 +6,13 @@
 //! processed together so same-cycle bank conflicts serialize exactly as
 //! the arbitrated crossbar would.
 
-use crate::analyze::{ParCommit, ProvenKind};
 use crate::cache::CacheBank;
-use crate::config::{Geometry, HwConfig, L2Mode, MicroArch};
+use crate::config::{Geometry, HwConfig, MicroArch};
 use crate::energy::EnergyModel;
-use crate::hbm::Hbm;
 use crate::memsys::{MemSnapshot, MemorySystem};
 use crate::op::{Op, OpStream};
-use crate::program::{exec_span, HbmCall, HbmCallKind, Lane, LaneState, Program, TileExec};
-use crate::stats::{EpochStats, MemoStats, SimReport, SimStats};
+use crate::program::{exec_span, Program};
+use crate::stats::{MemoStats, SimReport, SimStats};
 use crate::trace::{TraceCapture, TraceConfig, TraceEvent, Tracer};
 use crate::verify::{self, Diagnostic, ProgramSet, RegionMap};
 use std::cmp::Reverse;
@@ -382,37 +380,11 @@ impl Sched {
 }
 
 /// The host's available parallelism (1 when it cannot be determined),
-/// resolved once per process: the query is a system call, and the
-/// simulator and the host backend consult it on hot paths.
+/// resolved once per process: the query is a system call, and the host
+/// backend and the serving layer size their worker pools from it.
 pub fn host_cpus() -> usize {
     static CPUS: OnceLock<usize> = OnceLock::new();
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Execution strategy for [`Machine::run_program`].
-///
-/// The epoch-parallel core splits a program at its global barriers and
-/// executes each tile's lanes on its own host thread within an epoch —
-/// valid only for epoch-congruent programs under a private L2, where
-/// tiles share no bank and no arbitrated port (HBM interleaving is
-/// validated by replay; see DESIGN.md §9). Cycle counts are bit-for-bit
-/// identical to sequential execution in every mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Epoch-parallel only where the static analyzer proved it pays:
-    /// on a multi-CPU host, an eligible program with at least one
-    /// [`ParCommit::Proven`] epoch runs its proven epochs on the
-    /// replay-free commit paths and every other epoch sequentially in
-    /// place — no speculative shadow-HBM attempt, replay or rollback.
-    /// Everything else runs sequentially.
-    #[default]
-    Auto,
-    /// Always single-threaded.
-    Sequential,
-    /// Epoch-parallel whenever the program is eligible, even on a
-    /// single-CPU host, with unproven epochs speculated through the
-    /// shadow-HBM replay (used by the equivalence suites).
-    ParallelTiles,
 }
 
 /// One recorded steady-state [`Machine::run_program`] execution.
@@ -441,13 +413,6 @@ struct SteadyState {
     post: MemSnapshot,
     /// Run stats as left in the memory system (for inspection parity).
     post_stats: SimStats,
-    /// Epoch-commit counter deltas the recorded run accrued, re-applied
-    /// on every memo hit so [`Machine::epoch_stats`] counts memo-served
-    /// runs exactly as if they had been re-simulated. (Before this, a
-    /// memo hit skipped `run_epochs` and froze the counters, so long
-    /// epoch-parallel workloads under-reported proven commits once the
-    /// memo engaged.)
-    epochs: EpochStats,
     /// The recorded run's report.
     report: SimReport,
 }
@@ -470,7 +435,6 @@ pub struct Machine {
     carry: SimStats,
     carry_cycles: u64,
     tracer: Tracer,
-    exec_mode: ExecMode,
     /// Ring of recorded steady-state runs, most recent last.
     steady: Vec<SteadyState>,
     steady_hits: u64,
@@ -481,13 +445,6 @@ pub struct Machine {
     /// programs are recompiled per call with a fresh id and never recur,
     /// so they skip the memo's snapshot cost entirely.
     recent_ids: Vec<u64>,
-    /// Epochs committed replay-free on a static [`ParCommit::Proven`]
-    /// verdict (cumulative, like the memo counters).
-    epochs_proven: u64,
-    /// Epochs committed through the dynamic shadow-HBM replay.
-    epochs_replayed: u64,
-    /// Replayed epochs rolled back to sequential on a timing mismatch.
-    epochs_rolled_back: u64,
 }
 
 impl Machine {
@@ -499,14 +456,10 @@ impl Machine {
             carry: SimStats::default(),
             carry_cycles: 0,
             tracer: Tracer::default(),
-            exec_mode: ExecMode::default(),
             steady: Vec::new(),
             steady_hits: 0,
             steady_misses: 0,
             recent_ids: Vec::new(),
-            epochs_proven: 0,
-            epochs_replayed: 0,
-            epochs_rolled_back: 0,
         }
     }
 
@@ -523,32 +476,6 @@ impl Machine {
             hits: self.steady_hits,
             misses: self.steady_misses,
         }
-    }
-
-    /// Epoch-commit counters for epoch-parallel [`Machine::run_program`]
-    /// runs: how many global-barrier epochs committed replay-free on a
-    /// static [`ParCommit::Proven`] verdict, how many went through the
-    /// dynamic shadow-HBM replay, and how many of those rolled back to
-    /// sequential execution. Cumulative over the machine's lifetime;
-    /// memo-served runs skip epoch execution but re-apply the recorded
-    /// run's deltas, so the counters track what simulation would have
-    /// reported.
-    pub fn epoch_stats(&self) -> EpochStats {
-        EpochStats {
-            proven: self.epochs_proven,
-            replayed: self.epochs_replayed,
-            rolled_back: self.epochs_rolled_back,
-        }
-    }
-
-    /// Sets the execution strategy for [`Machine::run_program`].
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The current [`Machine::run_program`] execution strategy.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Enables (or, with `None`, disables) execution tracing for
@@ -788,12 +715,14 @@ impl Machine {
 
     /// Runs a compiled [`Program`]: the pre-decoded twin of
     /// [`Machine::run`], with identical event-loop semantics and
-    /// bit-for-bit identical cycle counts and statistics.
+    /// bit-for-bit identical cycle counts and statistics, on one host
+    /// thread. A recurring program whose run would start from bank
+    /// state the machine recorded before is served from the
+    /// steady-state memo instead (see [`Machine::memo_stats`]).
     ///
     /// Unlike [`Machine::run`], this path never records traces (compile
     /// once, replay many — callers wanting a trace use the stream-set
-    /// path), and it may execute tiles on parallel host threads when the
-    /// program and configuration allow it (see [`ExecMode`]).
+    /// path).
     ///
     /// # Errors
     ///
@@ -849,56 +778,14 @@ impl Machine {
                 self.mem.begin_run();
                 self.mem.restore(&s.post);
                 self.mem.stats = s.post_stats;
-                let epochs = s.epochs;
-                let report = s.report.clone();
                 self.steady_hits += 1;
-                // Re-apply the recorded run's epoch-commit deltas: the
-                // memo hit stands in for a full re-simulation, so the
-                // cumulative counters must advance as one would have.
-                self.epochs_proven += epochs.proven;
-                self.epochs_replayed += epochs.replayed;
-                self.epochs_rolled_back += epochs.rolled_back;
-                return Ok(report);
+                return Ok(s.report.clone());
             }
             self.steady_misses += 1;
         }
         let pre = memo_eligible.then(|| self.mem.cache_state());
-        let epochs_before = self.epoch_stats();
         self.mem.begin_run();
-        let start = self.carry_cycles;
-        let mut lanes = prog.lanes(start);
-        // Private-L2 configs are always epoch-parallel eligible (tiles
-        // own their banks; the shadow-HBM replay validates the rest).
-        // Shared-L2 configs become eligible when the static analyzer
-        // proved every epoch interference-free.
-        let all_proven = prog.analysis().is_some_and(|a| a.all_proven());
-        let eligible = prog.parallel_ok()
-            && (self.config().l2() == L2Mode::PrivateCache || all_proven)
-            && geom.tiles() > 1
-            && !lanes.is_empty();
-        let parallel = match self.exec_mode {
-            ExecMode::Sequential => false,
-            ExecMode::ParallelTiles => eligible,
-            ExecMode::Auto => {
-                eligible
-                    && host_cpus() > 1
-                    && prog.analysis().is_some_and(|a| {
-                        a.epochs().iter().any(|v| matches!(v, ParCommit::Proven(_)))
-                    })
-            }
-        };
-        let last_done = if parallel {
-            self.run_epochs(prog, &mut lanes, start)?
-        } else {
-            exec_span(&mut self.mem, prog, &mut lanes, 0, geom.tiles(), false)?;
-            lanes
-                .iter()
-                .map(|l| match l.state {
-                    LaneState::Finished(c) => c,
-                    _ => unreachable!("sequential exec left a lane unfinished"),
-                })
-                .fold(start, u64::max)
-        };
+        let last_done = exec_span(&mut self.mem, prog, self.carry_cycles)?;
         let report = self.finish(last_done);
         if let Some(pre) = pre {
             if self.steady.len() == STEADY_ENTRIES {
@@ -909,256 +796,10 @@ impl Machine {
                 pre,
                 post: self.mem.snapshot(),
                 post_stats: self.mem.stats,
-                epochs: EpochStats {
-                    proven: self.epochs_proven - epochs_before.proven,
-                    replayed: self.epochs_replayed - epochs_before.replayed,
-                    rolled_back: self.epochs_rolled_back - epochs_before.rolled_back,
-                },
                 report: report.clone(),
             });
         }
         Ok(report)
-    }
-
-    /// Epoch-parallel driver. Epochs the static analyzer marked
-    /// [`ParCommit::Proven`] commit without the shadow-HBM replay:
-    /// single-mem-active-tile and disjoint-shared-line epochs execute
-    /// directly (their parallel and sequential timings provably
-    /// coincide), and disjoint-channel epochs run threaded and merge
-    /// their shadow stacks after a cheap closure-mask check. Under
-    /// [`ExecMode::Auto`] every other epoch runs sequentially in place.
-    /// Under [`ExecMode::ParallelTiles`] it keeps the dynamic check:
-    /// between global barriers, each tile runs on its own host thread
-    /// against its private banks and a shadow HBM; the merged HBM call
-    /// log is then replayed against the real stack in sequential issue
-    /// order. If every read completion matches, the epoch's timing is
-    /// provably identical to sequential execution and it commits;
-    /// otherwise the epoch is rolled back and re-run sequentially.
-    /// Returns the run's final cycle.
-    fn run_epochs(
-        &mut self,
-        prog: &Program,
-        lanes: &mut [Lane],
-        start: u64,
-    ) -> Result<u64, SimError> {
-        let tiles = self.geometry().tiles();
-        let spm_latency = self.uarch().l1_latency;
-        let nch = self.uarch().hbm_channels as u64;
-        let speculate = self.exec_mode == ExecMode::ParallelTiles;
-        let mut epoch_idx = 0usize;
-        loop {
-            let verdict = prog
-                .analysis()
-                .and_then(|a| a.epochs().get(epoch_idx))
-                .copied();
-            let disjoint = matches!(
-                verdict,
-                Some(ParCommit::Proven(ProvenKind::DisjointChannels))
-            );
-            if matches!(
-                verdict,
-                Some(ParCommit::Proven(
-                    ProvenKind::SingleTile | ProvenKind::DisjointLines
-                ))
-            ) {
-                // At most one tile reaches HBM this epoch (or, under a
-                // shared L2, the tiles' line sets are disjoint), so
-                // parallel and sequential timing provably coincide:
-                // execute directly — no shadow state, no replay.
-                exec_span(&mut self.mem, prog, lanes, 0, tiles, true)?;
-                self.epochs_proven += 1;
-            } else if speculate || disjoint {
-                self.run_epoch_threaded(prog, lanes, disjoint, nch, spm_latency)?;
-            } else {
-                // No proof, no speculation: the sequential run the
-                // rollback path would fall back to, minus the attempt.
-                exec_span(&mut self.mem, prog, lanes, 0, tiles, true)?;
-            }
-
-            // Epoch boundary: every lane is either done or parked at the
-            // global barrier (congruence guarantees all-or-none).
-            let mut max_fin = start;
-            let mut n_glob = 0usize;
-            let mut n_fin = 0usize;
-            let mut release = 0u64;
-            for l in lanes.iter() {
-                match l.state {
-                    LaneState::Finished(c) => {
-                        n_fin += 1;
-                        max_fin = max_fin.max(c);
-                    }
-                    LaneState::AtGlobal(c) => {
-                        n_glob += 1;
-                        release = release.max(c);
-                    }
-                    LaneState::Running => unreachable!("exec_span left a lane running"),
-                }
-            }
-            if n_glob == 0 {
-                return Ok(max_fin);
-            }
-            if n_fin > 0 {
-                // Some workers finished while others wait at a global
-                // barrier that can now never complete — the same
-                // deadlock Machine::run reports.
-                let mut blocked: Vec<usize> = lanes
-                    .iter()
-                    .filter_map(|l| {
-                        matches!(l.state, LaneState::AtGlobal(_)).then_some(l.worker as usize)
-                    })
-                    .collect();
-                blocked.sort_unstable();
-                return Err(SimError::BarrierDeadlock { blocked });
-            }
-            for l in lanes.iter_mut() {
-                let LaneState::AtGlobal(arrived) = l.state else {
-                    unreachable!()
-                };
-                self.mem.stats.barrier_stall_cycles += release - arrived;
-                l.cycle = release + 1;
-                l.state = LaneState::Running;
-            }
-            epoch_idx += 1;
-        }
-    }
-
-    /// Runs one epoch with every tile on its own host thread against a
-    /// shadow HBM, then commits it: a [`ProvenKind::DisjointChannels`]
-    /// epoch (`disjoint`) merges the shadow stacks directly once the
-    /// call log passes the static channel-closure masks (only stale
-    /// pre-program dirty-line writebacks can escape them); otherwise —
-    /// or on a mask violation — the merged log is replayed against the
-    /// real stack and the epoch rolls back to sequential execution on
-    /// any read-completion mismatch.
-    fn run_epoch_threaded(
-        &mut self,
-        prog: &Program,
-        lanes: &mut [Lane],
-        disjoint: bool,
-        nch: u64,
-        spm_latency: u64,
-    ) -> Result<(), SimError> {
-        let tiles = self.geometry().tiles();
-        let snap = self.mem.snapshot();
-        let epoch_start: Vec<Lane> = lanes.to_vec();
-        type TileOut = (Vec<Lane>, SimStats, Vec<HbmCall>, Hbm);
-        let (result, hbm_proto): (Result<Vec<TileOut>, SimError>, Hbm) = {
-            let split = self.mem.split_tiles();
-            let params = split.params;
-            let hbm_proto = split.hbm.clone();
-            let mut per_tile: Vec<Vec<Lane>> = vec![Vec::new(); tiles];
-            for l in lanes.iter() {
-                per_tile[l.tile as usize].push(*l);
-            }
-            let result = std::thread::scope(|s| {
-                let handles: Vec<_> = split
-                    .l1
-                    .into_iter()
-                    .zip(split.l2)
-                    .zip(per_tile)
-                    .enumerate()
-                    .map(|(t, ((l1, l2), mut tl))| {
-                        let hbm = hbm_proto.clone();
-                        s.spawn(move || {
-                            let mut ctx = TileExec::new(l1, l2, hbm, params, spm_latency);
-                            exec_span(&mut ctx, prog, &mut tl, t, 1, true).map(|()| {
-                                let (stats, log, shadow) = ctx.into_parts();
-                                (tl, stats, log, shadow)
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            });
-            (result, hbm_proto)
-        };
-        let committed = match result {
-            Ok(outs) => {
-                let masks = prog
-                    .analysis()
-                    .map(|a| a.tile_channel_masks())
-                    .unwrap_or(&[]);
-                let within_masks = disjoint
-                    && masks.len() == tiles
-                    && outs.iter().enumerate().all(|(t, (_, _, log, _))| {
-                        log.iter().all(|c| masks[t] & (1u64 << (c.line % nch)) != 0)
-                    });
-                if within_masks {
-                    // Every channel a logged call touched is owned by
-                    // exactly one tile, so each shadow stack already
-                    // holds that channel's exact sequential state:
-                    // commit by merging, replay-free.
-                    let shadows: Vec<Hbm> = outs.iter().map(|(_, _, _, h)| h.clone()).collect();
-                    self.mem.hbm_mut().merge_disjoint(&hbm_proto, &shadows);
-                    let mut cursors = vec![0usize; tiles];
-                    for l in lanes.iter_mut() {
-                        let t = l.tile as usize;
-                        *l = outs[t].0[cursors[t]];
-                        cursors[t] += 1;
-                    }
-                    for (_, stats, _, _) in &outs {
-                        self.mem.stats = self.mem.stats.merge(stats);
-                    }
-                    self.epochs_proven += 1;
-                    true
-                } else {
-                    let mut calls: Vec<HbmCall> = outs
-                        .iter()
-                        .flat_map(|(_, _, log, _)| log.iter().copied())
-                        .collect();
-                    // Sequential issue order: the event loop processes
-                    // ops in (cycle, worker) lexicographic order, and
-                    // one op's HBM calls happen in seq order.
-                    calls.sort_unstable_by_key(|c| (c.cycle, c.worker, c.seq));
-                    let hbm = self.mem.hbm_mut();
-                    let mut reads_match = true;
-                    for c in &calls {
-                        let got = match c.kind {
-                            HbmCallKind::Read => hbm.read(c.line, c.at),
-                            HbmCallKind::Write => hbm.write(c.line, c.at),
-                            HbmCallKind::Prefetch => hbm.prefetch(c.line, c.at),
-                        };
-                        if c.kind == HbmCallKind::Read && got != c.done {
-                            reads_match = false;
-                            break;
-                        }
-                    }
-                    if reads_match {
-                        let mut cursors = vec![0usize; tiles];
-                        for l in lanes.iter_mut() {
-                            let t = l.tile as usize;
-                            *l = outs[t].0[cursors[t]];
-                            cursors[t] += 1;
-                        }
-                        for (_, stats, _, _) in &outs {
-                            self.mem.stats = self.mem.stats.merge(stats);
-                        }
-                    }
-                    self.epochs_replayed += 1;
-                    if !reads_match {
-                        self.epochs_rolled_back += 1;
-                    }
-                    reads_match
-                }
-            }
-            // A tile error (poison, deadlock) cannot occur for a
-            // congruent program, but if it does the sequential
-            // re-run below reproduces it deterministically.
-            Err(_) => {
-                self.epochs_replayed += 1;
-                self.epochs_rolled_back += 1;
-                false
-            }
-        };
-        if !committed {
-            self.mem.restore(&snap);
-            lanes.copy_from_slice(&epoch_start);
-            exec_span(&mut self.mem, prog, lanes, 0, tiles, true)?;
-        }
-        Ok(())
     }
 
     /// Lints `programs` against the machine's current configuration and,
@@ -1614,27 +1255,18 @@ mod program_tests {
             &MicroArch::paper(),
             streams.iter().map(|(w, v)| (*w, v.as_slice())),
         );
-        for mode in [ExecMode::Sequential, ExecMode::ParallelTiles] {
-            let mut legacy = Machine::new(geom, MicroArch::paper());
-            legacy.reconfigure(hw);
-            let mut m = Machine::new(geom, MicroArch::paper());
-            m.reconfigure(hw);
-            m.set_exec_mode(mode);
-            // Four runs: cold, warm, then steady state — where a run may
-            // be served from the steady-state memo. Every one must match
-            // the legacy event loop bit for bit.
-            for run in 0..4 {
-                let want = legacy.run(stream_set(geom, &streams)).unwrap();
-                let got = m.run_program(&prog).unwrap();
-                assert_eq!(
-                    got.cycles, want.cycles,
-                    "{hw:?} {mode:?} run {run} cycle drift"
-                );
-                assert_eq!(
-                    got.stats, want.stats,
-                    "{hw:?} {mode:?} run {run} stats drift"
-                );
-            }
+        let mut legacy = Machine::new(geom, MicroArch::paper());
+        legacy.reconfigure(hw);
+        let mut m = Machine::new(geom, MicroArch::paper());
+        m.reconfigure(hw);
+        // Four runs: cold, warm, then steady state — where a run may be
+        // served from the steady-state memo. Every one must match the
+        // legacy event loop bit for bit.
+        for run in 0..4 {
+            let want = legacy.run(stream_set(geom, &streams)).unwrap();
+            let got = m.run_program(&prog).unwrap();
+            assert_eq!(got.cycles, want.cycles, "{hw:?} run {run} cycle drift");
+            assert_eq!(got.stats, want.stats, "{hw:?} run {run} stats drift");
         }
     }
 
@@ -1721,79 +1353,6 @@ mod program_tests {
         );
     }
 
-    /// Pins the epoch-counter fix: a steady-state memo hit skips
-    /// `run_epochs`, but it must still advance [`Machine::epoch_stats`]
-    /// by the recorded run's deltas — otherwise long epoch-parallel
-    /// workloads under-report commits as soon as the memo engages
-    /// (the original bug: counters froze at the warm-run value while
-    /// memo hits accumulated). Also pins the legitimate zero: in
-    /// [`ExecMode::Sequential`] no epochs are ever committed, so the
-    /// counters stay exactly zero.
-    #[test]
-    fn memo_hits_advance_epoch_counters() {
-        let geom = Geometry::new(2, 4);
-        let mut streams: Vec<(usize, Vec<Op>)> = Vec::new();
-        for tile in 0..geom.tiles() {
-            for pe in 0..geom.pes_per_tile() {
-                let w = geom.pe_id(tile, pe);
-                let mut b = StreamBuilder::new();
-                for i in 0..16u64 {
-                    b.compute(2);
-                    b.load(w as u64 * 0x1000 + i * 64);
-                    if i % 4 == 0 {
-                        b.store(0x20_0000 + w as u64 * 0x1000 + i * 64);
-                    }
-                }
-                b.tile_barrier();
-                streams.push((w, b.into_stream().collect()));
-            }
-        }
-        // PC: private L2, always epoch-parallel eligible.
-        let prog = Program::compile(
-            geom,
-            HwConfig::Pc,
-            &MicroArch::paper(),
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
-
-        let mut m = Machine::new(geom, MicroArch::paper());
-        m.set_exec_mode(ExecMode::ParallelTiles);
-        m.reconfigure(HwConfig::Pc);
-        let mut per_run: Vec<(u64, u64)> = Vec::new();
-        let mut prev = m.epoch_stats();
-        for _ in 0..6 {
-            m.run_program(&prog).unwrap();
-            let now = m.epoch_stats();
-            per_run.push((now.proven - prev.proven, now.replayed - prev.replayed));
-            prev = now;
-        }
-        assert!(m.steady_hits() >= 2, "memo never engaged; test is vacuous");
-        let per_commit = per_run[0].0 + per_run[0].1;
-        assert!(
-            per_commit > 0,
-            "program committed no epochs; test is vacuous"
-        );
-        // Every run — simulated or memo-served — advances the counters
-        // by the same per-run delta (the simulation is deterministic).
-        for (run, d) in per_run.iter().enumerate() {
-            assert_eq!(
-                *d, per_run[0],
-                "run {run} epoch delta {d:?} != run 0 delta {:?} (memo hit froze the counters?)",
-                per_run[0]
-            );
-        }
-
-        // Sequential execution commits no epochs: zero is the correct
-        // report there, not a counter bug.
-        let mut seq = Machine::new(geom, MicroArch::paper());
-        seq.set_exec_mode(ExecMode::Sequential);
-        seq.reconfigure(HwConfig::Pc);
-        for _ in 0..3 {
-            seq.run_program(&prog).unwrap();
-        }
-        assert_eq!(seq.epoch_stats(), EpochStats::default());
-    }
-
     /// Diagnostic for the ROADMAP note that memo periods above the ring
     /// capacity "wander chaotically" under SC: the memo ring is a FIFO
     /// of [`STEADY_ENTRIES`] snapshots, so a program whose recurrence
@@ -1864,22 +1423,6 @@ mod program_tests {
         assert!(
             outside.misses > inside.misses,
             "the over-capacity cycle should miss on every eligible run"
-        );
-    }
-
-    #[test]
-    fn parallel_tiles_actually_eligible() {
-        let geom = Geometry::new(2, 4);
-        let streams = workload(geom, false);
-        let prog = Program::compile(
-            geom,
-            HwConfig::Pc,
-            &MicroArch::paper(),
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
-        assert!(
-            prog.parallel_ok(),
-            "workload must exercise the parallel core"
         );
     }
 
@@ -1963,6 +1506,46 @@ mod program_tests {
         match m.run_program(&prog) {
             Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, vec![0]),
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    /// A global barrier whose peer stream has already finished can never
+    /// complete: the waiting workers are reported blocked, as by run().
+    #[test]
+    fn global_barrier_after_peer_finished_deadlocks() {
+        let geom = Geometry::new(2, 1);
+        let mut a = StreamBuilder::new();
+        a.compute(3).global_barrier().compute(1);
+        let a_ops: Vec<Op> = a.into_stream().collect();
+        let mut b = StreamBuilder::new();
+        b.compute(1);
+        let b_ops: Vec<Op> = b.into_stream().collect();
+        let streams = [
+            (geom.pe_id(0, 0), a_ops.as_slice()),
+            (geom.lcp_id(0), a_ops.as_slice()),
+            (geom.pe_id(1, 0), b_ops.as_slice()),
+        ];
+        for hw in [HwConfig::Sc, HwConfig::Pc] {
+            let prog = Program::compile(geom, hw, &MicroArch::paper(), streams);
+            let mut m = Machine::new(geom, MicroArch::paper());
+            m.reconfigure(hw);
+            let mut s = StreamSet::new(geom);
+            for (w, ops) in streams {
+                match geom.locate(w) {
+                    (tile, Some(pe)) => s.set_pe_ops(tile, pe, ops),
+                    (tile, None) => s.set_lcp_ops(tile, ops),
+                }
+            }
+            let mut want = vec![geom.pe_id(0, 0), geom.lcp_id(0)];
+            want.sort_unstable();
+            match m.run(s) {
+                Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, want),
+                other => panic!("{hw}: run(): expected deadlock, got {other:?}"),
+            }
+            match m.run_program(&prog) {
+                Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, want),
+                other => panic!("{hw}: run_program(): expected deadlock, got {other:?}"),
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::cache::{CacheBank, ProbeResult};
 use crate::config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
-use crate::hbm::{Hbm, HbmSink};
+use crate::hbm::Hbm;
 use crate::op::Addr;
 use crate::stats::SimStats;
 
@@ -512,8 +512,7 @@ impl MemorySystem {
 
     /// Parameter block for the private-hierarchy access paths (PC/PS):
     /// everything those paths read from the memory system besides the
-    /// tile's own banks, so they can run against either the real system
-    /// or a per-tile split (see [`MemorySystem::split_tiles`]).
+    /// tile's own banks.
     pub(crate) fn priv_params(&self) -> PrivParams {
         PrivParams {
             xbar: self.ua.xbar_latency,
@@ -526,7 +525,7 @@ impl MemorySystem {
     }
 
     /// Mutable view of one tile's private banks plus the HBM and stats.
-    pub(crate) fn priv_tile(&mut self, tile: usize) -> (PrivTile<'_, Hbm>, PrivParams) {
+    pub(crate) fn priv_tile(&mut self, tile: usize) -> (PrivTile<'_>, PrivParams) {
         let p = self.priv_params();
         let l1_lo = tile * self.l1_banks;
         let l2_lo = tile * self.l2_banks;
@@ -541,8 +540,7 @@ impl MemorySystem {
         )
     }
 
-    /// Private-L1 access (PC) routed through [`priv_l1_access`] — the
-    /// same code path the epoch-parallel tile core executes.
+    /// Private-L1 access (PC) routed through [`priv_l1_access`].
     pub(crate) fn priv_l1(
         &mut self,
         tile: usize,
@@ -568,31 +566,9 @@ impl MemorySystem {
         priv_direct_access(&mut t, &p, pe, line, is_store, cycle)
     }
 
-    /// Splits the memory system into independent per-tile views (L1 and
-    /// L2 bank slices) plus the shared HBM, run stats and parameters.
-    /// Only meaningful under PC/PS, where tiles share no bank and no
-    /// arbitrated port — HBM is the sole cross-tile coupling.
-    pub(crate) fn split_tiles(&mut self) -> TileSplit<'_> {
-        let tiles = self.geom.tiles();
-        let params = self.priv_params();
-        let l1: Vec<&mut [CacheBank]> = if self.l1_banks == 0 {
-            (0..tiles).map(|_| Default::default()).collect()
-        } else {
-            self.l1.chunks_mut(self.l1_banks).collect()
-        };
-        let l2: Vec<&mut [CacheBank]> = self.l2.chunks_mut(self.l2_banks).collect();
-        TileSplit {
-            l1,
-            l2,
-            hbm: &mut self.hbm,
-            params,
-        }
-    }
-
-    /// Snapshot of every mutable structure the private-path accesses can
-    /// touch (bank contents + HBM), for epoch rollback on replay
-    /// mismatch. Claim ports are untouched under PC/PS and run stats are
-    /// merged only on commit, so neither needs saving.
+    /// Snapshot of the bank contents and the HBM, the post-run state a
+    /// steady-state memo entry reinstates. Claim ports and the run
+    /// stats are reset or restored separately, so neither is saved.
     pub(crate) fn snapshot(&self) -> MemSnapshot {
         MemSnapshot {
             l1: self.l1.clone(),
@@ -606,11 +582,6 @@ impl MemorySystem {
         self.l1.clone_from(&snap.l1);
         self.l2.clone_from(&snap.l2);
         self.hbm = snap.hbm.clone();
-    }
-
-    /// Mutable access to the HBM stack (epoch replay).
-    pub(crate) fn hbm_mut(&mut self) -> &mut Hbm {
-        &mut self.hbm
     }
 
     /// Clones the bank state (L1 + L2) for the steady-state memo. The
@@ -678,7 +649,8 @@ impl MemorySystem {
 }
 
 /// Copy of the microarchitectural parameters the private access paths
-/// need, detached from `&MemorySystem` so per-tile splits can carry it.
+/// need, detached from `&MemorySystem` so a [`PrivTile`] can borrow the
+/// tile's banks mutably next to it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrivParams {
     pub(crate) xbar: u64,
@@ -692,27 +664,18 @@ pub(crate) struct PrivParams {
 }
 
 /// One tile's mutable memory state for the private-hierarchy paths:
-/// its L1 banks (empty under PS), its L2 banks, an HBM sink and a stats
-/// block. `H` is the real [`Hbm`] in sequential execution and a logging
-/// shadow in the epoch-parallel core.
+/// its L1 banks (empty under PS), its L2 banks, the HBM and the run
+/// stats.
 #[derive(Debug)]
-pub(crate) struct PrivTile<'a, H> {
+pub(crate) struct PrivTile<'a> {
     pub(crate) l1: &'a mut [CacheBank],
     pub(crate) l2: &'a mut [CacheBank],
-    pub(crate) hbm: &'a mut H,
+    pub(crate) hbm: &'a mut Hbm,
     pub(crate) stats: &'a mut SimStats,
 }
 
-/// Independent per-tile views of the whole memory system (PC/PS only).
-#[derive(Debug)]
-pub(crate) struct TileSplit<'a> {
-    pub(crate) l1: Vec<&'a mut [CacheBank]>,
-    pub(crate) l2: Vec<&'a mut [CacheBank]>,
-    pub(crate) hbm: &'a mut Hbm,
-    pub(crate) params: PrivParams,
-}
-
-/// Bank/HBM snapshot for epoch rollback.
+/// Bank/HBM state recorded after a steady-state run (see
+/// [`MemorySystem::snapshot`]).
 #[derive(Debug)]
 pub(crate) struct MemSnapshot {
     l1: Vec<CacheBank>,
@@ -766,8 +729,8 @@ fn priv_route(b_div: FastDiv, pe: Option<usize>, line: u64) -> BankRoute {
 /// Direct private-L2 access: PS PEs (no L1 cache level) and LCPs under
 /// PC/PS. Mirrors the store-ack convention of
 /// [`MemorySystem::shared_direct_access`].
-pub(crate) fn priv_direct_access<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
+pub(crate) fn priv_direct_access(
+    t: &mut PrivTile<'_>,
     p: &PrivParams,
     pe: Option<usize>,
     line: u64,
@@ -785,8 +748,8 @@ pub(crate) fn priv_direct_access<H: HbmSink>(
 
 /// Fills `line` in the tile's private L2 (no arbitration, no claims —
 /// the transparent crossbar has no shared port to conflict on).
-pub(crate) fn priv_l2_fill<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
+pub(crate) fn priv_l2_fill(
+    t: &mut PrivTile<'_>,
     p: &PrivParams,
     pe: Option<usize>,
     line: u64,
@@ -834,8 +797,8 @@ pub(crate) fn priv_l2_fill<H: HbmSink>(
 }
 
 /// Installs an L1 dirty victim into the tile's private L2.
-pub(crate) fn priv_l2_writeback<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
+pub(crate) fn priv_l2_writeback(
+    t: &mut PrivTile<'_>,
     p: &PrivParams,
     pe: Option<usize>,
     line: u64,
@@ -855,8 +818,8 @@ pub(crate) fn priv_l2_writeback<H: HbmSink>(
 
 /// Private-L1 access for PE `pe` (PC mode): bank `pe`, full line space
 /// locally, single-cycle base latency, no arbitration.
-pub(crate) fn priv_l1_access<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
+pub(crate) fn priv_l1_access(
+    t: &mut PrivTile<'_>,
     p: &PrivParams,
     pe: usize,
     line: u64,
@@ -913,8 +876,8 @@ pub(crate) fn priv_l1_access<H: HbmSink>(
 /// Private-L1 miss slow path, outlined so the hit loop stays compact.
 #[cold]
 #[allow(clippy::too_many_arguments)]
-fn priv_l1_miss<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
+fn priv_l1_miss(
+    t: &mut PrivTile<'_>,
     p: &PrivParams,
     pe: usize,
     line: u64,

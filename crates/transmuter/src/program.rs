@@ -17,23 +17,14 @@
 //! reproduces [`crate::Machine::run`]'s exact error or panic at the
 //! exact same point in the schedule.
 //!
-//! Lowering also segments the program by its global barriers and
-//! decides whether the *epoch-parallel* execution core may run it:
-//! under a private L2 ([`L2Mode::PrivateCache`]) tiles share no bank
-//! and no arbitrated port, so between two global barriers each tile
-//! can execute on its own host thread against a shadow HBM, with the
-//! real HBM replayed and validated afterwards (DESIGN.md §9).
+//! One sequential interpreter ([`exec_span`]) executes every program
+//! (DESIGN.md §9).
 
 use crate::analyze::{self, Analysis};
-use crate::cache::CacheBank;
 use crate::config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
-use crate::hbm::{Hbm, HbmSink};
 use crate::machine::{release, BarrierState, Sched, SimError};
-use crate::memsys::{
-    priv_direct_access, priv_l1_access, FastDiv, MemorySystem, PrivParams, PrivTile,
-};
+use crate::memsys::{FastDiv, MemorySystem};
 use crate::op::{Addr, Op};
-use crate::stats::SimStats;
 use crate::verify::{self, Diagnostic, LintKind, Race, RaceAccess, RegionMap, Severity};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,6 +88,15 @@ impl MicroKind {
                 | MicroKind::PoisonSpm
                 | MicroKind::PoisonLcpSpm
                 | MicroKind::PoisonLcpBar
+        )
+    }
+
+    /// True for the kinds that stand in for an op the machine rejects.
+    #[inline]
+    fn is_poison(self) -> bool {
+        matches!(
+            self,
+            MicroKind::PoisonSpm | MicroKind::PoisonLcpSpm | MicroKind::PoisonLcpBar
         )
     }
 }
@@ -207,17 +207,10 @@ pub struct Program {
     ops: Vec<MicroOp>,
     /// Per-worker `(start, end)` range into `ops`; `None` = no stream.
     ranges: Vec<Option<(u32, u32)>>,
-    /// True when the program is *epoch-congruent*: no poisoned ops,
-    /// every stream-bearing worker has the same global-barrier count,
-    /// and within each tile every PE stream has the same tile-barrier
-    /// count per global-barrier segment. Congruent programs under a
-    /// private L2 are eligible for epoch-parallel execution.
-    parallel_ok: bool,
     lint: Option<LintStatus>,
-    /// The static epoch-dependence verdict (see [`crate::analyze`]),
-    /// attached next to the lint verdict: by [`ProgramBuilder::finish`]
-    /// from its incrementally maintained sets, and by
-    /// [`Program::recompile`] via the post-hoc oracle.
+    /// The analyzer lints of a checked build (see [`crate::analyze`]),
+    /// derived by [`ProgramBuilder::finish`] from the access records the
+    /// build kept; `None` for every other program.
     analysis: Option<Analysis>,
     /// The data races of a checked build; `None` for every other
     /// program (see [`ProgramBuilder::bind_regions`]).
@@ -243,7 +236,6 @@ impl Program {
             ua: ua.clone(),
             ops: Vec::new(),
             ranges: Vec::new(),
-            parallel_ok: false,
             lint: None,
             races: None,
             analysis: None,
@@ -279,20 +271,11 @@ impl Program {
         self.analysis = None;
 
         let ctx = LowerCtx::new(geom, hw, ua);
-
-        let mut poisoned = false;
-        // Per stream-bearing worker: tile-barrier count in each
-        // global-barrier segment (last entry = tail segment), used for
-        // the congruence check below. The global-barrier count is the
-        // vector length minus one.
-        let mut segments: Vec<(usize, Vec<u32>)> = Vec::new();
-
         for (worker, ops) in streams {
             assert!(worker < geom.total_workers(), "worker id out of range");
             assert!(self.ranges[worker].is_none(), "worker given two streams");
             let (_, pe) = geom.locate(worker);
             let lo = self.ops.len() as u32;
-            let mut segs: Vec<u32> = vec![0];
             for &op in ops {
                 let m = match op {
                     Op::Compute(n) => {
@@ -301,32 +284,17 @@ impl Program {
                     }
                     Op::Load(addr) => ctx.mem_access(addr, false, pe),
                     Op::Store(addr) => ctx.mem_access(addr, true, pe),
-                    Op::SpmLoad(off) => ctx.spm_access(off, false, pe, &mut poisoned),
-                    Op::SpmStore(off) => ctx.spm_access(off, true, pe, &mut poisoned),
-                    Op::TileBarrier => {
-                        if pe.is_none() {
-                            poisoned = true;
-                            MicroOp::plain(MicroKind::PoisonLcpBar)
-                        } else {
-                            *segs.last_mut().expect("segment vector non-empty") += 1;
-                            MicroOp::plain(MicroKind::TileBarrier)
-                        }
-                    }
-                    Op::GlobalBarrier => {
-                        segs.push(0);
-                        MicroOp::plain(MicroKind::GlobalBarrier)
-                    }
+                    Op::SpmLoad(off) => ctx.spm_access(off, false, pe),
+                    Op::SpmStore(off) => ctx.spm_access(off, true, pe),
+                    Op::TileBarrier if pe.is_none() => MicroOp::plain(MicroKind::PoisonLcpBar),
+                    Op::TileBarrier => MicroOp::plain(MicroKind::TileBarrier),
+                    Op::GlobalBarrier => MicroOp::plain(MicroKind::GlobalBarrier),
                 };
                 self.ops.push(m);
             }
             let hi = self.ops.len() as u32;
             self.ranges[worker] = Some((lo, hi));
-            segments.push((worker, segs));
         }
-
-        self.parallel_ok =
-            !poisoned && congruent(geom, segments.iter().map(|(w, s)| (*w, s.as_slice())));
-        self.analysis = Some(crate::analyze::analyze(self));
     }
 
     /// Attaches a verifier verdict ([`verify::lint`] diagnostics) to the
@@ -353,11 +321,10 @@ impl Program {
         self.lint.as_ref().map(|l| l.diagnostics.as_slice())
     }
 
-    /// The static epoch-dependence verdict attached to this program,
-    /// if one was computed (see [`crate::analyze`]). [`Program::compile`],
-    /// [`Program::recompile`] and [`ProgramBuilder::finish`] all attach
-    /// one; a `None` is treated as all-[`crate::analyze::ParCommit::Check`]
-    /// by the machine.
+    /// The analyzer lints of a checked build
+    /// ([`ProgramBuilder::bind_regions`]); `None` for unchecked builds
+    /// and compiled programs, whose lints [`crate::analyze()`] derives
+    /// post hoc.
     pub fn analysis(&self) -> Option<&Analysis> {
         self.analysis.as_ref()
     }
@@ -400,12 +367,6 @@ impl Program {
         &self.ua
     }
 
-    /// True if the program is epoch-congruent (see the type docs); a
-    /// prerequisite for epoch-parallel execution.
-    pub fn parallel_ok(&self) -> bool {
-        self.parallel_ok
-    }
-
     /// Total micro-ops across all workers. This counts micro-ops after
     /// compute folding, not source ops: most compute bursts ride on the
     /// micro-op before them, so a program is usually shorter than the
@@ -434,7 +395,7 @@ impl Program {
     /// ascending worker order (the order is load-bearing: the lane
     /// index is the scheduler tie-break key, and ascending worker order
     /// makes it match [`crate::Machine::run`]'s worker-id tie-break).
-    pub(crate) fn lanes(&self, start: u64) -> Vec<Lane> {
+    fn lanes(&self) -> Vec<Lane> {
         self.ranges
             .iter()
             .enumerate()
@@ -447,8 +408,6 @@ impl Program {
                         lcp: pe.is_none(),
                         pos: lo,
                         end: hi,
-                        cycle: start,
-                        state: LaneState::Running,
                     }
                 })
             })
@@ -458,9 +417,10 @@ impl Program {
 
 /// Checks epoch congruence: equal global-barrier counts across all
 /// stream-bearing workers, and per tile, identical per-segment
-/// tile-barrier counts across its PE streams. Takes the segment vectors
-/// as a re-iterable view so both [`Program::recompile`] (owned vectors)
-/// and [`ProgramBuilder`] (flat arena) can share it.
+/// tile-barrier counts across its PE streams — the precondition of
+/// [`crate::analyze`]'s lints. Takes the segment vectors as a
+/// re-iterable view so both [`crate::analyze()`] (owned vectors) and
+/// [`ProgramBuilder`] (flat arena) can share it.
 pub(crate) fn congruent<'a, I>(geom: Geometry, segments: I) -> bool
 where
     I: Iterator<Item = (usize, &'a [u32])> + Clone,
@@ -531,7 +491,7 @@ impl LowerCtx {
     /// Lowers a `Load`/`Store` of `addr` issued by `pe` (`None` = LCP).
     ///
     /// Kinds whose execution path does not consume `a` (every private
-    /// and direct route; see the `ExecCtx` dispatch) carry the *word*
+    /// and direct route; see [`mem_access`]) carry the *word*
     /// index there instead, so [`crate::analyze`] can reason at word
     /// granularity without a second lowering pass. The shared-L1 kinds
     /// keep the bank-local line in `a` (execution needs it); shared-L2
@@ -589,20 +549,11 @@ impl LowerCtx {
     /// (`None` = LCP); loads and stores time identically, so one kind
     /// covers both, with the direction recorded in `a` and the word
     /// index in `b` for [`crate::analyze`] (execution reads neither).
-    /// Sets `poisoned` when the op can never execute.
     #[inline]
-    fn spm_access(
-        &self,
-        off: u32,
-        is_store: bool,
-        pe: Option<usize>,
-        poisoned: &mut bool,
-    ) -> MicroOp {
+    fn spm_access(&self, off: u32, is_store: bool, pe: Option<usize>) -> MicroOp {
         if !self.has_spm {
-            *poisoned = true;
             MicroOp::plain(MicroKind::PoisonSpm)
         } else if pe.is_none() {
-            *poisoned = true;
             MicroOp::plain(MicroKind::PoisonLcpSpm)
         } else if self.l1 == L1Mode::SharedCacheSpm {
             let word = self.word_div.div(off as u64);
@@ -670,8 +621,7 @@ fn barrier_divergence(r: &[u32], s: &[u32]) -> usize {
 /// # Checked builds
 ///
 /// [`ProgramBuilder::bind_regions`] makes the current build a *checked
-/// build*, which adds the two checks that need more than one op at a
-/// time:
+/// build*, which adds the checks that need more than one op at a time:
 ///
 /// * every `load`/`store` outside the bound [`RegionMap`] draws a
 ///   [`LintKind::UnmappedAddress`] error, so the verdict equals
@@ -681,10 +631,12 @@ fn barrier_divergence(r: &[u32], s: &[u32]) -> usize {
 ///   ([`Program::races`]). Whether two accesses race depends only on
 ///   program-order facts (same word, same global epoch, not ordered by a
 ///   tile barrier), so this static result equals
-///   [`verify::detect_races`] over the trace of any run of the program.
+///   [`verify::detect_races`] over the trace of any run of the program;
+/// * the analyzer lints ([`crate::analyze`]) are derived from the same
+///   access records and attached as [`Program::analysis`].
 ///
 /// Unchecked builds pay one predictable branch per access for all of
-/// this, shared with the analysis gate.
+/// this.
 #[derive(Debug)]
 pub struct ProgramBuilder {
     prog: Program,
@@ -709,22 +661,13 @@ pub struct ProgramBuilder {
     /// Per-op lint findings in emission order; sorted into
     /// worker-ascending report order at [`ProgramBuilder::finish`].
     diags: Vec<Diagnostic>,
-    /// Access records for [`crate::analyze`], maintained on append (the
-    /// incremental half of the analysis; [`ProgramBuilder::finish`]
-    /// runs the shared derivation over it).
+    /// A checked build's access records for [`crate::analyze`],
+    /// maintained on append (the incremental half of the analysis;
+    /// [`ProgramBuilder::finish`] runs the shared derivation over it).
     arena: Vec<analyze::Acc>,
-    /// When false, the arena is not maintained and [`finish`] attaches
-    /// no [`Analysis`] — the opt-out for hot one-shot builds
-    /// ([`ProgramBuilder::set_analysis`]).
-    ///
-    /// [`finish`]: ProgramBuilder::finish
-    /// [`Analysis`]: crate::Analysis
-    analysis_enabled: bool,
     /// True for a checked build ([`ProgramBuilder::bind_regions`]);
-    /// cleared by [`ProgramBuilder::begin`].
+    /// cleared by [`ProgramBuilder::begin`]. The one per-access gate.
     checked: bool,
-    /// `analysis_enabled || checked`: the one per-access gate.
-    tracking: bool,
     /// The address map a checked build lints accesses against.
     regions: RegionMap,
     /// A checked build's race records, in emission order.
@@ -769,7 +712,6 @@ impl ProgramBuilder {
                 ua,
                 ops: Vec::new(),
                 ranges: Vec::new(),
-                parallel_ok: false,
                 lint: None,
                 races: None,
                 analysis: None,
@@ -783,9 +725,7 @@ impl ProgramBuilder {
             seg_index: Vec::new(),
             diags: Vec::new(),
             arena: Vec::new(),
-            analysis_enabled: true,
             checked: false,
-            tracking: true,
             regions: RegionMap::new(),
             race_accs: Vec::new(),
             cur_worker: 0,
@@ -817,11 +757,10 @@ impl ProgramBuilder {
         self.prog.ops.clear();
         self.prog.ranges.clear();
         self.prog.ranges.resize(geom.total_workers(), None);
-        self.prog.parallel_ok = false;
         self.prog.lint = None;
         self.prog.races = None;
+        self.prog.analysis = None;
         self.checked = false;
-        self.tracking = self.analysis_enabled;
         self.race_accs.clear();
         self.unsupported = hw == HwConfig::Scs && geom.pes_per_tile() < 2;
         self.lower = LowerCtx::new(geom, hw, ua);
@@ -844,28 +783,11 @@ impl ProgramBuilder {
         self.finished = false;
     }
 
-    /// Enables or disables the epoch-dependence analysis
-    /// ([`crate::analyze`]) for subsequent builds. On by default.
-    ///
-    /// Disabled builds skip the incremental access arena and
-    /// [`ProgramBuilder::finish`] attaches no verdict: the machine then
-    /// keeps the conservative dynamic path (shadow-HBM replay, no
-    /// shared-L2 epoch parallelism) for that program. The analysis
-    /// sorts every memory access the program makes, which is a real
-    /// host-time cost for large programs — callers building one-shot
-    /// programs executed exactly once (e.g. per-iteration scratch
-    /// builds) gain nothing from the verdict and should opt out. The
-    /// setting is sticky across [`ProgramBuilder::begin`].
-    pub fn set_analysis(&mut self, enabled: bool) {
-        self.analysis_enabled = enabled;
-        self.tracking = enabled || self.checked;
-    }
-
     /// Makes the current build a checked build against `regions` (see
     /// the type docs): accesses outside the map are lint errors, and
-    /// [`ProgramBuilder::finish`] attaches the build's data races. The
-    /// binding lasts for this build only; [`ProgramBuilder::begin`]
-    /// clears it.
+    /// [`ProgramBuilder::finish`] attaches the build's data races and
+    /// analyzer lints. The binding lasts for this build only;
+    /// [`ProgramBuilder::begin`] clears it.
     ///
     /// # Panics
     ///
@@ -878,7 +800,6 @@ impl ProgramBuilder {
         );
         self.regions.clone_from(regions);
         self.checked = true;
-        self.tracking = true;
     }
 
     /// Opens PE `(tile, pe)`'s stream; emission verbs apply to it until
@@ -982,7 +903,7 @@ impl ProgramBuilder {
     pub fn load(&mut self, addr: Addr) {
         debug_assert!(self.open, "no worker stream open");
         let m = self.lower.mem_access(addr, false, self.cur_pe);
-        if self.tracking {
+        if self.checked {
             self.track_mem(&m, addr, false);
         }
         self.prog.ops.push(m);
@@ -993,34 +914,29 @@ impl ProgramBuilder {
     pub fn store(&mut self, addr: Addr) {
         debug_assert!(self.open, "no worker stream open");
         let m = self.lower.mem_access(addr, true, self.cur_pe);
-        if self.tracking {
+        if self.checked {
             self.track_mem(&m, addr, true);
         }
         self.prog.ops.push(m);
     }
 
-    /// Records a global access about to be appended: the analysis arena
-    /// entry and, in a checked build, the region check and race record.
+    /// Records a checked build's global access about to be appended:
+    /// the analysis arena entry, the region check and the race record.
     #[inline]
     fn track_mem(&mut self, m: &MicroOp, addr: Addr, store: bool) {
         self.record(m);
-        if self.checked {
-            if !self.regions.contains(addr, self.word) {
-                self.diag_at_cursor(Severity::Error, LintKind::UnmappedAddress { addr });
-            }
-            self.record_race(RaceAccess::global(addr, self.word), store);
+        if !self.regions.contains(addr, self.word) {
+            self.diag_at_cursor(Severity::Error, LintKind::UnmappedAddress { addr });
         }
+        self.record_race(RaceAccess::global(addr, self.word), store);
     }
 
-    /// Maintains the dependence-analysis arena on append (the
-    /// incremental half of [`crate::analyze`]): records the access the
-    /// freshly lowered micro-op performs, tagged with the open worker's
-    /// identity, current epoch and op position.
+    /// Maintains the analysis arena on append (the incremental half of
+    /// [`crate::analyze`]): records the access the freshly lowered
+    /// micro-op performs, tagged with the open worker's identity,
+    /// current epoch and op position.
     #[inline]
     fn record(&mut self, m: &MicroOp) {
-        if !self.analysis_enabled {
-            return;
-        }
         let pc = self.cursor();
         if let Some(acc) =
             analyze::acc_of(m, self.cur_worker as u32, self.cur_tile, self.cur_epoch, pc)
@@ -1080,13 +996,12 @@ impl ProgramBuilder {
                 );
             }
         }
-        let m = self
-            .lower
-            .spm_access(offset, is_store, self.cur_pe, &mut self.poisoned);
-        if self.tracking {
+        let m = self.lower.spm_access(offset, is_store, self.cur_pe);
+        self.poisoned |= m.kind.is_poison();
+        if self.checked {
             self.record(&m);
             // Only a shared SPM can race; LCPs have no SPM port.
-            if self.checked && self.lower.l1 == L1Mode::SharedCacheSpm && self.cur_pe.is_some() {
+            if self.lower.l1 == L1Mode::SharedCacheSpm && self.cur_pe.is_some() {
                 let site = RaceAccess::shared_spm(self.cur_tile as usize, offset, self.word);
                 self.record_race(site, is_store);
             }
@@ -1128,10 +1043,10 @@ impl ProgramBuilder {
         });
     }
 
-    /// Seals the build: resolves epoch congruence, assembles the lint
-    /// verdict in [`verify::lint`]'s report order, attaches it (and, for
-    /// a checked build, the races), and returns the finished program
-    /// (also reachable afterwards via [`ProgramBuilder::program`]).
+    /// Seals the build: assembles the lint verdict in [`verify::lint`]'s
+    /// report order, attaches it (and, for a checked build, the races
+    /// and analyzer lints), and returns the finished program (also
+    /// reachable afterwards via [`ProgramBuilder::program`]).
     ///
     /// # Panics
     ///
@@ -1144,19 +1059,17 @@ impl ProgramBuilder {
         );
         self.seal();
         self.finished = true;
-        let seg_data = &self.seg_data;
-        let congr = congruent(
-            self.prog.geom,
-            self.seg_index
-                .iter()
-                .map(|&(w, lo, hi)| (w, &seg_data[lo as usize..hi as usize])),
-        );
-        self.prog.parallel_ok = !self.poisoned && congr;
-
-        // Derive the dependence verdict from the incrementally
-        // maintained arena — same kernel as the post-hoc oracle
-        // `analyze::analyze`, so the two paths agree by construction.
-        self.prog.analysis = if self.analysis_enabled {
+        // Derive the analyzer lints from the incrementally maintained
+        // arena — same kernel as the post-hoc oracle `analyze::analyze`,
+        // so the two paths agree by construction.
+        if self.checked {
+            let seg_data = &self.seg_data;
+            let congr = congruent(
+                self.prog.geom,
+                self.seg_index
+                    .iter()
+                    .map(|&(w, lo, hi)| (w, &seg_data[lo as usize..hi as usize])),
+            );
             let n_epochs = self
                 .seg_index
                 .first()
@@ -1169,19 +1082,15 @@ impl ProgramBuilder {
                 .min()
                 .unwrap_or(0);
             let actx = analyze::Ctx {
-                geom: self.prog.geom,
                 hw: self.prog.hw,
-                nch: self.prog.ua.hbm_channels as u64,
                 word_bytes: self.prog.ua.word_bytes as u64,
                 line_bytes: self.prog.ua.line_bytes as u64,
                 applicable: !self.poisoned && congr && !self.unsupported,
                 n_epochs,
                 first_worker,
             };
-            Some(analyze::derive(&actx, &mut self.arena))
-        } else {
-            None
-        };
+            self.prog.analysis = Some(analyze::derive(&actx, &mut self.arena));
+        }
 
         let mut diags = std::mem::take(&mut self.diags);
         if self.unsupported {
@@ -1280,394 +1189,70 @@ impl ProgramBuilder {
         assert!(self.finished, "program() before finish()");
         &self.prog
     }
-
-    /// Opt-in barrier elision: removes every global barrier the
-    /// attached [`Analysis`] proved redundant, group-safely — eliding
-    /// barriers `g..h` merges epochs into one unordered group, so a
-    /// barrier only goes when **no** epoch already merged behind it
-    /// depends on the epoch it releases. The elided program is a
-    /// distinct artifact (fresh identity, so the machine's steady-state
-    /// memo cannot replay the un-elided timing) with its analysis
-    /// re-derived and lint positions re-anchored. Returns the number of
-    /// barriers removed. Off by default: nothing calls this unless a
-    /// kernel explicitly opts in after [`ProgramBuilder::finish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the current build was never finished.
-    pub fn elide_proven_barriers(&mut self) -> usize {
-        assert!(self.finished, "elide_proven_barriers() before finish()");
-        let Some(analysis) = self.prog.analysis.as_ref() else {
-            return 0;
-        };
-        if !analysis.congruent() || analysis.elision_candidates().is_empty() {
-            return 0;
-        }
-        let n_barriers = analysis.epochs().len().saturating_sub(1);
-        let edges: Vec<(u32, u32)> = analysis.conflict_edges().to_vec();
-        let has_edge = |e: u32, f: u32| edges.binary_search(&(e, f)).is_ok();
-        let mut elide = vec![false; n_barriers];
-        let mut merged_start = 0u32;
-        for g in 0..n_barriers as u32 {
-            if (merged_start..=g).all(|e| !has_edge(e, g + 1)) {
-                elide[g as usize] = true;
-            } else {
-                merged_start = g + 1;
-            }
-        }
-        let count = elide.iter().filter(|&&e| e).count();
-        if count == 0 {
-            return 0;
-        }
-
-        // Rebuild the op array, dropping each worker's copy of every
-        // elided barrier ordinal while preserving the emission layout.
-        let old_ops = std::mem::take(&mut self.prog.ops);
-        let mut order: Vec<(usize, u32, u32)> = self
-            .prog
-            .ranges
-            .iter()
-            .enumerate()
-            .filter_map(|(w, r)| r.map(|(lo, hi)| (w, lo, hi)))
-            .collect();
-        order.sort_unstable_by_key(|&(_, lo, _)| lo);
-        let mut new_ops: Vec<MicroOp> = Vec::with_capacity(old_ops.len());
-        let mut removed: Vec<(usize, Vec<u32>)> = Vec::with_capacity(order.len());
-        for &(w, lo, hi) in &order {
-            let new_lo = new_ops.len() as u32;
-            let mut ordinal = 0usize;
-            // Source-op positions of the removed barriers.
-            let mut cut: Vec<u32> = Vec::new();
-            let mut pc = 0u32;
-            for op in &old_ops[lo as usize..hi as usize] {
-                let at = pc;
-                pc += op.source_len();
-                if op.kind == MicroKind::GlobalBarrier {
-                    let g = ordinal;
-                    ordinal += 1;
-                    if g < elide.len() && elide[g] {
-                        cut.push(at);
-                        continue;
-                    }
-                }
-                new_ops.push(*op);
-            }
-            self.prog.ranges[w] = Some((new_lo, new_ops.len() as u32));
-            removed.push((w, cut));
-        }
-        self.prog.ops = new_ops;
-
-        // Re-anchor attached lint positions past the removed ops.
-        // Uniform removal keeps the program congruent, so parallel_ok
-        // is unaffected.
-        if let Some(lint) = self.prog.lint.as_mut() {
-            for d in lint.diagnostics.iter_mut() {
-                if let Some(pos) = d.position.as_mut() {
-                    if let Some((_, cut)) = removed.iter().find(|(w, _)| *w == d.worker) {
-                        *pos -= cut.iter().filter(|&&c| (c as usize) < *pos).count();
-                    }
-                }
-            }
-        }
-
-        self.prog.id = NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed);
-        self.prog.analysis = Some(analyze::analyze(&self.prog));
-        count
-    }
 }
 
 /// Interpreter state for one stream-bearing worker.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Lane {
-    pub(crate) worker: u32,
-    pub(crate) tile: u32,
-    pub(crate) lcp: bool,
-    pub(crate) pos: u32,
-    pub(crate) end: u32,
-    pub(crate) cycle: u64,
-    pub(crate) state: LaneState,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneState {
-    Running,
-    /// Paused at a global barrier it arrived at on the recorded cycle
-    /// (epoch-parallel execution stops here; the driver releases).
-    AtGlobal(u64),
-    /// Stream exhausted at the recorded cycle.
-    Finished(u64),
-}
-
-/// Memory-access context the micro-op interpreter runs against: the
-/// full [`MemorySystem`] for sequential execution, or a single tile's
-/// private banks plus a shadow HBM for epoch-parallel execution.
-pub(crate) trait ExecCtx {
-    fn stats(&mut self) -> &mut SimStats;
-    /// Called before each memory micro-op with its issue point; the
-    /// shadow-HBM context uses it to key its call log.
-    #[inline]
-    fn set_op_ctx(&mut self, _cycle: u64, _worker: u32) {}
-    /// Resolves one memory micro-op to its completion cycle.
-    fn access(&mut self, op: &MicroOp, tile: usize, cycle: u64) -> u64;
-}
-
-impl ExecCtx for MemorySystem {
-    #[inline]
-    fn stats(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
-    #[inline]
-    fn access(&mut self, op: &MicroOp, tile: usize, cycle: u64) -> u64 {
-        match op.kind {
-            MicroKind::SharedLoad | MicroKind::SharedStore => {
-                let is_store = op.kind == MicroKind::SharedStore;
-                self.shared_l1_access(tile, op.bank as usize, op.a, op.b, is_store, cycle)
-            }
-            MicroKind::SharedDirLoad | MicroKind::SharedDirStore => {
-                let is_store = op.kind == MicroKind::SharedDirStore;
-                self.shared_direct_access(tile, op.b, is_store, cycle)
-            }
-            MicroKind::PrivLoad | MicroKind::PrivStore => {
-                let is_store = op.kind == MicroKind::PrivStore;
-                self.priv_l1(tile, op.bank as usize, op.b, is_store, cycle)
-            }
-            MicroKind::DirPeLoad | MicroKind::DirPeStore => {
-                let is_store = op.kind == MicroKind::DirPeStore;
-                self.priv_direct(tile, Some(op.bank as usize), op.b, is_store, cycle)
-            }
-            MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
-                let is_store = op.kind == MicroKind::DirLcpStore;
-                self.priv_direct(tile, None, op.b, is_store, cycle)
-            }
-            MicroKind::SpmShared => self.spm_shared_access(tile, op.bank as usize, cycle),
-            MicroKind::SpmPrivate => cycle + self.uarch().l1_latency,
-            _ => unreachable!("non-memory micro-op reached access()"),
-        }
-    }
-}
-
-/// HBM call record for epoch replay (see [`ShadowHbm`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HbmCall {
-    /// Issue cycle of the micro-op that triggered the call.
-    pub(crate) cycle: u64,
-    /// Global worker id of the issuer.
-    pub(crate) worker: u32,
-    /// Call index within the micro-op (one op can fill, write back and
-    /// prefetch).
-    pub(crate) seq: u32,
-    pub(crate) kind: HbmCallKind,
-    pub(crate) line: u64,
-    pub(crate) at: u64,
-    /// Completion the shadow returned (validated for reads on replay).
-    pub(crate) done: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HbmCallKind {
-    Read,
-    Write,
-    Prefetch,
-}
-
-/// An [`Hbm`] clone that logs every call. Each tile of an epoch runs
-/// against its own shadow (seeded from the epoch-start HBM state);
-/// afterwards the logs are merged into the order sequential execution
-/// would have issued them — `(op issue cycle, worker, seq)`, which is
-/// exactly the event loop's processing order — and replayed against the
-/// real stack. If every *read* completion matches, per-tile timing was
-/// unaffected by cross-tile channel contention and the epoch commits
-/// (write/prefetch completions are discarded by every caller, so their
-/// divergence cannot alter timing; the replay still applies them, which
-/// also reproduces the sequential read/write counters exactly).
-#[derive(Debug)]
-pub(crate) struct ShadowHbm {
-    inner: Hbm,
-    log: Vec<HbmCall>,
-    cycle: u64,
+struct Lane {
     worker: u32,
-    seq: u32,
+    tile: u32,
+    lcp: bool,
+    pos: u32,
+    end: u32,
 }
 
-impl ShadowHbm {
-    pub(crate) fn new(inner: Hbm) -> Self {
-        ShadowHbm {
-            inner,
-            log: Vec::new(),
-            cycle: 0,
-            worker: 0,
-            seq: 0,
+/// Resolves one memory micro-op against the memory system to its
+/// completion cycle.
+#[inline]
+fn mem_access(mem: &mut MemorySystem, op: &MicroOp, tile: usize, cycle: u64) -> u64 {
+    match op.kind {
+        MicroKind::SharedLoad | MicroKind::SharedStore => {
+            let is_store = op.kind == MicroKind::SharedStore;
+            mem.shared_l1_access(tile, op.bank as usize, op.a, op.b, is_store, cycle)
         }
-    }
-
-    #[inline]
-    fn set_op(&mut self, cycle: u64, worker: u32) {
-        self.cycle = cycle;
-        self.worker = worker;
-        self.seq = 0;
-    }
-
-    #[inline]
-    fn record(&mut self, kind: HbmCallKind, line: u64, at: u64, done: u64) {
-        self.log.push(HbmCall {
-            cycle: self.cycle,
-            worker: self.worker,
-            seq: self.seq,
-            kind,
-            line,
-            at,
-            done,
-        });
-        self.seq += 1;
-    }
-
-    /// Consumes the shadow into its final HBM state and call log.
-    pub(crate) fn into_state_and_log(self) -> (Hbm, Vec<HbmCall>) {
-        (self.inner, self.log)
-    }
-}
-
-impl HbmSink for ShadowHbm {
-    #[inline]
-    fn read(&mut self, line: u64, cycle: u64) -> u64 {
-        let done = self.inner.read(line, cycle);
-        self.record(HbmCallKind::Read, line, cycle, done);
-        done
-    }
-
-    #[inline]
-    fn write(&mut self, line: u64, cycle: u64) -> u64 {
-        let done = self.inner.write(line, cycle);
-        self.record(HbmCallKind::Write, line, cycle, done);
-        done
-    }
-
-    #[inline]
-    fn prefetch(&mut self, line: u64, cycle: u64) -> u64 {
-        let done = self.inner.prefetch(line, cycle);
-        self.record(HbmCallKind::Prefetch, line, cycle, done);
-        done
-    }
-}
-
-/// One tile's execution context for the epoch-parallel core: the tile's
-/// private bank slices, a shadow HBM and a local stats block.
-#[derive(Debug)]
-pub(crate) struct TileExec<'a> {
-    l1: &'a mut [CacheBank],
-    l2: &'a mut [CacheBank],
-    shadow: ShadowHbm,
-    stats: SimStats,
-    params: PrivParams,
-    spm_latency: u64,
-}
-
-impl<'a> TileExec<'a> {
-    pub(crate) fn new(
-        l1: &'a mut [CacheBank],
-        l2: &'a mut [CacheBank],
-        hbm: Hbm,
-        params: PrivParams,
-        spm_latency: u64,
-    ) -> Self {
-        TileExec {
-            l1,
-            l2,
-            shadow: ShadowHbm::new(hbm),
-            stats: SimStats::default(),
-            params,
-            spm_latency,
+        MicroKind::SharedDirLoad | MicroKind::SharedDirStore => {
+            let is_store = op.kind == MicroKind::SharedDirStore;
+            mem.shared_direct_access(tile, op.b, is_store, cycle)
         }
-    }
-
-    /// Consumes the context into its local stats, HBM call log and the
-    /// shadow's final HBM state (merged directly into the real HBM on a
-    /// proven replay-free commit).
-    pub(crate) fn into_parts(self) -> (SimStats, Vec<HbmCall>, Hbm) {
-        let (hbm, log) = self.shadow.into_state_and_log();
-        (self.stats, log, hbm)
-    }
-}
-
-impl ExecCtx for TileExec<'_> {
-    #[inline]
-    fn stats(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
-    #[inline]
-    fn set_op_ctx(&mut self, cycle: u64, worker: u32) {
-        self.shadow.set_op(cycle, worker);
-    }
-
-    #[inline]
-    fn access(&mut self, op: &MicroOp, _tile: usize, cycle: u64) -> u64 {
-        let mut t = PrivTile {
-            l1: &mut *self.l1,
-            l2: &mut *self.l2,
-            hbm: &mut self.shadow,
-            stats: &mut self.stats,
-        };
-        match op.kind {
-            MicroKind::PrivLoad | MicroKind::PrivStore => {
-                let is_store = op.kind == MicroKind::PrivStore;
-                priv_l1_access(
-                    &mut t,
-                    &self.params,
-                    op.bank as usize,
-                    op.b,
-                    is_store,
-                    cycle,
-                )
-            }
-            MicroKind::DirPeLoad | MicroKind::DirPeStore => {
-                let is_store = op.kind == MicroKind::DirPeStore;
-                priv_direct_access(
-                    &mut t,
-                    &self.params,
-                    Some(op.bank as usize),
-                    op.b,
-                    is_store,
-                    cycle,
-                )
-            }
-            MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
-                let is_store = op.kind == MicroKind::DirLcpStore;
-                priv_direct_access(&mut t, &self.params, None, op.b, is_store, cycle)
-            }
-            MicroKind::SpmPrivate => cycle + self.spm_latency,
-            _ => unreachable!("shared-path micro-op in a private-tile context"),
+        MicroKind::PrivLoad | MicroKind::PrivStore => {
+            let is_store = op.kind == MicroKind::PrivStore;
+            mem.priv_l1(tile, op.bank as usize, op.b, is_store, cycle)
         }
+        MicroKind::DirPeLoad | MicroKind::DirPeStore => {
+            let is_store = op.kind == MicroKind::DirPeStore;
+            mem.priv_direct(tile, Some(op.bank as usize), op.b, is_store, cycle)
+        }
+        MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
+            let is_store = op.kind == MicroKind::DirLcpStore;
+            mem.priv_direct(tile, None, op.b, is_store, cycle)
+        }
+        MicroKind::SpmShared => mem.spm_shared_access(tile, op.bank as usize, cycle),
+        MicroKind::SpmPrivate => cycle + mem.uarch().l1_latency,
+        _ => unreachable!("non-memory micro-op reached mem_access()"),
     }
 }
 
-/// Executes `lanes` over `prog`'s micro-ops until every lane finishes
-/// or (with `stop_at_global`) pauses at a global barrier.
+/// Executes every stream of `prog` against `mem`, starting at cycle
+/// `start`, and returns the cycle the last stream finished at.
 ///
 /// This is the micro-op twin of [`crate::Machine::run`]'s event loop:
 /// same scheduler, same tie-breaks, same inline-continue rule, same
-/// stat-update order — cycle counts are bit-for-bit identical.
-///
-/// `tile_base` is the tile index of `lanes[*].tile`'s smallest value
-/// when executing a single tile (`tiles == 1`); sequential execution
-/// passes `0` and the full tile count. Lanes must be in ascending
-/// global-worker order: the scheduler breaks cycle ties by lane index,
-/// which then matches the worker-id tie-break of [`crate::Machine::run`].
-pub(crate) fn exec_span<C: ExecCtx>(
-    ctx: &mut C,
+/// stat-update order — cycle counts are bit-for-bit identical. Lanes
+/// are in ascending global-worker order: the scheduler breaks cycle
+/// ties by lane index, which then matches the worker-id tie-break of
+/// [`crate::Machine::run`].
+pub(crate) fn exec_span(
+    mem: &mut MemorySystem,
     prog: &Program,
-    lanes: &mut [Lane],
-    tile_base: usize,
-    tiles: usize,
-    stop_at_global: bool,
-) -> Result<(), SimError> {
+    start: u64,
+) -> Result<u64, SimError> {
     let ops = prog.micro_ops();
-    let mut tile_barriers: Vec<BarrierState> = (0..tiles)
+    let lanes = &mut prog.lanes()[..];
+    let mut tile_barriers: Vec<BarrierState> = (0..prog.geom.tiles())
         .map(|t| BarrierState {
             expected: lanes
                 .iter()
-                .filter(|l| l.tile as usize == tile_base + t && !l.lcp)
+                .filter(|l| l.tile as usize == t && !l.lcp)
                 .count(),
             waiting: Vec::new(),
         })
@@ -1677,31 +1262,28 @@ pub(crate) fn exec_span<C: ExecCtx>(
         waiting: Vec::new(),
     };
 
-    let start_max = lanes.iter().map(|l| l.cycle).max().unwrap_or(0);
-    let mut sched = Sched::new(lanes.len(), start_max);
-    for (i, lane) in lanes.iter().enumerate() {
-        if lane.state == LaneState::Running {
-            sched.push(lane.cycle, i as u32);
-        }
+    let mut sched = Sched::new(lanes.len(), start);
+    for i in 0..lanes.len() {
+        sched.push(start, i as u32);
     }
 
+    let mut last_done = start;
     let mut cur = sched.pop();
     'outer: while let Some((mut cycle, li)) = cur {
         let lane = &mut lanes[li as usize];
         let tile = lane.tile as usize;
         loop {
             if lane.pos == lane.end {
-                lane.cycle = cycle;
-                lane.state = LaneState::Finished(cycle);
+                last_done = last_done.max(cycle);
                 cur = sched.pop();
                 continue 'outer;
             }
             let op = &ops[lane.pos as usize];
             lane.pos += 1;
-            ctx.stats().ops += op.source_len() as u64;
+            mem.stats.ops += op.source_len() as u64;
             let done = match op.kind {
                 MicroKind::Compute => {
-                    ctx.stats().compute_cycles += op.a;
+                    mem.stats.compute_cycles += op.a;
                     cycle + op.a
                 }
                 MicroKind::SharedLoad
@@ -1709,10 +1291,9 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 | MicroKind::PrivLoad
                 | MicroKind::DirPeLoad
                 | MicroKind::DirLcpLoad => {
-                    ctx.stats().loads += 1;
-                    ctx.set_op_ctx(cycle, lane.worker);
-                    let done = ctx.access(op, tile, cycle).max(cycle + 1);
-                    ctx.stats().mem_stall_cycles += (done - cycle).saturating_sub(1);
+                    mem.stats.loads += 1;
+                    let done = mem_access(mem, op, tile, cycle).max(cycle + 1);
+                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
                     done
                 }
                 MicroKind::SharedStore
@@ -1720,38 +1301,31 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 | MicroKind::PrivStore
                 | MicroKind::DirPeStore
                 | MicroKind::DirLcpStore => {
-                    ctx.stats().stores += 1;
-                    ctx.set_op_ctx(cycle, lane.worker);
-                    let done = ctx.access(op, tile, cycle).max(cycle + 1);
-                    ctx.stats().mem_stall_cycles += (done - cycle).saturating_sub(1);
+                    mem.stats.stores += 1;
+                    let done = mem_access(mem, op, tile, cycle).max(cycle + 1);
+                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
                     done
                 }
                 MicroKind::SpmShared | MicroKind::SpmPrivate => {
-                    ctx.stats().spm_accesses += 1;
-                    ctx.set_op_ctx(cycle, lane.worker);
-                    let done = ctx.access(op, tile, cycle);
-                    ctx.stats().mem_stall_cycles += (done - cycle).saturating_sub(1);
+                    mem.stats.spm_accesses += 1;
+                    let done = mem_access(mem, op, tile, cycle);
+                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
                     done
                 }
                 MicroKind::TileBarrier => {
-                    let b = &mut tile_barriers[tile - tile_base];
+                    let b = &mut tile_barriers[tile];
                     b.waiting.push((li, cycle));
                     if b.waiting.len() == b.expected {
-                        release(b, cycle, &mut sched, ctx.stats());
+                        release(b, cycle, &mut sched, &mut mem.stats);
                     }
                     cur = sched.pop();
                     continue 'outer;
                 }
                 MicroKind::GlobalBarrier => {
-                    if stop_at_global {
-                        lane.cycle = cycle;
-                        lane.state = LaneState::AtGlobal(cycle);
-                    } else {
-                        let b = &mut global_barrier;
-                        b.waiting.push((li, cycle));
-                        if b.waiting.len() == b.expected {
-                            release(b, cycle, &mut sched, ctx.stats());
-                        }
+                    let b = &mut global_barrier;
+                    b.waiting.push((li, cycle));
+                    if b.waiting.len() == b.expected {
+                        release(b, cycle, &mut sched, &mut mem.stats);
                     }
                     cur = sched.pop();
                     continue 'outer;
@@ -1765,7 +1339,7 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 MicroKind::PoisonLcpSpm => {
                     // Reproduce the memory system's own assertion: the
                     // access is counted, then the access path panics.
-                    ctx.stats().spm_accesses += 1;
+                    mem.stats.spm_accesses += 1;
                     panic!("LCPs have no scratchpad");
                 }
                 MicroKind::PoisonLcpBar => {
@@ -1773,7 +1347,7 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 }
             };
             // The folded bursts run after the op's stall is counted.
-            ctx.stats().compute_cycles += op.post as u64;
+            mem.stats.compute_cycles += op.post as u64;
             let done = done + op.post as u64;
             match sched.step(done, li) {
                 Some(next) => {
@@ -1787,30 +1361,18 @@ pub(crate) fn exec_span<C: ExecCtx>(
 
     let mut blocked: Vec<usize> = tile_barriers
         .iter()
+        .chain(std::iter::once(&global_barrier))
         .flat_map(|b| {
             b.waiting
                 .iter()
                 .map(|&(l, _)| lanes[l as usize].worker as usize)
         })
         .collect();
-    blocked.extend(
-        global_barrier
-            .waiting
-            .iter()
-            .map(|&(l, _)| lanes[l as usize].worker as usize),
-    );
     if !blocked.is_empty() {
-        if stop_at_global {
-            // Lanes paused at the global barrier are blocked too: the
-            // barrier can never complete once a peer is deadlocked.
-            blocked.extend(lanes.iter().filter_map(|l| {
-                matches!(l.state, LaneState::AtGlobal(_)).then_some(l.worker as usize)
-            }));
-        }
         blocked.sort_unstable();
         return Err(SimError::BarrierDeadlock { blocked });
     }
-    Ok(())
+    Ok(last_done)
 }
 
 #[cfg(test)]
@@ -1947,7 +1509,6 @@ mod tests {
         let p = compile(HwConfig::Pc, &streams);
         assert_eq!(p.micro_ops()[0].kind, MicroKind::PoisonSpm);
         assert_eq!(p.micro_ops()[1].kind, MicroKind::PoisonLcpBar);
-        assert!(!p.parallel_ok(), "poisoned programs are not parallel-safe");
     }
 
     #[test]
@@ -1962,18 +1523,21 @@ mod tests {
             b.global_barrier().compute(1);
             b
         };
+        let congruent = |streams: &[(usize, Vec<Op>)]| {
+            analyze::analyze(&compile(HwConfig::Pc, streams)).congruent()
+        };
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(2)), (g.pe_id(0, 1), mk(2))]);
-        assert!(compile(HwConfig::Pc, &streams).parallel_ok());
+        assert!(congruent(&streams));
 
         // Tile-barrier counts differ within the segment: not congruent.
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(2)), (g.pe_id(0, 1), mk(1))]);
-        assert!(!compile(HwConfig::Pc, &streams).parallel_ok());
+        assert!(!congruent(&streams));
 
         // Global-barrier counts differ: not congruent.
         let mut no_gb = StreamBuilder::new();
         no_gb.compute(1);
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(0)), (g.pe_id(0, 1), no_gb)]);
-        assert!(!compile(HwConfig::Pc, &streams).parallel_ok());
+        assert!(!congruent(&streams));
     }
 
     #[test]
@@ -2076,7 +1640,6 @@ mod tests {
             let b = build(hw, &streams);
             assert_eq!(b.micro_ops(), p.micro_ops(), "{hw}: micro-ops diverge");
             assert_eq!(b.ranges, p.ranges, "{hw}: ranges diverge");
-            assert_eq!(b.parallel_ok(), p.parallel_ok(), "{hw}: parallel_ok");
             assert_eq!(b.geometry(), p.geometry());
             assert_eq!(b.hw(), p.hw());
             assert_ne!(b.id(), p.id(), "each build is a fresh artifact");
@@ -2110,75 +1673,11 @@ mod tests {
     }
 
     #[test]
-    fn elision_reanchors_positions_past_folded_bursts() {
-        let g = geom();
-        // (`StreamBuilder` clamps bursts, so the zero burst is literal.)
-        let mk = |base: u64| {
-            use Op::*;
-            vec![
-                Store(base),
-                Compute(1),
-                Compute(1),
-                GlobalBarrier,
-                Compute(0),
-                Store(base + 0x2000),
-                Compute(2),
-                Store(base + 0x2000),
-            ]
-        };
-        let streams = vec![(g.pe_id(0, 0), mk(0)), (g.pe_id(1, 0), mk(0x40))];
-        let mut b = ProgramBuilder::new();
-        b.begin(g, HwConfig::Pc, &ua());
-        for (w, ops) in &streams {
-            let (tile, pe) = g.locate(*w);
-            b.begin_pe(tile, pe.expect("PE streams"));
-            for &op in ops {
-                match op {
-                    Op::Compute(n) => b.compute(n),
-                    Op::Store(a) => b.store(a),
-                    Op::GlobalBarrier => b.global_barrier(),
-                    other => unreachable!("{other:?}"),
-                }
-            }
-        }
-        b.finish();
-        assert_eq!(b.elide_proven_barriers(), 1);
-
-        // The elided program reports what the barrier-free streams do.
-        let elided: Vec<(usize, Vec<Op>)> = streams
-            .iter()
-            .map(|(w, ops)| {
-                let kept = ops.iter().copied().filter(|&op| op != Op::GlobalBarrier);
-                (*w, kept.collect())
-            })
-            .collect();
-        let want = verify::lint(&materialize(&elided), HwConfig::Pc, &ua(), None);
-        assert!(matches!(
-            want[..],
-            [
-                Diagnostic {
-                    position: Some(3),
-                    ..
-                },
-                ..
-            ]
-        ));
-        let p = b.program();
-        assert_eq!(p.lint_diagnostics(), Some(&want[..]));
-        let got = p.analysis().expect("re-derived").diagnostics();
-        let oracle = compile(HwConfig::Pc, &elided);
-        assert_eq!(got, oracle.analysis().expect("analyzed").diagnostics());
-        assert!(
-            got.iter().any(|d| d.position == Some(4)),
-            "the dead store sits behind three folded bursts: {got:?}"
-        );
-    }
-
-    #[test]
     fn builder_reuse_resets_everything() {
         let mut b = ProgramBuilder::new();
-        // Build 1: poisoned (SPM under PC) and congruence-broken.
+        // Build 1: checked, poisoned (SPM under PC) and congruence-broken.
         b.begin(geom(), HwConfig::Pc, &ua());
+        b.bind_regions(&RegionMap::new());
         b.begin_pe(0, 0);
         b.spm_load(0);
         b.global_barrier();
@@ -2187,7 +1686,7 @@ mod tests {
         let first_id = {
             let p = b.finish();
             assert_eq!(p.lint_clean(), Some(false));
-            assert!(!p.parallel_ok());
+            assert!(p.analysis().is_some() && p.races().is_some());
             p.id()
         };
         // Build 2: clean; nothing from build 1 may leak through.
@@ -2204,7 +1703,7 @@ mod tests {
         assert_eq!(p.hw(), HwConfig::Ps);
         assert_eq!(p.lint_clean(), Some(true));
         assert!(p.lint_diagnostics().expect("verdict attached").is_empty());
-        assert!(p.parallel_ok());
+        assert!(p.analysis().is_none() && p.races().is_none());
     }
 
     #[test]

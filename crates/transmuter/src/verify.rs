@@ -138,9 +138,8 @@ pub enum LintKind {
         second: (usize, usize, usize),
     },
     /// A global barrier separating epochs with no cross-worker
-    /// dependence between them — an elision candidate for
-    /// [`crate::ProgramBuilder::elide_proven_barriers`]
-    /// ([`crate::analyze`]).
+    /// dependence between them: removing it would not reorder any
+    /// access to a shared location ([`crate::analyze`]).
     RedundantBarrier {
         /// 0-based ordinal of the redundant global barrier.
         barrier_index: usize,

@@ -1,16 +1,19 @@
 //! Golden fixtures for the analyzer-derived lints: hand-built op
 //! streams on which the dead-op, cross-epoch-hazard and
 //! redundant-barrier diagnostics must fire (and must *not* fire),
-//! pinning the exact diagnostic text and provenance fields, plus the
-//! behaviour of the opt-in [`ProgramBuilder::elide_proven_barriers`].
+//! pinning the exact diagnostic text and provenance fields. The lints
+//! come from checked builds, the one place the analyzer runs.
 
-use transmuter::{
-    ExecMode, Geometry, HwConfig, LintKind, Machine, MicroArch, ProgramBuilder, Severity,
-};
+use transmuter::{Geometry, HwConfig, LintKind, MicroArch, ProgramBuilder, RegionMap, Severity};
 
+/// A checked build over an address map that covers every fixture, so
+/// only the analyzer speaks.
 fn builder(hw: HwConfig) -> ProgramBuilder {
     let mut b = ProgramBuilder::new();
     b.begin(Geometry::new(2, 4), hw, &MicroArch::paper());
+    let mut regions = RegionMap::new();
+    regions.add("fixtures", 0, 1 << 20);
+    b.bind_regions(&regions);
     b
 }
 
@@ -97,7 +100,7 @@ fn dead_spm_write_silent_when_read_back() {
 /// Two workers storing to one location in consecutive epochs with no
 /// intervening read: the hazard is reported on the clobbered store
 /// with full `(worker, epoch, pc)` provenance for both sides, and the
-/// separating barrier is *not* an elision candidate.
+/// separating barrier is *not* flagged redundant.
 #[test]
 fn cross_epoch_write_hazard_fires_with_provenance() {
     let mut b = builder(HwConfig::Pc);
@@ -131,18 +134,12 @@ fn cross_epoch_write_hazard_fires_with_provenance() {
          worker 0 (epoch 0, op 0) overwritten by worker 1 (epoch 1, op 2) \
          with no intervening read"
     );
-    assert!(
-        a.elision_candidates().is_empty(),
-        "the barrier orders a real dependence and must stay"
-    );
 }
 
 /// A global barrier between epochs with no cross-worker dependence is
-/// flagged as an elision candidate (positionless, on the first
-/// streamed worker), and `elide_proven_barriers` removes exactly it —
-/// the rebuilt program has one epoch and still runs.
+/// flagged redundant (positionless, on the first streamed worker).
 #[test]
-fn redundant_barrier_flagged_and_elided() {
+fn redundant_barrier_flagged() {
     let mut b = builder(HwConfig::Pc);
     b.begin_pe(0, 0);
     b.load(0x0);
@@ -156,57 +153,22 @@ fn redundant_barrier_flagged_and_elided() {
     b.global_barrier();
     b.load(0x1040);
     b.compute(1);
-    b.finish();
+    let prog = b.finish();
 
-    {
-        let a = b.program().analysis().expect("analysis attached");
-        assert_eq!(a.elision_candidates(), &[0]);
-        let barrier_diags: Vec<_> = a
-            .diagnostics()
-            .iter()
-            .filter(|d| matches!(d.kind, LintKind::RedundantBarrier { .. }))
-            .collect();
-        assert_eq!(barrier_diags.len(), 1, "{barrier_diags:?}");
-        let d = barrier_diags[0];
-        assert_eq!(d.worker, 0, "attributed to the first streamed worker");
-        assert_eq!(d.position, None, "a barrier has no single op position");
-        assert_eq!(d.kind, LintKind::RedundantBarrier { barrier_index: 0 });
-        assert_eq!(
-            d.to_string(),
-            "warning: worker 0: global barrier 0 separates provably independent \
-             epochs; elision candidate"
-        );
-    }
-
-    assert_eq!(b.elide_proven_barriers(), 1);
-    let prog = b.program();
-    let a = prog.analysis().expect("analysis re-derived after elision");
-    assert!(a.congruent());
-    assert_eq!(a.epochs().len(), 1, "the two epochs merged into one");
-    assert!(a.elision_candidates().is_empty());
-
-    let mut m = Machine::new(Geometry::new(2, 4), MicroArch::paper());
-    m.reconfigure(HwConfig::Pc);
-    m.set_exec_mode(ExecMode::Sequential);
-    m.run_program(prog).expect("elided program still runs");
-}
-
-/// `elide_proven_barriers` is a no-op when every barrier orders a real
-/// cross-epoch dependence.
-#[test]
-fn elision_refused_on_dependent_epochs() {
-    let mut b = builder(HwConfig::Pc);
-    b.begin_pe(0, 0);
-    b.store(0x2000);
-    b.global_barrier();
-    b.compute(1);
-    b.begin_pe(0, 1);
-    b.compute(1);
-    b.global_barrier();
-    b.store(0x2000);
-    b.finish();
-
-    assert_eq!(b.elide_proven_barriers(), 0);
-    let a = b.program().analysis().expect("analysis attached");
-    assert_eq!(a.epochs().len(), 2, "both epochs survive");
+    let a = prog.analysis().expect("analysis attached");
+    let barrier_diags: Vec<_> = a
+        .diagnostics()
+        .iter()
+        .filter(|d| matches!(d.kind, LintKind::RedundantBarrier { .. }))
+        .collect();
+    assert_eq!(barrier_diags.len(), 1, "{barrier_diags:?}");
+    let d = barrier_diags[0];
+    assert_eq!(d.worker, 0, "attributed to the first streamed worker");
+    assert_eq!(d.position, None, "a barrier has no single op position");
+    assert_eq!(d.kind, LintKind::RedundantBarrier { barrier_index: 0 });
+    assert_eq!(
+        d.to_string(),
+        "warning: worker 0: global barrier 0 separates provably independent \
+         epochs; elision candidate"
+    );
 }

@@ -1,22 +1,10 @@
-//! Soundness properties of the static epoch-dependence analyzer:
-//!
-//! 1. the post-hoc [`analyze`] oracle and the [`ProgramBuilder`]'s
-//!    incremental path derive the *same* verdict (differential, same
-//!    shape as `builder_props`);
-//! 2. `ParCommit::Proven` is sound — a program whose epochs are all
-//!    proven commits epoch-parallel with **zero rollbacks** and a
-//!    report bit-identical to sequential execution.
-//!
-//! Deterministic companions pin the two non-trivial proven kinds
-//! end-to-end: disjoint HBM channel closures on a private-L2 config
-//! (threaded shadow-merge commit) and disjoint HBM lines on a shared-L2
-//! config (direct commit, the newly eligible case).
+//! Differential property of the static analyzer: the post-hoc
+//! [`analyze`] oracle and a checked [`ProgramBuilder`] build's
+//! incremental path derive the *same* lints (same shape as
+//! `builder_props`).
 
 use proptest::prelude::*;
-use transmuter::{
-    analyze, ExecMode, Geometry, HwConfig, Machine, MicroArch, Op, ParCommit, ProgramBuilder,
-    ProvenKind,
-};
+use transmuter::{analyze, Geometry, HwConfig, MicroArch, Op, ProgramBuilder, RegionMap};
 
 /// Decodes one generated op (same domain as `builder_props`).
 fn decode_op(kind: usize, addr: u64, off: u32, n: u32) -> Op {
@@ -65,7 +53,8 @@ fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<RawStream>)> {
     })
 }
 
-/// Builds the case's program through the single-pass builder.
+/// Builds the case's program through the single-pass builder as a
+/// checked build, the one that runs the analyzer.
 fn build_case(
     geom: Geometry,
     hw: HwConfig,
@@ -74,6 +63,7 @@ fn build_case(
     b: &mut ProgramBuilder,
 ) {
     b.begin(geom, hw, ua);
+    b.bind_regions(&RegionMap::new());
     for (w, (selector, ops)) in raw.iter().enumerate() {
         if *selector == 0 {
             continue;
@@ -104,8 +94,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The post-hoc oracle reproduces the builder's incremental verdict
-    /// exactly: epochs, conflict witness, diagnostics, elision set,
-    /// dependence edges — the whole [`transmuter::Analysis`].
+    /// exactly: applicability, diagnostics and the suppressed count —
+    /// the whole [`transmuter::Analysis`].
     #[test]
     fn post_hoc_analysis_matches_incremental(case in arb_case()) {
         let (tiles, pes, hw_idx, raw) = case;
@@ -121,165 +111,4 @@ proptest! {
         prop_assert_eq!(incremental, &post_hoc);
     }
 
-    /// Soundness: when the analyzer proves every epoch, an epoch-parallel
-    /// run commits with zero rollbacks and a report bit-identical to
-    /// sequential execution — on every config, including the shared-L2
-    /// ones that are only eligible *because* of the proof.
-    #[test]
-    fn proven_implies_no_rollback_and_bit_identical(case in arb_case()) {
-        let (tiles, pes, hw_idx, raw) = case;
-        let geom = Geometry::new(tiles, pes);
-        let hw = HwConfig::ALL[hw_idx];
-        let ua = MicroArch::paper();
-        let mut b = ProgramBuilder::new();
-        build_case(geom, hw, &ua, &raw, &mut b);
-        let built = b.program();
-
-        let all_proven = built.analysis().is_some_and(|a| a.all_proven());
-        if !(all_proven && built.parallel_ok() && tiles > 1) {
-            return Ok(());
-        }
-
-        let mut seq = Machine::new(geom, MicroArch::paper());
-        seq.reconfigure(hw);
-        seq.set_exec_mode(ExecMode::Sequential);
-        let mut par = Machine::new(geom, MicroArch::paper());
-        par.reconfigure(hw);
-        par.set_exec_mode(ExecMode::ParallelTiles);
-
-        let rs = seq.run_program(built);
-        let rp = par.run_program(built);
-        match (rs, rp) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.cycles, b.cycles);
-                prop_assert_eq!(a.stats, b.stats);
-            }
-            (Err(ea), Err(eb)) => prop_assert_eq!(format!("{ea:?}"), format!("{eb:?}")),
-            (a, b) => {
-                return Err(TestCaseError::fail(format!(
-                    "divergent outcomes: sequential {:?} vs parallel {:?}",
-                    a.map(|r| r.cycles),
-                    b.map(|r| r.cycles)
-                )));
-            }
-        }
-        prop_assert_eq!(par.epoch_stats().rolled_back, 0);
-    }
-}
-
-/// Strict disjoint-channel case: on `Ps` (private L2, direct PE route)
-/// each tile's loads hit lines `16k + 8t`, so tile 0's channel closure
-/// is `{0, 1}` and tile 1's is `{8, 9}` — disjoint. Both tiles are
-/// HBM-active in both epochs, forcing the `DisjointChannels` proof (not
-/// `SingleTile`), and the threaded shadow-merge commit must be exact.
-#[test]
-fn disjoint_channels_commit_replay_free() {
-    let geom = Geometry::new(2, 4);
-    let ua = MicroArch::paper();
-    let mut b = ProgramBuilder::new();
-    b.begin(geom, HwConfig::Ps, &ua);
-    for tile in 0..2u64 {
-        for pe in 0..4 {
-            b.begin_pe(tile as usize, pe);
-            for epoch in 0..2u64 {
-                for k in 0..3u64 {
-                    let line = 16 * (3 * epoch + k) + 8 * tile;
-                    b.load(line * 64 + pe as u64 * 8);
-                    b.compute(2);
-                }
-                if epoch == 0 {
-                    b.global_barrier();
-                }
-            }
-        }
-        b.begin_lcp(tile as usize);
-        b.compute(5);
-        b.global_barrier();
-        b.compute(5);
-    }
-    let prog = b.finish();
-
-    let analysis = prog.analysis().expect("analysis attached");
-    assert!(analysis.congruent());
-    assert_eq!(
-        analysis.epochs(),
-        &[
-            ParCommit::Proven(ProvenKind::DisjointChannels),
-            ParCommit::Proven(ProvenKind::DisjointChannels),
-        ],
-        "both epochs must need (and get) the channel-closure proof"
-    );
-
-    let mut seq = Machine::new(geom, MicroArch::paper());
-    seq.reconfigure(HwConfig::Ps);
-    seq.set_exec_mode(ExecMode::Sequential);
-    let mut par = Machine::new(geom, MicroArch::paper());
-    par.reconfigure(HwConfig::Ps);
-    par.set_exec_mode(ExecMode::ParallelTiles);
-
-    let a = seq.run_program(prog).expect("sequential run");
-    let b = par.run_program(prog).expect("parallel run");
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.stats, b.stats);
-    let ep = par.epoch_stats();
-    assert_eq!(ep.proven, 2, "both epochs commit replay-free");
-    assert_eq!(ep.replayed, 0);
-    assert_eq!(ep.rolled_back, 0);
-}
-
-/// Newly eligible shared-L2 case: on `Sc`, tile `t` touches only lines
-/// `2k + t`, so every epoch's line sets are tile-disjoint and the
-/// program becomes epoch-parallel eligible *only* through the
-/// `DisjointLines` proof (shared-L2 configs were excluded before).
-#[test]
-fn shared_l2_disjoint_lines_commit_replay_free() {
-    let geom = Geometry::new(2, 4);
-    let ua = MicroArch::paper();
-    let mut b = ProgramBuilder::new();
-    b.begin(geom, HwConfig::Sc, &ua);
-    for tile in 0..2u64 {
-        for pe in 0..4u64 {
-            b.begin_pe(tile as usize, pe as usize);
-            for epoch in 0..2u64 {
-                for k in 0..3u64 {
-                    let line = 2 * (12 * epoch + 3 * pe + k) + tile;
-                    b.load(line * 64);
-                    b.compute(1);
-                }
-                if epoch == 0 {
-                    b.global_barrier();
-                }
-            }
-        }
-        b.begin_lcp(tile as usize);
-        b.compute(3);
-        b.global_barrier();
-        b.compute(3);
-    }
-    let prog = b.finish();
-
-    let analysis = prog.analysis().expect("analysis attached");
-    assert_eq!(
-        analysis.epochs(),
-        &[
-            ParCommit::Proven(ProvenKind::DisjointLines),
-            ParCommit::Proven(ProvenKind::DisjointLines),
-        ],
-        "both epochs must need (and get) the line-disjointness proof"
-    );
-    assert!(analysis.all_proven());
-
-    let mut seq = Machine::new(geom, MicroArch::paper());
-    seq.set_exec_mode(ExecMode::Sequential);
-    let mut par = Machine::new(geom, MicroArch::paper());
-    par.set_exec_mode(ExecMode::ParallelTiles);
-
-    let a = seq.run_program(prog).expect("sequential run");
-    let b = par.run_program(prog).expect("parallel run");
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.stats, b.stats);
-    let ep = par.epoch_stats();
-    assert_eq!(ep.proven, 2, "shared-L2 epochs commit replay-free");
-    assert_eq!(ep.replayed, 0);
-    assert_eq!(ep.rolled_back, 0);
 }

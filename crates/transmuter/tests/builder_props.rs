@@ -1,7 +1,7 @@
 //! Differential properties of the single-pass [`ProgramBuilder`]: a
 //! program emitted through the builder must be indistinguishable —
-//! micro-op count, parallel-epoch eligibility, lint verdict, and
-//! simulated execution — from one compiled out of materialized op
+//! micro-op count, lint verdict, and simulated execution — from one
+//! compiled out of materialized op
 //! streams and linted after the fact (the legacy two-pass pipeline the
 //! builder replaced). The fold oracle then checks both against the op
 //! streams themselves: folding compute bursts into the micro-op before
@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use transmuter::verify::{self, Diagnostic, LintKind, ProgramSet, RegionMap};
 use transmuter::{
-    analyze, Analysis, ExecMode, Geometry, HwConfig, Machine, MicroArch, Op, Program,
-    ProgramBuilder, SimError, SimReport,
+    analyze, Analysis, Geometry, HwConfig, Machine, MicroArch, Op, Program, ProgramBuilder,
+    SimError, SimReport,
 };
 
 /// Decodes one generated op. SPM offsets stay word-aligned and inside
@@ -83,8 +83,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Builder-emitted programs are bit-identical to legacy
-    /// compile-then-lint programs: same length, same parallel verdict,
-    /// same diagnostics, and the machine cannot tell them apart.
+    /// compile-then-lint programs: same length, same diagnostics, and
+    /// the machine cannot tell them apart.
     #[test]
     fn builder_program_matches_legacy_compile(case in arb_case()) {
         let (tiles, pes, hw_idx, raw) = case;
@@ -147,7 +147,6 @@ proptest! {
         let built = b.finish();
 
         prop_assert_eq!(built.len(), legacy.len());
-        prop_assert_eq!(built.parallel_ok(), legacy.parallel_ok());
         prop_assert_eq!(built.lint_clean(), legacy.lint_clean());
         prop_assert_eq!(built.lint_diagnostics(), legacy.lint_diagnostics());
 
@@ -243,17 +242,22 @@ proptest! {
     /// compute bursts ride on the micro-op before them, run exactly
     /// like [`Machine::run`] over the unfolded op streams — same
     /// cycles, every stats field, energy, and the same error on
-    /// poisoned or deadlocking streams — on the sequential and the
-    /// epoch-parallel core. Lint and analysis positions stay op-stream
-    /// positions.
+    /// poisoned or deadlocking streams. Lint and analysis positions
+    /// stay op-stream positions, on the checked build's incremental
+    /// analysis and on the post-hoc one alike.
     #[test]
     fn folded_programs_run_like_their_op_streams(case in arb_fold_case()) {
         let (geom, hw, streams) = fold_streams(&case);
         let ua = MicroArch::paper();
 
+        // A checked build, so the analyzer runs; the map covers every
+        // generated address.
+        let mut regions = RegionMap::new();
+        regions.add("all", 0, 1 << 20);
         let mut pset = ProgramSet::new(geom);
         let mut b = ProgramBuilder::new();
         b.begin(geom, hw, &ua);
+        b.bind_regions(&regions);
         for (w, ops) in &streams {
             match geom.locate(*w) {
                 (tile, Some(pe)) => {
@@ -283,17 +287,15 @@ proptest! {
         // Execution: the compiled program carries no lint verdict, so
         // it runs into the same errors as the op streams; the builder's
         // program carries one, so it answers like `run_verified`.
-        let reference = machine(geom, hw, ExecMode::Sequential).run(pset.stream_set());
-        let verified = machine(geom, hw, ExecMode::Sequential).run_verified(&pset, None);
-        for mode in [ExecMode::Sequential, ExecMode::ParallelTiles] {
-            let got = machine(geom, hw, mode).run_program(&compiled);
-            prop_assert_eq!(outcome(&got), outcome(&reference), "compiled, {:?}", mode);
-            let got = machine(geom, hw, mode).run_program(&built);
-            prop_assert_eq!(outcome(&got), outcome(&verified), "built, {:?}", mode);
-        }
+        let reference = machine(geom, hw).run(pset.stream_set());
+        let verified = machine(geom, hw).run_verified(&pset, Some(&regions));
+        let got = machine(geom, hw).run_program(&compiled);
+        prop_assert_eq!(outcome(&got), outcome(&reference), "compiled");
+        let got = machine(geom, hw).run_program(&built);
+        prop_assert_eq!(outcome(&got), outcome(&verified), "built");
 
         // Lint positions: the batch lint reads the op streams.
-        let want = verify::lint(&pset, hw, &ua, None);
+        let want = verify::lint(&pset, hw, &ua, Some(&regions));
         prop_assert_eq!(built.lint_diagnostics(), Some(&want[..]));
 
         // Analysis positions: the streams with their compute bursts
@@ -315,15 +317,15 @@ proptest! {
             stripped.iter().map(|(w, v)| (*w, v.as_slice())),
         );
         let oracle = reindexed(&analyze(&unfolded), &index);
-        prop_assert_eq!(&summary(built.analysis().expect("analysis on by default")), &oracle);
-        prop_assert_eq!(&summary(compiled.analysis().expect("compile analyzes")), &oracle);
+        prop_assert_eq!(&summary(built.analysis().expect("checked builds analyze")), &oracle);
+        prop_assert!(compiled.analysis().is_none());
+        prop_assert_eq!(&summary(&analyze(&compiled)), &oracle);
     }
 }
 
-fn machine(geom: Geometry, hw: HwConfig, mode: ExecMode) -> Machine {
+fn machine(geom: Geometry, hw: HwConfig) -> Machine {
     let mut m = Machine::new(geom, MicroArch::paper());
     m.reconfigure(hw);
-    m.set_exec_mode(mode);
     m
 }
 
@@ -450,23 +452,15 @@ fn fold_streams(case: &FoldCase) -> (Geometry, HwConfig, Vec<(usize, Vec<Op>)>) 
 #[derive(Debug, PartialEq)]
 struct AnalysisSummary {
     congruent: bool,
-    epochs: Vec<transmuter::ParCommit>,
-    conflict: Option<transmuter::Conflict>,
     diagnostics: Vec<Diagnostic>,
     suppressed: usize,
-    elision_candidates: Vec<u32>,
-    conflict_edges: Vec<(u32, u32)>,
 }
 
 fn summary(a: &Analysis) -> AnalysisSummary {
     AnalysisSummary {
         congruent: a.congruent(),
-        epochs: a.epochs().to_vec(),
-        conflict: a.conflict().copied(),
         diagnostics: a.diagnostics().to_vec(),
         suppressed: a.suppressed(),
-        elision_candidates: a.elision_candidates().to_vec(),
-        conflict_edges: a.conflict_edges().to_vec(),
     }
 }
 
