@@ -1,22 +1,24 @@
 //! Criterion microbenchmarks of the host-side kernel machinery: kernel
-//! program builds, functional evaluation (the golden model and one host
-//! step across frontier densities), format conversion, partitioning
+//! program builds, functional evaluation (the push kernel across
+//! partial-frontier densities, the full-frontier row pull against the
+//! dense push it replaced), format conversion, partitioning
 //! and the cold-start structural probes. These measure the *reproduction's* own performance
 //! (how fast the harness can generate and evaluate workloads), not the
 //! simulated machine — simulated-cycle results come from the `fig*`
 //! binaries.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
-use cosparse::host::{self, HostOperand, StepInputs};
+use cosparse::host::{self, StepInputs};
 use cosparse::kernels::{ip, op};
 use cosparse::ops::{apply_with, Accumulator};
-use cosparse::{apply, Layout, OpProfile, SpmvOp};
+use cosparse::{apply, GraphOp, Layout, OpProfile, SpmvOp, Update};
+use graph::pagerank::PageRankOp;
 use sparse::generate::{RmatParams, SuiteGraph};
 use sparse::partition::{RowPartition, VBlocks};
-use sparse::{CooMatrix, CscMatrix, CsrMatrix, FormatProbe, Idx, ReorderProbe};
+use sparse::{CooMatrix, CscMatrix, FormatProbe, Idx, ReorderProbe};
 use transmuter::{Geometry, HwConfig, MicroArch, ProgramBuilder};
 
 const N: usize = 1 << 13;
@@ -102,12 +104,10 @@ fn bench_functional(c: &mut Criterion) {
     group.finish();
 }
 
-/// One SpMV step per frontier density on the Pokec analogue at divisor
-/// 64 (~25k vertices) and on R-MAT scale 14 (edge factor 8, ~131k
-/// edges): the golden model with a reused accumulator (`apply/*`: the
-/// push kernel below full density, the fresh dense accumulator at full)
-/// and one single-threaded host step (`host/*`: the same push, or the
-/// CSR row pull at full density).
+/// One partial-frontier push step per density on the Pokec analogue
+/// at divisor 64 (~25k vertices) and on R-MAT scale 14 (edge factor 8,
+/// ~131k edges), with a reused accumulator (`push/apply/*`, from half
+/// to 1/200 density).
 fn bench_push(c: &mut Criterion) {
     let graphs = [
         (
@@ -124,18 +124,10 @@ fn bench_push(c: &mut Criterion) {
     for (name, adj) in &graphs {
         let operand = adj.transpose();
         let csc = CscMatrix::from(&operand);
-        let csr = CsrMatrix::from(&operand);
-        let parts = RowPartition::nnz_balanced_csr(&csr, 8);
         let n = operand.cols();
         let degrees: Vec<u32> = operand.col_counts().into_iter().map(|x| x as u32).collect();
         let state = vec![0.0f32; operand.rows()];
-        for (label, divisor) in [
-            ("full", 1),
-            ("half", 2),
-            ("fifth", 5),
-            ("20th", 20),
-            ("200th", 200),
-        ] {
+        for (label, divisor) in [("half", 2), ("fifth", 5), ("20th", 20), ("200th", 200)] {
             let active: Vec<(Idx, f32)> = (0..n)
                 .step_by(divisor)
                 .map(|i| (i as Idx, 1.0 + (i % 7) as f32))
@@ -148,25 +140,82 @@ fn bench_push(c: &mut Criterion) {
                     ))
                 })
             });
-            let inputs = StepInputs {
-                active: &active,
-                state: &state,
-                degrees: &degrees,
-            };
-            group.bench_function(&format!("host/{name}/{label}"), |b| {
-                b.iter(|| {
-                    black_box(host::execute_with(
-                        &SpmvOp,
-                        || HostOperand::Csr(&csr),
-                        &csc,
-                        inputs,
-                        &parts,
-                        1,
-                        &mut acc,
-                    ))
-                })
+        }
+    }
+    group.finish();
+}
+
+/// The golden model's full-frontier kernel before the row pull
+/// replaced it: every source's CSC column pushed into a fresh dense
+/// `Vec<Option<_>>`, consumed in place by the output scan. Kept here as
+/// the pull's yardstick.
+fn dense_push<O: GraphOp>(
+    op: &O,
+    csc_t: &CscMatrix,
+    active: &[(Idx, O::Value)],
+    state: &[O::Value],
+    degrees: &[u32],
+) -> Vec<Update<O::Value>> {
+    let mut dense: Vec<Option<O::Value>> = vec![None; state.len()];
+    for &(src, fval) in active {
+        let deg = degrees[src as usize];
+        let (dsts, weights) = csc_t.col(src as usize);
+        for (dst, w) in dsts.iter().zip(weights) {
+            let contrib = op.matrix_op(*w, fval, state[*dst as usize], deg);
+            let slot = &mut dense[*dst as usize];
+            *slot = Some(match *slot {
+                Some(a) => op.reduce(a, contrib),
+                None => contrib,
             });
         }
+    }
+    dense
+        .into_iter()
+        .enumerate()
+        .filter_map(|(dst, reduced)| {
+            let old = state[dst];
+            let new = op.vector_op(reduced?, old);
+            op.is_update(new, old).then_some((dst as Idx, new))
+        })
+        .collect()
+}
+
+/// One full-frontier PageRank step on the Pokec analogue at divisor 64
+/// (~478k edges), in ns per edge: the row pull over the row-major COO
+/// on one and two workers (`pull/w1`, `pull/w2`) next to the dense push
+/// it replaced (`dense_push`).
+fn bench_pull(c: &mut Criterion) {
+    let adj = SuiteGraph::Pokec.spec().scaled(64).generate(7).unwrap();
+    let operand = adj.transpose();
+    let csc = CscMatrix::from(&operand);
+    let n = operand.cols();
+    let degrees: Vec<u32> = operand.col_counts().into_iter().map(|x| x as u32).collect();
+    let row_counts = operand.row_counts();
+    let op = PageRankOp {
+        teleport: 0.15 / n as f32,
+        damping: 0.85,
+    };
+    let state: Vec<f32> = (0..n).map(|i| (1 + i % 13) as f32 / n as f32).collect();
+    let active: Vec<(Idx, f32)> = state
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (i as Idx, v))
+        .collect();
+    let inputs = StepInputs {
+        active: &active,
+        state: &state,
+        degrees: &degrees,
+    };
+    let mut group = c.benchmark_group("full");
+    group.sample_size(50);
+    group.throughput(Throughput::Elements(operand.nnz() as u64));
+    group.bench_function("pokec64/dense_push", |b| {
+        b.iter(|| black_box(dense_push(&op, &csc, &active, &state, &degrees)))
+    });
+    for workers in [1, 2] {
+        group.bench_function(&format!("pokec64/pull/w{workers}"), |b| {
+            b.iter(|| black_box(host::pull(&op, &operand, &row_counts, inputs, workers)))
+        });
     }
     group.finish();
 }
@@ -232,6 +281,7 @@ criterion_group!(
     bench_generation,
     bench_functional,
     bench_push,
+    bench_pull,
     bench_formats,
     bench_probes,
     bench_vector_conversion

@@ -35,7 +35,8 @@
 //! format sweep: a simulated-cycle crossover table over
 //! (matrix family × frontier density × storage format × dataflow) plus
 //! throughput workloads pinning each storage format's kernel path on
-//! the matrix family its probe picks it for, in both backends.
+//! the matrix family its probe picks it for (simulated: the host
+//! backend answers through one row pull whatever the format).
 //! The `reorder_`-prefixed section is the locality sweep: a
 //! reorder × format crossover table of simulated cycles, L1 misses and
 //! bank-conflict cycles per [`cosparse::ReorderKind`] on RMAT and
@@ -731,12 +732,12 @@ fn format_crossover_table(smoke: bool) {
 /// throughput workloads pinning each format's kernel path on the matrix
 /// family its probe picks it for — `fmt_csc_banded_2048` is the CSC
 /// regression gate (`--check` fails it like any other workload), the
-/// bitmap/BCSR pairs cover both the simulate and host backends.
+/// bitmap/BCSR rows time the simulate backend (the host answers through
+/// the same row pull whatever the format).
 fn run_format_workloads(smoke: bool, out: &mut Vec<Workload>) {
     format_crossover_table(smoke);
     let (warmup, repeats) = if smoke { (1, 3) } else { (4, 7) };
     let calls = if smoke { 3 } else { 10 };
-    let host_calls = if smoke { 10 } else { 200 };
     println!();
 
     // 1. The OP/CSC merge on the banded family — the resident sparse
@@ -754,44 +755,21 @@ fn run_format_workloads(smoke: bool, out: &mut Vec<Workload>) {
         print_cache_stats(&rt);
     }
 
-    // 2/3. The bitmap kernel on the banded family, simulate + host.
-    for (name, backend) in [
-        ("fmt_bitmap_banded_2048", ExecBackend::Simulate),
-        ("host_fmt_bitmap_banded_2048", ExecBackend::Host),
+    // 2/3. The bitmap kernel on the banded family and the BCSR kernel
+    //      on the blocked one, simulated. The host backend answers
+    //      through the same row pull whatever format was decided, so the
+    //      format axis has no host rows.
+    for (name, m, format) in [
+        ("fmt_bitmap_banded_2048", banded(2048), FormatKind::Bitmap),
+        ("fmt_bcsr_blocked_2048", blocked(2048), FormatKind::Bcsr),
     ] {
-        let m = banded(2048);
         let mut rt = CoSparse::new(&m, machine());
-        rt.set_backend(backend);
         rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
-        rt.set_format_override(Some(FormatKind::Bitmap));
+        rt.set_format_override(Some(format));
         let x = Frontier::Dense(sparse::generate::random_dense_vector(2048, 1));
-        let c = if backend == ExecBackend::Host {
-            host_calls
-        } else {
-            calls
-        };
-        let w = measure(name, "spmv", warmup, repeats, || spmv_pass(&mut rt, &x, c));
-        out.push(w);
-        print_cache_stats(&rt);
-    }
-
-    // 4/5. The BCSR kernel on the blocked family, simulate + host.
-    for (name, backend) in [
-        ("fmt_bcsr_blocked_2048", ExecBackend::Simulate),
-        ("host_fmt_bcsr_blocked_2048", ExecBackend::Host),
-    ] {
-        let m = blocked(2048);
-        let mut rt = CoSparse::new(&m, machine());
-        rt.set_backend(backend);
-        rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
-        rt.set_format_override(Some(FormatKind::Bcsr));
-        let x = Frontier::Dense(sparse::generate::random_dense_vector(2048, 1));
-        let c = if backend == ExecBackend::Host {
-            host_calls
-        } else {
-            calls
-        };
-        let w = measure(name, "spmv", warmup, repeats, || spmv_pass(&mut rt, &x, c));
+        let w = measure(name, "spmv", warmup, repeats, || {
+            spmv_pass(&mut rt, &x, calls)
+        });
         out.push(w);
         print_cache_stats(&rt);
     }

@@ -64,7 +64,7 @@ pub mod verify;
 pub use heuristics::{
     decide, decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
 };
-pub use host::{ExecBackend, HostOperand};
+pub use host::ExecBackend;
 pub use layout::Layout;
 pub use ops::{apply, GraphOp, OpProfile, SpmvOp, Update};
 pub use runtime::{CacheStats, CoSparse, Frontier, Policy, SpmvOutcome, StepOutcome};

@@ -7,14 +7,12 @@
 //! regardless of the op; only the host-side functional evaluation and
 //! the per-edge compute cost differ.
 //!
-//! Functional evaluation has two kernels, picked by the frontier:
-//!
-//! - a **full** frontier (every source active) reduces into a fresh
-//!   dense accumulator consumed in place ([`apply_with`]; the host
-//!   backend pulls over rows instead, see [`crate::host`]);
-//! - a **partial** frontier pushes the active sources' CSC columns into
-//!   a reusable [`Accumulator`] that records each first touch, so a
-//!   step costs O(touched edges), not O(vertices) — on both backends.
+//! This module holds the op trait and the push kernel ([`apply_with`]):
+//! a partial frontier pushes the active sources' CSC columns into a
+//! reusable [`Accumulator`] that records each first touch, so a step
+//! costs O(touched edges), not O(vertices). A full frontier is pulled
+//! by row instead ([`crate::host::pull`]); [`crate::host`] picks
+//! between the two for both backends.
 
 use sparse::{CscMatrix, Idx};
 
@@ -24,9 +22,9 @@ use sparse::{CscMatrix, Idx};
 /// SSSP, a rank for PR, a latent-feature vector for CF).
 ///
 /// Ops and their values must be shareable across threads (`Sync` /
-/// `Send + Sync`): the host execution backend ([`crate::host`])
-/// evaluates row partitions on parallel host threads with the op
-/// inlined in the inner loop. Values are also `'static`, so a session
+/// `Send + Sync`): the full-frontier pull ([`crate::host::pull`])
+/// evaluates row chunks on parallel host threads with the op inlined
+/// in the inner loop. Values are also `'static`, so a session
 /// can keep one [`Accumulator`] per value type it has run. Every op is a
 /// plain value-semantics struct over scalar state, so the bounds are
 /// satisfied automatically.
@@ -144,17 +142,14 @@ impl<V> Accumulator<V> {
 
 /// Functionally evaluates one SpMV step over the *transposed* adjacency
 /// matrix in CSC form (`csc_t.col(src)` lists the destinations of
-/// `src`'s out-edges), allocating a fresh [`Accumulator`] — the entry
-/// point for tests and benches; sessions call [`apply_with`] with their
-/// own.
+/// `src`'s out-edges) by the push kernel, allocating a fresh
+/// [`Accumulator`] — the entry point for tests and benches; see
+/// [`apply_with`] for the kernel.
 ///
 /// `active` holds `(src, frontier value)` pairs; `state` is the full
 /// per-vertex state vector; `degrees[src]` is the out-degree. Returns
 /// the updates that passed [`GraphOp::is_update`], sorted by
 /// destination.
-///
-/// This is the golden model that drives algorithm iteration; the
-/// simulator times the equivalent access pattern separately.
 ///
 /// # Panics
 ///
@@ -177,76 +172,32 @@ pub fn apply<O: GraphOp>(
     )
 }
 
-/// [`apply`] with a caller-owned accumulator for partial frontiers.
-///
-/// A full frontier (`active.len() == csc_t.cols()`) reduces into a
-/// fresh dense `Vec<Option<_>>` consumed in place by the output scan —
-/// resetting a retained accumulator would only add a write stream there.
-/// Any other frontier runs the push kernel into `acc`.
-///
-/// Either way each destination's contributions reduce in the same
-/// per-edge order (the order of `active`, then each source's column
-/// order) and the updates come out sorted by destination, so the
-/// result is bit-identical whichever kernel ran, float reductions
-/// included, and no structure iterates in a run-dependent order.
-///
-/// # Panics
-///
-/// As [`apply`].
-pub fn apply_with<O: GraphOp>(
-    op: &O,
-    csc_t: &CscMatrix,
-    active: &[(Idx, O::Value)],
-    state: &[O::Value],
-    degrees: &[u32],
-    acc: &mut Accumulator<O::Value>,
-) -> Vec<Update<O::Value>> {
-    if active.len() < csc_t.cols() {
-        return push(op, csc_t, active, state, degrees, acc);
-    }
-    let mut dense: Vec<Option<O::Value>> = vec![None; state.len()];
-    for &(src, fval) in active {
-        let deg = degrees[src as usize];
-        let (dsts, weights) = csc_t.col(src as usize);
-        for (dst, w) in dsts.iter().zip(weights) {
-            let contrib = op.matrix_op(*w, fval, state[*dst as usize], deg);
-            let slot = &mut dense[*dst as usize];
-            *slot = Some(match *slot {
-                Some(a) => op.reduce(a, contrib),
-                None => contrib,
-            });
-        }
-    }
-    dense
-        .into_iter()
-        .enumerate()
-        .filter_map(|(dst, reduced)| {
-            let old = state[dst];
-            let new = op.vector_op(reduced?, old);
-            op.is_update(new, old).then_some((dst as Idx, new))
-        })
-        .collect()
-}
-
 /// Once more than 1/`SCAN_RATIO` of the vertices were touched, the push
 /// kernel collects them by scanning its marks instead of sorting its
 /// touched list.
 const SCAN_RATIO: usize = 16;
 
-/// The partial-frontier push kernel: walks the CSC columns of the
-/// `active` sources in the order given, reducing each contribution into
-/// `acc` and marking each destination's first touch; then sorts the
-/// touched list (or, when it covers more than 1/[`SCAN_RATIO`] of the
-/// vertices, rebuilds it by one ascending scan of the marks), applies
-/// [`GraphOp::vector_op`] / [`GraphOp::is_update`] and emits the
-/// updates into an exactly sized `Vec`, clearing only touched marks.
-/// O(touched edges + touched · log touched) with no allocation but the
-/// output once `acc` has grown.
+/// [`apply`] with a caller-owned accumulator: the push kernel. Walks
+/// the CSC columns of the `active` sources in the order given, reducing
+/// each contribution into `acc` and marking each destination's first
+/// touch; then sorts the touched list (or, when it covers more than
+/// 1/16 of the vertices, rebuilds it by one ascending scan of the
+/// marks), applies [`GraphOp::vector_op`] / [`GraphOp::is_update`] and
+/// emits the updates into an exactly sized `Vec`, clearing only touched
+/// marks. O(touched edges + touched · log
+/// touched) with no allocation but the output once `acc` has grown.
+///
+/// Each destination's contributions reduce in the order of `active`,
+/// then each source's column order, and the updates come out sorted by
+/// destination, so no structure iterates in a run-dependent order. Any
+/// frontier is valid input; sessions send only partial ones here and
+/// pull full ones by row ([`crate::host::pull`]), which reduces in the
+/// same per-destination order.
 ///
 /// # Panics
 ///
 /// As [`apply`].
-pub(crate) fn push<O: GraphOp>(
+pub fn apply_with<O: GraphOp>(
     op: &O,
     csc_t: &CscMatrix,
     active: &[(Idx, O::Value)],
@@ -448,7 +399,7 @@ mod tests {
         // (partial-frontier) kernel: two applications of the same input
         // must produce bit-identical f32 results. This pins the
         // determinism contract — no accumulation structure with a
-        // run-dependent iteration order is allowed in the golden model.
+        // run-dependent iteration order is allowed in a functional kernel.
         let adj = sparse::generate::power_law(400, 400, 6000, 1.1, 8).unwrap();
         let csc_t = csc_t_of(&adj);
         let active: Vec<(Idx, f32)> = (0..40)

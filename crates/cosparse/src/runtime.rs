@@ -18,10 +18,10 @@ use crate::balance::Balancing;
 use crate::heuristics::{
     decide, decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
 };
-use crate::host::{self, ExecBackend, HostOperand};
+use crate::host::{self, ExecBackend};
 use crate::kernels::convert::{self, Direction};
 use crate::kernels::{formats, ip, op};
-use crate::ops::{apply_with, Accumulator, GraphOp, OpProfile, SpmvOp, Update};
+use crate::ops::{Accumulator, GraphOp, OpProfile, SpmvOp, Update};
 use crate::shared::{SharedCounters, SharedGraph, SharedPlan};
 use crate::verify::VerifyReport;
 use sparse::{
@@ -399,10 +399,9 @@ pub struct CoSparse {
     plan: Option<Arc<SharedPlan>>,
     /// Frontier-dependent program scratch; survives plan rebinds.
     scratch: Scratch,
-    /// Partial-frontier push accumulators, shared by the golden model
-    /// and the host backend.
+    /// Partial-frontier push accumulators, one per value type.
     accumulators: Accumulators,
-    /// Host worker threads per host step (see
+    /// Threads per full-frontier pull (see
     /// [`CoSparse::set_host_threads`]).
     host_threads: usize,
     /// IP activity-mask scratch, `cols` long, kept all-false between
@@ -462,7 +461,7 @@ impl CoSparse {
             plan: None,
             scratch: Scratch::default(),
             accumulators: Accumulators::default(),
-            host_threads: transmuter::host_cpus(),
+            host_threads: host::host_cpus(),
             indices_buf: Vec::new(),
             entries_buf: Vec::new(),
         }
@@ -537,14 +536,13 @@ impl CoSparse {
     /// Selects the execution backend (default:
     /// [`ExecBackend::Simulate`]).
     ///
-    /// Under [`ExecBackend::Host`] the runtime still walks the decision
-    /// tree (the dataflow choice picks the host path: IP → row loops,
-    /// OP → active-column loops) but no simulated machine is in the
-    /// path: results are computed natively against host memory and
-    /// reports carry wall-clock `seconds` with zero `cycles`.
-    /// [`ExecBackend::Differential`] runs both and asserts bit-equal
-    /// results. Verification ([`CoSparse::set_verify`]) and adaptive
-    /// cycle recording apply only to the simulate path.
+    /// Both backends compute answers through the same functional step
+    /// (see [`crate::host`]). Under [`ExecBackend::Host`] the runtime
+    /// still walks the decision tree and reports its choice, but no
+    /// simulated machine is in the path: reports carry wall-clock
+    /// `seconds` with zero `cycles`. Verification
+    /// ([`CoSparse::set_verify`]) and adaptive cycle recording apply
+    /// only to the simulate path.
     pub fn set_backend(&mut self, backend: ExecBackend) {
         self.backend = backend;
     }
@@ -554,12 +552,13 @@ impl CoSparse {
         self.backend
     }
 
-    /// Sets how many host threads one host-backend step fans its row
-    /// partitions out to (default: the host's available parallelism;
-    /// values below 1 mean 1). Results are bit-identical for any count.
-    /// [`crate::GraphService`] workers run theirs inline with `1`: the
-    /// pool already keeps one worker busy per CPU, so a nested fan-out
-    /// only adds thread spawns and contention.
+    /// Sets how many threads one full-frontier step pulls its row chunks
+    /// on — the caller plus up to `threads − 1` helpers — on either
+    /// backend (default: the host's available parallelism; values below
+    /// 1 mean 1). Partial frontiers never start a thread. Results are
+    /// bit-identical for any count. [`crate::GraphService`] workers run
+    /// theirs inline with `1`: the pool already keeps one worker busy
+    /// per CPU, so helpers would only add thread spawns and contention.
     pub fn set_host_threads(&mut self, threads: usize) {
         self.host_threads = threads.max(1);
     }
@@ -629,13 +628,12 @@ impl CoSparse {
 
     /// Structural summary used by the decision tree, with the cached
     /// probes (each computed once per graph) that the session's backend
-    /// reads: the format probe always, since every backend walks the
-    /// decided format; the locality probe only under
-    /// [`ExecBackend::Simulate`] and [`ExecBackend::Differential`],
+    /// reads: the format probe always, since every backend decides a
+    /// format; the locality probe only under [`ExecBackend::Simulate`],
     /// whose simulated address stream a reordering shapes. A
-    /// [`ExecBackend::Host`] session walks the arrival-order images
-    /// whatever the reordering, so it computes no locality probe and
-    /// decides [`ReorderKind::None`] (a pinned
+    /// [`ExecBackend::Host`] session answers from the arrival-order
+    /// operands whatever the reordering, so it computes no locality
+    /// probe and decides [`ReorderKind::None`] (a pinned
     /// [`CoSparse::set_reorder_override`] still applies).
     pub fn summary(&self) -> MatrixSummary {
         let coo = self.shared.matrix();
@@ -1029,57 +1027,42 @@ impl CoSparse {
         }
     }
 
-    /// One host-backend step: a partial frontier runs the push kernel
-    /// into the session's accumulator; a full one pulls over the decided
-    /// format's host structure and the graph's arrival-order row
-    /// partitioning on [`CoSparse::set_host_threads`] threads. Binds no
-    /// plan: the host reads no reordered operand or layout, and under
-    /// [`ExecBackend::Differential`] the simulate side's plan stays
-    /// bound. Returns the updates and a wall-clock report.
+    /// The functional step both backends answer through
+    /// ([`host::execute`]): a partial frontier pushes into the
+    /// session's accumulator, a full one pulls on
+    /// [`CoSparse::set_host_threads`] threads. Reads the graph's
+    /// arrival-order operands whatever format and reordering were
+    /// decided.
+    fn answer<O: GraphOp>(
+        &mut self,
+        op: &O,
+        active: &[(Idx, O::Value)],
+        state: &[O::Value],
+    ) -> Vec<Update<O::Value>> {
+        let acc = self.accumulators.get();
+        host::execute(op, &self.shared, active, state, self.host_threads, acc)
+    }
+
+    /// One host-backend step: the functional step alone, timed on the
+    /// wall clock. Binds no plan: the host reads no reordered operand
+    /// or layout.
     fn host_step<O: GraphOp>(
         &mut self,
         op: &O,
-        decision: Decision,
         active: &[(Idx, O::Value)],
         state: &[O::Value],
     ) -> (Vec<Update<O::Value>>, SimReport) {
-        // A full frontier walks the decided format natively against the
-        // *original-order* images (the reordering axis shapes the
-        // simulated address stream only); an outer-product decision,
-        // which only a pinned policy makes on a full frontier, pulls
-        // over CSR. A partial frontier builds none of them.
-        let graph = &self.shared;
-        let operand = || match (decision.software, decision.format) {
-            (SwConfig::InnerProduct, FormatKind::Bitmap) => HostOperand::Bitmap(graph.bitmap()),
-            (SwConfig::InnerProduct, FormatKind::Bcsr) => HostOperand::Bcsr(graph.bcsr()),
-            _ => HostOperand::Csr(graph.csr()),
-        };
         let t0 = std::time::Instant::now();
-        let updates = host::execute_with(
-            op,
-            operand,
-            graph.matrix_csc(),
-            host::StepInputs {
-                active,
-                state,
-                degrees: graph.degrees(),
-            },
-            graph.host_partition(self.balancing),
-            self.host_threads,
-            self.accumulators.get(),
-        );
-        let report = self.host_report(t0.elapsed().as_secs_f64());
-        (updates, report)
+        let updates = self.answer(op, active, state);
+        (updates, self.host_report(t0.elapsed().as_secs_f64()))
     }
 
     /// One reconfigured SpMV: decides configurations from the frontier's
     /// density, simulates the access pattern, and computes `y = M * x`
     /// functionally.
     ///
-    /// Under [`ExecBackend::Host`] the same decision drives the native
-    /// host path instead (no machine, wall-clock report); under
-    /// [`ExecBackend::Differential`] both run and the results are
-    /// asserted bit-equal.
+    /// Under [`ExecBackend::Host`] no machine runs: the report carries
+    /// wall-clock seconds and zero cycles.
     ///
     /// # Errors
     ///
@@ -1088,8 +1071,7 @@ impl CoSparse {
     /// # Panics
     ///
     /// Panics if the frontier dimension does not match the matrix
-    /// column count, or (differential backend) if the host and
-    /// simulate results disagree.
+    /// column count.
     pub fn spmv(&mut self, frontier: &Frontier) -> Result<SpmvOutcome, SimError> {
         assert_eq!(
             frontier.dim(),
@@ -1111,7 +1093,7 @@ impl CoSparse {
         let graph = Arc::clone(&self.shared);
         if self.backend == ExecBackend::Host {
             // Native path: no machine anywhere.
-            let (updates, report) = self.host_step(&SpmvOp, decision, &entries, graph.zeros());
+            let (updates, report) = self.host_step(&SpmvOp, &entries, graph.zeros());
             self.entries_buf = entries;
             let result = wrap_updates(rows, decision.software, updates);
             return Ok(SpmvOutcome {
@@ -1146,19 +1128,7 @@ impl CoSparse {
             );
         }
 
-        // Functional product (golden model).
-        let updates = apply_with(
-            &SpmvOp,
-            graph.matrix_csc(),
-            &entries,
-            graph.zeros(),
-            graph.degrees(),
-            self.accumulators.get(),
-        );
-        if self.backend == ExecBackend::Differential {
-            let (host_updates, _) = self.host_step(&SpmvOp, decision, &entries, graph.zeros());
-            assert_backends_agree("spmv", &updates, &host_updates);
-        }
+        let updates = self.answer(&SpmvOp, &entries, graph.zeros());
         self.entries_buf = entries;
         let result = wrap_updates(rows, decision.software, updates);
         Ok(SpmvOutcome {
@@ -1193,7 +1163,7 @@ impl CoSparse {
         };
         let decision = self.decide_exact(active.len(), &profile);
         if self.backend == ExecBackend::Host {
-            let (updates, report) = self.host_step(op, decision, active, state);
+            let (updates, report) = self.host_step(op, active, state);
             return Ok(StepOutcome {
                 software: decision.software,
                 hardware: decision.hardware,
@@ -1219,19 +1189,7 @@ impl CoSparse {
                 kernel_cycles,
             );
         }
-        let graph = Arc::clone(&self.shared);
-        let updates = apply_with(
-            op,
-            graph.matrix_csc(),
-            active,
-            state,
-            graph.degrees(),
-            self.accumulators.get(),
-        );
-        if self.backend == ExecBackend::Differential {
-            let (host_updates, _) = self.host_step(op, decision, active, state);
-            assert_backends_agree("step", &updates, &host_updates);
-        }
+        let updates = self.answer(op, active, state);
         Ok(StepOutcome {
             software: decision.software,
             hardware: decision.hardware,
@@ -1258,30 +1216,6 @@ fn wrap_updates(rows: usize, software: SwConfig, updates: Vec<Update<f32>>) -> F
             SparseVector::from_sorted(rows, updates)
                 .expect("updates are sorted unique destinations"),
         ),
-    }
-}
-
-/// Differential-backend oracle check: the simulate path's functional
-/// result and the host backend's result must agree element-for-element
-/// (for float values this is bit-equality in practice — both reduce in
-/// the same order). Panics with the first divergence.
-fn assert_backends_agree<V: PartialEq + std::fmt::Debug>(
-    what: &str,
-    simulate: &[Update<V>],
-    host_side: &[Update<V>],
-) {
-    assert_eq!(
-        simulate.len(),
-        host_side.len(),
-        "differential {what}: simulate produced {} updates, host {}",
-        simulate.len(),
-        host_side.len(),
-    );
-    for (i, (s, h)) in simulate.iter().zip(host_side).enumerate() {
-        assert!(
-            s == h,
-            "differential {what}: update {i} diverges (simulate {s:?}, host {h:?})"
-        );
     }
 }
 
@@ -1683,9 +1617,6 @@ mod frontier_tests {
         assert_eq!(want.reorder, ReorderKind::None);
 
         let mut rt = CoSparse::new(&m, machine());
-        // Differential backend: the host result cross-checks the golden
-        // model on every call, reordering pinned or not.
-        rt.set_backend(ExecBackend::Differential);
         rt.set_reorder_override(Some(ReorderKind::Rcm));
         let out = rt.spmv(&x).unwrap();
         assert_eq!(out.reorder, ReorderKind::Rcm);
@@ -1705,7 +1636,6 @@ mod frontier_tests {
         let mut op_plain = CoSparse::new(&m, machine());
         let op_want = op_plain.spmv(&Frontier::Sparse(sv.clone())).unwrap();
         let mut op_rt = CoSparse::new(&m, machine());
-        op_rt.set_backend(ExecBackend::Differential);
         op_rt.set_reorder_override(Some(ReorderKind::WindowCluster));
         let op_out = op_rt.spmv(&Frontier::Sparse(sv)).unwrap();
         assert_eq!(op_out.reorder, ReorderKind::WindowCluster);

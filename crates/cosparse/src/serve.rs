@@ -37,7 +37,7 @@
 //! # }
 //! ```
 
-use crate::host::ExecBackend;
+use crate::host::{host_cpus, ExecBackend};
 use crate::runtime::CoSparse;
 use crate::shared::SharedGraph;
 use std::collections::{HashMap, VecDeque};
@@ -173,14 +173,13 @@ pub struct ServeConfig {
     /// Backend every worker session runs under. Default
     /// [`ExecBackend::Host`] — the serving layer exists to answer real
     /// queries fast; pick [`ExecBackend::Simulate`] to serve simulated
-    /// timings or [`ExecBackend::Differential`] to cross-check every
-    /// answer.
+    /// timings.
     pub backend: ExecBackend,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = transmuter::host_cpus().min(8);
+        let workers = host_cpus().min(8);
         ServeConfig {
             workers,
             batch: 16,

@@ -1,7 +1,7 @@
 //! Shared, immutable per-graph state behind every [`CoSparse`] session.
 //!
 //! Everything derivable from the operand matrix alone — the COO/CSC
-//! (and lazily CSR) copies, the address-space [`Layout`] and its
+//! copies, the address-space [`Layout`] and its
 //! [`RegionMap`], the workload-balanced partitions and vblock tilings,
 //! and the compiled dense-IP [`Program`]s per hardware configuration —
 //! lives in one [`SharedGraph`],
@@ -31,8 +31,8 @@ use crate::ops::OpProfile;
 use crate::runtime::CoSparse;
 use sparse::partition::{RowPartition, VBlocks};
 use sparse::{
-    BcsrMatrix, BitmapCsr, CooMatrix, CscMatrix, CsrMatrix, FormatKind, FormatProbe, Permutation,
-    ReorderKind, ReorderProbe,
+    BcsrMatrix, BitmapCsr, CooMatrix, CscMatrix, FormatKind, FormatProbe, Permutation, ReorderKind,
+    ReorderProbe,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -376,9 +376,6 @@ fn ip_vblocks(graph: &SharedGraph, use_spm: bool, profile: &OpProfile) -> VBlock
 pub struct SharedGraph {
     coo: CooMatrix,
     csc: CscMatrix,
-    /// CSR copy, built by the first host-backend invocation from any
-    /// session (simulate-only graphs never pay for it).
-    csr: OnceLock<CsrMatrix>,
     /// Hierarchical-bitmap CSR image, built by the first session whose
     /// decision picks [`FormatKind::Bitmap`].
     bitmap: OnceLock<BitmapCsr>,
@@ -401,17 +398,14 @@ pub struct SharedGraph {
     /// Out-degree of each frontier index in the original graph
     /// (= column counts of the operand matrix).
     degrees: Vec<u32>,
+    /// Entries per row of the COO: the arrival-order plans' row
+    /// distribution, and the full-frontier pull's row index.
     row_counts: Vec<usize>,
-    /// All-zero per-row state for the plain-SpMV golden model,
+    /// All-zero per-row state for the plain-SpMV functional step,
     /// allocated once per graph (it is only ever read).
     zeros: Vec<f32>,
     geometry: Geometry,
     uarch: MicroArch,
-    /// Arrival-order per-PE row partitions of the host backend, one slot
-    /// per [`Balancing`] scheme, built on a host step's first use. The
-    /// host walks the arrival-order images whatever reordering was
-    /// decided, so it needs no plan — and no reordered operand set.
-    host_partitions: [OnceLock<RowPartition>; 2],
     /// Registry of built plans, keyed by (profile, balancing). Locked
     /// only when a session (re)binds its plan; a handful of entries in
     /// practice, so it is a scanned Vec rather than a map.
@@ -422,7 +416,8 @@ pub struct SharedGraph {
 impl SharedGraph {
     /// Builds the shared state for `matrix` on a machine shape given by
     /// `geometry`/`uarch`: stores the COO and CSC copies (§III-D.2) and
-    /// precomputes the degree/row-count metadata partitioning keys on.
+    /// precomputes the degree/row-count metadata that partitioning and
+    /// the full-frontier pull key on.
     ///
     /// Sessions over this graph must run machines of the same geometry
     /// and microarchitecture (asserted by [`SharedGraph::session_on`]),
@@ -436,13 +431,11 @@ impl SharedGraph {
             zeros: vec![0.0f32; matrix.rows()],
             coo: matrix.clone(),
             csc,
-            csr: OnceLock::new(),
             bitmap: OnceLock::new(),
             bcsr: OnceLock::new(),
             probe: OnceLock::new(),
             reorder_probe: OnceLock::new(),
             reordered: std::array::from_fn(|_| OnceLock::new()),
-            host_partitions: std::array::from_fn(|_| OnceLock::new()),
             epoch: AtomicU64::new(0),
             degrees,
             row_counts,
@@ -500,11 +493,6 @@ impl SharedGraph {
         self.counters.snapshot()
     }
 
-    /// The CSR copy, built on first use (host-backend row loops).
-    pub(crate) fn csr(&self) -> &CsrMatrix {
-        self.csr.get_or_init(|| CsrMatrix::from(&self.coo))
-    }
-
     /// The hierarchical-bitmap CSR image, built on first use; the build
     /// (at most one per graph) is counted in
     /// [`SharedCacheStats::format_builds`].
@@ -525,10 +513,9 @@ impl SharedGraph {
     }
 
     /// Whether the matrix image for `(format, reorder)` is already
-    /// materialized (without forcing it). COO/CSC/CSR are the
-    /// resident/base formats and count as always present once built by
-    /// their own paths; under a reordering, even those are cold until
-    /// the permuted operand set exists.
+    /// materialized (without forcing it). COO and CSC are resident and
+    /// count as always present; under a reordering, even those are cold
+    /// until the permuted operand set exists.
     pub(crate) fn format_is_materialized(&self, format: FormatKind, reorder: ReorderKind) -> bool {
         let Some(slot) = reorder.candidate_index() else {
             return match format {
@@ -580,17 +567,6 @@ impl SharedGraph {
         }))
     }
 
-    /// The host backend's row partitioning under `balancing`: the same
-    /// per-PE split an arrival-order plan uses, derived once per scheme.
-    pub(crate) fn host_partition(&self, balancing: Balancing) -> &RowPartition {
-        let slot = match balancing {
-            Balancing::NnzBalanced => 0,
-            Balancing::EqualRows => 1,
-        };
-        self.host_partitions[slot]
-            .get_or_init(|| balance::ip_partitions(&self.row_counts, self.geometry, balancing))
-    }
-
     /// The graph-content epoch: 0 for a freshly built (static) graph,
     /// bumped by mutation paths. Epoch-keyed derived state (e.g. the
     /// serve-layer query cache) is invalidated by a bump.
@@ -608,6 +584,11 @@ impl SharedGraph {
     /// Out-degrees of the original graph's vertices.
     pub(crate) fn degrees(&self) -> &[u32] {
         &self.degrees
+    }
+
+    /// Entries per row of the COO.
+    pub(crate) fn row_counts(&self) -> &[usize] {
+        &self.row_counts
     }
 
     /// The read-only all-zero state vector (rows long).
@@ -723,12 +704,9 @@ mod tests {
     }
 
     #[test]
-    fn sessions_share_zero_state_and_csr() {
+    fn sessions_share_zero_state() {
         let g = graph(64, 400);
         assert_eq!(g.zeros().len(), 64);
-        let a = g.csr() as *const CsrMatrix;
-        let b = g.csr() as *const CsrMatrix;
-        assert_eq!(a, b, "CSR derived once per graph");
     }
 
     #[test]

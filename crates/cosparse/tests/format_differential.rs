@@ -1,13 +1,15 @@
-//! Format axis under [`ExecBackend::Differential`]: every storage
-//! format, on every engine that accepts it, must produce bit-identical
-//! results — the backend cross-checks the native host walk against the
-//! simulator's golden model on every invocation, and this suite
-//! additionally cross-checks the formats against each other.
+//! The format axis is invisible in the answers: every storage format,
+//! on every engine that accepts it, under both backends, must produce
+//! results bit-identical to a test-local dense reference — the golden
+//! model's old full-frontier kernel, every active source's CSC column
+//! pushed into a fresh `Vec<Option<f32>>`. The decided format shapes
+//! only the simulated stream; answers come from one functional step.
 
 use cosparse::{
-    CoSparse, ExecBackend, FormatKind, Frontier, HwConfig, Policy, SharedGraph, SwConfig,
+    CoSparse, ExecBackend, FormatKind, Frontier, GraphOp, HwConfig, Policy, SharedGraph, SpmvOp,
+    SwConfig,
 };
-use sparse::{CooMatrix, DenseVector, Idx};
+use sparse::{CooMatrix, CscMatrix, DenseVector, Idx};
 use std::sync::Arc;
 use transmuter::{Geometry, Machine, MicroArch};
 
@@ -32,11 +34,38 @@ fn banded(n: usize) -> CooMatrix {
     CooMatrix::from_triplets(n, n, triplets).expect("banded in bounds")
 }
 
-fn session(graph: &Arc<SharedGraph>) -> CoSparse {
+const BACKENDS: [ExecBackend; 2] = [ExecBackend::Simulate, ExecBackend::Host];
+
+fn session(graph: &Arc<SharedGraph>, backend: ExecBackend) -> CoSparse {
     let machine = Machine::new(Geometry::new(2, 4), MicroArch::paper());
     let mut s = CoSparse::with_shared(Arc::clone(graph), machine);
-    s.set_backend(ExecBackend::Differential);
+    s.set_backend(backend);
     s
+}
+
+/// The reference product `M x` as result bits: a dense accumulator
+/// filled source by source in ascending order, entries that reduced to
+/// zero dropped as [`SpmvOp::is_update`] drops them.
+fn reference_bits(m: &CooMatrix, x: &Frontier) -> Vec<u32> {
+    let csc = CscMatrix::from(m);
+    let mut active = Vec::new();
+    x.collect_active(&mut active);
+    let mut acc: Vec<Option<f32>> = vec![None; m.rows()];
+    for &(src, v) in &active {
+        let (dsts, weights) = csc.col(src as usize);
+        for (&dst, &w) in dsts.iter().zip(weights) {
+            let contrib = SpmvOp.matrix_op(w, v, 0.0, 0);
+            let slot = &mut acc[dst as usize];
+            *slot = Some(slot.map_or(contrib, |a| SpmvOp.reduce(a, contrib)));
+        }
+    }
+    acc.into_iter()
+        .map(|r| {
+            r.filter(|&y| SpmvOp.is_update(y, 0.0))
+                .unwrap_or(0.0)
+                .to_bits()
+        })
+        .collect()
 }
 
 /// Result bits in a representation-independent form: sparse results
@@ -54,23 +83,30 @@ fn dense_bits(frontier: &Frontier) -> Vec<u32> {
     }
 }
 
-/// Every IP format on both IP hardware slots, differentially checked,
-/// then compared bit-for-bit against each other and the OP/CSC answer.
+/// Every IP format on both IP hardware slots and both backends, then
+/// the OP/CSC merge and IP/bitmap on a sparse frontier, each
+/// bit-for-bit against the reference.
 #[test]
 fn all_formats_and_engines_agree_bit_exactly() {
     let m = banded(N);
     let graph = SharedGraph::new(&m, Geometry::new(2, 4), MicroArch::paper());
     let x = Frontier::Dense(sparse::generate::random_dense_vector(N, 41));
+    let want = reference_bits(&m, &x);
 
-    let mut answers: Vec<(String, Vec<u32>)> = Vec::new();
-    for hw in [HwConfig::Sc, HwConfig::Scs] {
-        for format in [FormatKind::Coo, FormatKind::Bitmap, FormatKind::Bcsr] {
-            let mut s = session(&graph);
-            s.set_policy(Policy::Fixed(SwConfig::InnerProduct, hw));
-            s.set_format_override(Some(format));
-            let out = s.spmv(&x).expect("differential ip spmv");
-            assert_eq!(out.format, format, "override must reach the outcome");
-            answers.push((format!("IP/{hw}/{format}"), dense_bits(&out.result)));
+    for backend in BACKENDS {
+        for hw in [HwConfig::Sc, HwConfig::Scs] {
+            for format in [FormatKind::Coo, FormatKind::Bitmap, FormatKind::Bcsr] {
+                let mut s = session(&graph, backend);
+                s.set_policy(Policy::Fixed(SwConfig::InnerProduct, hw));
+                s.set_format_override(Some(format));
+                let out = s.spmv(&x).expect("ip spmv");
+                assert_eq!(out.format, format, "override must reach the outcome");
+                assert_eq!(
+                    dense_bits(&out.result),
+                    want,
+                    "{backend:?} IP/{hw}/{format} diverged from the reference"
+                );
+            }
         }
     }
     // The OP engine always streams CSC; a sparse frontier covering a
@@ -83,50 +119,40 @@ fn all_formats_and_engines_agree_bit_exactly() {
         }
         Frontier::Dense(v)
     };
-    for (label, bits) in &answers {
-        assert_eq!(
-            bits, &answers[0].1,
-            "{label} diverged from {}",
-            answers[0].0
-        );
+    let want = reference_bits(&m, &sparse_x);
+    for backend in BACKENDS {
+        let mut op = session(&graph, backend);
+        op.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
+        let op_out = op.spmv(&sparse_x).expect("op spmv");
+        assert_eq!(op_out.format, FormatKind::Csc);
+        assert_eq!(dense_bits(&op_out.result), want, "{backend:?} OP/CSC");
+        let mut ip = session(&graph, backend);
+        ip.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
+        ip.set_format_override(Some(FormatKind::Bitmap));
+        let ip_out = ip.spmv(&sparse_x).expect("ip spmv");
+        assert_eq!(dense_bits(&ip_out.result), want, "{backend:?} IP/bitmap");
     }
-    let mut op = session(&graph);
-    op.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
-    let op_out = op.spmv(&sparse_x).expect("differential op spmv");
-    assert_eq!(op_out.format, FormatKind::Csc);
-    let mut ip = session(&graph);
-    ip.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
-    ip.set_format_override(Some(FormatKind::Bitmap));
-    let ip_out = ip.spmv(&sparse_x).expect("differential ip spmv");
-    assert_eq!(
-        dense_bits(&op_out.result),
-        dense_bits(&ip_out.result),
-        "OP/CSC and IP/bitmap disagree on the sparse frontier"
-    );
 }
 
 /// Auto policy end to end on the clustered matrix: the probe steers the
-/// dense-frontier decision to a non-COO format, the differential
-/// backend validates the resulting native path, and the outcome is
-/// bit-identical to the forced-COO answer.
+/// dense-frontier decision to a non-COO format on both backends, and
+/// the outcome is bit-identical to the reference.
 #[test]
 fn auto_policy_picks_probed_format_and_stays_bit_exact() {
     let m = banded(N);
     let graph = SharedGraph::new(&m, Geometry::new(2, 4), MicroArch::paper());
     let x = Frontier::Dense(sparse::generate::random_dense_vector(N, 43));
+    let want = reference_bits(&m, &x);
 
-    let mut auto = session(&graph);
-    let out = auto.spmv(&x).expect("differential auto spmv");
-    assert_eq!(out.software, SwConfig::InnerProduct);
-    assert_ne!(
-        out.format,
-        FormatKind::Coo,
-        "the banded matrix's probe must steer IP off the COO stream"
-    );
-
-    let mut coo = session(&graph);
-    coo.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
-    coo.set_format_override(Some(FormatKind::Coo));
-    let baseline = coo.spmv(&x).expect("differential coo spmv");
-    assert_eq!(dense_bits(&out.result), dense_bits(&baseline.result));
+    for backend in BACKENDS {
+        let mut auto = session(&graph, backend);
+        let out = auto.spmv(&x).expect("auto spmv");
+        assert_eq!(out.software, SwConfig::InnerProduct);
+        assert_ne!(
+            out.format,
+            FormatKind::Coo,
+            "the banded matrix's probe must steer IP off the COO stream"
+        );
+        assert_eq!(dense_bits(&out.result), want, "{backend:?} auto");
+    }
 }

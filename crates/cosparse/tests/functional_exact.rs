@@ -1,18 +1,23 @@
-//! Exactness of the shared partial-frontier push kernel.
+//! Exactness of the two functional kernels both backends share: the
+//! partial-frontier push and the full-frontier row pull.
 //!
-//! Partial frontiers run one push kernel on both backends, so the
-//! `Differential` backend no longer compares two kernels on them. This
-//! suite is their oracle instead: test-local copies of the kernels the
-//! push replaced — the golden model's ordered-map/dense `apply`, the
-//! host's masked row walk over CSR, bitmap and BCSR, and the host's
-//! per-partition column merge — must agree with `apply`, with a reused
-//! `Accumulator`, and with `Simulate` and `Host` sessions, bit for bit.
+//! Both backends answer through the same kernels, so comparing them
+//! with each other proves nothing about either. This suite is their
+//! oracle instead: test-local copies of the kernels they replaced — the
+//! golden model's ordered-map/dense `apply`, the host's masked row walk
+//! over CSR, bitmap and BCSR, and the host's per-partition column merge
+//! — must agree with `apply`, with a reused `Accumulator`, with
+//! `host::pull` at several worker counts, and with `Simulate` and
+//! `Host` sessions, bit for bit.
 //!
-//! Every case alternates value types (`f32` sum, `f32` min-plus, `u32`
-//! min) and frontier sizes on one session, and one accumulator per type
-//! persists across cases of different vertex counts, so a slot a call
-//! fails to reset corrupts a later answer and fails the suite.
+//! Every push case alternates value types (`f32` sum, `f32` min-plus,
+//! `u32` min) and frontier sizes on one session, and one accumulator per
+//! type persists across cases of different vertex counts, so a slot a
+//! call fails to reset corrupts a later answer and fails the suite. The
+//! pull cases span several row chunks, with a chunk boundary inside a
+//! run of empty rows and another next to a hub row.
 
+use cosparse::host::{self, StepInputs, PULL_CHUNK_ROWS};
 use cosparse::ops::{apply_with, Accumulator};
 use cosparse::{
     apply, CoSparse, ExecBackend, FormatKind, GraphOp, HwConfig, Policy, SpmvOp, SwConfig, Update,
@@ -56,6 +61,27 @@ impl GraphOp for MinLevel {
     }
     fn is_update(&self, new: u32, old: u32) -> bool {
         new < old
+    }
+}
+
+/// PageRank's op: rank mass split over the source's out-degree, summed,
+/// then damped toward a teleport term.
+#[derive(Debug)]
+struct PageRankOp;
+
+impl GraphOp for PageRankOp {
+    type Value = f32;
+    fn matrix_op(&self, _w: f32, src: f32, _dst: f32, deg: u32) -> f32 {
+        src / deg.max(1) as f32
+    }
+    fn reduce(&self, a: f32, b: f32) -> f32 {
+        a + b
+    }
+    fn vector_op(&self, updated: f32, _old: f32) -> f32 {
+        0.15 / 1024.0 + 0.85 * updated
+    }
+    fn is_update(&self, _new: f32, _old: f32) -> bool {
+        true
     }
 }
 
@@ -478,5 +504,135 @@ proptest! {
                 assert_bits_eq(&run(&mut host), &reference(None), &what);
             }
         }
+    }
+}
+
+/// One multi-chunk graph for the pull: rows `[B − a, B + b)` (`B` =
+/// [`PULL_CHUNK_ROWS`]) are empty, so the first chunk boundary falls
+/// inside a run of empty rows, every row outside it has an entry, and a hub
+/// row with an entry in every other column sits just before or at the
+/// second boundary.
+struct PullCase {
+    coo: CooMatrix,
+    csc: CscMatrix,
+    row_counts: Vec<usize>,
+    degrees: Vec<u32>,
+    seeds: Vec<(f32, f32)>,
+}
+
+type RawPullCase = (
+    usize,
+    Vec<(u32, u32, f32)>,
+    Vec<(f32, f32)>,
+    (usize, usize, u8),
+);
+
+fn arb_pull_case() -> impl Strategy<Value = RawPullCase> {
+    let b = PULL_CHUNK_ROWS;
+    (2 * b + 1..4 * b).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec((0u32..n as u32, 0u32..n as u32, -4.0f32..4.0), n..n * 4),
+            proptest::collection::vec((0.25f32..4.0, 0.0f32..12.0), n),
+            (1usize..40, 1usize..40, 0u8..2),
+        )
+    })
+}
+
+impl PullCase {
+    fn new((n, mut triplets, seeds, (before, after, hub_first)): RawPullCase) -> PullCase {
+        let b = PULL_CHUNK_ROWS;
+        let empty = b - before..b + after;
+        triplets.retain(|&(r, _, _)| !empty.contains(&(r as usize)));
+        // Every row outside the empty run gets an entry, so the chunks
+        // past it update in every row.
+        triplets.extend(
+            (0..n as u32)
+                .filter(|&r| !empty.contains(&(r as usize)))
+                .map(|r| (r, (r * 7 + 3) % n as u32, 0.5)),
+        );
+        let hub = (2 * b - usize::from(hub_first == 0)) as u32;
+        triplets.extend((0..n as u32).step_by(2).map(|c| (hub, c, 0.25 + c as f32)));
+        let coo = CooMatrix::from_triplets(n, n, triplets).expect("in bounds");
+        PullCase {
+            row_counts: coo.row_counts(),
+            csc: CscMatrix::from(&coo),
+            degrees: coo.col_counts().into_iter().map(|c| c as u32).collect(),
+            coo,
+            seeds,
+        }
+    }
+
+    /// `op` over the full frontier `value(i)` from `state`: the
+    /// reference, then the pull at every worker count and a `Host`
+    /// session at each, bit for bit.
+    fn check<O: GraphOp>(
+        &self,
+        op: &O,
+        value: impl Fn(usize) -> O::Value,
+        state: &[O::Value],
+        host: &mut CoSparse,
+        what: &str,
+    ) where
+        O::Value: Bits,
+    {
+        let n = self.coo.cols();
+        let active: Vec<(Idx, O::Value)> = (0..n).map(|i| (i as Idx, value(i))).collect();
+        let want = reference_apply(op, &self.csc, &active, state, &self.degrees);
+        let inputs = StepInputs {
+            active: &active,
+            state,
+            degrees: &self.degrees,
+        };
+        let chunks = n.div_ceil(PULL_CHUNK_ROWS);
+        for workers in [1, 2, 3, 4, chunks + 1] {
+            let got = host::pull(op, &self.coo, &self.row_counts, inputs, workers);
+            assert_bits_eq(&got, &want, &format!("{what} pull w={workers}"));
+            host.set_host_threads(workers);
+            let got = host.step(op, &active, state).expect("host step").updates;
+            assert_bits_eq(&got, &want, &format!("{what} Host w={workers}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The full-frontier pull reproduces the reference for the sum,
+    /// min-level, min-plus and PageRank ops at 1–4 workers and at more
+    /// workers than chunks, directly and through `Host` sessions; one
+    /// `Simulate` session pulls on two workers.
+    #[test]
+    fn full_frontier_pull_is_bit_exact_at_any_worker_count(raw in arb_pull_case()) {
+        let case = PullCase::new(raw);
+        let n = case.coo.cols();
+        let what = format!("n={n}");
+        let mut host = CoSparse::new(
+            &case.coo,
+            Machine::new(Geometry::new(2, 4), MicroArch::paper()),
+        );
+        host.set_backend(ExecBackend::Host);
+        let zeros = vec![0.0f32; n];
+        let dist: Vec<f32> = (0..n)
+            .map(|i| if i % 5 == 0 { f32::INFINITY } else { case.seeds[i].1 })
+            .collect();
+        let levels: Vec<u32> = (0..n)
+            .map(|i| if i % 4 == 0 { u32::MAX } else { case.seeds[i].1 as u32 })
+            .collect();
+        let ranks: Vec<f32> = case.seeds.iter().map(|s| s.0 / n as f32).collect();
+        case.check(&SpmvOp, |i| case.seeds[i].0, &zeros, &mut host, &format!("{what} sum"));
+        case.check(&MinLevel, |i| i as u32 % 7, &levels, &mut host, &format!("{what} level"));
+        case.check(&MinPlus, |i| case.seeds[i].0, &dist, &mut host, &format!("{what} min-plus"));
+        case.check(&PageRankOp, |i| ranks[i], &ranks, &mut host, &format!("{what} pagerank"));
+
+        let mut sim = CoSparse::new(
+            &case.coo,
+            Machine::new(Geometry::new(2, 4), MicroArch::paper()),
+        );
+        sim.set_host_threads(2);
+        let active: Vec<(Idx, f32)> = ranks.iter().enumerate().map(|(i, &r)| (i as Idx, r)).collect();
+        let want = reference_apply(&PageRankOp, &case.csc, &active, &ranks, &case.degrees);
+        let got = sim.step(&PageRankOp, &active, &ranks).expect("simulate step");
+        assert_bits_eq(&got.updates, &want, &format!("{what} pagerank Simulate"));
     }
 }

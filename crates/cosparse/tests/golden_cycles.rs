@@ -3,7 +3,7 @@
 //! These numbers were captured from the pre-`Program`-IR `Machine::run`
 //! event loop on fixed seeded inputs. They pin the simulator's timing
 //! model bit-for-bit: any execution-core change (including the compiled
-//! `Program` path and the epoch-parallel tile core) must reproduce them
+//! `Program` path and its sequential executor) must reproduce them
 //! exactly. If a PR *intends* to change the timing model, the new
 //! numbers must be re-captured deliberately and the change called out.
 

@@ -1,21 +1,21 @@
-//! Differential suite for the native host execution backend.
+//! Both backends against the test-local reference (`common`).
 //!
-//! Every engine runs on several matrices under all three backends:
+//! Every engine runs on several matrices under [`ExecBackend::Simulate`]
+//! and [`ExecBackend::Host`]:
 //!
-//! * [`ExecBackend::Differential`] asserts **inside the runtime**, on
-//!   every SpMV step, that the host path's updates are bit-equal to the
-//!   simulate path's golden-model updates;
-//! * a host-only run must then reproduce the simulate-only run's final
-//!   state exactly (same fixed point through the engine loop, not just
-//!   per-step agreement);
+//! * each run must reproduce the reference run's final state and every
+//!   iteration's update count (same fixed point through the engine
+//!   loop, step by step);
 //! * for float-valued algorithms the state comparison is `to_bits`
-//!   exact — the host backend's contract is bit-identity, not
-//!   tolerance.
+//!   exact — the contract is bit-identity, not tolerance.
 //!
 //! A property test closes the loop on plain SpMV: random COO matrices
-//! and random frontiers, host result bit-equal to the golden model.
+//! and random frontiers, both backends bit-equal to the reference.
 
-use cosparse::{CoSparse, ExecBackend, Frontier};
+mod common;
+
+use common::{reference_apply, reference_run};
+use cosparse::{CoSparse, ExecBackend, Frontier, SpmvOp};
 use graph::bc;
 use graph::bfs::Bfs;
 use graph::cc::ConnectedComponents;
@@ -24,7 +24,7 @@ use graph::pagerank::PageRank;
 use graph::sssp::Sssp;
 use graph::{Algorithm, Engine, RunResult, Value};
 use proptest::prelude::*;
-use sparse::{CooMatrix, Idx, SparseVector};
+use sparse::{CooMatrix, CscMatrix, Idx, SparseVector};
 use transmuter::{Geometry, Machine, MicroArch};
 
 fn machine() -> Machine {
@@ -58,33 +58,28 @@ fn run_on<A: Algorithm>(adj: &CooMatrix, alg: &A, backend: ExecBackend) -> RunRe
     engine.run(alg).unwrap()
 }
 
-/// Simulate vs Host vs Differential on every suite matrix. The
-/// differential run would panic on any per-step divergence; the
-/// state/iteration comparisons additionally pin the engine-level fixed
-/// point.
+/// Simulate and Host against the reference run on every suite matrix:
+/// the per-iteration update counts pin each step, the final state the
+/// engine-level fixed point.
 fn check_all_backends<A: Algorithm>(alg: &A) {
     for (name, adj) in matrices() {
-        let sim = run_on(&adj, alg, ExecBackend::Simulate);
-        let host = run_on(&adj, alg, ExecBackend::Host);
-        assert_eq!(
-            sim.iterations.len(),
-            host.iterations.len(),
-            "{}/{name}: host took a different number of iterations",
-            alg.name()
-        );
-        assert_eq!(
-            sim.state,
-            host.state,
-            "{}/{name}: host final state diverged",
-            alg.name()
-        );
-        let diff = run_on(&adj, alg, ExecBackend::Differential);
-        assert_eq!(
-            diff.state,
-            sim.state,
-            "{}/{name}: differential final state diverged",
-            alg.name()
-        );
+        let (want_state, want_counts) = reference_run(&adj, alg);
+        for backend in [ExecBackend::Simulate, ExecBackend::Host] {
+            let got = run_on(&adj, alg, backend);
+            let counts: Vec<usize> = got.iterations.iter().map(|it| it.updates).collect();
+            assert_eq!(
+                counts,
+                want_counts,
+                "{}/{name}: {backend:?} updates per iteration diverged",
+                alg.name()
+            );
+            assert_eq!(
+                got.state,
+                want_state,
+                "{}/{name}: {backend:?} final state diverged",
+                alg.name()
+            );
+        }
     }
 }
 
@@ -114,32 +109,38 @@ fn kbfs_host_matches_simulate() {
 }
 
 /// Float states compared bit-for-bit, not by `==`: SSSP and PageRank
-/// are the two f32-valued engines, so their host runs pin the
-/// bit-identity contract end-to-end.
+/// are the two f32-valued engines, so their runs pin the bit-identity
+/// contract end-to-end on both backends.
 #[test]
 fn float_engines_are_bit_exact_across_backends() {
     for (name, adj) in matrices() {
-        let sim = run_on(&adj, &Sssp::new(0), ExecBackend::Simulate);
-        let host = run_on(&adj, &Sssp::new(0), ExecBackend::Host);
-        for (v, (a, b)) in sim.state.iter().zip(&host.state).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "sssp/{name} vertex {v}: {a} vs {b}"
-            );
-        }
-        let sim = run_on(&adj, &PageRank::new(0.85, 15), ExecBackend::Simulate);
-        let host = run_on(&adj, &PageRank::new(0.85, 15), ExecBackend::Host);
-        for (v, (a, b)) in sim.state.iter().zip(&host.state).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "pr/{name} vertex {v}: {a} vs {b}");
+        let (sssp, _) = reference_run(&adj, &Sssp::new(0));
+        let (pr, _) = reference_run(&adj, &PageRank::new(0.85, 15));
+        for backend in [ExecBackend::Simulate, ExecBackend::Host] {
+            let got = run_on(&adj, &Sssp::new(0), backend);
+            for (v, (a, b)) in got.state.iter().zip(&sssp).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "sssp/{name} {backend:?} vertex {v}: {a} vs {b}"
+                );
+            }
+            let got = run_on(&adj, &PageRank::new(0.85, 15), backend);
+            for (v, (a, b)) in got.state.iter().zip(&pr).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "pr/{name} {backend:?} vertex {v}: {a} vs {b}"
+                );
+            }
         }
     }
 }
 
 /// Two host-mode PageRank runs produce bit-identical scores: the
-/// parallel partition fan-out concatenates in deterministic partition
-/// order and every reduce happens in ascending source order, so nothing
-/// about thread scheduling can leak into the result.
+/// full-frontier pull writes each chunk at its own offset and compacts
+/// in chunk order, and every reduce happens in ascending source order,
+/// so nothing about thread scheduling can leak into the result.
 #[test]
 fn pagerank_host_runs_are_bit_identical() {
     let adj = sparse::generate::power_law(512, 512, 6_000, 2.2, 11).unwrap();
@@ -153,16 +154,13 @@ fn pagerank_host_runs_are_bit_identical() {
 
 /// Betweenness centrality across backends: the per-level SpMV costs
 /// differ (host reports carry zero cycles) but the centrality math is
-/// host-evaluated either way, so scores are bit-identical; the
-/// differential run additionally cross-checks every level's timing
-/// path.
+/// host-evaluated either way, so scores are bit-identical.
 #[test]
 fn bc_host_matches_simulate() {
     for (name, adj) in matrices() {
         let geometry = Geometry::new(2, 4);
         let sim = bc::betweenness(&adj, 0, geometry).unwrap();
         let host = bc::betweenness_on(&adj, 0, geometry, ExecBackend::Host).unwrap();
-        let diff = bc::betweenness_on(&adj, 0, geometry, ExecBackend::Differential).unwrap();
         assert_eq!(
             sim.levels.len(),
             host.levels.len(),
@@ -171,7 +169,6 @@ fn bc_host_matches_simulate() {
         for (v, (a, b)) in sim.centrality.iter().zip(&host.centrality).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "bc/{name} vertex {v}: {a} vs {b}");
         }
-        assert_eq!(diff.centrality, sim.centrality, "bc/{name}: differential");
         // Host mode really skipped the simulator.
         assert!(host.total_cycles() == 0, "bc/{name}: host run cost cycles");
         assert!(sim.total_cycles() > 0, "bc/{name}: simulate run was free");
@@ -196,16 +193,22 @@ fn arb_spmv_case() -> impl Strategy<Value = SpmvCase> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Plain SpMV on random COO matrices: the host backend's product is
-    /// bit-equal to the simulate backend's golden-model product, and a
-    /// differential runtime (asserting internally) agrees with both.
+    /// Plain SpMV on random COO matrices, full frontiers included: both
+    /// backends' products are bit-equal to the reference, and both
+    /// decide the same dataflow.
     #[test]
-    fn spmv_host_matches_simulate_on_random_coo(case in arb_spmv_case()) {
+    fn spmv_backends_match_the_reference_on_random_coo(case in arb_spmv_case()) {
         let (n, triplets, raw_active) = case;
         let coo = CooMatrix::from_triplets(n, n, triplets).unwrap();
         let mut active: Vec<(Idx, f32)> = raw_active;
         active.sort_unstable_by_key(|&(i, _)| i);
         active.dedup_by_key(|&mut (i, _)| i);
+        // Every fourth case runs a full frontier, the row pull's input.
+        if n % 4 == 0 {
+            active = (0..n as Idx).map(|i| (i, 0.5 + i as f32)).collect();
+        }
+        let degrees: Vec<u32> = coo.col_counts().into_iter().map(|c| c as u32).collect();
+        let want = reference_apply(&SpmvOp, &CscMatrix::from(&coo), &active, &vec![0.0; n], &degrees);
         let frontier = Frontier::Sparse(
             SparseVector::from_sorted(n, active).expect("sorted dedup'd actives"),
         );
@@ -213,23 +216,17 @@ proptest! {
         let mut sim = CoSparse::new(&coo, machine());
         let mut host = CoSparse::new(&coo, machine());
         host.set_backend(ExecBackend::Host);
-        let mut diff = CoSparse::new(&coo, machine());
-        diff.set_backend(ExecBackend::Differential);
-
-        let want = sim.spmv(&frontier).unwrap();
-        let got = host.spmv(&frontier).unwrap();
-        prop_assert_eq!(&got.software, &want.software);
-        let mut want_pairs = Vec::new();
-        let mut got_pairs = Vec::new();
-        want.result.collect_active(&mut want_pairs);
-        got.result.collect_active(&mut got_pairs);
-        prop_assert_eq!(want_pairs.len(), got_pairs.len());
-        for ((wi, wv), (gi, gv)) in want_pairs.iter().zip(&got_pairs) {
-            prop_assert_eq!(wi, gi);
-            prop_assert_eq!(wv.to_bits(), gv.to_bits());
+        let sim_out = sim.spmv(&frontier).unwrap();
+        let host_out = host.spmv(&frontier).unwrap();
+        prop_assert_eq!(&host_out.software, &sim_out.software);
+        for out in [sim_out, host_out] {
+            let mut got = Vec::new();
+            out.result.collect_active(&mut got);
+            prop_assert_eq!(got.len(), want.len());
+            for ((wi, wv), (gi, gv)) in want.iter().zip(&got) {
+                prop_assert_eq!(wi, gi);
+                prop_assert_eq!(wv.to_bits(), gv.to_bits());
+            }
         }
-        // The differential backend asserts host ≡ simulate internally.
-        let checked = diff.spmv(&frontier).unwrap();
-        prop_assert_eq!(&checked.result, &want.result);
     }
 }

@@ -3,11 +3,12 @@
 //! answer. Reordering only changes the simulated address stream — the
 //! functional result stays in the original index space — so BFS
 //! parents, SSSP distances and PageRank scores must be bit-identical
-//! to an arrival-order run under every execution backend. The
-//! Differential backend additionally cross-checks host against the
-//! simulate golden model on every SpMV step while the reordered image
-//! is streaming.
+//! to the test-local reference run (`common`) under every execution
+//! backend, while the reordered image is streaming.
 
+mod common;
+
+use common::reference_run;
 use cosparse::{ExecBackend, ReorderKind, ServeConfig};
 use graph::bfs::Bfs;
 use graph::pagerank::PageRank;
@@ -42,36 +43,31 @@ fn run_pinned<A: Algorithm>(
     adj: &CooMatrix,
     alg: &A,
     backend: ExecBackend,
-    reorder: Option<ReorderKind>,
+    reorder: ReorderKind,
 ) -> RunResult<Value<A>> {
     let mut engine = Engine::new(adj, machine());
     engine.set_backend(backend);
-    engine.runtime_mut().set_reorder_override(reorder);
+    engine.runtime_mut().set_reorder_override(Some(reorder));
     engine.run(alg).unwrap()
 }
 
-/// Every (reorder, backend) pairing reproduces the arrival-order
-/// simulate run: same iteration count, same final state. `PartialEq`
-/// on `u32` states is exact; float engines get a separate `to_bits`
-/// check below.
+/// Every (reorder, backend) pairing reproduces the reference run: same
+/// iteration count, same final state. `PartialEq` on `u32` states is
+/// exact; float engines get a separate `to_bits` check below.
 fn check_transparent<A: Algorithm>(alg: &A) {
     for (name, adj) in matrices() {
-        let want = run_pinned(&adj, alg, ExecBackend::Simulate, None);
+        let (want_state, want_counts) = reference_run(&adj, alg);
         for kind in ReorderKind::ALL {
-            for backend in [
-                ExecBackend::Simulate,
-                ExecBackend::Host,
-                ExecBackend::Differential,
-            ] {
-                let got = run_pinned(&adj, alg, backend, Some(kind));
+            for backend in [ExecBackend::Simulate, ExecBackend::Host] {
+                let got = run_pinned(&adj, alg, backend, kind);
                 assert_eq!(
-                    want.iterations.len(),
+                    want_counts.len(),
                     got.iterations.len(),
                     "{}/{name}: {kind}/{backend:?} changed the iteration count",
                     alg.name()
                 );
                 assert_eq!(
-                    want.state,
+                    want_state,
                     got.state,
                     "{}/{name}: {kind}/{backend:?} perturbed the final state",
                     alg.name()
@@ -97,16 +93,16 @@ fn pagerank_is_reorder_transparent() {
 }
 
 /// The float engines' transparency pinned `to_bits`-exact: a reordered
-/// host run and a reordered differential run must not move a single ULP
-/// relative to the arrival-order simulate run.
+/// run on either backend must not move a single ULP relative to the
+/// reference run.
 #[test]
 fn float_states_are_bit_exact_under_every_reordering() {
     for (name, adj) in matrices() {
-        let want = run_pinned(&adj, &Sssp::new(0), ExecBackend::Simulate, None);
+        let (want, _) = reference_run(&adj, &Sssp::new(0));
         for kind in ReorderKind::CANDIDATES {
-            for backend in [ExecBackend::Host, ExecBackend::Differential] {
-                let got = run_pinned(&adj, &Sssp::new(0), backend, Some(kind));
-                for (v, (a, b)) in want.state.iter().zip(&got.state).enumerate() {
+            for backend in [ExecBackend::Host, ExecBackend::Simulate] {
+                let got = run_pinned(&adj, &Sssp::new(0), backend, kind);
+                for (v, (a, b)) in want.iter().zip(&got.state).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
@@ -115,15 +111,10 @@ fn float_states_are_bit_exact_under_every_reordering() {
                 }
             }
         }
-        let want = run_pinned(&adj, &PageRank::new(0.85, 10), ExecBackend::Simulate, None);
+        let (want, _) = reference_run(&adj, &PageRank::new(0.85, 10));
         for kind in ReorderKind::CANDIDATES {
-            let got = run_pinned(
-                &adj,
-                &PageRank::new(0.85, 10),
-                ExecBackend::Differential,
-                Some(kind),
-            );
-            for (v, (a, b)) in want.state.iter().zip(&got.state).enumerate() {
+            let got = run_pinned(&adj, &PageRank::new(0.85, 10), ExecBackend::Simulate, kind);
+            for (v, (a, b)) in want.iter().zip(&got.state).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
@@ -199,8 +190,8 @@ fn host_steps_build_no_reordered_operands() {
 
 /// Only sessions that simulate compute the locality probe: a Host
 /// engine and a default-config service (whose workers run Host) decide
-/// every step with none, while one Differential session computes it
-/// once for the graph.
+/// every step with none, while one Simulate engine computes it once for
+/// the graph.
 #[test]
 fn only_simulating_sessions_probe_the_reorder_axis() {
     let adj = sparse::generate::rmat(12, 40_000, Default::default(), 42).unwrap();
@@ -235,9 +226,8 @@ fn only_simulating_sessions_probe_the_reorder_axis() {
     assert_eq!(graph.cache_stats().reorder_probes, 0, "default service");
 
     let graph = shared();
-    let mut diff = Engine::with_shared(&graph, machine());
-    diff.set_backend(ExecBackend::Differential);
-    diff.run(&Bfs::new(0)).unwrap();
-    diff.run(&Bfs::new(5)).unwrap();
-    assert_eq!(graph.cache_stats().reorder_probes, 1, "differential engine");
+    let mut sim = Engine::with_shared(&graph, machine());
+    sim.run(&Bfs::new(0)).unwrap();
+    sim.run(&Bfs::new(5)).unwrap();
+    assert_eq!(graph.cache_stats().reorder_probes, 1, "simulate engine");
 }

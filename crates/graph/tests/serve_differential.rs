@@ -1,9 +1,10 @@
 //! Differential suite for the serving layer.
 //!
 //! The multi-tenant contract: an answer produced by a [`GraphService`]
-//! worker session is **bit-identical** to a dedicated [`Engine`] run on
-//! the same graph — under every execution backend, and regardless of
-//! how many clients are submitting concurrently. On top of that, the
+//! worker session is **bit-identical** to the test-local reference run
+//! (`common`) on the same graph — under every execution backend, and
+//! regardless of how many clients are submitting concurrently. On top
+//! of that, the
 //! shared-graph split must actually amortize: N engines over one
 //! [`SharedGraph`] handle build each plan exactly once, observable
 //! through `cache_stats()`.
@@ -11,6 +12,9 @@
 //! [`GraphService`]: cosparse::GraphService
 //! [`SharedGraph`]: cosparse::SharedGraph
 
+mod common;
+
+use common::reference_run;
 use cosparse::{ExecBackend, ServeConfig};
 use graph::bfs::Bfs;
 use graph::pagerank::PageRank;
@@ -50,30 +54,19 @@ fn queries() -> Vec<GraphQuery> {
     ]
 }
 
-/// Ground truth: each query on its own dedicated engine (own machine,
-/// own graph state), simulate backend.
+/// Ground truth: each query through the reference run.
 fn ground_truth(adj: &CooMatrix) -> Vec<QueryAnswer> {
     queries()
         .into_iter()
-        .map(|q| {
-            let mut engine = Engine::new(adj, machine());
-            match q {
-                GraphQuery::Bfs { source } => {
-                    QueryAnswer::Bfs(engine.run(&Bfs::new(source)).unwrap().state)
-                }
-                GraphQuery::Sssp { source } => {
-                    QueryAnswer::Sssp(engine.run(&Sssp::new(source)).unwrap().state)
-                }
-                GraphQuery::PageRank {
-                    damping,
-                    iterations,
-                } => QueryAnswer::PageRank(
-                    engine
-                        .run(&PageRank::new(damping, iterations))
-                        .unwrap()
-                        .state,
-                ),
+        .map(|q| match q {
+            GraphQuery::Bfs { source } => QueryAnswer::Bfs(reference_run(adj, &Bfs::new(source)).0),
+            GraphQuery::Sssp { source } => {
+                QueryAnswer::Sssp(reference_run(adj, &Sssp::new(source)).0)
             }
+            GraphQuery::PageRank {
+                damping,
+                iterations,
+            } => QueryAnswer::PageRank(reference_run(adj, &PageRank::new(damping, iterations)).0),
         })
         .collect()
 }
@@ -103,7 +96,7 @@ fn service_answers(adj: &CooMatrix, backend: ExecBackend) -> Vec<QueryAnswer> {
 }
 
 /// Float answers compared `to_bits`-exact: the serve path must not
-/// perturb a single ULP relative to a dedicated engine.
+/// perturb a single ULP relative to the reference.
 fn assert_bits_eq(got: &QueryAnswer, want: &QueryAnswer, ctx: &str) {
     match (got, want) {
         (QueryAnswer::Bfs(g), QueryAnswer::Bfs(w)) => {
@@ -120,19 +113,13 @@ fn assert_bits_eq(got: &QueryAnswer, want: &QueryAnswer, ctx: &str) {
     }
 }
 
-/// Simulate, Host and Differential services all answer the query mix
-/// bit-identically to dedicated engines. The Differential run
-/// additionally cross-checks host against simulate on every SpMV step
-/// inside each worker session.
+/// Simulate and Host services both answer the query mix
+/// bit-identically to the reference.
 #[test]
-fn served_answers_match_dedicated_engines_on_every_backend() {
+fn served_answers_match_the_reference_on_every_backend() {
     let adj = adjacency();
     let want = ground_truth(&adj);
-    for backend in [
-        ExecBackend::Simulate,
-        ExecBackend::Host,
-        ExecBackend::Differential,
-    ] {
+    for backend in [ExecBackend::Simulate, ExecBackend::Host] {
         let got = service_answers(&adj, backend);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -212,7 +199,7 @@ fn cached_answers_are_bit_identical_and_epoch_scoped() {
             workers: 2,
             batch: 4,
             queue_cap: 256,
-            backend: ExecBackend::Differential,
+            backend: ExecBackend::Simulate,
         },
     );
 

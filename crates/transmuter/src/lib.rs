@@ -60,7 +60,7 @@ pub use cache::{CacheBank, ProbeResult};
 pub use config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use hbm::Hbm;
-pub use machine::{host_cpus, Machine, SimError, StreamSet};
+pub use machine::{Machine, SimError, StreamSet};
 pub use memsys::MemorySystem;
 pub use op::{Addr, Op, OpStream, StreamBuilder};
 pub use program::{Program, ProgramBuilder};

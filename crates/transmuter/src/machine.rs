@@ -18,7 +18,6 @@ use crate::verify::{self, Diagnostic, ProgramSet, RegionMap};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Errors surfaced by a simulation run.
 #[derive(Debug, Clone)]
@@ -377,14 +376,6 @@ impl Sched {
             }
         }
     }
-}
-
-/// The host's available parallelism (1 when it cannot be determined),
-/// resolved once per process: the query is a system call, and the host
-/// backend and the serving layer size their worker pools from it.
-pub fn host_cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// One recorded steady-state [`Machine::run_program`] execution.
