@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the transmuter simulator itself:
-//! event-loop throughput, memory-system resolution cost, end-to-end
-//! small SpMV invocations under both dataflows, and the build and run
-//! of traversal-sized kernel programs. Useful for tracking regressions
-//! in the simulator's host performance (simulated cycles per host
-//! second).
+//! build-and-run throughput of synthetic programs, reconfiguration
+//! cost, end-to-end small SpMV invocations under both dataflows, and
+//! the build and run of traversal-sized kernel programs. Useful for
+//! tracking regressions in the simulator's host performance (simulated
+//! cycles per host second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,64 +15,65 @@ use cosparse::{Layout, OpProfile, SwConfig};
 use sparse::generate::SuiteGraph;
 use sparse::partition::VBlocks;
 use sparse::{CscMatrix, Idx};
-use transmuter::{Geometry, HwConfig, Machine, MicroArch, Op, ProgramBuilder, StreamSet};
+use transmuter::{Geometry, HwConfig, Machine, MicroArch, ProgramBuilder};
 
 fn bench_event_loop(c: &mut Criterion) {
     let g = Geometry::new(4, 8);
+    let ua = MicroArch::paper();
     let mut group = c.benchmark_group("event-loop");
     group.sample_size(20);
 
-    // Op streams run on `Machine::run`, one event-loop step per op. A
-    // compiled program folds such bursts 256 to a micro-op (about 1.3k
-    // interpreter steps for all 320k); the `pokec64-programs` group
-    // below times that path on real kernels.
+    // Each iteration emits 32 PE streams through one reused builder and
+    // runs the program on a fresh machine, the path every session
+    // takes. Compute bursts fold 256 to a micro-op, so the 320k-op
+    // compute row is about 1.3k interpreter steps and mostly times the
+    // build; the `pokec64-programs` group below splits build from run
+    // on real kernels.
+    let mut builder = ProgramBuilder::new();
+    let mut run = |emit: &dyn Fn(usize, &mut ProgramBuilder)| {
+        builder.begin(g, HwConfig::Sc, &ua);
+        for t in 0..4 {
+            for pe in 0..8 {
+                builder.begin_pe(t, pe);
+                emit(t * 8 + pe, &mut builder);
+            }
+        }
+        let mut m = Machine::new(g, ua.clone());
+        m.run_program(builder.finish()).unwrap()
+    };
+
     group.bench_function("compute_only_320k_ops", |b| {
         b.iter(|| {
-            let mut m = Machine::new(g, MicroArch::paper());
-            let mut s = StreamSet::new(g);
-            for t in 0..4 {
-                for pe in 0..8 {
-                    s.set_pe(t, pe, (0..10_000).map(|_| Op::Compute(1)));
+            black_box(run(&|_, s| {
+                for _ in 0..10_000 {
+                    s.compute(1);
                 }
-            }
-            black_box(m.run(s).unwrap())
+            }))
         })
     });
 
     group.bench_function("sequential_loads_160k", |b| {
         b.iter(|| {
-            let mut m = Machine::new(g, MicroArch::paper());
-            let mut s = StreamSet::new(g);
-            for t in 0..4 {
-                for pe in 0..8 {
-                    let base = (t * 8 + pe) as u64 * 0x10_0000;
-                    s.set_pe(t, pe, (0..5_000u64).map(move |i| Op::Load(base + i * 4)));
+            black_box(run(&|w, s| {
+                let base = w as u64 * 0x10_0000;
+                for i in 0..5_000u64 {
+                    s.load(base + i * 4);
                 }
-            }
-            black_box(m.run(s).unwrap())
+            }))
         })
     });
 
     group.bench_function("random_loads_160k", |b| {
         b.iter(|| {
-            let mut m = Machine::new(g, MicroArch::paper());
-            let mut s = StreamSet::new(g);
-            for t in 0..4 {
-                for pe in 0..8 {
-                    let mut z = (t * 8 + pe) as u64 + 1;
-                    s.set_pe(
-                        t,
-                        pe,
-                        (0..5_000u64).map(move |_| {
-                            z ^= z << 13;
-                            z ^= z >> 7;
-                            z ^= z << 17;
-                            Op::Load((z % 0x100_0000) & !3)
-                        }),
-                    );
+            black_box(run(&|w, s| {
+                let mut z = w as u64 + 1;
+                for _ in 0..5_000u64 {
+                    z ^= z << 13;
+                    z ^= z >> 7;
+                    z ^= z << 17;
+                    s.load((z % 0x100_0000) & !3);
                 }
-            }
-            black_box(m.run(s).unwrap())
+            }))
         })
     });
     group.finish();

@@ -89,16 +89,15 @@ pub fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::OpBufSink;
-    use transmuter::{Machine, MicroArch};
+    use transmuter::{Machine, MicroArch, ProgramSet};
 
     fn run(dim: usize, nnz: usize, dir: Direction) -> transmuter::SimReport {
         let g = Geometry::new(2, 4);
         let l = Layout::new(dim, dim, dim, g, 1);
-        let mut sink = OpBufSink::new(g);
+        let mut sink = ProgramSet::new(g);
         build(&l, g, dim, nnz, dir, OpProfile::scalar(), &mut sink);
         let mut m = Machine::new(g, MicroArch::paper());
-        m.run(sink.into_stream_set()).unwrap()
+        m.run(&sink).unwrap()
     }
 
     #[test]

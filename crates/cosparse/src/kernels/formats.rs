@@ -286,10 +286,9 @@ pub fn build_bcsr(
 mod tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
-    use crate::kernels::OpBufSink;
     use crate::layout::Layout;
     use sparse::CooMatrix;
-    use transmuter::{HwConfig, Machine, MicroArch};
+    use transmuter::{HwConfig, Machine, MicroArch, ProgramSet};
 
     /// A tall banded matrix: every row holds one dense 24-column run,
     /// so bitmap segments are nearly full and 4x4 blocks are dense.
@@ -326,9 +325,9 @@ mod tests {
                     active: None,
                     profile: OpProfile::scalar(),
                 };
-                let mut sink = OpBufSink::new(g);
+                let mut sink = ProgramSet::new(g);
                 build_bitmap(&m, g, params, &mut sink);
-                machine.run(sink.into_stream_set()).unwrap()
+                machine.run(&sink).unwrap()
             }
             sparse::FormatKind::Bcsr => {
                 let m = BcsrMatrix::from(coo);
@@ -346,9 +345,9 @@ mod tests {
                     active: None,
                     profile: OpProfile::scalar(),
                 };
-                let mut sink = OpBufSink::new(g);
+                let mut sink = ProgramSet::new(g);
                 build_bcsr(&m, g, params, &mut sink);
-                machine.run(sink.into_stream_set()).unwrap()
+                machine.run(&sink).unwrap()
             }
             _ => unreachable!("test only drives the format kernels"),
         }
@@ -371,9 +370,9 @@ mod tests {
             active: None,
             profile: OpProfile::scalar(),
         };
-        let mut sink = OpBufSink::new(g);
+        let mut sink = ProgramSet::new(g);
         ip::build(coo, g, params, &mut sink);
-        machine.run(sink.into_stream_set()).unwrap()
+        machine.run(&sink).unwrap()
     }
 
     #[test]
@@ -433,9 +432,9 @@ mod tests {
                 active,
                 profile: OpProfile::scalar(),
             };
-            let mut sink = OpBufSink::new(g);
+            let mut sink = ProgramSet::new(g);
             build_bitmap(&m, g, params, &mut sink);
-            machine.run(sink.into_stream_set()).unwrap()
+            machine.run(&sink).unwrap()
         };
         let dense = run(None);
         let none = vec![false; 256];

@@ -264,14 +264,13 @@ pub fn op_count_estimate(nnz: usize, profile: &OpProfile) -> usize {
 mod tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
-    use crate::kernels::OpBufSink;
-    use transmuter::{HwConfig, Machine, MicroArch, StreamSet};
+    use transmuter::{HwConfig, Machine, MicroArch, ProgramSet};
 
     /// The kernel as op streams for the machine's event loop.
-    fn streams(m: &CooMatrix, g: Geometry, params: IpParams<'_>) -> StreamSet<'static> {
-        let mut sink = OpBufSink::new(g);
+    fn streams(m: &CooMatrix, g: Geometry, params: IpParams<'_>) -> ProgramSet {
+        let mut sink = ProgramSet::new(g);
         build(m, g, params, &mut sink);
-        sink.into_stream_set()
+        sink
     }
 
     fn setup(n: usize, nnz: usize) -> (CooMatrix, Layout, Geometry) {
@@ -300,7 +299,7 @@ mod tests {
             active: None,
             profile: OpProfile::scalar(),
         };
-        machine.run(streams(m, g, params)).unwrap()
+        machine.run(&streams(m, g, params)).unwrap()
     }
 
     #[test]
@@ -369,7 +368,7 @@ mod tests {
         let mut machine = Machine::new(g, MicroArch::paper());
         let wide_layout = Layout::new(256, 256, 2000, g, 4);
         let scalar = machine
-            .run(streams(
+            .run(&streams(
                 &m,
                 g,
                 IpParams {
@@ -388,7 +387,7 @@ mod tests {
             vector_op_compute: 0,
         };
         let wide = machine
-            .run(streams(
+            .run(&streams(
                 &m,
                 g,
                 IpParams {
@@ -414,12 +413,10 @@ mod tests {
 mod bucket_tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
-    use crate::kernels::OpBufSink;
-    use transmuter::Op;
+    use transmuter::{Op, ProgramSet};
 
     /// One sink's PE buffers, indexed by global PE id.
-    fn pe_ops(sink: OpBufSink, g: Geometry) -> Vec<Vec<Op>> {
-        let set = transmuter::verify::ProgramSet::materialize(sink.into_stream_set());
+    fn pe_ops(set: ProgramSet, g: Geometry) -> Vec<Vec<Op>> {
         (0..g.total_pes())
             .map(|w| set.worker(w).expect("every PE is begun").to_vec())
             .collect()
@@ -522,7 +519,7 @@ mod bucket_tests {
                 profile: OpProfile::scalar(),
             },
             &mut scratch,
-            &mut OpBufSink::new(g),
+            &mut ProgramSet::new(g),
         );
         for active in [None, Some(&mask[..])] {
             let params = IpParams {
@@ -533,11 +530,11 @@ mod bucket_tests {
                 active,
                 profile,
             };
-            let mut got = OpBufSink::new(g);
+            let mut got = ProgramSet::new(g);
             build_with(&m, g, params, &mut scratch, &mut got);
             let got = pe_ops(got, g);
             assert_eq!(got, reference(&m, g, params), "mask {}", active.is_some());
-            let mut fresh = OpBufSink::new(g);
+            let mut fresh = ProgramSet::new(g);
             build(&m, g, params, &mut fresh);
             assert_eq!(got, pe_ops(fresh, g), "fresh scratch disagrees");
         }
@@ -548,9 +545,8 @@ mod bucket_tests {
 mod mask_tests {
     use super::*;
     use crate::balance::{ip_partitions, Balancing};
-    use crate::kernels::OpBufSink;
     use sparse::partition::VBlocks;
-    use transmuter::{HwConfig, Machine, MicroArch};
+    use transmuter::{HwConfig, Machine, MicroArch, ProgramSet};
 
     /// §IV-C.1: zero vector elements skip the MAC and output accesses,
     /// so a sparser active mask must strictly reduce IP's work.
@@ -573,9 +569,9 @@ mod mask_tests {
                 active,
                 profile: OpProfile::scalar(),
             };
-            let mut sink = OpBufSink::new(g);
+            let mut sink = ProgramSet::new(g);
             build(&m, g, params, &mut sink);
-            machine.run(sink.into_stream_set()).unwrap()
+            machine.run(&sink).unwrap()
         };
         let dense = run(None);
         let mask = vec![false; n]; // nothing active

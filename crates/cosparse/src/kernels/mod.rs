@@ -15,17 +15,17 @@
 //! append and — in a checked build — also checks addresses against the
 //! layout and derives the build's data races, so the
 //! [`transmuter::Program`] that runs is the one that is verified. Tests
-//! and diagnostics plug in [`OpBufSink`] instead and get per-worker
-//! [`transmuter::Op`] buffers for the machine's event loop and its
-//! tracer. Both come out of the same emitter body, so they cannot
-//! drift.
+//! and diagnostics plug in a [`ProgramSet`] instead and get per-worker
+//! [`transmuter::Op`] buffers for the op-stream reference
+//! ([`transmuter::Machine::run`]) and its tracer. Both come out of the
+//! same emitter body, so they cannot drift.
 
 pub mod convert;
 pub mod formats;
 pub mod ip;
 pub mod op;
 
-use transmuter::{Addr, Geometry, Op, ProgramBuilder, StreamSet};
+use transmuter::{Addr, Op, ProgramBuilder, ProgramSet};
 
 /// Emission target of the kernel compilers.
 ///
@@ -104,96 +104,51 @@ impl KernelSink for ProgramBuilder {
     }
 }
 
-/// Test and diagnostic sink: collects per-worker [`Op`] buffers, the
-/// input of the machine's event loop ([`transmuter::Machine::run`]) and
-/// its tracer, which the differential suites and the Figure 3
-/// walkthrough compare the program core against.
+/// Test and diagnostic sink: per-worker [`Op`] buffers, the input of
+/// the op-stream reference ([`transmuter::Machine::run`]) and its
+/// tracer, which the differential suites and the Figure 3 walkthrough
+/// compare the program path against.
 ///
 /// Only workers a kernel begins get a stream: an absent worker takes no
 /// part in barriers, while an empty LCP stream would change the
 /// barrier counts.
-#[derive(Debug)]
-pub struct OpBufSink {
-    geom: Geometry,
-    bufs: Vec<Option<Vec<Op>>>,
-    cur: usize,
-}
-
-impl OpBufSink {
-    /// An empty sink for `geom`.
-    pub fn new(geom: Geometry) -> Self {
-        OpBufSink {
-            geom,
-            bufs: vec![None; geom.total_workers()],
-            cur: usize::MAX,
-        }
-    }
-
-    /// Starts (or restarts) worker `w`'s buffer.
-    fn begin(&mut self, w: usize) {
-        self.cur = w;
-        self.bufs[w].get_or_insert_with(Vec::new).clear();
-    }
-
-    /// The open worker's buffer.
-    #[inline]
-    fn buf(&mut self) -> &mut Vec<Op> {
-        self.bufs[self.cur].as_mut().expect("no worker stream open")
-    }
-
-    /// Packs the buffers into an owned, runnable [`StreamSet`]; workers
-    /// never begun stay absent.
-    pub fn into_stream_set(self) -> StreamSet<'static> {
-        let geom = self.geom;
-        let mut set = StreamSet::new(geom);
-        for (w, ops) in self.bufs.into_iter().enumerate() {
-            let Some(ops) = ops else { continue };
-            match geom.locate(w) {
-                (tile, Some(pe)) => set.set_pe(tile, pe, ops.into_iter()),
-                (tile, None) => set.set_lcp(tile, ops.into_iter()),
-            }
-        }
-        set
-    }
-}
-
-impl KernelSink for OpBufSink {
+impl KernelSink for ProgramSet {
     fn begin_pe(&mut self, tile: usize, pe: usize) {
-        self.begin(self.geom.pe_id(tile, pe));
+        self.set_pe(tile, pe, []);
     }
     fn begin_lcp(&mut self, tile: usize) {
-        self.begin(self.geom.lcp_id(tile));
+        self.set_lcp(tile, []);
     }
     /// The hint counts micro-ops for the whole program, which says
     /// nothing about one worker's op buffer: ignored.
     fn reserve(&mut self, _additional: usize) {}
     #[inline]
     fn compute(&mut self, cycles: u32) {
-        self.buf().push(Op::Compute(cycles));
+        self.push(Op::Compute(cycles));
     }
     #[inline]
     fn load(&mut self, addr: Addr) {
-        self.buf().push(Op::Load(addr));
+        self.push(Op::Load(addr));
     }
     #[inline]
     fn store(&mut self, addr: Addr) {
-        self.buf().push(Op::Store(addr));
+        self.push(Op::Store(addr));
     }
     #[inline]
     fn spm_load(&mut self, offset: u32) {
-        self.buf().push(Op::SpmLoad(offset));
+        self.push(Op::SpmLoad(offset));
     }
     #[inline]
     fn spm_store(&mut self, offset: u32) {
-        self.buf().push(Op::SpmStore(offset));
+        self.push(Op::SpmStore(offset));
     }
     #[inline]
     fn tile_barrier(&mut self) {
-        self.buf().push(Op::TileBarrier);
+        self.push(Op::TileBarrier);
     }
     #[inline]
     fn global_barrier(&mut self) {
-        self.buf().push(Op::GlobalBarrier);
+        self.push(Op::GlobalBarrier);
     }
 }
 
@@ -223,13 +178,13 @@ pub(crate) fn heap_sift<K: KernelSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use transmuter::Geometry;
 
-    fn sift_into(len: usize, mut node_ops: impl FnMut(usize, &mut OpBufSink)) -> Vec<Op> {
-        let mut sink = OpBufSink::new(Geometry::new(1, 1));
+    fn sift_into(len: usize, mut node_ops: impl FnMut(usize, &mut ProgramSet)) -> Vec<Op> {
+        let mut sink = ProgramSet::new(Geometry::new(1, 1));
         sink.begin_pe(0, 0);
         heap_sift(len, &mut sink, &mut node_ops);
-        let set = transmuter::verify::ProgramSet::materialize(sink.into_stream_set());
-        set.worker(0).expect("PE 0 was begun").to_vec()
+        sink.worker(0).expect("PE 0 was begun").to_vec()
     }
 
     #[test]

@@ -264,14 +264,13 @@ fn micro_op_bound(
 mod tests {
     use super::*;
     use crate::balance::{op_tile_partitions, Balancing};
-    use crate::kernels::OpBufSink;
-    use transmuter::{HwConfig, Machine, MicroArch, StreamSet};
+    use transmuter::{HwConfig, Machine, MicroArch, ProgramSet};
 
     /// The kernel as op streams for the machine's event loop.
-    fn streams(csc: &CscMatrix, g: Geometry, params: OpParams<'_>) -> StreamSet<'static> {
-        let mut sink = OpBufSink::new(g);
+    fn streams(csc: &CscMatrix, g: Geometry, params: OpParams<'_>) -> ProgramSet {
+        let mut sink = ProgramSet::new(g);
         build(csc, g, params, &subruns(csc, params.tile_parts), &mut sink);
-        sink.into_stream_set()
+        sink
     }
 
     fn setup(n: usize, nnz: usize) -> (CscMatrix, Layout, Geometry) {
@@ -317,7 +316,7 @@ mod tests {
             spm_node_cap: 512,
             profile: OpProfile::scalar(),
         };
-        machine.run(streams(csc, g, params)).unwrap()
+        machine.run(&streams(csc, g, params)).unwrap()
     }
 
     #[test]
@@ -387,12 +386,12 @@ mod tests {
             spm_node_cap: 2,
             profile: OpProfile::scalar(),
         };
-        let r_tiny = machine.run(streams(&csc, g, tiny)).unwrap();
+        let r_tiny = machine.run(&streams(&csc, g, tiny)).unwrap();
         let roomy = OpParams {
             spm_node_cap: 4096,
             ..tiny
         };
-        let r_roomy = machine.run(streams(&csc, g, roomy)).unwrap();
+        let r_roomy = machine.run(&streams(&csc, g, roomy)).unwrap();
         assert!(r_tiny.stats.loads > r_roomy.stats.loads);
         assert!(r_tiny.stats.spm_accesses < r_roomy.stats.spm_accesses);
     }

@@ -757,9 +757,7 @@ impl CoSparse {
     /// Under [`ExecBackend::Host`] there is no access pattern to time:
     /// the call returns a zero-cost host report without touching the
     /// machine (callers that drive their own functional math — the BC
-    /// engine — stay fast in host mode). The differential backend
-    /// simulates normally: a timing-only call has no functional result
-    /// to cross-check.
+    /// engine — stay fast in host mode).
     ///
     /// # Errors
     ///

@@ -41,9 +41,8 @@ impl VerifyReport {
 
     /// Folds in one run of the checked program `prog`.
     pub(crate) fn record(&mut self, prog: &Program) {
-        let diagnostics = prog.lint_diagnostics().unwrap_or_default();
         self.warnings.extend(
-            diagnostics
+            prog.lint_diagnostics()
                 .iter()
                 .filter(|d| d.severity == Severity::Warning)
                 .cloned(),

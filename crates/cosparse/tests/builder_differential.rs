@@ -1,9 +1,9 @@
 //! Kernel-level differential suite for the single-pass pipeline: every
 //! SW x HW combination is emitted twice from the same kernel `build` —
-//! once into an [`OpBufSink`] (per-worker op buffers, run through the
-//! machine's event loop) and once straight into a [`ProgramBuilder`]
-//! (run through the compiled-program core) — and the two executions
-//! must agree bit for bit on cycles and traffic statistics.
+//! once into a [`ProgramSet`] (per-worker op buffers, run through the
+//! machine's op-stream reference loop) and once straight into a
+//! [`ProgramBuilder`] (run through the program core) — and the two
+//! executions must agree bit for bit on cycles and traffic statistics.
 //!
 //! One builder instance is reused across every combination, mirroring
 //! how a runtime session repurposes its builder between conversion and
@@ -11,11 +11,11 @@
 
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
 use cosparse::kernels::convert::{self, Direction};
-use cosparse::kernels::{ip, op, OpBufSink};
+use cosparse::kernels::{ip, op};
 use cosparse::{Layout, OpProfile};
 use sparse::partition::VBlocks;
 use sparse::{CooMatrix, CscMatrix, Idx};
-use transmuter::{Geometry, HwConfig, Machine, MicroArch, ProgramBuilder, SimReport};
+use transmuter::{Geometry, HwConfig, Machine, MicroArch, ProgramBuilder, ProgramSet, SimReport};
 
 const N: usize = 1024;
 const NNZ: usize = 15_000;
@@ -44,10 +44,10 @@ fn sparse_frontier() -> Vec<Idx> {
 
 /// Runs `build`'s op buffers through the event loop of a fresh machine
 /// configured for `hw`.
-fn event_loop(hw: HwConfig, build: impl FnOnce(&mut OpBufSink)) -> SimReport {
-    let mut sink = OpBufSink::new(geometry());
+fn event_loop(hw: HwConfig, build: impl FnOnce(&mut ProgramSet)) -> SimReport {
+    let mut sink = ProgramSet::new(geometry());
     build(&mut sink);
-    machine(hw).run(sink.into_stream_set()).unwrap()
+    machine(hw).run(&sink).unwrap()
 }
 
 /// Asserts the two pipeline outputs are indistinguishable.
@@ -91,7 +91,7 @@ fn ip_builder_matches_legacy_event_loop_on_all_hw() {
         builder.begin(g, hw, &ua);
         ip::build(&coo, g, params, &mut builder);
         let prog = builder.finish();
-        assert_eq!(prog.lint_clean(), Some(true), "IP/{hw}: kernel not clean");
+        assert!(prog.lint_clean(), "IP/{hw}: kernel not clean");
         let built = machine(hw).run_program(prog).unwrap();
 
         assert_identical(&format!("IP/{hw}"), legacy, built);
@@ -163,7 +163,7 @@ fn op_builder_matches_legacy_event_loop_on_all_hw() {
         builder.begin(g, hw, &ua);
         op::build(&csc, g, params, &sub, &mut builder);
         let prog = builder.finish();
-        assert_eq!(prog.lint_clean(), Some(true), "OP/{hw}: kernel not clean");
+        assert!(prog.lint_clean(), "OP/{hw}: kernel not clean");
         let built = machine(hw).run_program(prog).unwrap();
 
         assert_identical(&format!("OP/{hw}"), legacy, built);
@@ -194,11 +194,7 @@ fn conversion_builder_matches_legacy_event_loop() {
             &mut builder,
         );
         let prog = builder.finish();
-        assert_eq!(
-            prog.lint_clean(),
-            Some(true),
-            "convert/{dir:?}: kernel not clean"
-        );
+        assert!(prog.lint_clean(), "convert/{dir:?}: kernel not clean");
         let built = machine(HwConfig::Sc).run_program(prog).unwrap();
 
         assert_identical(&format!("convert/{dir:?}"), legacy, built);

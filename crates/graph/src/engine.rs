@@ -324,7 +324,7 @@ mod tests {
         let geometry = Geometry::new(1, 1);
         let mut machine = Machine::new(geometry, MicroArch::paper());
         let report: SimReport = machine
-            .run(transmuter::StreamSet::new(geometry))
+            .run(&transmuter::ProgramSet::new(geometry))
             .expect("empty run");
         IterationRecord {
             iteration,

@@ -1,4 +1,4 @@
-//! Static analyzer lints over compiled [`Program`]s.
+//! Static analyzer lints over built [`Program`]s.
 //!
 //! The Program IR resolves every access's cache line, bank route and
 //! SPM offset at build time, which is exactly what a dependence
@@ -98,9 +98,7 @@ pub(crate) fn acc_of(op: &MicroOp, worker: u32, tile: u16, epoch: u32, pc: u32) 
         PrivStore | DirPeStore | DirLcpStore => (true, op.a),
         SpmShared => (op.a != 0, TAG_SPM_SHARED | ((tile as u64) << 32) | op.b),
         SpmPrivate => (op.a != 0, TAG_SPM_PRIV | ((worker as u64) << 32) | op.b),
-        Compute | TileBarrier | GlobalBarrier | PoisonSpm | PoisonLcpSpm | PoisonLcpBar => {
-            return None
-        }
+        Compute | TileBarrier | GlobalBarrier | Poison => return None,
     };
     Some(Acc {
         key,
@@ -375,7 +373,7 @@ pub(crate) fn derive(ctx: &Ctx, arena: &mut [Acc]) -> Analysis {
     }
 }
 
-/// Post-hoc entry point: reconstructs the access arena from a compiled
+/// Post-hoc entry point: reconstructs the access arena from a built
 /// program's micro-ops and derives the same [`Analysis`] a checked
 /// [`ProgramBuilder`](crate::ProgramBuilder) build attaches. This is
 /// the differential oracle the `analyze_props` suite compares against,
@@ -408,9 +406,7 @@ pub fn analyze(prog: &Program) -> Analysis {
                     segs.push(0);
                     epoch += 1;
                 }
-                MicroKind::PoisonSpm | MicroKind::PoisonLcpSpm | MicroKind::PoisonLcpBar => {
-                    poisoned = true
-                }
+                MicroKind::Poison => poisoned = true,
                 _ => {
                     if let Some(acc) = acc_of(op, w as u32, tile as u16, epoch, at) {
                         arena.push(acc);

@@ -10,34 +10,45 @@
 //! [`HwConfig::Scs`], [`HwConfig::Pc`] and [`HwConfig::Ps`]. Runtime
 //! reconfiguration costs ≤10 cycles plus a dirty-line drain.
 //!
-//! Simulation is trace-driven: kernels compile workloads into per-worker
-//! [`Op`] streams (addresses and cycle counts, never data — see
-//! DESIGN.md §2), and [`Machine::run`] walks them through the memory
+//! Simulation is trace-driven: kernels emit per-worker [`Op`] streams
+//! (addresses and cycle counts, never data — see DESIGN.md §2) into a
+//! [`ProgramBuilder`], which lowers and lints them into a [`Program`];
+//! [`Machine::run_program`] walks that program through the memory
 //! system, reporting cycles, event statistics and energy.
 //!
 //! # Example
 //!
 //! ```
-//! use transmuter::{Geometry, HwConfig, Machine, MicroArch, StreamBuilder, StreamSet};
+//! use transmuter::{Geometry, HwConfig, Machine, MicroArch, ProgramBuilder};
 //!
 //! # fn main() -> Result<(), transmuter::SimError> {
 //! let mut machine = Machine::new(Geometry::new(2, 4), MicroArch::paper());
 //! machine.reconfigure(HwConfig::Scs);
 //!
-//! let mut streams = StreamSet::new(machine.geometry());
+//! let mut builder = ProgramBuilder::new();
+//! builder.begin(machine.geometry(), machine.config(), machine.uarch());
 //! for tile in 0..2 {
 //!     for pe in 0..4 {
-//!         let mut p = StreamBuilder::new();
-//!         p.load(0x1000 + pe as u64 * 64).compute(3).spm_load(0);
-//!         streams.set_pe(tile, pe, p.into_stream());
+//!         builder.begin_pe(tile, pe);
+//!         builder.load(0x1000 + pe as u64 * 64);
+//!         builder.compute(3);
+//!         builder.spm_load(0);
 //!     }
 //! }
-//! let report = machine.run(streams)?;
+//! let program = builder.finish();
+//! assert!(program.lint_clean());
+//! let report = machine.run_program(program)?;
 //! assert!(report.cycles > 0);
 //! println!("{} cycles, {:.3e} J", report.cycles, report.joules());
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! The op-stream reference is [`Machine::run`] over a [`ProgramSet`]:
+//! every worker's ops in a plain buffer, one event-loop step per op,
+//! with no lint on the way. It is the oracle the program path is tested
+//! against, and the path that records traces ([`Machine::set_trace`])
+//! for [`detect_races`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -60,9 +71,9 @@ pub use cache::{CacheBank, ProbeResult};
 pub use config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use hbm::Hbm;
-pub use machine::{Machine, SimError, StreamSet};
+pub use machine::{Machine, SimError};
 pub use memsys::MemorySystem;
-pub use op::{Addr, Op, OpStream, StreamBuilder};
+pub use op::{Addr, Op, StreamBuilder};
 pub use program::{Program, ProgramBuilder};
 pub use stats::{EpochStats, MemoStats, SimReport, SimStats};
 pub use trace::{TraceCapture, TraceConfig, TraceEvent};

@@ -10,7 +10,7 @@ use crate::cache::CacheBank;
 use crate::config::{Geometry, HwConfig, MicroArch};
 use crate::energy::EnergyModel;
 use crate::memsys::{MemSnapshot, MemorySystem};
-use crate::op::{Op, OpStream};
+use crate::op::Op;
 use crate::program::{exec_span, Program};
 use crate::stats::{MemoStats, SimReport, SimStats};
 use crate::trace::{TraceCapture, TraceConfig, TraceEvent, Tracer};
@@ -41,27 +41,28 @@ pub enum SimError {
         /// Workers left blocked.
         blocked: Vec<usize>,
     },
-    /// The stream set was built for a different geometry.
+    /// The program set or program was built for a different geometry.
     GeometryMismatch {
         /// Geometry of the machine.
         machine: Geometry,
-        /// Geometry of the stream set.
+        /// Geometry the streams were built for.
         streams: Geometry,
     },
-    /// [`Machine::run_verified`] rejected the stream set before running
-    /// it: the linter found error-severity diagnostics.
+    /// The streams were rejected before running: the lint verdict
+    /// ([`Machine::run_verified`]'s, or the one every [`Program`]
+    /// carries) has error-severity diagnostics.
     Rejected {
         /// Every finding (warnings included); at least one has
         /// [`verify::Severity::Error`].
         diagnostics: Vec<Diagnostic>,
     },
-    /// [`Machine::run_program`] was given a program compiled for a
+    /// [`Machine::run_program`] was given a program built for a
     /// different hardware configuration or microarchitecture than the
     /// machine's current one.
     ProgramMismatch {
         /// The machine's active configuration.
         machine: HwConfig,
-        /// The configuration the program was compiled for.
+        /// The configuration the program was built for.
         program: HwConfig,
     },
 }
@@ -82,14 +83,14 @@ impl fmt::Display for SimError {
                 write!(f, "run ended with workers {blocked:?} blocked at a barrier")
             }
             SimError::GeometryMismatch { machine, streams } => {
-                write!(f, "stream set built for {streams} but machine is {machine}")
+                write!(f, "streams built for {streams} but machine is {machine}")
             }
             SimError::Rejected { diagnostics } => {
                 let errors = diagnostics
                     .iter()
                     .filter(|d| d.severity == verify::Severity::Error)
                     .count();
-                write!(f, "stream set rejected by the verifier ({errors} error(s))")?;
+                write!(f, "streams rejected by the verifier ({errors} error(s))")?;
                 if let Some(first) = diagnostics
                     .iter()
                     .find(|d| d.severity == verify::Severity::Error)
@@ -101,7 +102,7 @@ impl fmt::Display for SimError {
             SimError::ProgramMismatch { machine, program } => {
                 write!(
                     f,
-                    "program compiled for {program} but machine is configured as {machine} \
+                    "program built for {program} but machine is configured as {machine} \
                      (or for a different microarchitecture)"
                 )
             }
@@ -110,135 +111,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// One worker's op source.
-///
-/// Kernels that generate ops lazily use the boxed dynamic form; kernels
-/// that replay a pre-compiled op buffer use the slice form, which the
-/// event loop iterates without a virtual call per op (the dominant
-/// per-op cost for compiled streams).
-pub(crate) enum WorkerStream<'a> {
-    Boxed(Box<dyn OpStream + 'a>),
-    Slice(std::slice::Iter<'a, Op>),
-}
-
-impl Iterator for WorkerStream<'_> {
-    type Item = Op;
-
-    #[inline]
-    fn next(&mut self) -> Option<Op> {
-        match self {
-            WorkerStream::Boxed(b) => b.next(),
-            WorkerStream::Slice(it) => it.next().copied(),
-        }
-    }
-}
-
-/// Per-worker op streams for one kernel invocation.
-///
-/// Workers without a stream stay idle. Streams may borrow the workload
-/// (`'a`) — kernels generate ops lazily from matrix storage, or replay
-/// pre-compiled `&[Op]` buffers via [`StreamSet::set_pe_ops`].
-pub struct StreamSet<'a> {
-    geom: Geometry,
-    streams: Vec<Option<WorkerStream<'a>>>,
-}
-
-impl fmt::Debug for StreamSet<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamSet")
-            .field("geometry", &self.geom)
-            .field(
-                "active",
-                &self.streams.iter().filter(|s| s.is_some()).count(),
-            )
-            .finish()
-    }
-}
-
-impl<'a> StreamSet<'a> {
-    /// Creates an empty stream set for `geom`.
-    pub fn new(geom: Geometry) -> Self {
-        let mut streams = Vec::with_capacity(geom.total_workers());
-        streams.resize_with(geom.total_workers(), || None);
-        StreamSet { geom, streams }
-    }
-
-    /// Assigns PE `(tile, pe)`'s stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn set_pe(&mut self, tile: usize, pe: usize, stream: impl OpStream + 'a) {
-        let id = self.geom.pe_id(tile, pe);
-        self.streams[id] = Some(WorkerStream::Boxed(Box::new(stream)));
-    }
-
-    /// Assigns PE `(tile, pe)`'s stream from a pre-compiled op buffer.
-    ///
-    /// Replaying a buffer avoids both the per-op virtual dispatch of the
-    /// boxed form and regenerating the ops — the hot path for iterative
-    /// algorithms whose kernel streams are cached across invocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn set_pe_ops(&mut self, tile: usize, pe: usize, ops: &'a [Op]) {
-        let id = self.geom.pe_id(tile, pe);
-        self.streams[id] = Some(WorkerStream::Slice(ops.iter()));
-    }
-
-    /// Assigns tile `tile`'s LCP stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range.
-    pub fn set_lcp(&mut self, tile: usize, stream: impl OpStream + 'a) {
-        let id = self.geom.lcp_id(tile);
-        self.streams[id] = Some(WorkerStream::Boxed(Box::new(stream)));
-    }
-
-    /// Assigns tile `tile`'s LCP stream from a pre-compiled op buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range.
-    pub fn set_lcp_ops(&mut self, tile: usize, ops: &'a [Op]) {
-        let id = self.geom.lcp_id(tile);
-        self.streams[id] = Some(WorkerStream::Slice(ops.iter()));
-    }
-
-    /// Number of workers with assigned streams.
-    pub fn active(&self) -> usize {
-        self.streams.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Geometry this set was built for.
-    pub fn geometry(&self) -> Geometry {
-        self.geom
-    }
-
-    /// Rebuilds a set from per-worker streams (indexed by global worker
-    /// id). Used by [`verify::ProgramSet`] to turn analysed buffers back
-    /// into something runnable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams.len() != geom.total_workers()`.
-    pub(crate) fn from_streams(geom: Geometry, streams: Vec<Option<WorkerStream<'a>>>) -> Self {
-        assert_eq!(
-            streams.len(),
-            geom.total_workers(),
-            "stream vector length mismatch"
-        );
-        StreamSet { geom, streams }
-    }
-
-    /// Consumes the set into its per-worker streams.
-    pub(crate) fn into_streams(self) -> Vec<Option<WorkerStream<'a>>> {
-        self.streams
-    }
-}
 
 #[derive(Debug, Default)]
 pub(crate) struct BarrierState {
@@ -415,7 +287,7 @@ struct SteadyState {
 const STEADY_ENTRIES: usize = 16;
 
 /// How many distinct recent program ids the machine remembers to tell
-/// long-lived artifacts apart from per-call scratch recompiles.
+/// long-lived artifacts apart from per-call scratch builds.
 const RECENT_IDS: usize = 32;
 
 /// The simulated Transmuter-like machine.
@@ -431,9 +303,9 @@ pub struct Machine {
     steady_hits: u64,
     steady_misses: u64,
     /// Program ids of recent [`Machine::run_program`] calls, most recent
-    /// last. An id that recurs marks a long-lived compiled artifact
+    /// last. An id that recurs marks a long-lived cached artifact
     /// (iterated kernels re-run the same cached `Program`); scratch
-    /// programs are recompiled per call with a fresh id and never recur,
+    /// programs are rebuilt per call with a fresh id and never recur,
     /// so they skip the memo's snapshot cost entirely.
     recent_ids: Vec<u64>,
 }
@@ -452,12 +324,6 @@ impl Machine {
             steady_misses: 0,
             recent_ids: Vec::new(),
         }
-    }
-
-    /// Number of [`Machine::run_program`] invocations served from the
-    /// steady-state memo instead of being re-simulated.
-    pub fn steady_hits(&self) -> u64 {
-        self.steady_hits
     }
 
     /// Steady-state memo hit/miss counters (a miss is a memo-eligible
@@ -522,8 +388,10 @@ impl Machine {
 
     /// Runtime-reconfigures the memory system (LCP-triggered in the real
     /// machine, ≤10-cycle switch plus dirty-line drain). The cost is
-    /// carried into the next [`Machine::run`]'s report. Returns the
-    /// cycle cost (0 when the configuration is unchanged).
+    /// carried into the report of whichever run comes next
+    /// ([`Machine::run_program`], [`Machine::run`] or
+    /// [`Machine::run_verified`]). Returns the cycle cost (0 when the
+    /// configuration is unchanged).
     pub fn reconfigure(&mut self, hw: HwConfig) -> u64 {
         let before = self.mem.stats;
         let cost = self.mem.reconfigure(hw);
@@ -535,26 +403,32 @@ impl Machine {
         cost
     }
 
-    /// Runs one kernel invocation: executes every stream to completion
-    /// and reports cycles, stats and energy (including any pending
-    /// reconfiguration cost).
+    /// The op-stream reference: executes every worker's ops in
+    /// `programs` to completion, one event-loop step per op, and reports
+    /// cycles, stats and energy (including any pending reconfiguration
+    /// cost). Unlike [`Machine::run_program`] it lints nothing first and
+    /// records a trace when tracing is on (see [`Machine::set_trace`]).
+    /// Tests and the trace walkthrough compare the program path
+    /// against it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for geometry mismatches, SPM ops without SPM,
     /// LCP tile barriers, or barrier deadlocks.
-    pub fn run(&mut self, streams: StreamSet<'_>) -> Result<SimReport, SimError> {
+    pub fn run(&mut self, programs: &ProgramSet) -> Result<SimReport, SimError> {
         let geom = self.geometry();
-        if streams.geometry() != geom {
+        if programs.geometry() != geom {
             return Err(SimError::GeometryMismatch {
                 machine: geom,
-                streams: streams.geometry(),
+                streams: programs.geometry(),
             });
         }
         self.mem.begin_run();
 
         let start = self.carry_cycles;
-        let mut streams = streams.streams;
+        let mut streams: Vec<Option<std::slice::Iter<'_, Op>>> = (0..geom.total_workers())
+            .map(|w| programs.worker(w).map(<[Op]>::iter))
+            .collect();
         let mut sched = Sched::new(geom.total_workers(), start);
         let mut tile_barriers: Vec<BarrierState> = Vec::with_capacity(geom.tiles());
         let mut global_barrier = BarrierState::default();
@@ -585,7 +459,7 @@ impl Machine {
             // remains the earliest runnable event, avoiding a
             // scheduler round trip and stream re-borrow per op.
             loop {
-                let Some(op) = stream.next() else {
+                let Some(&op) = stream.next() else {
                     last_done = last_done.max(cycle);
                     cur = sched.pop();
                     continue 'outer;
@@ -704,24 +578,29 @@ impl Machine {
         }
     }
 
-    /// Runs a compiled [`Program`]: the pre-decoded twin of
-    /// [`Machine::run`], with identical event-loop semantics and
-    /// bit-for-bit identical cycle counts and statistics, on one host
-    /// thread. A recurring program whose run would start from bank
-    /// state the machine recorded before is served from the
+    /// Runs a [`Program`] built by a [`crate::ProgramBuilder`]: the
+    /// pre-decoded twin of [`Machine::run`], with identical event-loop
+    /// semantics and bit-for-bit identical cycle counts and statistics,
+    /// on one host thread. A recurring program whose run would start
+    /// from bank state the machine recorded before is served from the
     /// steady-state memo instead (see [`Machine::memo_stats`]).
     ///
-    /// Unlike [`Machine::run`], this path never records traces (compile
-    /// once, replay many — callers wanting a trace use the stream-set
-    /// path).
+    /// Every program carries the builder's lint verdict; one with
+    /// error-severity findings is rejected before anything executes,
+    /// exactly as [`Machine::run_verified`] rejects its op streams.
+    ///
+    /// This path records no trace: build once, replay many. For a
+    /// trace, collect the same op streams in a [`ProgramSet`] and run
+    /// them on [`Machine::run`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::GeometryMismatch`] /
-    /// [`SimError::ProgramMismatch`] when the program was compiled for a
-    /// different machine, [`SimError::Rejected`] when an attached lint
-    /// verdict carries errors, and otherwise exactly the errors
-    /// [`Machine::run`] would produce for the same streams.
+    /// [`SimError::ProgramMismatch`] when the program was built for a
+    /// different machine and [`SimError::Rejected`] when its lint
+    /// verdict carries errors. A clean verdict means the run completes;
+    /// the deadlock check after the event loop
+    /// ([`SimError::BarrierDeadlock`]) stays as a defence.
     pub fn run_program(&mut self, prog: &Program) -> Result<SimReport, SimError> {
         let geom = self.geometry();
         if prog.geometry() != geom {
@@ -736,9 +615,9 @@ impl Machine {
                 program: prog.hw(),
             });
         }
-        if let Some(d) = prog.rejecting_diagnostics() {
+        if !prog.lint_clean() {
             return Err(SimError::Rejected {
-                diagnostics: d.to_vec(),
+                diagnostics: prog.lint_diagnostics().to_vec(),
             });
         }
         // Steady-state memo: with no pending reconfiguration carry the
@@ -748,7 +627,7 @@ impl Machine {
         // clean carry is recorded for the next repeat. Only programs
         // whose id has been seen before participate: a first-time id is
         // either a long-lived artifact on its cold run (nothing to hit
-        // yet) or a per-call scratch recompile (can never hit), and
+        // yet) or a per-call scratch build (can never hit), and
         // neither is worth a bank snapshot.
         let recurring = self.recent_ids.contains(&prog.id());
         if !recurring {
@@ -820,7 +699,7 @@ impl Machine {
         if !verify::is_clean(&diagnostics) {
             return Err(SimError::Rejected { diagnostics });
         }
-        self.run(programs.stream_set())
+        self.run(programs)
     }
 }
 
@@ -870,7 +749,7 @@ mod tests {
     #[test]
     fn empty_run_is_zero_cycles() {
         let mut m = machine(2, 4);
-        let r = m.run(StreamSet::new(m.geometry())).unwrap();
+        let r = m.run(&ProgramSet::new(m.geometry())).unwrap();
         assert_eq!(r.cycles, 0);
         assert_eq!(r.stats.ops, 0);
     }
@@ -878,11 +757,11 @@ mod tests {
     #[test]
     fn compute_only_stream_times_exactly() {
         let mut m = machine(1, 1);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(10).compute(5);
-        s.set_pe(0, 0, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let r = m.run(&s).unwrap();
         assert_eq!(r.cycles, 15);
         assert_eq!(r.stats.compute_cycles, 15);
         assert_eq!(r.stats.ops, 2);
@@ -891,15 +770,15 @@ mod tests {
     #[test]
     fn parallel_workers_overlap() {
         let mut m = machine(2, 4);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         for t in 0..2 {
             for pe in 0..4 {
                 let mut p = StreamBuilder::new();
                 p.compute(100);
-                s.set_pe(t, pe, p.into_stream());
+                s.set_pe(t, pe, p);
             }
         }
-        let r = m.run(s).unwrap();
+        let r = m.run(&s).unwrap();
         assert_eq!(r.cycles, 100, "independent compute must overlap fully");
         assert_eq!(r.stats.compute_cycles, 800);
     }
@@ -907,11 +786,11 @@ mod tests {
     #[test]
     fn memory_stalls_counted() {
         let mut m = machine(1, 1);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.load(0x1000);
-        s.set_pe(0, 0, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let r = m.run(&s).unwrap();
         assert!(r.cycles > 50, "cold load must reach HBM");
         assert!(r.stats.mem_stall_cycles > 0);
         assert_eq!(r.stats.loads, 1);
@@ -920,14 +799,14 @@ mod tests {
     #[test]
     fn tile_barrier_synchronizes() {
         let mut m = machine(1, 2);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut fast = StreamBuilder::new();
         fast.compute(1).tile_barrier().compute(1);
         let mut slow = StreamBuilder::new();
         slow.compute(100).tile_barrier().compute(1);
-        s.set_pe(0, 0, fast.into_stream());
-        s.set_pe(0, 1, slow.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, fast);
+        s.set_pe(0, 1, slow);
+        let r = m.run(&s).unwrap();
         assert!(r.cycles >= 102, "fast PE must wait: {}", r.cycles);
         assert!(r.stats.barrier_stall_cycles >= 99);
     }
@@ -935,45 +814,45 @@ mod tests {
     #[test]
     fn tile_barriers_are_per_tile() {
         let mut m = machine(2, 1);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         // Tile 0 barriers alone; tile 1 never barriers. Must not deadlock.
         let mut a = StreamBuilder::new();
         a.tile_barrier().compute(1);
         let mut b = StreamBuilder::new();
         b.compute(5);
-        s.set_pe(0, 0, a.into_stream());
-        s.set_pe(1, 0, b.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, a);
+        s.set_pe(1, 0, b);
+        let r = m.run(&s).unwrap();
         assert!(r.cycles >= 5);
     }
 
     #[test]
     fn global_barrier_includes_lcp() {
         let mut m = machine(2, 1);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         for t in 0..2 {
             let mut p = StreamBuilder::new();
             p.compute(10).global_barrier().compute(1);
-            s.set_pe(t, 0, p.into_stream());
+            s.set_pe(t, 0, p);
         }
         let mut lcp = StreamBuilder::new();
         lcp.compute(50).global_barrier();
-        s.set_lcp(0, lcp.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_lcp(0, lcp);
+        let r = m.run(&s).unwrap();
         assert!(r.cycles >= 51, "PEs must wait for LCP: {}", r.cycles);
     }
 
     #[test]
     fn barrier_deadlock_detected() {
         let mut m = machine(1, 2);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut a = StreamBuilder::new();
         a.tile_barrier();
         let mut b = StreamBuilder::new();
         b.compute(1); // never barriers
-        s.set_pe(0, 0, a.into_stream());
-        s.set_pe(0, 1, b.into_stream());
-        match m.run(s) {
+        s.set_pe(0, 0, a);
+        s.set_pe(0, 1, b);
+        match m.run(&s) {
             Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, vec![0]),
             other => panic!("expected deadlock, got {other:?}"),
         }
@@ -982,68 +861,68 @@ mod tests {
     #[test]
     fn lcp_tile_barrier_rejected() {
         let mut m = machine(1, 1);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut lcp = StreamBuilder::new();
         lcp.tile_barrier();
-        s.set_lcp(0, lcp.into_stream());
-        assert!(matches!(m.run(s), Err(SimError::LcpBarrier { tile: 0 })));
+        s.set_lcp(0, lcp);
+        assert!(matches!(m.run(&s), Err(SimError::LcpBarrier { tile: 0 })));
     }
 
     #[test]
     fn spm_without_spm_config_errors() {
         let mut m = machine(1, 1);
         assert_eq!(m.config(), HwConfig::Sc);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.spm_load(0);
-        s.set_pe(0, 0, p.into_stream());
-        assert!(matches!(m.run(s), Err(SimError::SpmUnavailable { .. })));
+        s.set_pe(0, 0, p);
+        assert!(matches!(m.run(&s), Err(SimError::SpmUnavailable { .. })));
     }
 
     #[test]
     fn geometry_mismatch_rejected() {
         let mut m = machine(1, 1);
-        let s = StreamSet::new(Geometry::new(2, 2));
-        assert!(matches!(m.run(s), Err(SimError::GeometryMismatch { .. })));
+        let s = ProgramSet::new(Geometry::new(2, 2));
+        assert!(matches!(m.run(&s), Err(SimError::GeometryMismatch { .. })));
     }
 
     #[test]
     fn reconfigure_cost_carried_into_next_run() {
         let mut m = machine(1, 2);
         // Dirty some lines so the flush has work.
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         for i in 0..64 {
             p.store(0x1000 + i * 64);
         }
-        s.set_pe(0, 0, p.into_stream());
-        let _ = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let _ = m.run(&s).unwrap();
         let cost = m.reconfigure(HwConfig::Ps);
         assert!(cost >= 10);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(5);
-        s.set_pe(0, 0, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let r = m.run(&s).unwrap();
         assert_eq!(r.cycles, cost + 5);
         assert_eq!(r.stats.reconfigurations, 1);
         assert!(r.stats.flush_writebacks > 0);
         // Carry cleared after use.
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(5);
-        s.set_pe(0, 0, p.into_stream());
-        assert_eq!(m.run(s).unwrap().cycles, 5);
+        s.set_pe(0, 0, p);
+        assert_eq!(m.run(&s).unwrap().cycles, 5);
     }
 
     #[test]
     fn energy_reported_positive() {
         let mut m = machine(1, 1);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(100).load(0).load(4);
-        s.set_pe(0, 0, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let r = m.run(&s).unwrap();
         assert!(r.joules() > 0.0);
         assert!(r.watts() > 0.0);
         assert!(r.seconds > 0.0);
@@ -1053,11 +932,11 @@ mod tests {
     fn spm_run_in_scs() {
         let mut m = machine(1, 4);
         m.reconfigure(HwConfig::Scs);
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.spm_store(0).spm_load(0).spm_load(4);
-        s.set_pe(0, 0, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let r = m.run(&s).unwrap();
         assert_eq!(r.stats.spm_accesses, 3);
     }
 }
@@ -1070,11 +949,11 @@ mod stress_tests {
     #[test]
     fn lcp_only_stream_runs() {
         let mut m = Machine::new(Geometry::new(2, 2), MicroArch::paper());
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(7).load(0x100).store(0x104);
-        s.set_lcp(1, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_lcp(1, p);
+        let r = m.run(&s).unwrap();
         assert!(r.cycles >= 7);
         assert_eq!(r.stats.loads, 1);
         assert_eq!(r.stats.stores, 1);
@@ -1086,14 +965,14 @@ mod stress_tests {
         // channels' service rate, so queue cycles must accumulate.
         let g = Geometry::new(4, 8);
         let mut m = Machine::new(g, MicroArch::paper());
-        let mut s = StreamSet::new(g);
+        let mut s = ProgramSet::new(g);
         for t in 0..4 {
             for pe in 0..8 {
                 let base = (t * 8 + pe) as u64 * 0x100_0000;
                 s.set_pe(t, pe, (0..2_000u64).map(move |i| Op::Load(base + i * 64)));
             }
         }
-        let r = m.run(s).unwrap();
+        let r = m.run(&s).unwrap();
         assert!(
             r.stats.hbm_queue_cycles > 0,
             "no bandwidth pressure recorded"
@@ -1118,12 +997,12 @@ mod stress_tests {
             }
             p.into_stream()
         };
-        let mut s = StreamSet::new(g);
+        let mut s = ProgramSet::new(g);
         s.set_pe(0, 0, make());
-        let cold = m.run(s).unwrap();
-        let mut s = StreamSet::new(g);
+        let cold = m.run(&s).unwrap();
+        let mut s = ProgramSet::new(g);
         s.set_pe(0, 0, make());
-        let warm = m.run(s).unwrap();
+        let warm = m.run(&s).unwrap();
         assert!(
             warm.cycles * 2 < cold.cycles,
             "second pass should hit: {} vs {}",
@@ -1133,9 +1012,9 @@ mod stress_tests {
         // ... and reconfiguration flushes that warmth.
         m.reconfigure(HwConfig::Pc);
         m.reconfigure(HwConfig::Sc);
-        let mut s = StreamSet::new(g);
+        let mut s = ProgramSet::new(g);
         s.set_pe(0, 0, make());
-        let reflushed = m.run(s).unwrap();
+        let reflushed = m.run(&s).unwrap();
         assert!(reflushed.stats.l1_misses > warm.stats.l1_misses);
     }
 
@@ -1143,13 +1022,13 @@ mod stress_tests {
     fn mixed_done_times_track_last_worker() {
         let g = Geometry::new(1, 4);
         let mut m = Machine::new(g, MicroArch::paper());
-        let mut s = StreamSet::new(g);
+        let mut s = ProgramSet::new(g);
         for pe in 0..4 {
             let mut p = StreamBuilder::new();
             p.compute(10 * (pe as u32 + 1));
-            s.set_pe(0, pe, p.into_stream());
+            s.set_pe(0, pe, p);
         }
-        let r = m.run(s).unwrap();
+        let r = m.run(&s).unwrap();
         assert_eq!(r.cycles, 40);
     }
 
@@ -1157,11 +1036,11 @@ mod stress_tests {
     fn report_seconds_match_frequency() {
         let g = Geometry::new(1, 1);
         let mut m = Machine::new(g, MicroArch::paper());
-        let mut s = StreamSet::new(g);
+        let mut s = ProgramSet::new(g);
         let mut p = StreamBuilder::new();
         p.compute(1_000);
-        s.set_pe(0, 0, p.into_stream());
-        let r = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let r = m.run(&s).unwrap();
         assert!(
             (r.seconds - 1e-6).abs() < 1e-12,
             "1000 cycles @ 1 GHz = 1 µs"
@@ -1173,6 +1052,7 @@ mod stress_tests {
 mod program_tests {
     use super::*;
     use crate::op::StreamBuilder;
+    use crate::program::build_ops;
 
     /// A barrier-heavy workload mixing compute, strided and pseudo-random
     /// global traffic, SPM ops (when `spm`), tile and global barriers —
@@ -1207,7 +1087,7 @@ mod program_tests {
                         b.global_barrier();
                     }
                 }
-                streams.push((w, b.into_stream().collect()));
+                streams.push((w, ops(b)));
             }
             let mut lcp = StreamBuilder::new();
             lcp.compute(5);
@@ -1218,34 +1098,38 @@ mod program_tests {
                     lcp.global_barrier();
                 }
             }
-            streams.push((geom.lcp_id(tile), lcp.into_stream().collect()));
+            streams.push((geom.lcp_id(tile), ops(lcp)));
         }
         streams
     }
 
-    fn stream_set(geom: Geometry, streams: &[(usize, Vec<Op>)]) -> StreamSet<'_> {
-        let mut s = StreamSet::new(geom);
+    /// The same streams as a [`ProgramSet`], for [`Machine::run`].
+    fn program_set(geom: Geometry, streams: &[(usize, Vec<Op>)]) -> ProgramSet {
+        let mut s = ProgramSet::new(geom);
         for (w, ops) in streams {
-            let (tile, pe) = geom.locate(*w);
-            match pe {
-                Some(pe) => s.set_pe_ops(tile, pe, ops),
-                None => s.set_lcp_ops(tile, ops),
+            match geom.locate(*w) {
+                (tile, Some(pe)) => s.set_pe(tile, pe, ops.iter().copied()),
+                (tile, None) => s.set_lcp(tile, ops.iter().copied()),
             }
         }
         s
+    }
+
+    /// The same streams built into a program for `hw`.
+    fn build(geom: Geometry, hw: HwConfig, streams: &[(usize, Vec<Op>)]) -> Program {
+        build_ops(geom, hw, streams.iter().map(|(w, v)| (*w, v.as_slice())))
+    }
+
+    fn ops(b: StreamBuilder) -> Vec<Op> {
+        b.into_stream().collect()
     }
 
     fn run_all_modes(hw: HwConfig) {
         let geom = Geometry::new(2, 4);
         let spm = matches!(hw, HwConfig::Scs | HwConfig::Ps);
         let streams = workload(geom, spm);
-
-        let prog = Program::compile(
-            geom,
-            hw,
-            &MicroArch::paper(),
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
+        let set = program_set(geom, &streams);
+        let prog = build(geom, hw, &streams);
         let mut legacy = Machine::new(geom, MicroArch::paper());
         legacy.reconfigure(hw);
         let mut m = Machine::new(geom, MicroArch::paper());
@@ -1254,7 +1138,7 @@ mod program_tests {
         // served from the steady-state memo. Every one must match the
         // legacy event loop bit for bit.
         for run in 0..4 {
-            let want = legacy.run(stream_set(geom, &streams)).unwrap();
+            let want = legacy.run(&set).unwrap();
             let got = m.run_program(&prog).unwrap();
             assert_eq!(got.cycles, want.cycles, "{hw:?} run {run} cycle drift");
             assert_eq!(got.stats, want.stats, "{hw:?} run {run} stats drift");
@@ -1301,46 +1185,38 @@ mod program_tests {
                     }
                 }
                 b.tile_barrier();
-                streams.push((w, b.into_stream().collect()));
+                streams.push((w, ops(b)));
             }
         }
-        let prog = Program::compile(
-            geom,
-            HwConfig::Pc,
-            &MicroArch::paper(),
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
+        let set = program_set(geom, &streams);
+        let prog = build(geom, HwConfig::Pc, &streams);
         let mut legacy = Machine::new(geom, MicroArch::paper());
         legacy.reconfigure(HwConfig::Pc);
         let mut m = Machine::new(geom, MicroArch::paper());
         m.reconfigure(HwConfig::Pc);
         for run in 0..5 {
-            let want = legacy.run(stream_set(geom, &streams)).unwrap();
+            let want = legacy.run(&set).unwrap();
             let got = m.run_program(&prog).unwrap();
             assert_eq!(got, want, "run {run} diverged from the legacy loop");
         }
         // Run 0 carries the reconfiguration cost (no memo); the bank
         // state then needs one warm run to fix (cold-run prefetches age
         // out of the LRU order), so runs 3-4 replay the memo.
-        assert!(m.steady_hits() >= 2, "steady-state memo never engaged");
-        let hits = m.steady_hits();
+        let hits = m.memo_stats().hits;
+        assert!(hits >= 2, "steady-state memo never engaged");
 
-        // A recompiled program gets a fresh identity: the stale memo must
-        // not serve it, and the re-simulated run must still agree.
-        let mut prog2 = prog.clone();
-        prog2.recompile(
-            geom,
-            HwConfig::Pc,
-            &MicroArch::paper(),
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
-        let want = legacy.run(stream_set(geom, &streams)).unwrap();
+        // A rebuilt program gets a fresh identity from the builder's
+        // begin(): the stale memo must not serve it, and the
+        // re-simulated run must still agree.
+        let prog2 = build(geom, HwConfig::Pc, &streams);
+        assert_ne!(prog2.id(), prog.id());
+        let want = legacy.run(&set).unwrap();
         let got = m.run_program(&prog2).unwrap();
-        assert_eq!(got, want, "recompiled program diverged");
+        assert_eq!(got, want, "rebuilt program diverged");
         assert_eq!(
-            m.steady_hits(),
+            m.memo_stats().hits,
             hits,
-            "stale memo served a recompiled program"
+            "stale memo served a rebuilt program"
         );
     }
 
@@ -1356,7 +1232,7 @@ mod program_tests {
     #[test]
     fn steady_memo_wanders_past_ring_capacity() {
         let geom = Geometry::new(2, 4);
-        let build = |k: u64| {
+        let program = |k: u64| {
             let mut streams: Vec<(usize, Vec<Op>)> = Vec::new();
             for tile in 0..geom.tiles() {
                 for pe in 0..geom.pes_per_tile() {
@@ -1367,18 +1243,13 @@ mod program_tests {
                         // Distinct per-program working sets.
                         b.load(k * 0x10_0000 + w as u64 * 0x1000 + i * 64);
                     }
-                    streams.push((w, b.into_stream().collect()));
+                    streams.push((w, ops(b)));
                 }
             }
-            Program::compile(
-                geom,
-                HwConfig::Sc,
-                &MicroArch::paper(),
-                streams.iter().map(|(w, v)| (*w, v.as_slice())),
-            )
+            build(geom, HwConfig::Sc, &streams)
         };
         let run_cycle = |count: usize| {
-            let progs: Vec<Program> = (0..count as u64).map(build).collect();
+            let progs: Vec<Program> = (0..count as u64).map(program).collect();
             let mut m = Machine::new(geom, MicroArch::paper());
             m.reconfigure(HwConfig::Sc);
             for _ in 0..6 {
@@ -1422,170 +1293,104 @@ mod program_tests {
         let geom = Geometry::new(1, 2);
         let mut b = StreamBuilder::new();
         b.compute(1);
-        let ops: Vec<Op> = b.into_stream().collect();
-        let prog = Program::compile(
-            geom,
-            HwConfig::Pc,
-            &MicroArch::paper(),
-            [(0usize, ops.as_slice())],
-        );
+        let streams = vec![(0usize, ops(b))];
+        let prog = build(geom, HwConfig::Pc, &streams);
         let mut m = Machine::new(geom, MicroArch::paper());
         assert!(matches!(
             m.run_program(&prog),
             Err(SimError::ProgramMismatch { .. })
         ));
-        let other = Program::compile(
-            Geometry::new(2, 2),
-            HwConfig::Sc,
-            &MicroArch::paper(),
-            [(0usize, ops.as_slice())],
-        );
+        let other = build(Geometry::new(2, 2), HwConfig::Sc, &streams);
         assert!(matches!(
             m.run_program(&other),
             Err(SimError::GeometryMismatch { .. })
         ));
     }
 
+    /// Runs `streams` both ways on fresh SC machines: `run_verified`
+    /// must reject the op streams, and `run_program` the built program
+    /// with the same diagnostics, before executing anything.
+    fn assert_rejected_like_run_verified(geom: Geometry, streams: &[(usize, Vec<Op>)]) {
+        let mut m = Machine::new(geom, MicroArch::paper());
+        let want = match m.run_verified(&program_set(geom, streams), None) {
+            Err(SimError::Rejected { diagnostics }) => diagnostics,
+            other => panic!("run_verified: expected a rejection, got {other:?}"),
+        };
+        let mut m = Machine::new(geom, MicroArch::paper());
+        match m.run_program(&build(geom, HwConfig::Sc, streams)) {
+            Err(SimError::Rejected { diagnostics }) => assert_eq!(diagnostics, want),
+            other => panic!("run_program: expected a rejection, got {other:?}"),
+        }
+        assert_eq!(m.mem.stats.ops, 0, "a rejected program executes nothing");
+    }
+
+    /// Streams [`Machine::run`] fails on — an SPM op without SPM, an LCP
+    /// tile barrier, mismatched tile-barrier counts — build into
+    /// programs whose lint verdict rejects them.
     #[test]
-    fn poisoned_program_reproduces_run_errors() {
+    fn poisoned_program_is_rejected_like_run_verified() {
         let geom = Geometry::new(1, 2);
         let mut spm = StreamBuilder::new();
         spm.compute(2).spm_load(0);
-        let spm_ops: Vec<Op> = spm.into_stream().collect();
-        let prog = Program::compile(
-            geom,
-            HwConfig::Sc,
-            &MicroArch::paper(),
-            [(0usize, spm_ops.as_slice())],
-        );
-        let mut m = Machine::new(geom, MicroArch::paper());
-        assert!(matches!(
-            m.run_program(&prog),
-            Err(SimError::SpmUnavailable {
-                config: HwConfig::Sc,
-                worker: 0
-            })
-        ));
+        assert_rejected_like_run_verified(geom, &[(0, ops(spm))]);
 
         let mut bar = StreamBuilder::new();
         bar.tile_barrier();
-        let bar_ops: Vec<Op> = bar.into_stream().collect();
-        let prog = Program::compile(
-            geom,
-            HwConfig::Sc,
-            &MicroArch::paper(),
-            [(geom.lcp_id(0), bar_ops.as_slice())],
-        );
-        assert!(matches!(
-            m.run_program(&prog),
-            Err(SimError::LcpBarrier { tile: 0 })
-        ));
+        assert_rejected_like_run_verified(geom, &[(geom.lcp_id(0), ops(bar))]);
 
-        // Mismatched tile-barrier counts deadlock, as in run().
         let mut a = StreamBuilder::new();
         a.tile_barrier();
-        let a_ops: Vec<Op> = a.into_stream().collect();
         let mut b = StreamBuilder::new();
         b.compute(1);
-        let b_ops: Vec<Op> = b.into_stream().collect();
-        let prog = Program::compile(
-            geom,
-            HwConfig::Sc,
-            &MicroArch::paper(),
-            [(0usize, a_ops.as_slice()), (1usize, b_ops.as_slice())],
-        );
-        match m.run_program(&prog) {
-            Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, vec![0]),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        assert_rejected_like_run_verified(geom, &[(0, ops(a)), (1, ops(b))]);
     }
 
     /// A global barrier whose peer stream has already finished can never
-    /// complete: the waiting workers are reported blocked, as by run().
+    /// complete: run() reports the waiting workers blocked, and the
+    /// built program is rejected before it runs.
     #[test]
     fn global_barrier_after_peer_finished_deadlocks() {
         let geom = Geometry::new(2, 1);
         let mut a = StreamBuilder::new();
         a.compute(3).global_barrier().compute(1);
-        let a_ops: Vec<Op> = a.into_stream().collect();
+        let a_ops = ops(a);
         let mut b = StreamBuilder::new();
         b.compute(1);
-        let b_ops: Vec<Op> = b.into_stream().collect();
         let streams = [
-            (geom.pe_id(0, 0), a_ops.as_slice()),
-            (geom.lcp_id(0), a_ops.as_slice()),
-            (geom.pe_id(1, 0), b_ops.as_slice()),
+            (geom.pe_id(0, 0), a_ops.clone()),
+            (geom.lcp_id(0), a_ops),
+            (geom.pe_id(1, 0), ops(b)),
         ];
+        let set = program_set(geom, &streams);
         for hw in [HwConfig::Sc, HwConfig::Pc] {
-            let prog = Program::compile(geom, hw, &MicroArch::paper(), streams);
             let mut m = Machine::new(geom, MicroArch::paper());
             m.reconfigure(hw);
-            let mut s = StreamSet::new(geom);
-            for (w, ops) in streams {
-                match geom.locate(w) {
-                    (tile, Some(pe)) => s.set_pe_ops(tile, pe, ops),
-                    (tile, None) => s.set_lcp_ops(tile, ops),
-                }
-            }
             let mut want = vec![geom.pe_id(0, 0), geom.lcp_id(0)];
             want.sort_unstable();
-            match m.run(s) {
+            match m.run(&set) {
                 Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, want),
                 other => panic!("{hw}: run(): expected deadlock, got {other:?}"),
             }
-            match m.run_program(&prog) {
-                Err(SimError::BarrierDeadlock { blocked }) => assert_eq!(blocked, want),
-                other => panic!("{hw}: run_program(): expected deadlock, got {other:?}"),
-            }
         }
-    }
-
-    #[test]
-    fn rejected_lint_travels_with_program() {
-        let geom = Geometry::new(1, 1);
-        let mut b = StreamBuilder::new();
-        b.spm_load(0);
-        let ops: Vec<Op> = b.into_stream().collect();
-        let mut prog = Program::compile(
-            geom,
-            HwConfig::Sc,
-            &MicroArch::paper(),
-            [(0usize, ops.as_slice())],
-        );
-        let mut set = verify::ProgramSet::new(geom);
-        set.set_pe(0, 0, ops.iter().copied());
-        let diags = verify::lint(&set, HwConfig::Sc, &MicroArch::paper(), None);
-        assert!(!verify::is_clean(&diags));
-        prog.attach_lint(diags);
-        let mut m = Machine::new(geom, MicroArch::paper());
-        assert!(matches!(
-            m.run_program(&prog),
-            Err(SimError::Rejected { .. })
-        ));
+        assert_rejected_like_run_verified(geom, &streams);
     }
 
     #[test]
     fn reconfigure_carry_included_in_program_run() {
         let geom = Geometry::new(1, 2);
         let mut m = Machine::new(geom, MicroArch::paper());
-        let mut s = StreamSet::new(geom);
+        let mut s = ProgramSet::new(geom);
         let mut p = StreamBuilder::new();
         for i in 0..64 {
             p.store(0x1000 + i * 64);
         }
-        s.set_pe(0, 0, p.into_stream());
-        let _ = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let _ = m.run(&s).unwrap();
         let cost = m.reconfigure(HwConfig::Ps);
         assert!(cost >= 10);
         let mut b = StreamBuilder::new();
         b.compute(5);
-        let ops: Vec<Op> = b.into_stream().collect();
-        let prog = Program::compile(
-            geom,
-            HwConfig::Ps,
-            &MicroArch::paper(),
-            [(0usize, ops.as_slice())],
-        );
+        let prog = build(geom, HwConfig::Ps, &[(0, ops(b))]);
         let r = m.run_program(&prog).unwrap();
         assert_eq!(r.cycles, cost + 5);
         assert_eq!(r.stats.reconfigurations, 1);
@@ -1602,14 +1407,14 @@ mod trace_tests {
     fn trace_captures_op_sequence() {
         let mut m = Machine::new(Geometry::new(1, 2), MicroArch::paper());
         m.set_trace(Some(TraceConfig::default()));
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(3).load(0x40).store(0x44);
-        s.set_pe(0, 0, p.into_stream());
+        s.set_pe(0, 0, p);
         let mut q = StreamBuilder::new();
         q.compute(1);
-        s.set_pe(0, 1, q.into_stream());
-        let _ = m.run(s).unwrap();
+        s.set_pe(0, 1, q);
+        let _ = m.run(&s).unwrap();
         let trace = m.take_trace();
         assert_eq!(trace.len(), 4);
         let pe0: Vec<Op> = trace
@@ -1630,11 +1435,11 @@ mod trace_tests {
     #[test]
     fn trace_disabled_by_default_and_after_take() {
         let mut m = Machine::new(Geometry::new(1, 1), MicroArch::paper());
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         let mut p = StreamBuilder::new();
         p.compute(1);
-        s.set_pe(0, 0, p.into_stream());
-        let _ = m.run(s).unwrap();
+        s.set_pe(0, 0, p);
+        let _ = m.run(&s).unwrap();
         assert!(m.take_trace().is_empty());
     }
 
@@ -1645,13 +1450,13 @@ mod trace_tests {
             workers: Some(vec![1]),
             max_events: 100,
         }));
-        let mut s = StreamSet::new(m.geometry());
+        let mut s = ProgramSet::new(m.geometry());
         for pe in 0..2 {
             let mut p = StreamBuilder::new();
             p.compute(2);
-            s.set_pe(0, pe, p.into_stream());
+            s.set_pe(0, pe, p);
         }
-        let _ = m.run(s).unwrap();
+        let _ = m.run(&s).unwrap();
         let trace = m.take_trace();
         assert!(trace.iter().all(|e| e.worker == 1));
         assert_eq!(trace.len(), 1);

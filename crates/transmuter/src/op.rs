@@ -1,10 +1,10 @@
 //! The abstract operation stream executed by each PE / LCP.
 //!
-//! Kernels (in the `cosparse` crate) compile a workload into one lazy
-//! [`OpStream`] per worker; the simulator walks the streams cycle by
-//! cycle. Timing is *structure-driven*: ops carry addresses and cycle
-//! counts, never data values — numerical results are computed
-//! functionally on the host (see DESIGN.md §2).
+//! Kernels (in the `cosparse` crate) emit one stream of these ops per
+//! worker; the simulator walks the streams cycle by cycle. Timing is
+//! *structure-driven*: ops carry addresses and cycle counts, never data
+//! values — numerical results are computed functionally on the host
+//! (see DESIGN.md §2).
 
 /// A byte address in the simulated global address space.
 pub type Addr = u64;
@@ -32,15 +32,6 @@ pub enum Op {
     /// Block until every worker in the machine reaches this barrier.
     GlobalBarrier,
 }
-
-/// A lazy stream of operations for one worker.
-///
-/// Blanket-implemented for every `Iterator<Item = Op>`, so kernels can
-/// return chained/flat-mapped iterators without boxing ceremony at the
-/// definition site.
-pub trait OpStream: Iterator<Item = Op> {}
-
-impl<I: Iterator<Item = Op>> OpStream for I {}
 
 /// A convenience builder that records ops into a buffer; useful in tests
 /// and for short LCP programs where laziness does not matter.
@@ -151,14 +142,5 @@ mod tests {
         let mut p = StreamBuilder::new();
         p.compute(0);
         assert_eq!(p.into_stream().next(), Some(Op::Compute(1)));
-    }
-
-    #[test]
-    fn iterators_are_streams() {
-        fn takes_stream<S: OpStream>(s: S) -> usize {
-            s.count()
-        }
-        let n = takes_stream((0..5).map(|_| Op::Compute(1)));
-        assert_eq!(n, 5);
     }
 }

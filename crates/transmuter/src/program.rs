@@ -1,21 +1,20 @@
-//! Compiled program IR: the single artifact that crosses the
+//! Program IR: the single artifact that crosses the
 //! kernel → verifier → machine boundary.
 //!
-//! Kernels lower their per-worker [`Op`] streams into a [`Program`]
-//! once; the machine then executes the pre-decoded micro-ops directly
-//! ([`crate::Machine::run_program`]), without per-step enum matching or
-//! boxed-iterator dispatch, and the verifier's verdict can be attached
-//! to the artifact so a cached program is linted exactly once
-//! ([`Program::attach_lint`]).
+//! Kernels emit their per-worker ops through one [`ProgramBuilder`],
+//! which lowers each op to a pre-decoded micro-op on append and lints
+//! it; the finished [`Program`] carries that verdict, so a cached
+//! program is linted exactly once, and the machine executes its
+//! micro-ops directly ([`crate::Machine::run_program`]), without
+//! per-step enum matching.
 //!
 //! Lowering resolves everything that is invariant for a given
 //! `(Geometry, HwConfig, MicroArch)` at build time: line numbers, L1
 //! bank routing, SPM bank selection, compute-cost clamping (each burst
 //! folded into the micro-op before it, see `MicroOp`), and the
-//! *poisoning* of ops that the event loop would reject at run time
-//! (SPM ops without SPM, LCP tile barriers) — executing a poisoned op
-//! reproduces [`crate::Machine::run`]'s exact error or panic at the
-//! exact same point in the schedule.
+//! *poisoning* of ops the machine rejects (SPM ops without SPM or from
+//! an LCP, LCP tile barriers). The lint flags every poisoned op, so a
+//! program holding one is rejected before it runs.
 //!
 //! One sequential interpreter ([`exec_span`]) executes every program
 //! (DESIGN.md §9).
@@ -24,7 +23,7 @@ use crate::analyze::{self, Analysis};
 use crate::config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
 use crate::machine::{release, BarrierState, Sched, SimError};
 use crate::memsys::{FastDiv, MemorySystem};
-use crate::op::{Addr, Op};
+use crate::op::Addr;
 use crate::verify::{self, Diagnostic, LintKind, Race, RaceAccess, RegionMap, Severity};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Pre-decoded operation kind. The hardware-dependent routing decision
-/// (shared vs private, PE vs LCP) is taken at compile time, so the
+/// (shared vs private, PE vs LCP) is taken at build time, so the
 /// interpreter dispatches on a flat enum with no per-op mode checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MicroKind {
@@ -63,15 +62,12 @@ pub(crate) enum MicroKind {
     TileBarrier,
     /// Global barrier (epoch boundary).
     GlobalBarrier,
-    /// SPM op compiled against a configuration without SPM: executing
-    /// it yields [`SimError::SpmUnavailable`].
-    PoisonSpm,
-    /// SPM op issued by an LCP (configuration has SPM): executing it
-    /// panics, as the memory system's own assertion would.
-    PoisonLcpSpm,
-    /// Tile barrier issued by an LCP: executing it yields
-    /// [`SimError::LcpBarrier`].
-    PoisonLcpBar,
+    /// An op the machine rejects: an SPM op under a configuration
+    /// without SPM or from an LCP, or an LCP tile barrier. The builder's
+    /// lint flags each one as an error, so
+    /// [`crate::Machine::run_program`] never reaches it; executing one
+    /// anyway returns the program's verdict as [`SimError::Rejected`].
+    Poison,
 }
 
 impl MicroKind {
@@ -83,20 +79,7 @@ impl MicroKind {
     fn carries_fold(self) -> bool {
         !matches!(
             self,
-            MicroKind::TileBarrier
-                | MicroKind::GlobalBarrier
-                | MicroKind::PoisonSpm
-                | MicroKind::PoisonLcpSpm
-                | MicroKind::PoisonLcpBar
-        )
-    }
-
-    /// True for the kinds that stand in for an op the machine rejects.
-    #[inline]
-    fn is_poison(self) -> bool {
-        matches!(
-            self,
-            MicroKind::PoisonSpm | MicroKind::PoisonLcpSpm | MicroKind::PoisonLcpBar
+            MicroKind::TileBarrier | MicroKind::GlobalBarrier | MicroKind::Poison
         )
     }
 }
@@ -177,25 +160,18 @@ fn push_compute(ops: &mut Vec<MicroOp>, lo: usize, cycles: u32) -> bool {
     false
 }
 
-/// Verifier verdict attached to a compiled program.
-#[derive(Debug, Clone)]
-struct LintStatus {
-    clean: bool,
-    diagnostics: Vec<Diagnostic>,
-}
-
-/// A compiled, immutable execution artifact: every worker's op stream
-/// lowered to pre-decoded micro-ops for one specific
-/// `(Geometry, HwConfig, MicroArch)`.
+/// An immutable execution artifact, built by a [`ProgramBuilder`]:
+/// every worker's op stream lowered to pre-decoded micro-ops for one
+/// specific `(Geometry, HwConfig, MicroArch)`.
 ///
-/// A `Program` is the unit of **caching** (kernels compile once and
-/// re-run many times), **linting** ([`Program::attach_lint`] pins the
-/// verifier's verdict to the artifact) and **execution**
+/// A `Program` is the unit of **caching** (kernels build once and
+/// re-run many times), **linting** (the builder's verdict travels with
+/// the artifact, [`Program::lint_diagnostics`]) and **execution**
 /// ([`crate::Machine::run_program`]).
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// Process-unique identity of this compiled artifact, refreshed on
-    /// every [`Program::recompile`]: two runs observing the same id are
+    /// Process-unique identity of this artifact, issued by every
+    /// [`ProgramBuilder::begin`]: two runs observing the same id are
     /// guaranteed to have executed the same micro-op streams, which is
     /// what keys the machine's steady-state memo. Clones share the id
     /// (a clone is the same immutable artifact).
@@ -207,7 +183,9 @@ pub struct Program {
     ops: Vec<MicroOp>,
     /// Per-worker `(start, end)` range into `ops`; `None` = no stream.
     ranges: Vec<Option<(u32, u32)>>,
-    lint: Option<LintStatus>,
+    /// The builder's lint verdict (warnings included), in
+    /// [`verify::lint`]'s report order.
+    diagnostics: Vec<Diagnostic>,
     /// The analyzer lints of a checked build (see [`crate::analyze`]),
     /// derived by [`ProgramBuilder::finish`] from the access records the
     /// build kept; `None` for every other program.
@@ -218,113 +196,22 @@ pub struct Program {
 }
 
 impl Program {
-    /// Compiles per-worker op streams (pairs of global worker id and op
-    /// slice) into a program for the given machine configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker id is out of range for `geom`, or a worker is
-    /// given two streams.
-    pub fn compile<'a, I>(geom: Geometry, hw: HwConfig, ua: &MicroArch, streams: I) -> Self
-    where
-        I: IntoIterator<Item = (usize, &'a [Op])>,
-    {
-        let mut p = Program {
-            id: 0,
-            geom,
-            hw,
-            ua: ua.clone(),
-            ops: Vec::new(),
-            ranges: Vec::new(),
-            lint: None,
-            races: None,
-            analysis: None,
-        };
-        p.recompile(geom, hw, ua, streams);
-        p
+    /// True if the lint verdict has no error-severity finding, i.e.
+    /// [`crate::Machine::run_program`] will run the program.
+    pub fn lint_clean(&self) -> bool {
+        verify::is_clean(&self.diagnostics)
     }
 
-    /// Re-lowers new streams into this program's buffers, avoiding
-    /// reallocation when a kernel compiles fresh ops every invocation
-    /// (masked / frontier-dependent streams). Any attached lint verdict
-    /// is discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker id is out of range for `geom`, or a worker is
-    /// given two streams.
-    pub fn recompile<'a, I>(&mut self, geom: Geometry, hw: HwConfig, ua: &MicroArch, streams: I)
-    where
-        I: IntoIterator<Item = (usize, &'a [Op])>,
-    {
-        self.id = NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed);
-        self.geom = geom;
-        self.hw = hw;
-        if self.ua != *ua {
-            self.ua = ua.clone();
-        }
-        self.ops.clear();
-        self.ranges.clear();
-        self.ranges.resize(geom.total_workers(), None);
-        self.lint = None;
-        self.races = None;
-        self.analysis = None;
-
-        let ctx = LowerCtx::new(geom, hw, ua);
-        for (worker, ops) in streams {
-            assert!(worker < geom.total_workers(), "worker id out of range");
-            assert!(self.ranges[worker].is_none(), "worker given two streams");
-            let (_, pe) = geom.locate(worker);
-            let lo = self.ops.len() as u32;
-            for &op in ops {
-                let m = match op {
-                    Op::Compute(n) => {
-                        push_compute(&mut self.ops, lo as usize, n.max(1));
-                        continue;
-                    }
-                    Op::Load(addr) => ctx.mem_access(addr, false, pe),
-                    Op::Store(addr) => ctx.mem_access(addr, true, pe),
-                    Op::SpmLoad(off) => ctx.spm_access(off, false, pe),
-                    Op::SpmStore(off) => ctx.spm_access(off, true, pe),
-                    Op::TileBarrier if pe.is_none() => MicroOp::plain(MicroKind::PoisonLcpBar),
-                    Op::TileBarrier => MicroOp::plain(MicroKind::TileBarrier),
-                    Op::GlobalBarrier => MicroOp::plain(MicroKind::GlobalBarrier),
-                };
-                self.ops.push(m);
-            }
-            let hi = self.ops.len() as u32;
-            self.ranges[worker] = Some((lo, hi));
-        }
-    }
-
-    /// Attaches a verifier verdict ([`verify::lint`] diagnostics) to the
-    /// program. A program carrying error-severity diagnostics is
-    /// rejected by [`crate::Machine::run_program`] with
-    /// [`SimError::Rejected`] — the same contract as
-    /// [`crate::Machine::run_verified`], but the verdict travels with
-    /// the cached artifact instead of being recomputed per run.
-    pub fn attach_lint(&mut self, diagnostics: Vec<Diagnostic>) {
-        let clean = verify::is_clean(&diagnostics);
-        self.lint = Some(LintStatus { clean, diagnostics });
-    }
-
-    /// The lint verdict, if one was attached: `Some(true)` = clean.
-    pub fn lint_clean(&self) -> Option<bool> {
-        self.lint.as_ref().map(|l| l.clean)
-    }
-
-    /// The attached lint diagnostics (warnings included), if a verdict
-    /// was attached. Used by the differential suites to prove the
-    /// streaming builder and the batch `lint` pass agree finding for
-    /// finding.
-    pub fn lint_diagnostics(&self) -> Option<&[Diagnostic]> {
-        self.lint.as_ref().map(|l| l.diagnostics.as_slice())
+    /// The lint verdict's findings, warnings included. The differential
+    /// suites compare it with [`verify::lint`] over the same op streams,
+    /// finding for finding.
+    pub fn lint_diagnostics(&self) -> &[Diagnostic] {
+        &self.diagnostics
     }
 
     /// The analyzer lints of a checked build
-    /// ([`ProgramBuilder::bind_regions`]); `None` for unchecked builds
-    /// and compiled programs, whose lints [`crate::analyze()`] derives
-    /// post hoc.
+    /// ([`ProgramBuilder::bind_regions`]); `None` for unchecked builds,
+    /// whose lints [`crate::analyze()`] derives post hoc.
     pub fn analysis(&self) -> Option<&Analysis> {
         self.analysis.as_ref()
     }
@@ -332,37 +219,28 @@ impl Program {
     /// The data races of a checked build ([`ProgramBuilder::bind_regions`]),
     /// sorted by (epoch, site): equal to [`verify::detect_races`] over
     /// the trace of the same streams, whatever the schedule. `None` for
-    /// unchecked builds and for compiled programs.
+    /// unchecked builds.
     pub fn races(&self) -> Option<&[Race]> {
         self.races.as_deref()
     }
 
-    /// Diagnostics that reject this program, if the attached lint found
-    /// error-severity findings.
-    pub(crate) fn rejecting_diagnostics(&self) -> Option<&[Diagnostic]> {
-        match &self.lint {
-            Some(l) if !l.clean => Some(&l.diagnostics),
-            _ => None,
-        }
-    }
-
-    /// Process-unique identity of the compiled streams (see the field
-    /// docs); refreshed by every [`Program::recompile`].
+    /// Process-unique identity of the built streams (see the field
+    /// docs).
     pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
-    /// Geometry the program was compiled for.
+    /// Geometry the program was built for.
     pub fn geometry(&self) -> Geometry {
         self.geom
     }
 
-    /// Hardware configuration the program was compiled for.
+    /// Hardware configuration the program was built for.
     pub fn hw(&self) -> HwConfig {
         self.hw
     }
 
-    /// Microarchitecture the program was compiled for.
+    /// Microarchitecture the program was built for.
     pub(crate) fn uarch(&self) -> &MicroArch {
         &self.ua
     }
@@ -449,11 +327,10 @@ where
     true
 }
 
-/// Compile-time lowering context for one `(Geometry, HwConfig,
-/// MicroArch)` target: everything the per-op Op→[`MicroOp`] translation
-/// depends on, hoisted out of the loop. [`Program::recompile`] (batch)
-/// and [`ProgramBuilder`] (streaming) share it, so the two lowering
-/// paths cannot drift.
+/// Build-time lowering context for one `(Geometry, HwConfig,
+/// MicroArch)` target: everything [`ProgramBuilder`]'s per-op
+/// Op→[`MicroOp`] translation depends on, hoisted out of the emission
+/// verbs.
 #[derive(Debug, Clone)]
 struct LowerCtx {
     line_div: FastDiv,
@@ -551,10 +428,8 @@ impl LowerCtx {
     /// index in `b` for [`crate::analyze`] (execution reads neither).
     #[inline]
     fn spm_access(&self, off: u32, is_store: bool, pe: Option<usize>) -> MicroOp {
-        if !self.has_spm {
-            MicroOp::plain(MicroKind::PoisonSpm)
-        } else if pe.is_none() {
-            MicroOp::plain(MicroKind::PoisonLcpSpm)
+        if !self.has_spm || pe.is_none() {
+            MicroOp::plain(MicroKind::Poison)
         } else if self.l1 == L1Mode::SharedCacheSpm {
             let word = self.word_div.div(off as u64);
             MicroOp::new(
@@ -597,26 +472,25 @@ fn barrier_divergence(r: &[u32], s: &[u32]) -> usize {
     idx
 }
 
-/// Streaming, verifying program builder: the single-pass fusion of the
-/// kernel → `Op` buffer → [`Program::compile`] → [`verify::lint`]
-/// pipeline. Kernels open one worker stream at a time
+/// Streaming, verifying program builder: the one lowering from kernel
+/// emission to a [`Program`]. Kernels open one worker stream at a time
 /// ([`ProgramBuilder::begin_pe`] / [`ProgramBuilder::begin_lcp`]) and
 /// append ops through the emission verbs; each op is lowered to a
 /// pre-decoded micro-op on append — cache lines, bank routing, SPM
-/// offsets and compute-cost clamping resolved exactly as
-/// [`Program::recompile`] would — while barrier-epoch congruence and
-/// the [`verify::lint`] checks run online. [`ProgramBuilder::finish`] therefore yields a
-/// [`Program`] with the lint verdict already attached, without ever
-/// materializing an [`Op`] stream.
+/// offsets and compute-cost clamping resolved once — while
+/// barrier-epoch congruence and the [`verify::lint`] checks run online.
+/// [`ProgramBuilder::finish`] therefore yields a [`Program`] with its
+/// lint verdict attached, without ever materializing an [`Op`](crate::Op)
+/// stream.
 ///
 /// The builder owns its [`Program`] and is reused across invocations:
-/// [`ProgramBuilder::begin`] is a `recompile`-style in-place reset, so
-/// steady-state emission allocates nothing beyond buffer growth.
+/// [`ProgramBuilder::begin`] resets it in place, so steady-state
+/// emission allocates nothing beyond buffer growth.
 ///
-/// Equivalence with the two-pass path is pinned by unit tests below and
-/// by the differential suites in `transmuter/tests` and the `cosparse`
-/// crate: an unchecked build's verdict equals [`verify::lint`] called
-/// with `regions: None`.
+/// The verdict of an unchecked build equals [`verify::lint`] called
+/// with `regions: None` on the same op streams collected in a
+/// [`verify::ProgramSet`] — pinned by the unit tests below and by the
+/// differential suites in `transmuter/tests` and the `cosparse` crate.
 ///
 /// # Checked builds
 ///
@@ -712,7 +586,7 @@ impl ProgramBuilder {
                 ua,
                 ops: Vec::new(),
                 ranges: Vec::new(),
-                lint: None,
+                diagnostics: Vec::new(),
                 races: None,
                 analysis: None,
             },
@@ -743,10 +617,10 @@ impl ProgramBuilder {
     }
 
     /// Resets the builder in place for a new build against
-    /// `(geom, hw, ua)`, reusing every internal buffer (the streaming
-    /// twin of [`Program::recompile`]). The owned program gets a fresh
-    /// identity; any attached lint verdict is discarded, and the build
-    /// is unchecked until [`ProgramBuilder::bind_regions`].
+    /// `(geom, hw, ua)`, reusing every internal buffer. The owned
+    /// program gets a fresh identity; the previous build's lint verdict
+    /// is discarded, and the build is unchecked until
+    /// [`ProgramBuilder::bind_regions`].
     pub fn begin(&mut self, geom: Geometry, hw: HwConfig, ua: &MicroArch) {
         self.prog.id = NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed);
         self.prog.geom = geom;
@@ -757,7 +631,7 @@ impl ProgramBuilder {
         self.prog.ops.clear();
         self.prog.ranges.clear();
         self.prog.ranges.resize(geom.total_workers(), None);
-        self.prog.lint = None;
+        self.prog.diagnostics.clear();
         self.prog.races = None;
         self.prog.analysis = None;
         self.checked = false;
@@ -997,7 +871,7 @@ impl ProgramBuilder {
             }
         }
         let m = self.lower.spm_access(offset, is_store, self.cur_pe);
-        self.poisoned |= m.kind.is_poison();
+        self.poisoned |= m.kind == MicroKind::Poison;
         if self.checked {
             self.record(&m);
             // Only a shared SPM can race; LCPs have no SPM port.
@@ -1017,7 +891,7 @@ impl ProgramBuilder {
                 self.diag_at_cursor(Severity::Error, LintKind::LcpTileBarrier);
             }
             self.poisoned = true;
-            self.prog.ops.push(MicroOp::plain(MicroKind::PoisonLcpBar));
+            self.prog.ops.push(MicroOp::plain(MicroKind::Poison));
         } else {
             *self.seg_data.last_mut().expect("open worker has a segment") += 1;
             self.cur_tile_bars += 1;
@@ -1111,7 +985,7 @@ impl ProgramBuilder {
             diags.sort_by_key(|d| d.worker);
             self.push_congruence_diags(&mut diags);
         }
-        self.prog.attach_lint(diags);
+        self.prog.diagnostics = diags;
         if self.checked {
             self.prog.races = Some(verify::find_races(&mut self.race_accs));
         }
@@ -1232,6 +1106,17 @@ fn mem_access(mem: &mut MemorySystem, op: &MicroOp, tile: usize, cycle: u64) -> 
     }
 }
 
+/// The error a poisoned micro-op returns: the program's lint verdict,
+/// which flags every poisoned op. Cold and out of line, so the verdict's
+/// clone stays out of the interpreter loop.
+#[cold]
+#[inline(never)]
+fn poisoned(prog: &Program) -> SimError {
+    SimError::Rejected {
+        diagnostics: prog.diagnostics.clone(),
+    }
+}
+
 /// Executes every stream of `prog` against `mem`, starting at cycle
 /// `start`, and returns the cycle the last stream finished at.
 ///
@@ -1330,21 +1215,7 @@ pub(crate) fn exec_span(
                     cur = sched.pop();
                     continue 'outer;
                 }
-                MicroKind::PoisonSpm => {
-                    return Err(SimError::SpmUnavailable {
-                        config: prog.hw,
-                        worker: lane.worker as usize,
-                    });
-                }
-                MicroKind::PoisonLcpSpm => {
-                    // Reproduce the memory system's own assertion: the
-                    // access is counted, then the access path panics.
-                    mem.stats.spm_accesses += 1;
-                    panic!("LCPs have no scratchpad");
-                }
-                MicroKind::PoisonLcpBar => {
-                    return Err(SimError::LcpBarrier { tile });
-                }
+                MicroKind::Poison => return Err(poisoned(prog)),
             };
             // The folded bursts run after the op's stall is counted.
             mem.stats.compute_cycles += op.post as u64;
@@ -1375,10 +1246,42 @@ pub(crate) fn exec_span(
     Ok(last_done)
 }
 
+/// Builds `(worker, ops)` streams, in the given order, through a
+/// [`ProgramBuilder`] for the paper microarchitecture: how the unit
+/// tests turn op lists into programs.
+#[cfg(test)]
+pub(crate) fn build_ops<'a>(
+    geom: Geometry,
+    hw: HwConfig,
+    streams: impl IntoIterator<Item = (usize, &'a [crate::Op])>,
+) -> Program {
+    use crate::Op;
+    let mut b = ProgramBuilder::new();
+    b.begin(geom, hw, &MicroArch::paper());
+    for (w, ops) in streams {
+        match geom.locate(w) {
+            (tile, Some(pe)) => b.begin_pe(tile, pe),
+            (tile, None) => b.begin_lcp(tile),
+        }
+        for &op in ops {
+            match op {
+                Op::Compute(n) => b.compute(n),
+                Op::Load(a) => b.load(a),
+                Op::Store(a) => b.store(a),
+                Op::SpmLoad(o) => b.spm_load(o),
+                Op::SpmStore(o) => b.spm_store(o),
+                Op::TileBarrier => b.tile_barrier(),
+                Op::GlobalBarrier => b.global_barrier(),
+            }
+        }
+    }
+    b.finish().clone()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::StreamBuilder;
+    use crate::op::{Op, StreamBuilder};
 
     fn geom() -> Geometry {
         Geometry::new(2, 4)
@@ -1395,21 +1298,16 @@ mod tests {
             .collect()
     }
 
-    fn compile(hw: HwConfig, streams: &[(usize, Vec<Op>)]) -> Program {
-        Program::compile(
-            geom(),
-            hw,
-            &ua(),
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        )
+    fn build(hw: HwConfig, streams: &[(usize, Vec<Op>)]) -> Program {
+        build_ops(geom(), hw, streams.iter().map(|(w, v)| (*w, v.as_slice())))
     }
 
     #[test]
-    fn lowers_shared_routing_at_compile_time() {
+    fn lowers_shared_routing_at_build_time() {
         let mut b = StreamBuilder::new();
         b.load(0x1000).store(0x1040).compute(0);
         let streams = ops_of(vec![(0, b)]);
-        let p = compile(HwConfig::Sc, &streams);
+        let p = build(HwConfig::Sc, &streams);
         let ops = p.micro_ops();
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[0].kind, MicroKind::SharedLoad);
@@ -1419,7 +1317,7 @@ mod tests {
         assert_eq!(ops[0].a, 16);
         assert_eq!(ops[1].kind, MicroKind::SharedStore);
         assert_eq!(ops[1].bank, 1);
-        // Compute(0) clamps to 1 at compile time and folds into the
+        // Compute(0) clamps to 1 at build time and folds into the
         // store before it.
         assert_eq!((ops[1].post, ops[1].folded), (1, 1));
     }
@@ -1430,7 +1328,7 @@ mod tests {
         b.compute(3).compute(4).load(0).compute(5).compute(6);
         b.tile_barrier().compute(7).global_barrier().compute(8);
         let streams = ops_of(vec![(0, b)]);
-        let p = compile(HwConfig::Sc, &streams);
+        let p = build(HwConfig::Sc, &streams);
         let got: Vec<(MicroKind, u64, u32, u8)> = p
             .micro_ops()
             .iter()
@@ -1456,7 +1354,7 @@ mod tests {
         let mut ops = vec![Op::Load(0)];
         ops.extend(std::iter::repeat_n(Op::Compute(1), 256));
         ops.extend([Op::Compute(u32::MAX), Op::Compute(1)]);
-        let p = compile(HwConfig::Sc, &[(0, ops)]);
+        let p = build(HwConfig::Sc, &[(0, ops)]);
         let got: Vec<(MicroKind, u64, u32, u8)> = p
             .micro_ops()
             .iter()
@@ -1480,7 +1378,7 @@ mod tests {
         lcp.store(0);
         let g = geom();
         let streams = ops_of(vec![(g.pe_id(1, 2), pe), (g.lcp_id(0), lcp)]);
-        let p = compile(HwConfig::Pc, &streams);
+        let p = build(HwConfig::Pc, &streams);
         let pe_ops = {
             let (lo, hi) = p.ranges[g.pe_id(1, 2)].unwrap();
             &p.micro_ops()[lo as usize..hi as usize]
@@ -1493,22 +1391,44 @@ mod tests {
         };
         assert_eq!(lcp_ops[0].kind, MicroKind::DirLcpStore);
 
-        let p = compile(HwConfig::Sc, &streams);
+        let p = build(HwConfig::Sc, &streams);
         let (lo, _) = p.ranges[g.lcp_id(0)].unwrap();
         assert_eq!(p.micro_ops()[lo as usize].kind, MicroKind::SharedDirStore);
     }
 
+    /// Every op the machine rejects lowers to the one poison kind, the
+    /// lint flags it, and executing it anyway returns that verdict as
+    /// an error: an SPM op without SPM, an LCP tile barrier, and an
+    /// LCP SPM op under a configuration that has SPM.
     #[test]
-    fn poisons_invalid_ops_instead_of_failing_compile() {
+    fn poisoned_ops_lower_to_one_kind_and_fail_without_panicking() {
+        let g = geom();
         let mut spm = StreamBuilder::new();
         spm.spm_load(0);
         let mut lcp_bar = StreamBuilder::new();
         lcp_bar.tile_barrier();
-        let g = geom();
-        let streams = ops_of(vec![(g.pe_id(0, 0), spm), (g.lcp_id(1), lcp_bar)]);
-        let p = compile(HwConfig::Pc, &streams);
-        assert_eq!(p.micro_ops()[0].kind, MicroKind::PoisonSpm);
-        assert_eq!(p.micro_ops()[1].kind, MicroKind::PoisonLcpBar);
+        let mut lcp_spm = StreamBuilder::new();
+        lcp_spm.compute(2).spm_store(0);
+        let cases = [
+            (HwConfig::Pc, (g.pe_id(0, 0), spm)),
+            (HwConfig::Pc, (g.lcp_id(1), lcp_bar)),
+            (HwConfig::Ps, (g.lcp_id(0), lcp_spm)),
+        ];
+        for (hw, stream) in cases {
+            let p = build(hw, &ops_of(vec![stream]));
+            assert_eq!(
+                p.micro_ops().last().map(|m| m.kind),
+                Some(MicroKind::Poison)
+            );
+            assert!(!p.lint_clean(), "{hw}: poison must fail the lint");
+            let mut mem = MemorySystem::new(g, ua(), hw);
+            match exec_span(&mut mem, &p, 0) {
+                Err(SimError::Rejected { diagnostics }) => {
+                    assert_eq!(diagnostics, p.lint_diagnostics(), "{hw}")
+                }
+                other => panic!("{hw}: expected the verdict, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1524,7 +1444,7 @@ mod tests {
             b
         };
         let congruent = |streams: &[(usize, Vec<Op>)]| {
-            analyze::analyze(&compile(HwConfig::Pc, streams)).congruent()
+            analyze::analyze(&build(HwConfig::Pc, streams)).congruent()
         };
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(2)), (g.pe_id(0, 1), mk(2))]);
         assert!(congruent(&streams));
@@ -1538,57 +1458,6 @@ mod tests {
         no_gb.compute(1);
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(0)), (g.pe_id(0, 1), no_gb)]);
         assert!(!congruent(&streams));
-    }
-
-    #[test]
-    fn recompile_reuses_buffers_and_clears_lint() {
-        let mut b = StreamBuilder::new();
-        b.compute(5);
-        let streams = ops_of(vec![(0, b)]);
-        let mut p = compile(HwConfig::Sc, &streams);
-        p.attach_lint(Vec::new());
-        assert_eq!(p.lint_clean(), Some(true));
-        let mut b2 = StreamBuilder::new();
-        b2.compute(1).compute(2);
-        let streams2 = ops_of(vec![(1, b2)]);
-        p.recompile(
-            geom(),
-            HwConfig::Ps,
-            &ua(),
-            streams2.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
-        // The second burst folds into the first.
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.hw(), HwConfig::Ps);
-        assert!(p.ranges[0].is_none());
-        assert_eq!(p.ranges[1], Some((0, 1)));
-        assert_eq!(p.lint_clean(), None);
-    }
-
-    /// Replays `(worker, ops)` streams through the streaming builder,
-    /// exactly as `Program::compile` consumes them.
-    fn build(hw: HwConfig, streams: &[(usize, Vec<Op>)]) -> Program {
-        let g = geom();
-        let mut b = ProgramBuilder::new();
-        b.begin(g, hw, &ua());
-        for (w, ops) in streams {
-            match g.locate(*w) {
-                (tile, Some(pe)) => b.begin_pe(tile, pe),
-                (tile, None) => b.begin_lcp(tile),
-            }
-            for &op in ops {
-                match op {
-                    Op::Compute(n) => b.compute(n),
-                    Op::Load(a) => b.load(a),
-                    Op::Store(a) => b.store(a),
-                    Op::SpmLoad(o) => b.spm_load(o),
-                    Op::SpmStore(o) => b.spm_store(o),
-                    Op::TileBarrier => b.tile_barrier(),
-                    Op::GlobalBarrier => b.global_barrier(),
-                }
-            }
-        }
-        b.finish().clone()
     }
 
     /// The same streams as a `ProgramSet`, for the batch lint oracle.
@@ -1633,20 +1502,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_compile_on_every_config() {
-        let streams = mixed_streams();
-        for hw in [HwConfig::Sc, HwConfig::Scs, HwConfig::Pc, HwConfig::Ps] {
-            let p = compile(hw, &streams);
-            let b = build(hw, &streams);
-            assert_eq!(b.micro_ops(), p.micro_ops(), "{hw}: micro-ops diverge");
-            assert_eq!(b.ranges, p.ranges, "{hw}: ranges diverge");
-            assert_eq!(b.geometry(), p.geometry());
-            assert_eq!(b.hw(), p.hw());
-            assert_ne!(b.id(), p.id(), "each build is a fresh artifact");
-        }
-    }
-
-    #[test]
     fn builder_lint_matches_batch_lint() {
         // mixed_streams carries Compute(0) warnings plus, depending on
         // config, SPM-unavailability errors; add barrier-congruence
@@ -1664,11 +1519,11 @@ mod tests {
             let b = build(hw, &streams);
             let want = verify::lint(&materialize(&streams), hw, &ua(), None);
             assert_eq!(
-                b.lint_diagnostics().expect("finish attaches a verdict"),
+                b.lint_diagnostics(),
                 want.as_slice(),
                 "{hw}: lint reports diverge"
             );
-            assert_eq!(b.lint_clean(), Some(verify::is_clean(&want)));
+            assert_eq!(b.lint_clean(), verify::is_clean(&want));
         }
     }
 
@@ -1685,7 +1540,7 @@ mod tests {
         b.compute(3);
         let first_id = {
             let p = b.finish();
-            assert_eq!(p.lint_clean(), Some(false));
+            assert!(!p.lint_clean());
             assert!(p.analysis().is_some() && p.races().is_some());
             p.id()
         };
@@ -1701,8 +1556,8 @@ mod tests {
         assert_ne!(p.id(), first_id);
         assert_eq!(p.len(), 4);
         assert_eq!(p.hw(), HwConfig::Ps);
-        assert_eq!(p.lint_clean(), Some(true));
-        assert!(p.lint_diagnostics().expect("verdict attached").is_empty());
+        assert!(p.lint_clean());
+        assert!(p.lint_diagnostics().is_empty());
         assert!(p.analysis().is_none() && p.races().is_none());
     }
 
@@ -1724,8 +1579,8 @@ mod tests {
         b.begin_pe(0, 0);
         b.spm_load(0); // would be a per-op error; suppressed when unsupported
         let p = b.finish();
-        assert_eq!(p.lint_clean(), Some(false));
-        let diags = p.lint_diagnostics().unwrap();
+        assert!(!p.lint_clean());
+        let diags = p.lint_diagnostics();
         assert_eq!(diags.len(), 1);
         assert!(matches!(
             diags[0].kind,

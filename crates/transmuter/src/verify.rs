@@ -3,7 +3,7 @@
 //! Two independent analyses of kernel correctness, both exact with
 //! respect to the simulator's semantics:
 //!
-//! * [`lint`] checks a materialized [`ProgramSet`] against a hardware
+//! * [`lint`] checks a [`ProgramSet`] against a hardware
 //!   configuration, microarchitecture and optional address map
 //!   *without running it*. Its error-severity diagnostics are precisely
 //!   the conditions under which [`crate::Machine::run`] would fail (or
@@ -25,13 +25,12 @@
 //! The relation depends only on program order, so both race detectors
 //! share one finder and return equal reports.
 //!
-//! The contract between the two layers: a stream set that lints clean
+//! The contract between the two layers: a program set that lints clean
 //! under a legal configuration runs to completion, and a shipped kernel
 //! must additionally be race-free.
 
 use crate::config::{Geometry, HwConfig, L1Mode, MicroArch};
-use crate::machine::{StreamSet, WorkerStream};
-use crate::op::{Addr, Op, OpStream};
+use crate::op::{Addr, Op};
 use crate::trace::TraceEvent;
 use std::fmt;
 
@@ -287,97 +286,74 @@ impl RegionMap {
     }
 }
 
-/// A fully materialized stream set: every worker's ops in a buffer, so
-/// they can be inspected by [`lint`] and still executed afterwards.
+/// Every worker's ops in a buffer: the op-stream reference's one
+/// container. [`lint`] inspects it, [`crate::Machine::run`] walks it
+/// (as often as asked; the buffers are borrowed) and the tracer records
+/// what that walk issues.
 ///
-/// [`StreamSet`] holds lazy single-pass iterators; verification needs
-/// two passes (analyse, then run), hence this owned form.
-#[derive(Debug, Clone, Default)]
+/// Workers without a stream stay idle and take no part in barriers.
+#[derive(Debug, Clone)]
 pub struct ProgramSet {
-    geom: Option<Geometry>,
+    geom: Geometry,
     programs: Vec<Option<Vec<Op>>>,
+    /// The worker [`ProgramSet::push`] appends to: the last one assigned.
+    open: Option<usize>,
 }
 
 impl ProgramSet {
     /// Creates an empty set for `geom` (no worker has a stream).
     pub fn new(geom: Geometry) -> Self {
         ProgramSet {
-            geom: Some(geom),
+            geom,
             programs: vec![None; geom.total_workers()],
+            open: None,
         }
     }
 
-    /// Drains a lazy [`StreamSet`] into buffers.
-    pub fn materialize(streams: StreamSet<'_>) -> Self {
-        let geom = streams.geometry();
-        let mut set = ProgramSet::new(geom);
-        set.programs = streams
-            .into_streams()
-            .into_iter()
-            .map(|s| s.map(|iter| iter.collect::<Vec<Op>>()))
-            .collect();
-        set
-    }
-
-    /// Assigns PE `(tile, pe)`'s ops.
+    /// Assigns PE `(tile, pe)`'s ops, replacing any it had; later
+    /// [`ProgramSet::push`] calls append to them.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range.
     pub fn set_pe(&mut self, tile: usize, pe: usize, ops: impl IntoIterator<Item = Op>) {
-        let id = self.geometry().pe_id(tile, pe);
-        self.programs[id] = Some(ops.into_iter().collect());
+        self.set(self.geom.pe_id(tile, pe), ops);
     }
 
-    /// Assigns tile `tile`'s LCP ops.
+    /// Assigns tile `tile`'s LCP ops, replacing any it had; later
+    /// [`ProgramSet::push`] calls append to them.
     ///
     /// # Panics
     ///
     /// Panics if `tile` is out of range.
     pub fn set_lcp(&mut self, tile: usize, ops: impl IntoIterator<Item = Op>) {
-        let id = self.geometry().lcp_id(tile);
-        self.programs[id] = Some(ops.into_iter().collect());
+        self.set(self.geom.lcp_id(tile), ops);
     }
 
-    /// Geometry this set was built for.
+    fn set(&mut self, w: usize, ops: impl IntoIterator<Item = Op>) {
+        self.programs[w] = Some(ops.into_iter().collect());
+        self.open = Some(w);
+    }
+
+    /// Appends `op` to the stream assigned last.
     ///
     /// # Panics
     ///
-    /// Panics on a `Default`-constructed (geometry-less) set.
+    /// Panics if no stream was assigned yet.
+    #[inline]
+    pub fn push(&mut self, op: Op) {
+        let w = self.open.expect("no worker stream assigned");
+        self.programs[w].get_or_insert_with(Vec::new).push(op);
+    }
+
+    /// Geometry this set was built for.
     pub fn geometry(&self) -> Geometry {
         self.geom
-            .expect("ProgramSet has no geometry; construct it with new() or materialize()")
     }
 
     /// Worker `w`'s ops, if it has a stream.
     pub fn worker(&self, w: usize) -> Option<&[Op]> {
         self.programs.get(w).and_then(|p| p.as_deref())
-    }
-
-    /// Borrows the buffers as a runnable [`StreamSet`] (the set can be
-    /// re-run any number of times). The streams replay the buffers as
-    /// slices, so re-running verified programs costs no per-op dispatch.
-    pub fn stream_set(&self) -> StreamSet<'_> {
-        let geom = self.geometry();
-        let streams = self
-            .programs
-            .iter()
-            .map(|p| p.as_ref().map(|ops| WorkerStream::Slice(ops.iter())))
-            .collect();
-        StreamSet::from_streams(geom, streams)
-    }
-
-    /// Consumes the buffers into an owned [`StreamSet`].
-    pub fn into_stream_set(self) -> StreamSet<'static> {
-        let geom = self.geometry();
-        let streams = self
-            .programs
-            .into_iter()
-            .map(|p| {
-                p.map(|ops| WorkerStream::Boxed(Box::new(ops.into_iter()) as Box<dyn OpStream>))
-            })
-            .collect();
-        StreamSet::from_streams(geom, streams)
     }
 }
 

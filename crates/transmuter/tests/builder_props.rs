@@ -1,11 +1,10 @@
-//! Differential properties of the single-pass [`ProgramBuilder`]: a
-//! program emitted through the builder must be indistinguishable —
-//! micro-op count, lint verdict, and simulated execution — from one
-//! compiled out of materialized op
-//! streams and linted after the fact (the legacy two-pass pipeline the
-//! builder replaced). The fold oracle then checks both against the op
-//! streams themselves: folding compute bursts into the micro-op before
-//! them must not change a run or a reported position.
+//! Differential properties of the single-pass [`ProgramBuilder`]
+//! against the op-stream reference: a program emitted through the
+//! builder must be indistinguishable — lint verdict and simulated
+//! execution — from the same op streams in a [`ProgramSet`], linted by
+//! [`verify::lint`] and run by [`Machine::run_verified`]. The fold
+//! oracle then checks that folding compute bursts into the micro-op
+//! before them changes neither a run nor a reported position.
 
 use proptest::prelude::*;
 use transmuter::verify::{self, Diagnostic, LintKind, ProgramSet, RegionMap};
@@ -13,6 +12,43 @@ use transmuter::{
     analyze, Analysis, Geometry, HwConfig, Machine, MicroArch, Op, Program, ProgramBuilder,
     SimError, SimReport,
 };
+
+/// Emits `(worker, ops)` streams, in order, through one build; a
+/// checked build when `regions` is given.
+fn build(
+    geom: Geometry,
+    hw: HwConfig,
+    streams: &[(usize, Vec<Op>)],
+    regions: Option<&RegionMap>,
+) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.begin(geom, hw, &MicroArch::paper());
+    if let Some(regions) = regions {
+        b.bind_regions(regions);
+    }
+    for (w, ops) in streams {
+        match geom.locate(*w) {
+            (tile, Some(pe)) => b.begin_pe(tile, pe),
+            (tile, None) => b.begin_lcp(tile),
+        }
+        for &op in ops {
+            emit(&mut b, op);
+        }
+    }
+    b.finish().clone()
+}
+
+/// The same streams in a [`ProgramSet`], for the reference.
+fn program_set(geom: Geometry, streams: &[(usize, Vec<Op>)]) -> ProgramSet {
+    let mut pset = ProgramSet::new(geom);
+    for (w, ops) in streams {
+        match geom.locate(*w) {
+            (tile, Some(pe)) => pset.set_pe(tile, pe, ops.iter().copied()),
+            (tile, None) => pset.set_lcp(tile, ops.iter().copied()),
+        }
+    }
+    pset
+}
 
 /// Decodes one generated op. SPM offsets stay word-aligned and inside
 /// the smallest capacity any SPM-bearing config offers, mirroring the
@@ -82,11 +118,12 @@ fn arb_case() -> impl Strategy<Value = (usize, usize, usize, Vec<RawStream>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Builder-emitted programs are bit-identical to legacy
-    /// compile-then-lint programs: same length, same diagnostics, and
-    /// the machine cannot tell them apart.
+    /// A builder-emitted program carries exactly the verdict the batch
+    /// lint gives its op streams, and the machine cannot tell it from
+    /// those streams under `run_verified`: the same report when they
+    /// lint clean, the same rejection when they do not.
     #[test]
-    fn builder_program_matches_legacy_compile(case in arb_case()) {
+    fn builder_program_matches_lint_and_run_verified(case in arb_case()) {
         let (tiles, pes, hw_idx, raw) = case;
         let geom = Geometry::new(tiles, pes);
         let hw = HwConfig::ALL[hw_idx];
@@ -113,67 +150,17 @@ proptest! {
             streams.push((w, decoded));
         }
 
-        // Legacy two-pass pipeline: materialize op streams, compile a
-        // Program from them, lint the stream set separately, attach.
-        let mut legacy = Program::compile(
-            geom,
-            hw,
-            &ua,
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
-        let mut pset = ProgramSet::new(geom);
-        for (w, ops) in &streams {
-            let (tile, pe) = geom.locate(*w);
-            match pe {
-                Some(pe) => pset.set_pe(tile, pe, ops.iter().copied()),
-                None => pset.set_lcp(tile, ops.iter().copied()),
-            }
-        }
-        legacy.attach_lint(verify::lint(&pset, hw, &ua, None));
+        let pset = program_set(geom, &streams);
+        let want = verify::lint(&pset, hw, &ua, None);
+        let built = build(geom, hw, &streams, None);
+        let source_ops: usize = streams.iter().map(|(_, v)| v.len()).sum();
+        prop_assert!(built.len() <= source_ops);
+        prop_assert_eq!(built.lint_diagnostics(), &want[..]);
+        prop_assert_eq!(built.lint_clean(), verify::is_clean(&want));
 
-        // Single-pass builder pipeline over the same emission order.
-        let mut b = ProgramBuilder::new();
-        b.begin(geom, hw, &ua);
-        for (w, ops) in &streams {
-            let (tile, pe) = geom.locate(*w);
-            match pe {
-                Some(pe) => b.begin_pe(tile, pe),
-                None => b.begin_lcp(tile),
-            }
-            for op in ops {
-                emit(&mut b, *op);
-            }
-        }
-        let built = b.finish();
-
-        prop_assert_eq!(built.len(), legacy.len());
-        prop_assert_eq!(built.lint_clean(), legacy.lint_clean());
-        prop_assert_eq!(built.lint_diagnostics(), legacy.lint_diagnostics());
-
-        // The machine cannot tell them apart either: identical reports
-        // on success, identical rejections on lint errors.
-        let mut ma = Machine::new(geom, MicroArch::paper());
-        ma.reconfigure(hw);
-        let mut mb = Machine::new(geom, MicroArch::paper());
-        mb.reconfigure(hw);
-        let ra = ma.run_program(&legacy);
-        let rb = mb.run_program(built);
-        match (ra, rb) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.cycles, b.cycles);
-                prop_assert_eq!(a.stats, b.stats);
-            }
-            (Err(ea), Err(eb)) => {
-                prop_assert_eq!(format!("{ea:?}"), format!("{eb:?}"));
-            }
-            (a, b) => {
-                return Err(TestCaseError::fail(format!(
-                    "divergent outcomes: legacy {:?} vs builder {:?}",
-                    a.map(|r| r.cycles),
-                    b.map(|r| r.cycles)
-                )));
-            }
-        }
+        let reference = machine(geom, hw).run_verified(&pset, None);
+        let got = machine(geom, hw).run_program(&built);
+        prop_assert_eq!(outcome(&got), outcome(&reference));
     }
 
     /// A checked build's verdict equals the batch lint with the same
@@ -229,8 +216,8 @@ proptest! {
         }
         let built = b.finish();
         let want = verify::lint(&pset, hw, &ua, Some(&regions));
-        prop_assert_eq!(built.lint_diagnostics(), Some(&want[..]));
-        prop_assert_eq!(built.lint_clean(), Some(verify::is_clean(&want)));
+        prop_assert_eq!(built.lint_diagnostics(), &want[..]);
+        prop_assert_eq!(built.lint_clean(), verify::is_clean(&want));
         prop_assert!(built.races().is_some());
 
         // The binding lasts one build: the next build is unchecked.
@@ -238,10 +225,10 @@ proptest! {
         prop_assert_eq!(b.finish().races(), None);
     }
 
-    /// The fold oracle: builder-built and compiled programs, whose
-    /// compute bursts ride on the micro-op before them, run exactly
-    /// like [`Machine::run`] over the unfolded op streams — same
-    /// cycles, every stats field, energy, and the same error on
+    /// The fold oracle: built programs, whose compute bursts ride on
+    /// the micro-op before them, answer exactly like
+    /// [`Machine::run_verified`] over the unfolded op streams — same
+    /// cycles, every stats field, energy, and the same rejection of
     /// poisoned or deadlocking streams. Lint and analysis positions
     /// stay op-stream positions, on the checked build's incremental
     /// analysis and on the post-hoc one alike.
@@ -254,54 +241,23 @@ proptest! {
         // generated address.
         let mut regions = RegionMap::new();
         regions.add("all", 0, 1 << 20);
-        let mut pset = ProgramSet::new(geom);
-        let mut b = ProgramBuilder::new();
-        b.begin(geom, hw, &ua);
-        b.bind_regions(&regions);
-        for (w, ops) in &streams {
-            match geom.locate(*w) {
-                (tile, Some(pe)) => {
-                    b.begin_pe(tile, pe);
-                    pset.set_pe(tile, pe, ops.iter().copied());
-                }
-                (tile, None) => {
-                    b.begin_lcp(tile);
-                    pset.set_lcp(tile, ops.iter().copied());
-                }
-            }
-            for &op in ops {
-                emit(&mut b, op);
-            }
-        }
-        let built = b.finish().clone();
-        let compiled = Program::compile(
-            geom,
-            hw,
-            &ua,
-            streams.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
+        let pset = program_set(geom, &streams);
+        let built = build(geom, hw, &streams, Some(&regions));
         let source_ops: usize = streams.iter().map(|(_, v)| v.len()).sum();
         prop_assert!(built.len() <= source_ops);
-        prop_assert_eq!(built.len(), compiled.len());
 
-        // Execution: the compiled program carries no lint verdict, so
-        // it runs into the same errors as the op streams; the builder's
-        // program carries one, so it answers like `run_verified`.
-        let reference = machine(geom, hw).run(pset.stream_set());
         let verified = machine(geom, hw).run_verified(&pset, Some(&regions));
-        let got = machine(geom, hw).run_program(&compiled);
-        prop_assert_eq!(outcome(&got), outcome(&reference), "compiled");
         let got = machine(geom, hw).run_program(&built);
-        prop_assert_eq!(outcome(&got), outcome(&verified), "built");
+        prop_assert_eq!(outcome(&got), outcome(&verified));
 
         // Lint positions: the batch lint reads the op streams.
         let want = verify::lint(&pset, hw, &ua, Some(&regions));
-        prop_assert_eq!(built.lint_diagnostics(), Some(&want[..]));
+        prop_assert_eq!(built.lint_diagnostics(), &want[..]);
 
         // Analysis positions: the streams with their compute bursts
         // stripped hold no foldable op and make the same accesses, so
-        // their analysis, re-indexed to the full streams, is the
-        // unfolded oracle.
+        // the analysis of their unchecked build, re-indexed to the full
+        // streams, is the unfolded oracle.
         let mut index: Vec<Vec<usize>> = vec![Vec::new(); geom.total_workers()];
         let mut stripped = Vec::new();
         for (w, ops) in &streams {
@@ -310,16 +266,11 @@ proptest! {
                 .collect();
             stripped.push((*w, index[*w].iter().map(|&i| ops[i]).collect::<Vec<Op>>()));
         }
-        let unfolded = Program::compile(
-            geom,
-            hw,
-            &ua,
-            stripped.iter().map(|(w, v)| (*w, v.as_slice())),
-        );
+        let unfolded = build(geom, hw, &stripped, None);
+        prop_assert!(unfolded.analysis().is_none());
         let oracle = reindexed(&analyze(&unfolded), &index);
         prop_assert_eq!(&summary(built.analysis().expect("checked builds analyze")), &oracle);
-        prop_assert!(compiled.analysis().is_none());
-        prop_assert_eq!(&summary(&analyze(&compiled)), &oracle);
+        prop_assert_eq!(&summary(&analyze(&built)), &oracle);
     }
 }
 

@@ -1,5 +1,5 @@
 //! Property and unit tests of the verification layer: the linter must
-//! accept exactly the stream sets the machine runs to completion, and
+//! accept exactly the program sets the machine runs to completion, and
 //! the race detector must respect barrier-epoch happens-before.
 
 use proptest::prelude::*;
@@ -331,7 +331,7 @@ fn checked_build_rejects_a_store_outside_every_region() {
     map.add("x", 0x1_0000, 0x1000);
     let mut b = ProgramBuilder::new();
     let prog = checked_build(&mut b, &p, HwConfig::Sc, &map);
-    assert_eq!(prog.lint_clean(), Some(false));
+    assert!(!prog.lint_clean());
     let err = machine_with(geom, HwConfig::Sc)
         .run_program(prog)
         .unwrap_err();
@@ -368,7 +368,7 @@ fn checked_build_reports_global_and_shared_spm_races() {
     p.set_pe(1, 1, []);
     let mut b = ProgramBuilder::new();
     let prog = checked_build(&mut b, &p, HwConfig::Scs, &everything());
-    assert_eq!(prog.lint_clean(), Some(true));
+    assert!(prog.lint_clean());
     let races = prog.races().expect("checked builds attach races");
     assert_eq!(
         races,
@@ -393,7 +393,7 @@ fn checked_build_reports_global_and_shared_spm_races() {
     // The trace detector finds exactly the same races.
     let mut m = machine_with(geom, HwConfig::Scs);
     m.set_trace(Some(TraceConfig::default()));
-    m.run(p.stream_set()).unwrap();
+    m.run(&p).unwrap();
     let traced = verify::detect_races(&m.take_trace(), geom, HwConfig::Scs, &MicroArch::paper());
     assert_eq!(traced, races);
 }
@@ -413,24 +413,17 @@ fn scs_on_single_pe_tiles_is_rejected_statically() {
 }
 
 #[test]
-fn program_set_round_trips_through_stream_set() {
+fn program_set_appends_and_reruns() {
     let geom = Geometry::new(1, 2);
     let mut p = ProgramSet::new(geom);
-    p.set_pe(0, 0, [Op::Compute(3), Op::Load(0x40)]);
-    let materialized = ProgramSet::materialize(p.stream_set());
-    assert_eq!(
-        materialized.worker(0),
-        Some(&[Op::Compute(3), Op::Load(0x40)][..])
-    );
-    assert_eq!(materialized.worker(1), None);
-    // Running the borrowed and the owned forms gives identical reports.
-    let r1 = machine_with(geom, HwConfig::Sc)
-        .run(p.stream_set())
-        .unwrap();
-    let r2 = machine_with(geom, HwConfig::Sc)
-        .run(p.into_stream_set())
-        .unwrap();
-    assert_eq!(r1.cycles, r2.cycles);
+    p.set_pe(0, 0, [Op::Compute(3)]);
+    p.push(Op::Load(0x40));
+    assert_eq!(p.worker(0), Some(&[Op::Compute(3), Op::Load(0x40)][..]));
+    assert_eq!(p.worker(1), None);
+    // The run borrows the buffers, so the set runs again unchanged.
+    let r1 = machine_with(geom, HwConfig::Sc).run(&p).unwrap();
+    let r2 = machine_with(geom, HwConfig::Sc).run(&p).unwrap();
+    assert_eq!(r1, r2);
 }
 
 // ---------------------------------------------------------------------
@@ -582,10 +575,10 @@ fn assert_static_races_match_trace(programs: &ProgramSet, hw: HwConfig) -> usize
     let ua = MicroArch::paper();
     let mut b = ProgramBuilder::new();
     let prog = checked_build(&mut b, programs, hw, &everything());
-    assert_eq!(prog.lint_clean(), Some(true));
+    assert!(prog.lint_clean());
     let mut m = machine_with(geom, hw);
     m.set_trace(Some(TraceConfig::default()));
-    m.run(programs.stream_set()).unwrap();
+    m.run(programs).unwrap();
     let capture = m.take_trace_capture();
     assert!(!capture.truncated);
     let traced = verify::detect_races(&capture.events, geom, hw, &ua);
@@ -604,7 +597,7 @@ fn assert_lint_accepts_iff_run_completes(
     let accepted = verify::is_clean(&diags);
 
     let mut m = machine_with(geom, hw);
-    let run = m.run(programs.stream_set());
+    let run = m.run(programs);
     prop_assert_eq!(
         accepted,
         run.is_ok(),

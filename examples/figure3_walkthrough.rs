@@ -14,7 +14,7 @@
 
 use cosparse::{CoSparse, Frontier, HwConfig, Policy, SwConfig};
 use sparse::{CooMatrix, SparseVector};
-use transmuter::{Geometry, Machine, MicroArch, Op, TraceConfig};
+use transmuter::{Geometry, Machine, MicroArch, Op, ProgramSet, TraceConfig};
 
 fn op_name(op: Op) -> String {
     match op {
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_events: 40,
         }));
         let layout = cosparse::Layout::new(6, 6, matrix.nnz(), geometry, 1);
-        let mut sink = cosparse::kernels::OpBufSink::new(geometry);
+        let mut sink = ProgramSet::new(geometry);
         match sw {
             SwConfig::InnerProduct => {
                 let partition = cosparse::balance::ip_partitions(
@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
         }
-        let _ = machine.run(sink.into_stream_set())?;
+        let _ = machine.run(&sink)?;
         for e in machine.take_trace() {
             let who = if e.worker == 4 { "LCP " } else { "PE0 " };
             println!("  cyc {:>4}  {who} {}", e.cycle, op_name(e.op));
