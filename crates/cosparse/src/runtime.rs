@@ -1076,66 +1076,26 @@ impl CoSparse {
             self.shared.matrix().cols(),
             "frontier dimension mismatch"
         );
-        let rows = self.shared.matrix().rows();
-        let profile = OpProfile::scalar();
-        let frontier_nnz = frontier.nnz();
-        let density = frontier.density();
-        let decision = self.decide_exact(frontier_nnz, &profile);
-        // Stage the frontier in the reusable scratch buffers; steady-state
-        // iterations allocate nothing here.
+        // Stage the frontier in the reusable scratch buffer; steady-state
+        // iterations allocate nothing here. `collect_active` keeps
+        // exactly the entries `Frontier::nnz` counts, so `step` decides
+        // on the same density.
         let mut entries = std::mem::take(&mut self.entries_buf);
         entries.clear();
         frontier.collect_active(&mut entries);
         // The all-zero state is read out of the shared graph; the local
         // handle clone keeps it borrowable across `&mut self` calls.
         let graph = Arc::clone(&self.shared);
-        if self.backend == ExecBackend::Host {
-            // Native path: no machine anywhere.
-            let (updates, report) = self.host_step(&SpmvOp, &entries, graph.zeros());
-            self.entries_buf = entries;
-            let result = wrap_updates(rows, decision.software, updates);
-            return Ok(SpmvOutcome {
-                software: decision.software,
-                hardware: decision.hardware,
-                format: decision.format,
-                reorder: decision.reorder,
-                report,
-                result,
-            });
-        }
-        let mut active = std::mem::take(&mut self.indices_buf);
-        active.clear();
-        active.extend(entries.iter().map(|&(i, _)| i));
-        let executed = self.execute_timed(decision, &active, &profile);
-        self.indices_buf = active;
-        let (report, kernel_cycles) = match executed {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.entries_buf = entries;
-                return Err(e);
-            }
-        };
-        if self.policy == Policy::Adaptive {
-            self.adaptive.record(
-                density,
-                decision.software,
-                decision.hardware,
-                decision.format,
-                decision.reorder,
-                kernel_cycles,
-            );
-        }
-
-        let updates = self.answer(&SpmvOp, &entries, graph.zeros());
+        let stepped = self.step(&SpmvOp, &entries, graph.zeros());
         self.entries_buf = entries;
-        let result = wrap_updates(rows, decision.software, updates);
+        let out = stepped?;
         Ok(SpmvOutcome {
-            software: decision.software,
-            hardware: decision.hardware,
-            format: decision.format,
-            reorder: decision.reorder,
-            report,
-            result,
+            software: out.software,
+            hardware: out.hardware,
+            format: out.format,
+            reorder: out.reorder,
+            report: out.report,
+            result: wrap_updates(graph.matrix().rows(), out.software, out.updates),
         })
     }
 

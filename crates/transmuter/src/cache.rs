@@ -3,7 +3,7 @@
 
 /// Result of probing a cache bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeResult {
+pub(crate) enum ProbeResult {
     /// The line was present.
     Hit,
     /// The line was absent; `victim_dirty` says whether the filled way
@@ -58,16 +58,13 @@ const INVALID: Way = Way { tag: 0, meta: 0 };
 /// The bank operates on *line addresses* (byte address / line size); the
 /// memory system performs the interleaving that selects a bank.
 #[derive(Debug, Clone)]
-pub struct CacheBank {
+pub(crate) struct CacheBank {
     sets: usize,
     ways: usize,
     store: Vec<Way>,
     stamp: u64,
     /// Last missed line, for the next-line stride prefetcher.
     last_miss_line: u64,
-    hits: u64,
-    misses: u64,
-    evictions_dirty: u64,
 }
 
 impl CacheBank {
@@ -85,9 +82,6 @@ impl CacheBank {
             store: vec![INVALID; sets * ways],
             stamp: 0,
             last_miss_line: u64::MAX,
-            hits: 0,
-            misses: 0,
-            evictions_dirty: 0,
         }
     }
 
@@ -109,13 +103,11 @@ impl CacheBank {
                     | (way.meta & DIRTY)
                     | ((is_store as u64) << 1)
                     | VALID;
-                self.hits += 1;
                 return ProbeResult::Hit;
             }
         }
         // Miss: choose victim (invalid first, else LRU; ties keep the
         // first way, matching `min_by_key`).
-        self.misses += 1;
         let mut victim = 0;
         let mut best = slots[0].victim_key();
         for (i, w) in slots.iter().enumerate().skip(1) {
@@ -130,12 +122,8 @@ impl CacheBank {
             tag: line,
             meta: (self.stamp << LRU_SHIFT) | ((is_store as u64) << 1) | VALID,
         };
-        let victim_dirty = old.valid() && old.dirty();
-        if victim_dirty {
-            self.evictions_dirty += 1;
-        }
         ProbeResult::Miss {
-            victim_dirty,
+            victim_dirty: old.valid() && old.dirty(),
             victim_line: if old.valid() { Some(old.tag) } else { None },
         }
     }
@@ -166,15 +154,10 @@ impl CacheBank {
             tag: line,
             meta: (self.stamp << LRU_SHIFT) | VALID,
         };
-        if old.valid() && old.dirty() {
-            self.evictions_dirty += 1;
-            Some(old.tag)
-        } else {
-            None
-        }
+        (old.valid() && old.dirty()).then_some(old.tag)
     }
 
-    /// True if `line` is resident (no LRU update, no stats).
+    /// True if `line` is resident (no LRU update).
     pub fn contains(&self, line: u64) -> bool {
         let set = self.set_of(line);
         let base = set * self.ways;
@@ -207,35 +190,12 @@ impl CacheBank {
         dirty
     }
 
-    /// Demand hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Demand misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Dirty evictions so far (demand + prefetch installs).
-    pub fn dirty_evictions(&self) -> u64 {
-        self.evictions_dirty
-    }
-
-    /// Resets statistics (contents retained).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions_dirty = 0;
-    }
-
     /// True when this bank will time every future access sequence
     /// exactly like `other`: same geometry, same resident lines with
     /// the same dirty bits, the same per-set LRU *ordering*, and the
-    /// same stride-detector state. Absolute LRU stamps and the demand
-    /// counters are excluded — stamps grow monotonically across runs
-    /// while only their relative order drives victim selection, and the
-    /// counters are observational. This is the equivalence behind the
+    /// same stride-detector state. Absolute LRU stamps are excluded —
+    /// they grow monotonically across runs while only their relative
+    /// order drives victim selection. This is the equivalence behind the
     /// machine's steady-state memo.
     pub fn same_behavior(&self, other: &CacheBank) -> bool {
         if self.sets != other.sets
@@ -281,8 +241,6 @@ mod tests {
         let mut c = CacheBank::new(16, 4);
         assert!(matches!(c.access(42, false), ProbeResult::Miss { .. }));
         assert_eq!(c.access(42, false), ProbeResult::Hit);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -311,7 +269,6 @@ mod tests {
             }
             other => panic!("expected miss, got {other:?}"),
         }
-        assert_eq!(c.dirty_evictions(), 1);
     }
 
     #[test]
@@ -347,10 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn install_does_not_count_stats() {
+    fn install_fills_without_a_victim() {
         let mut c = CacheBank::new(16, 4);
-        c.install(5);
-        assert_eq!(c.misses(), 0);
+        assert_eq!(c.install(5), None);
         assert_eq!(c.access(5, false), ProbeResult::Hit);
     }
 

@@ -10,7 +10,7 @@
 /// deterministic pseudo-random latency in the configured window
 /// (address-hashed, so runs are reproducible).
 #[derive(Debug, Clone)]
-pub struct Hbm {
+pub(crate) struct Hbm {
     channels: Vec<u64>,
     line_service_cycles: u64,
     latency_min: u64,

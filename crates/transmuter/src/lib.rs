@@ -47,8 +47,9 @@
 //! The op-stream reference is [`Machine::run`] over a [`ProgramSet`]:
 //! every worker's ops in a plain buffer, one event-loop step per op,
 //! with no lint on the way. It is the oracle the program path is tested
-//! against, and the path that records traces ([`Machine::set_trace`])
-//! for [`detect_races`].
+//! against; [`Machine::run_traced`] is the same run returning its
+//! trace. [`detect_races`] reads the same [`ProgramSet`] without running
+//! it: races are a program-order fact.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -67,16 +68,13 @@ mod trace;
 pub mod verify;
 
 pub use analyze::{analyze, Analysis};
-pub use cache::{CacheBank, ProbeResult};
 pub use config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use hbm::Hbm;
 pub use machine::{Machine, SimError};
-pub use memsys::MemorySystem;
 pub use op::{Addr, Op, StreamBuilder};
 pub use program::{Program, ProgramBuilder};
 pub use stats::{EpochStats, MemoStats, SimReport, SimStats};
-pub use trace::{TraceCapture, TraceConfig, TraceEvent};
+pub use trace::TraceEvent;
 pub use verify::{
     detect_races, lint, Diagnostic, LintKind, ProgramSet, Race, RaceKind, RaceSite, Region,
     RegionMap, Severity,

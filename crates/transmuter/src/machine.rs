@@ -13,7 +13,7 @@ use crate::memsys::{MemSnapshot, MemorySystem};
 use crate::op::Op;
 use crate::program::{exec_span, Program};
 use crate::stats::{MemoStats, SimReport, SimStats};
-use crate::trace::{TraceCapture, TraceConfig, TraceEvent, Tracer};
+use crate::trace::TraceEvent;
 use crate::verify::{self, Diagnostic, ProgramSet, RegionMap};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,7 +23,9 @@ use std::fmt;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SimError {
-    /// A worker issued an SPM op while the configuration exposes no SPM.
+    /// A worker issued an SPM op while the configuration exposes no SPM
+    /// to it: a cache-only configuration, or an LCP (LCPs have no SPM
+    /// port).
     SpmUnavailable {
         /// The active configuration.
         config: HwConfig,
@@ -73,7 +75,7 @@ impl fmt::Display for SimError {
             SimError::SpmUnavailable { config, worker } => {
                 write!(
                     f,
-                    "worker {worker} issued an spm op but {config} has no scratchpad"
+                    "worker {worker} issued an spm op but has no scratchpad under {config}"
                 )
             }
             SimError::LcpBarrier { tile } => {
@@ -294,10 +296,8 @@ const RECENT_IDS: usize = 32;
 #[derive(Debug)]
 pub struct Machine {
     mem: MemorySystem,
-    energy_model: EnergyModel,
     carry: SimStats,
     carry_cycles: u64,
-    tracer: Tracer,
     /// Ring of recorded steady-state runs, most recent last.
     steady: Vec<SteadyState>,
     steady_hits: u64,
@@ -315,10 +315,8 @@ impl Machine {
     pub fn new(geom: Geometry, ua: MicroArch) -> Self {
         Machine {
             mem: MemorySystem::new(geom, ua, HwConfig::Sc),
-            energy_model: EnergyModel::paper_40nm(),
             carry: SimStats::default(),
             carry_cycles: 0,
-            tracer: Tracer::default(),
             steady: Vec::new(),
             steady_hits: 0,
             steady_misses: 0,
@@ -335,24 +333,6 @@ impl Machine {
         }
     }
 
-    /// Enables (or, with `None`, disables) execution tracing for
-    /// subsequent runs. See [`TraceConfig`].
-    pub fn set_trace(&mut self, config: Option<TraceConfig>) {
-        self.tracer.configure(config);
-    }
-
-    /// Takes the events recorded since tracing was enabled or last
-    /// taken. Use [`Machine::take_trace_capture`] to also learn whether
-    /// the `max_events` cap dropped events.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.tracer.take().events
-    }
-
-    /// Takes the recorded events together with the truncation flag.
-    pub fn take_trace_capture(&mut self) -> TraceCapture {
-        self.tracer.take()
-    }
-
     /// Geometry of the machine.
     pub fn geometry(&self) -> Geometry {
         self.mem.geometry()
@@ -366,14 +346,6 @@ impl Machine {
     /// Microarchitecture parameters.
     pub fn uarch(&self) -> &MicroArch {
         self.mem.uarch()
-    }
-
-    /// Replaces the energy model (defaults to the 40 nm paper model).
-    /// Drops the steady-state memo: its recorded report priced energy
-    /// under the old model.
-    pub fn set_energy_model(&mut self, model: EnergyModel) {
-        self.energy_model = model;
-        self.steady.clear();
     }
 
     /// SPM bytes one tile's PEs can use under the current configuration.
@@ -406,16 +378,43 @@ impl Machine {
     /// The op-stream reference: executes every worker's ops in
     /// `programs` to completion, one event-loop step per op, and reports
     /// cycles, stats and energy (including any pending reconfiguration
-    /// cost). Unlike [`Machine::run_program`] it lints nothing first and
-    /// records a trace when tracing is on (see [`Machine::set_trace`]).
-    /// Tests and the trace walkthrough compare the program path
-    /// against it.
+    /// cost). Unlike [`Machine::run_program`] it lints nothing first.
+    /// Tests compare the program path against it;
+    /// [`Machine::run_traced`] is the same run with its trace.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for geometry mismatches, SPM ops without SPM,
-    /// LCP tile barriers, or barrier deadlocks.
+    /// Returns [`SimError`] for geometry mismatches, SPM ops without SPM
+    /// (under a cache-only configuration, or from an LCP), LCP tile
+    /// barriers, or barrier deadlocks.
     pub fn run(&mut self, programs: &ProgramSet) -> Result<SimReport, SimError> {
+        self.run_reference(programs, None)
+    }
+
+    /// [`Machine::run`], also returning one [`TraceEvent`] per op issued,
+    /// in issue order (barriers at arrival, so each worker's events are
+    /// its program order). The report equals what [`Machine::run`]
+    /// returns from the same machine state.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    pub fn run_traced(
+        &mut self,
+        programs: &ProgramSet,
+    ) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
+        let mut trace = Vec::new();
+        let report = self.run_reference(programs, Some(&mut trace))?;
+        Ok((report, trace))
+    }
+
+    /// The reference loop behind [`Machine::run`] and
+    /// [`Machine::run_traced`]; records into `trace` when given one.
+    fn run_reference(
+        &mut self,
+        programs: &ProgramSet,
+        mut trace: Option<&mut Vec<TraceEvent>>,
+    ) -> Result<SimReport, SimError> {
         let geom = self.geometry();
         if programs.geometry() != geom {
             return Err(SimError::GeometryMismatch {
@@ -448,7 +447,6 @@ impl Machine {
             }
         }
 
-        let tracing = self.tracer.enabled();
         let mut last_done = start;
         let mut cur = sched.pop();
         'outer: while let Some((mut cycle, w)) = cur {
@@ -482,7 +480,7 @@ impl Machine {
                         done
                     }
                     Op::SpmLoad(off) | Op::SpmStore(off) => {
-                        if !self.mem.has_spm() {
+                        if !self.mem.has_spm() || geom.locate(w as usize).1.is_none() {
                             return Err(SimError::SpmUnavailable {
                                 config: self.config(),
                                 worker: w as usize,
@@ -498,9 +496,7 @@ impl Machine {
                         if pe.is_none() {
                             return Err(SimError::LcpBarrier { tile });
                         }
-                        if tracing {
-                            self.tracer.record(cycle, cycle, w, op);
-                        }
+                        record(&mut trace, cycle, cycle, w, op);
                         let b = &mut tile_barriers[tile];
                         b.waiting.push((w, cycle));
                         if b.waiting.len() == b.expected {
@@ -510,9 +506,7 @@ impl Machine {
                         continue 'outer;
                     }
                     Op::GlobalBarrier => {
-                        if tracing {
-                            self.tracer.record(cycle, cycle, w, op);
-                        }
+                        record(&mut trace, cycle, cycle, w, op);
                         let b = &mut global_barrier;
                         b.waiting.push((w, cycle));
                         if b.waiting.len() == b.expected {
@@ -522,9 +516,7 @@ impl Machine {
                         continue 'outer;
                     }
                 };
-                if tracing {
-                    self.tracer.record(cycle, done, w, op);
-                }
+                record(&mut trace, cycle, done, w, op);
                 // Continue inline only if this worker would be popped
                 // next anyway ((done, w) is the strict lexicographic
                 // minimum) — otherwise yield to the scheduler. This
@@ -565,9 +557,7 @@ impl Machine {
         let cycles = last_done;
         let geom = self.geometry();
         let ua = self.uarch();
-        let energy = self
-            .energy_model
-            .breakdown(&stats, cycles, ua.freq_hz, geom);
+        let energy = EnergyModel::paper_40nm().breakdown(&stats, cycles, ua.freq_hz, geom);
         SimReport {
             geometry: geom,
             config: self.config(),
@@ -591,7 +581,7 @@ impl Machine {
     ///
     /// This path records no trace: build once, replay many. For a
     /// trace, collect the same op streams in a [`ProgramSet`] and run
-    /// them on [`Machine::run`].
+    /// them on [`Machine::run_traced`].
     ///
     /// # Errors
     ///
@@ -700,6 +690,19 @@ impl Machine {
             return Err(SimError::Rejected { diagnostics });
         }
         self.run(programs)
+    }
+}
+
+/// Appends one event to the reference loop's trace, if it keeps one.
+#[inline]
+fn record(trace: &mut Option<&mut Vec<TraceEvent>>, cycle: u64, done: u64, worker: u32, op: Op) {
+    if let Some(t) = trace {
+        t.push(TraceEvent {
+            cycle,
+            done,
+            worker,
+            op,
+        });
     }
 }
 
@@ -877,6 +880,30 @@ mod tests {
         p.spm_load(0);
         s.set_pe(0, 0, p);
         assert!(matches!(m.run(&s), Err(SimError::SpmUnavailable { .. })));
+    }
+
+    /// LCPs have no SPM port: the reference loop returns an error for an
+    /// LCP SPM op under an SPM-bearing configuration, and the lint
+    /// rejects it before `run_verified` runs anything.
+    #[test]
+    fn lcp_spm_op_errors() {
+        let mut m = machine(1, 2);
+        m.reconfigure(HwConfig::Ps);
+        let mut s = ProgramSet::new(m.geometry());
+        s.set_lcp(0, [Op::SpmLoad(0)]);
+        let lcp = m.geometry().lcp_id(0);
+        assert!(matches!(
+            m.run(&s),
+            Err(SimError::SpmUnavailable { config: HwConfig::Ps, worker }) if worker == lcp
+        ));
+        assert!(matches!(
+            m.run_traced(&s),
+            Err(SimError::SpmUnavailable { worker, .. }) if worker == lcp
+        ));
+        assert!(matches!(
+            m.run_verified(&s, None),
+            Err(SimError::Rejected { .. })
+        ));
     }
 
     #[test]
@@ -1401,21 +1428,20 @@ mod program_tests {
 mod trace_tests {
     use super::*;
     use crate::op::{Op, StreamBuilder};
-    use crate::trace::TraceConfig;
 
     #[test]
     fn trace_captures_op_sequence() {
-        let mut m = Machine::new(Geometry::new(1, 2), MicroArch::paper());
-        m.set_trace(Some(TraceConfig::default()));
-        let mut s = ProgramSet::new(m.geometry());
+        let mut s = ProgramSet::new(Geometry::new(1, 2));
         let mut p = StreamBuilder::new();
         p.compute(3).load(0x40).store(0x44);
         s.set_pe(0, 0, p);
         let mut q = StreamBuilder::new();
         q.compute(1);
         s.set_pe(0, 1, q);
-        let _ = m.run(&s).unwrap();
-        let trace = m.take_trace();
+        let mut m = Machine::new(Geometry::new(1, 2), MicroArch::paper());
+        let (report, trace) = m.run_traced(&s).unwrap();
+        let mut plain = Machine::new(Geometry::new(1, 2), MicroArch::paper());
+        assert_eq!(report, plain.run(&s).unwrap());
         assert_eq!(trace.len(), 4);
         let pe0: Vec<Op> = trace
             .iter()
@@ -1430,35 +1456,5 @@ mod trace_tests {
             assert!(e.done >= e.cycle);
             last = e.done;
         }
-    }
-
-    #[test]
-    fn trace_disabled_by_default_and_after_take() {
-        let mut m = Machine::new(Geometry::new(1, 1), MicroArch::paper());
-        let mut s = ProgramSet::new(m.geometry());
-        let mut p = StreamBuilder::new();
-        p.compute(1);
-        s.set_pe(0, 0, p);
-        let _ = m.run(&s).unwrap();
-        assert!(m.take_trace().is_empty());
-    }
-
-    #[test]
-    fn trace_filters_by_worker() {
-        let mut m = Machine::new(Geometry::new(1, 2), MicroArch::paper());
-        m.set_trace(Some(TraceConfig {
-            workers: Some(vec![1]),
-            max_events: 100,
-        }));
-        let mut s = ProgramSet::new(m.geometry());
-        for pe in 0..2 {
-            let mut p = StreamBuilder::new();
-            p.compute(2);
-            s.set_pe(0, pe, p);
-        }
-        let _ = m.run(&s).unwrap();
-        let trace = m.take_trace();
-        assert!(trace.iter().all(|e| e.worker == 1));
-        assert_eq!(trace.len(), 1);
     }
 }

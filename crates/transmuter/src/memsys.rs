@@ -61,7 +61,7 @@ impl FastDiv {
 
 /// The memory system: per-tile L1 banks, L2 banks, and the HBM stack.
 #[derive(Debug)]
-pub struct MemorySystem {
+pub(crate) struct MemorySystem {
     geom: Geometry,
     ua: MicroArch,
     hw: HwConfig,

@@ -218,8 +218,8 @@ impl Program {
 
     /// The data races of a checked build ([`ProgramBuilder::bind_regions`]),
     /// sorted by (epoch, site): equal to [`verify::detect_races`] over
-    /// the trace of the same streams, whatever the schedule. `None` for
-    /// unchecked builds.
+    /// the same streams, whatever the schedule. `None` for unchecked
+    /// builds.
     pub fn races(&self) -> Option<&[Race]> {
         self.races.as_deref()
     }
@@ -505,7 +505,8 @@ fn barrier_divergence(r: &[u32], s: &[u32]) -> usize {
 ///   ([`Program::races`]). Whether two accesses race depends only on
 ///   program-order facts (same word, same global epoch, not ordered by a
 ///   tile barrier), so this static result equals
-///   [`verify::detect_races`] over the trace of any run of the program;
+///   [`verify::detect_races`] over the same streams in a
+///   [`verify::ProgramSet`];
 /// * the analyzer lints ([`crate::analyze`]) are derived from the same
 ///   access records and attached as [`Program::analysis`].
 ///

@@ -1,16 +1,9 @@
-//! Execution tracing: an optional per-worker event recorder for
-//! debugging kernels and inspecting interleavings.
+//! Execution traces: what one reference run issued, worker by worker.
 //!
-//! Tracing is off by default (zero overhead beyond a branch); enable it
-//! with [`crate::Machine::set_trace`] before a run and collect events
-//! with [`crate::Machine::take_trace`] (or
-//! [`crate::Machine::take_trace_capture`], which also reports whether
-//! the `max_events` cap dropped events) afterwards.
-//!
-//! Barrier ops are recorded at *arrival* (`done == cycle`), so a
-//! worker's subsequence of the trace is exactly its program order — the
-//! property the [`crate::verify`] race detector builds its
-//! happens-before relation on.
+//! [`crate::Machine::run_traced`] returns one [`TraceEvent`] per op it
+//! issues, in global issue order. Barrier ops are recorded at *arrival*
+//! (`done == cycle`), so a worker's subsequence of the trace is exactly
+//! its program order.
 
 use crate::op::Op;
 
@@ -29,172 +22,4 @@ pub struct TraceEvent {
     pub worker: u32,
     /// The operation issued.
     pub op: Op,
-}
-
-/// Trace configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Only record these workers (`None` = all).
-    pub workers: Option<Vec<usize>>,
-    /// Stop recording after this many events (protects memory on long
-    /// runs).
-    pub max_events: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            workers: None,
-            max_events: 1 << 20,
-        }
-    }
-}
-
-/// Events taken from the tracer, plus whether the `max_events` cap
-/// silently dropped any.
-#[derive(Debug, Clone, Default)]
-pub struct TraceCapture {
-    /// The recorded events, in global record order (per-worker
-    /// subsequences are in program order).
-    pub events: Vec<TraceEvent>,
-    /// True if at least one event was dropped because `max_events` was
-    /// reached. A truncated trace under-approximates the run; race
-    /// detection on it can miss conflicts but never invents them.
-    pub truncated: bool,
-}
-
-/// The recorder the machine writes into while tracing is enabled.
-#[derive(Debug, Default)]
-pub(crate) struct Tracer {
-    config: Option<TraceConfig>,
-    /// Worker filter precomputed as a bitset (`None` = record all);
-    /// avoids a linear `Vec::contains` scan on every recorded event.
-    filter: Option<Box<[u64]>>,
-    events: Vec<TraceEvent>,
-    truncated: bool,
-}
-
-impl Tracer {
-    pub(crate) fn configure(&mut self, config: Option<TraceConfig>) {
-        self.filter = config
-            .as_ref()
-            .and_then(|cfg| cfg.workers.as_ref())
-            .map(|ws| {
-                let words = ws.iter().max().map_or(0, |&m| m / 64 + 1);
-                let mut bits = vec![0u64; words].into_boxed_slice();
-                for &w in ws {
-                    bits[w / 64] |= 1 << (w % 64);
-                }
-                bits
-            });
-        self.config = config;
-        self.events.clear();
-        self.truncated = false;
-    }
-
-    #[inline]
-    pub(crate) fn record(&mut self, cycle: u64, done: u64, worker: u32, op: Op) {
-        let Some(cfg) = &self.config else { return };
-        if let Some(bits) = &self.filter {
-            let w = worker as usize;
-            let word = bits.get(w / 64).copied().unwrap_or(0);
-            if word & (1 << (w % 64)) == 0 {
-                return;
-            }
-        }
-        if self.events.len() >= cfg.max_events {
-            self.truncated = true;
-            return;
-        }
-        self.events.push(TraceEvent {
-            cycle,
-            done,
-            worker,
-            op,
-        });
-    }
-
-    pub(crate) fn take(&mut self) -> TraceCapture {
-        TraceCapture {
-            events: std::mem::take(&mut self.events),
-            truncated: std::mem::take(&mut self.truncated),
-        }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.config.is_some()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::default();
-        t.record(0, 1, 0, Op::Compute(1));
-        assert!(t.take().events.is_empty());
-    }
-
-    #[test]
-    fn worker_filter_applies() {
-        let mut t = Tracer::default();
-        t.configure(Some(TraceConfig {
-            workers: Some(vec![1]),
-            max_events: 10,
-        }));
-        t.record(0, 1, 0, Op::Compute(1));
-        t.record(0, 1, 1, Op::Compute(1));
-        let ev = t.take().events;
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].worker, 1);
-    }
-
-    #[test]
-    fn worker_filter_handles_large_ids() {
-        let mut t = Tracer::default();
-        t.configure(Some(TraceConfig {
-            workers: Some(vec![0, 130]),
-            max_events: 10,
-        }));
-        t.record(0, 1, 130, Op::Compute(1));
-        t.record(0, 1, 131, Op::Compute(1));
-        t.record(0, 1, 64, Op::Compute(1));
-        t.record(0, 1, 0, Op::Compute(1));
-        let ev = t.take().events;
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].worker, 130);
-        assert_eq!(ev[1].worker, 0);
-    }
-
-    #[test]
-    fn max_events_caps_recording_and_flags_truncation() {
-        let mut t = Tracer::default();
-        t.configure(Some(TraceConfig {
-            workers: None,
-            max_events: 2,
-        }));
-        for i in 0..5 {
-            t.record(i, i + 1, 0, Op::Compute(1));
-        }
-        let cap = t.take();
-        assert_eq!(cap.events.len(), 2);
-        assert!(cap.truncated);
-        // Taking resets the flag.
-        t.record(9, 10, 0, Op::Compute(1));
-        let cap = t.take();
-        assert_eq!(cap.events.len(), 1);
-        assert!(!cap.truncated);
-    }
-
-    #[test]
-    fn untruncated_capture_is_clean() {
-        let mut t = Tracer::default();
-        t.configure(Some(TraceConfig::default()));
-        t.record(0, 1, 0, Op::Compute(1));
-        let cap = t.take();
-        assert_eq!(cap.events.len(), 1);
-        assert!(!cap.truncated);
-    }
 }

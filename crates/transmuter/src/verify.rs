@@ -1,4 +1,4 @@
-//! Static stream verification and trace race detection.
+//! Static stream verification and race detection.
 //!
 //! Two independent analyses of kernel correctness, both exact with
 //! respect to the simulator's semantics:
@@ -13,11 +13,12 @@
 //!   global accesses outside the mapped regions.
 //!
 //! * [`detect_races`] builds a barrier-epoch happens-before relation
-//!   over a recorded trace (see [`crate::TraceEvent`]) and flags pairs
-//!   of same-word accesses by different workers that are unordered and
-//!   not both loads. Because the simulator replays address streams (no
-//!   data), a race here means the *kernel generator* emitted an access
-//!   pattern whose result would depend on timing on the real machine.
+//!   over the same [`ProgramSet`], walking each worker's ops in program
+//!   order, and flags pairs of same-word accesses by different workers
+//!   that are unordered and not both loads. Because the simulator
+//!   replays address streams (no data), a race here means the *kernel
+//!   generator* emitted an access pattern whose result would depend on
+//!   timing on the real machine.
 //!
 //! A checked [`crate::ProgramBuilder`] build runs both on the program
 //! that executes: the same per-op checks online (unmapped addresses
@@ -31,7 +32,6 @@
 
 use crate::config::{Geometry, HwConfig, L1Mode, MicroArch};
 use crate::op::{Addr, Op};
-use crate::trace::TraceEvent;
 use std::fmt;
 
 /// How serious a lint finding is.
@@ -40,7 +40,7 @@ pub enum Severity {
     /// Suspicious but runnable (e.g. a zero-cycle compute burst, which
     /// the machine silently clamps to one cycle).
     Warning,
-    /// The run would fail, panic, or access memory out of contract.
+    /// The run would fail or access memory out of contract.
     Error,
 }
 
@@ -86,8 +86,8 @@ pub enum LintKind {
         /// The active configuration.
         config: HwConfig,
     },
-    /// An LCP stream contains an SPM op; LCPs have no scratchpad port
-    /// (the memory system treats this as a contract violation).
+    /// An LCP stream contains an SPM op; LCPs have no scratchpad port,
+    /// so the run would fail with [`crate::SimError::SpmUnavailable`].
     LcpSpmAccess,
     /// An SPM offset at or past the configured scratchpad capacity. The
     /// simulator wraps such offsets modulo the bank size, silently
@@ -287,9 +287,9 @@ impl RegionMap {
 }
 
 /// Every worker's ops in a buffer: the op-stream reference's one
-/// container. [`lint`] inspects it, [`crate::Machine::run`] walks it
-/// (as often as asked; the buffers are borrowed) and the tracer records
-/// what that walk issues.
+/// container. [`lint`] and [`detect_races`] inspect it, and
+/// [`crate::Machine::run`] walks it (as often as asked; the buffers are
+/// borrowed).
 ///
 /// Workers without a stream stay idle and take no part in barriers.
 #[derive(Debug, Clone)]
@@ -573,7 +573,7 @@ impl fmt::Display for RaceSite {
 /// One conflict: two accesses to the same word, by different workers,
 /// with no barrier between them, at least one a store.
 ///
-/// Every field is a program-order fact, so the trace detector
+/// Every field is a program-order fact, so the stream detector
 /// ([`detect_races`]) and a checked [`crate::ProgramBuilder`] build
 /// report equal races for the same streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -607,8 +607,8 @@ impl fmt::Display for Race {
 /// One memory access as race detection sees it. The fields are
 /// program-order facts — which word, which worker, how many global and
 /// tile barriers that worker had passed — so recording them needs no
-/// schedule: the trace detector reads them off a run, a checked
-/// [`crate::ProgramBuilder`] build off its emission.
+/// schedule: the stream detector reads them off a [`ProgramSet`], a
+/// checked [`crate::ProgramBuilder`] build off its emission.
 ///
 /// The derived order (site, epoch, worker, ...) groups one word's
 /// accesses in one global epoch together, workers ascending.
@@ -692,67 +692,63 @@ pub(crate) fn find_races(accesses: &mut Vec<RaceAccess>) -> Vec<Race> {
     races
 }
 
-/// Detects data races in a recorded trace.
+/// Detects data races in `programs`, as they would run under `hw`.
 ///
 /// Happens-before is barrier-epoch based: each worker carries a
-/// global-barrier counter and a tile-barrier counter, advanced by the
-/// barrier events the machine records at arrival. Two accesses to the
-/// same word conflict when they come from different workers, at least
-/// one is a store, they share the global epoch, and — if both workers
-/// are PEs of the same tile — they also share the tile epoch. Private
-/// scratchpads (PS) cannot race by construction and are skipped.
+/// global-barrier counter and a tile-barrier counter, advanced by its
+/// barrier ops in program order. Two accesses to the same word conflict
+/// when they come from different workers, at least one is a store,
+/// they share the global epoch, and — if both workers are PEs of the
+/// same tile — they also share the tile epoch. Private scratchpads (PS)
+/// cannot race by construction and are skipped, as are the SPM ops
+/// [`lint`] rejects: any under a cache-only configuration, and any from
+/// an LCP.
 ///
-/// The counters are program-order facts (a worker's events appear in
-/// the trace in issue order), so the trace's cycles play no part: the
-/// result equals the races a checked [`crate::ProgramBuilder`] build of
-/// the same streams attaches ([`crate::Program::races`]). At most one
-/// race is reported per (word, global epoch); a truncated trace (see
-/// [`crate::TraceCapture::truncated`]) can only cause missed races,
-/// never false positives.
-pub fn detect_races(
-    trace: &[TraceEvent],
-    geom: Geometry,
-    hw: HwConfig,
-    ua: &MicroArch,
-) -> Vec<Race> {
+/// Nothing runs, so the result holds for every schedule: it equals the
+/// races a checked [`crate::ProgramBuilder`] build of the same streams
+/// attaches ([`crate::Program::races`]). At most one race is reported
+/// per (word, global epoch).
+pub fn detect_races(programs: &ProgramSet, hw: HwConfig, ua: &MicroArch) -> Vec<Race> {
+    let geom = programs.geometry();
     let word = ua.word_bytes as u64;
     let shared_spm = hw.l1() == L1Mode::SharedCacheSpm;
-    let mut global_epoch = vec![0u32; geom.total_workers()];
-    let mut tile_bars = vec![0u32; geom.total_workers()];
     let mut accesses = Vec::new();
 
-    for ev in trace {
-        let w = ev.worker as usize;
+    for w in 0..geom.total_workers() {
+        let Some(ops) = programs.worker(w) else {
+            continue;
+        };
         let (tile, pe) = geom.locate(w);
-        let site = match ev.op {
-            Op::GlobalBarrier => {
-                global_epoch[w] += 1;
-                continue;
-            }
-            Op::TileBarrier => {
-                tile_bars[w] += 1;
-                continue;
-            }
-            Op::Compute(_) => continue,
-            Op::Load(addr) | Op::Store(addr) => RaceAccess::global(addr, word),
-            Op::SpmLoad(off) | Op::SpmStore(off) => {
-                if !shared_spm {
-                    // PS: the SPM is private to the PE; Sc/Pc: the run
-                    // would have failed before producing this event.
+        let (mut epoch, mut tile_bars) = (0u32, 0u32);
+        for &op in ops {
+            let site = match op {
+                Op::GlobalBarrier => {
+                    epoch += 1;
                     continue;
                 }
-                RaceAccess::shared_spm(tile, off, word)
-            }
-        };
-        accesses.push(RaceAccess {
-            site,
-            epoch: global_epoch[w],
-            worker: ev.worker,
-            tile_bars: tile_bars[w],
-            store: matches!(ev.op, Op::Store(_) | Op::SpmStore(_)),
-            tile: tile as u32,
-            pe: pe.is_some(),
-        });
+                Op::TileBarrier => {
+                    tile_bars += 1;
+                    continue;
+                }
+                Op::Compute(_) => continue,
+                Op::Load(addr) | Op::Store(addr) => RaceAccess::global(addr, word),
+                Op::SpmLoad(off) | Op::SpmStore(off) => {
+                    if !shared_spm || pe.is_none() {
+                        continue;
+                    }
+                    RaceAccess::shared_spm(tile, off, word)
+                }
+            };
+            accesses.push(RaceAccess {
+                site,
+                epoch,
+                worker: w as u32,
+                tile_bars,
+                store: matches!(op, Op::Store(_) | Op::SpmStore(_)),
+                tile: tile as u32,
+                pe: pe.is_some(),
+            });
+        }
     }
     find_races(&mut accesses)
 }

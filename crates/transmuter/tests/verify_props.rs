@@ -8,7 +8,6 @@ use transmuter::verify::{
 };
 use transmuter::{
     Geometry, HwConfig, Machine, MicroArch, Op, Program, ProgramBuilder, SimError, StreamBuilder,
-    TraceConfig, TraceEvent,
 };
 
 fn machine_with(geom: Geometry, hw: HwConfig) -> Machine {
@@ -177,8 +176,6 @@ fn linter_warns_on_zero_cycle_compute() {
 fn race_detector_flags_seeded_same_epoch_store_store() {
     // Two PEs in different tiles store the same word with no barrier.
     let geom = Geometry::new(2, 1);
-    let mut m = machine_with(geom, HwConfig::Sc);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     let mut a = StreamBuilder::new();
     a.store(0x2000);
@@ -186,10 +183,7 @@ fn race_detector_flags_seeded_same_epoch_store_store() {
     b.compute(5).store(0x2000);
     p.set_pe(0, 0, a);
     p.set_pe(1, 0, b);
-    m.run_verified(&p, None).unwrap();
-    let cap = m.take_trace_capture();
-    assert!(!cap.truncated);
-    let races = verify::detect_races(&cap.events, geom, HwConfig::Sc, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Sc, &MicroArch::paper());
     assert_eq!(races.len(), 1, "expected exactly one race, got {races:?}");
     assert_eq!(races[0].kind, RaceKind::StoreStore);
     assert_eq!(races[0].epoch, 0);
@@ -200,8 +194,6 @@ fn race_detector_accepts_global_barrier_separation() {
     // Same conflicting stores, but an interposed global barrier orders
     // them: no race.
     let geom = Geometry::new(2, 1);
-    let mut m = machine_with(geom, HwConfig::Sc);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     let mut a = StreamBuilder::new();
     a.store(0x2000).global_barrier();
@@ -209,8 +201,7 @@ fn race_detector_accepts_global_barrier_separation() {
     b.global_barrier().store(0x2000);
     p.set_pe(0, 0, a);
     p.set_pe(1, 0, b);
-    m.run_verified(&p, None).unwrap();
-    let races = verify::detect_races(&m.take_trace(), geom, HwConfig::Sc, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Sc, &MicroArch::paper());
     assert!(
         races.is_empty(),
         "barrier-separated stores must not race: {races:?}"
@@ -220,8 +211,6 @@ fn race_detector_accepts_global_barrier_separation() {
 #[test]
 fn race_detector_accepts_tile_barrier_separation_within_tile() {
     let geom = Geometry::new(1, 2);
-    let mut m = machine_with(geom, HwConfig::Sc);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     let mut a = StreamBuilder::new();
     a.store(0x3000).tile_barrier();
@@ -229,8 +218,7 @@ fn race_detector_accepts_tile_barrier_separation_within_tile() {
     b.tile_barrier().store(0x3000);
     p.set_pe(0, 0, a);
     p.set_pe(0, 1, b);
-    m.run_verified(&p, None).unwrap();
-    let races = verify::detect_races(&m.take_trace(), geom, HwConfig::Sc, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Sc, &MicroArch::paper());
     assert!(
         races.is_empty(),
         "tile-barrier-separated stores must not race: {races:?}"
@@ -238,8 +226,6 @@ fn race_detector_accepts_tile_barrier_separation_within_tile() {
 
     // But a tile barrier does NOT order PEs of different tiles.
     let geom = Geometry::new(2, 2);
-    let mut m = machine_with(geom, HwConfig::Sc);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     let mut a = StreamBuilder::new();
     a.store(0x3000).tile_barrier();
@@ -253,8 +239,7 @@ fn race_detector_accepts_tile_barrier_separation_within_tile() {
     p.set_pe(0, 1, a2);
     p.set_pe(1, 0, b);
     p.set_pe(1, 1, b2);
-    m.run_verified(&p, None).unwrap();
-    let races = verify::detect_races(&m.take_trace(), geom, HwConfig::Sc, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Sc, &MicroArch::paper());
     assert_eq!(
         races.len(),
         1,
@@ -265,8 +250,6 @@ fn race_detector_accepts_tile_barrier_separation_within_tile() {
 #[test]
 fn race_detector_reports_load_store_conflicts() {
     let geom = Geometry::new(2, 1);
-    let mut m = machine_with(geom, HwConfig::Sc);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     let mut a = StreamBuilder::new();
     a.load(0x2000);
@@ -274,8 +257,7 @@ fn race_detector_reports_load_store_conflicts() {
     b.store(0x2000);
     p.set_pe(0, 0, a);
     p.set_pe(1, 0, b);
-    m.run_verified(&p, None).unwrap();
-    let races = verify::detect_races(&m.take_trace(), geom, HwConfig::Sc, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Sc, &MicroArch::paper());
     assert_eq!(races.len(), 1);
     assert_eq!(races[0].kind, RaceKind::LoadStore);
 }
@@ -284,16 +266,13 @@ fn race_detector_reports_load_store_conflicts() {
 fn private_spm_never_races() {
     // Both PEs hammer SPM offset 0 — but in PS each has its own bank.
     let geom = Geometry::new(1, 2);
-    let mut m = machine_with(geom, HwConfig::Ps);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     for pe in 0..2 {
         let mut q = StreamBuilder::new();
         q.spm_store(0).spm_load(0);
         p.set_pe(0, pe, q);
     }
-    m.run_verified(&p, None).unwrap();
-    let races = verify::detect_races(&m.take_trace(), geom, HwConfig::Ps, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Ps, &MicroArch::paper());
     assert!(races.is_empty(), "{races:?}");
 }
 
@@ -302,16 +281,13 @@ fn shared_spm_store_store_races() {
     // In SCS the tile's SPM is shared: same offset from two PEs is a
     // real conflict.
     let geom = Geometry::new(1, 2);
-    let mut m = machine_with(geom, HwConfig::Scs);
-    m.set_trace(Some(TraceConfig::default()));
     let mut p = ProgramSet::new(geom);
     for pe in 0..2 {
         let mut q = StreamBuilder::new();
         q.spm_store(64);
         p.set_pe(0, pe, q);
     }
-    m.run_verified(&p, None).unwrap();
-    let races = verify::detect_races(&m.take_trace(), geom, HwConfig::Scs, &MicroArch::paper());
+    let races = verify::detect_races(&p, HwConfig::Scs, &MicroArch::paper());
     assert_eq!(races.len(), 1, "{races:?}");
     assert!(matches!(
         races[0].site,
@@ -390,12 +366,11 @@ fn checked_build_reports_global_and_shared_spm_races() {
             },
         ]
     );
-    // The trace detector finds exactly the same races.
-    let mut m = machine_with(geom, HwConfig::Scs);
-    m.set_trace(Some(TraceConfig::default()));
-    m.run(&p).unwrap();
-    let traced = verify::detect_races(&m.take_trace(), geom, HwConfig::Scs, &MicroArch::paper());
-    assert_eq!(traced, races);
+    // The stream detector finds exactly the same races.
+    assert_eq!(
+        verify::detect_races(&p, HwConfig::Scs, &MicroArch::paper()),
+        races
+    );
 }
 
 #[test]
@@ -446,9 +421,9 @@ fn decode_op(kind: usize, addr: u64, off: u32, n: u32) -> Op {
     }
 }
 
-/// An LCP must not issue SPM ops (the memory system has no LCP SPM
-/// port and treats one as a host-side bug, not a `SimError`), so the
-/// generator downgrades them to plain loads for LCP workers.
+/// LCPs have no SPM port, so an LCP SPM op only makes a case lint
+/// unclean; the race proptest on `arb_machine_case` downgrades them to
+/// plain loads to keep more of its cases in the domain it checks.
 fn lcp_safe(op: Op) -> Op {
     match op {
         Op::SpmLoad(off) | Op::SpmStore(off) => Op::Load(off as u64),
@@ -568,22 +543,15 @@ fn congruent_programs(case: &CongruentCase) -> (ProgramSet, HwConfig) {
     (programs, hw)
 }
 
-/// Checks that a checked build of `programs` races exactly as the trace
-/// of a run does; `programs` must lint clean.
-fn assert_static_races_match_trace(programs: &ProgramSet, hw: HwConfig) -> usize {
-    let geom = programs.geometry();
-    let ua = MicroArch::paper();
+/// Checks that a checked build of `programs` races exactly as the
+/// stream detector finds; `programs` must lint clean.
+fn assert_static_races_match_streams(programs: &ProgramSet, hw: HwConfig) -> usize {
     let mut b = ProgramBuilder::new();
     let prog = checked_build(&mut b, programs, hw, &everything());
     assert!(prog.lint_clean());
-    let mut m = machine_with(geom, hw);
-    m.set_trace(Some(TraceConfig::default()));
-    m.run(programs).unwrap();
-    let capture = m.take_trace_capture();
-    assert!(!capture.truncated);
-    let traced = verify::detect_races(&capture.events, geom, hw, &ua);
-    assert_eq!(prog.races(), Some(&traced[..]), "{hw}");
-    traced.len()
+    let races = verify::detect_races(programs, hw, &MicroArch::paper());
+    assert_eq!(prog.races(), Some(&races[..]), "{hw}");
+    races.len()
 }
 
 /// Lint ⟺ run: the linter accepts `programs` iff the machine runs them
@@ -626,7 +594,7 @@ fn congruent_cases_race_often() {
         .filter(|_| {
             let case = strategy.generate(&mut rng);
             let (programs, hw) = congruent_programs(&case);
-            assert_static_races_match_trace(&programs, hw) > 0
+            assert_static_races_match_streams(&programs, hw) > 0
         })
         .count();
     assert!(racy >= 16, "only {racy} of 64 cases race");
@@ -659,7 +627,7 @@ proptest! {
                 ops.iter().map(|&(k, a, o, n)| decode_op(k, a, o, n)).collect();
             match pe {
                 Some(pe) => programs.set_pe(tile, pe, decoded),
-                None => programs.set_lcp(tile, decoded.into_iter().map(lcp_safe)),
+                None => programs.set_lcp(tile, decoded),
             }
         }
         assert_lint_accepts_iff_run_completes(&programs, hw)?;
@@ -668,11 +636,11 @@ proptest! {
         assert_lint_accepts_iff_run_completes(&programs, hw)?;
     }
 
-    /// A checked build's static races equal the trace detector's on a
-    /// run of the same streams, on every case the linter accepts: the
-    /// race relation is a program-order fact, whatever the schedule.
+    /// A checked build's static races equal the stream detector's on
+    /// the same streams, on every case the linter accepts: the race
+    /// relation is a program-order fact, whatever the schedule.
     #[test]
-    fn checked_build_races_match_trace_races(case in arb_machine_case()) {
+    fn checked_build_races_match_stream_races(case in arb_machine_case()) {
         let (tiles, pes, hw_idx, raw) = case;
         let geom = Geometry::new(tiles, pes);
         let hw = HwConfig::ALL[hw_idx];
@@ -692,37 +660,28 @@ proptest! {
             }
         }
         if verify::is_clean(&verify::lint(&programs, hw, &ua, None)) {
-            assert_static_races_match_trace(&programs, hw);
+            assert_static_races_match_streams(&programs, hw);
         }
     }
 
     /// The same equality on congruent stream sets, which lint clean by
     /// construction and race often.
     #[test]
-    fn congruent_checked_build_races_match_trace_races(case in arb_congruent_case()) {
+    fn congruent_checked_build_races_match_stream_races(case in arb_congruent_case()) {
         let (programs, hw) = congruent_programs(&case);
         prop_assert!(verify::is_clean(&verify::lint(&programs, hw, &MicroArch::paper(), None)));
-        assert_static_races_match_trace(&programs, hw);
+        assert_static_races_match_streams(&programs, hw);
     }
 
     /// A single worker can never race with itself.
     #[test]
-    fn single_worker_traces_never_race(
+    fn single_worker_streams_never_race(
         ops in proptest::collection::vec((0usize..7, 0u64..64, 0u32..64, 1u32..4), 0..40),
     ) {
-        let geom = Geometry::new(1, 2);
-        let trace: Vec<TraceEvent> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, &(k, a, o, n))| TraceEvent {
-                cycle: i as u64,
-                done: i as u64 + 1,
-                worker: 0,
-                op: decode_op(k, a, o, n),
-            })
-            .collect();
+        let mut programs = ProgramSet::new(Geometry::new(1, 2));
+        programs.set_pe(0, 0, ops.iter().map(|&(k, a, o, n)| decode_op(k, a, o, n)));
         for hw in HwConfig::ALL {
-            let races = verify::detect_races(&trace, geom, hw, &MicroArch::paper());
+            let races = verify::detect_races(&programs, hw, &MicroArch::paper());
             prop_assert!(races.is_empty(), "{}: {:?}", hw, &races);
         }
     }
@@ -733,43 +692,26 @@ proptest! {
     fn barrier_separated_accesses_never_race(
         word in 0u64..16,
         stores_per_worker in 1usize..4,
-        workers in 2u32..6,
+        workers in 2usize..6,
     ) {
         // Worker w performs its stores in epoch w: w global barriers
         // first, then the stores.
         let geom = Geometry::new(6, 1);
-        let mut trace = Vec::new();
-        let mut cycle = 0u64;
+        let mut synced = ProgramSet::new(geom);
+        let mut unsynced = ProgramSet::new(geom);
         for w in 0..workers {
-            for _ in 0..w {
-                trace.push(TraceEvent {
-                    cycle,
-                    done: cycle,
-                    worker: w,
-                    op: Op::GlobalBarrier,
-                });
-                cycle += 1;
+            let stores = vec![Op::Store(word * 4); stores_per_worker];
+            synced.set_pe(w, 0, vec![Op::GlobalBarrier; w]);
+            for &op in &stores {
+                synced.push(op);
             }
-            for _ in 0..stores_per_worker {
-                trace.push(TraceEvent {
-                    cycle,
-                    done: cycle + 1,
-                    worker: w,
-                    op: Op::Store(word * 4),
-                });
-                cycle += 1;
-            }
+            unsynced.set_pe(w, 0, stores);
         }
-        let races = verify::detect_races(&trace, geom, HwConfig::Sc, &MicroArch::paper());
+        let races = verify::detect_races(&synced, HwConfig::Sc, &MicroArch::paper());
         prop_assert!(races.is_empty(), "{:?}", &races);
 
         // Sanity: removing the barriers makes every worker pair race.
-        let unsynced: Vec<TraceEvent> = trace
-            .iter()
-            .filter(|e| e.op != Op::GlobalBarrier)
-            .copied()
-            .collect();
-        let races = verify::detect_races(&unsynced, geom, HwConfig::Sc, &MicroArch::paper());
+        let races = verify::detect_races(&unsynced, HwConfig::Sc, &MicroArch::paper());
         prop_assert_eq!(races.len(), 1, "one report per word+epoch: {:?}", &races);
     }
 }

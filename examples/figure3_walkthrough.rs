@@ -14,7 +14,7 @@
 
 use cosparse::{CoSparse, Frontier, HwConfig, Policy, SwConfig};
 use sparse::{CooMatrix, SparseVector};
-use transmuter::{Geometry, Machine, MicroArch, Op, ProgramSet, TraceConfig};
+use transmuter::{Geometry, Machine, MicroArch, Op, ProgramSet};
 
 fn op_name(op: Op) -> String {
     match op {
@@ -59,8 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (SwConfig::OuterProduct, HwConfig::Ps),
     ] {
         println!("=== {} on {} (2x2 system) ===", sw, hw);
-        let mut machine = Machine::new(geometry, MicroArch::paper());
-        machine.set_trace(Some(TraceConfig::default()));
+        let machine = Machine::new(geometry, MicroArch::paper());
         let mut rt = CoSparse::new(&matrix, machine);
         rt.set_policy(Policy::Fixed(sw, hw));
         let frontier = match sw {
@@ -73,16 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Frontier::Sparse(v) => v.to_dense(0.0).into_inner(),
         };
         println!("y = {result:?}  ({} cycles)", out.report.cycles);
-        // Note: taking the trace needs mutable access to the machine,
-        // which CoSparse owns — so re-run the kernel standalone instead,
-        // tracing PE (0,0) and the tile-0 LCP.
+        // CoSparse runs built programs, which record no trace — so
+        // collect the same kernel's op streams and run them on the
+        // reference loop, showing PE (0,0) and the tile-0 LCP.
         println!("(trace of the same kernel, worker-by-worker)");
         let mut machine = Machine::new(geometry, MicroArch::paper());
         machine.reconfigure(hw);
-        machine.set_trace(Some(TraceConfig {
-            workers: Some(vec![0, 4]),
-            max_events: 40,
-        }));
         let layout = cosparse::Layout::new(6, 6, matrix.nnz(), geometry, 1);
         let mut sink = ProgramSet::new(geometry);
         match sw {
@@ -131,8 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
         }
-        let _ = machine.run(&sink)?;
-        for e in machine.take_trace() {
+        let (_, trace) = machine.run_traced(&sink)?;
+        for e in trace.iter().filter(|e| matches!(e.worker, 0 | 4)).take(40) {
             let who = if e.worker == 4 { "LCP " } else { "PE0 " };
             println!("  cyc {:>4}  {who} {}", e.cycle, op_name(e.op));
         }
