@@ -412,12 +412,12 @@ fn run_host_workloads(smoke: bool, out: &mut Vec<Workload>) {
     let (warmup, repeats) = if smoke { (1, 3) } else { (2, 7) };
     let calls = if smoke { 10 } else { 200 };
 
-    // 1. Dense-frontier SpMV (IP), host backend.
+    // 1. Dense-frontier SpMV, host backend: the full frontier runs the
+    //    row pull (IP).
     {
         let m = synthetic(2048, 30_000, 4);
         let mut rt = CoSparse::new(&m, machine());
         rt.set_backend(ExecBackend::Host);
-        rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Sc));
         let x = Frontier::Dense(sparse::generate::random_dense_vector(2048, 1));
         let w = measure("host_spmv_dense_2048", "spmv", warmup, repeats, || {
             spmv_pass(&mut rt, &x, calls)
@@ -426,12 +426,12 @@ fn run_host_workloads(smoke: bool, out: &mut Vec<Workload>) {
         print_cache_stats(&rt);
     }
 
-    // 2. Sparse-frontier SpMV (OP), host backend.
+    // 2. Sparse-frontier SpMV, host backend: the partial frontier runs
+    //    the push (OP).
     {
         let m = synthetic(2048, 30_000, 4);
         let mut rt = CoSparse::new(&m, machine());
         rt.set_backend(ExecBackend::Host);
-        rt.set_policy(Policy::Fixed(SwConfig::OuterProduct, HwConfig::Pc));
         let sv = sparse::generate::random_sparse_vector(2048, 0.02, 9).expect("valid density");
         let x = Frontier::Sparse(sv);
         let w = measure("host_spmv_sparse_2048", "spmv", warmup, repeats, || {
@@ -923,10 +923,9 @@ fn run_reorder_workloads(smoke: bool, out: &mut Vec<Workload>) {
         print_cache_stats(&rt);
     }
 
-    // 3. RCM-pinned host-backend SpMV: the host path computes in the
-    //    original index space, so this workload gates the pure
-    //    plan-rekey + permute overhead a reordering adds to real
-    //    answers.
+    // 3. RCM-pinned host-backend SpMV: a Host step runs no decision,
+    //    so neither the pinned policy nor the pinned reordering reaches
+    //    it; this workload gates that a pin costs real answers nothing.
     {
         let m = pokec_like(2048, 16_000);
         let mut rt = CoSparse::new(&m, machine());

@@ -119,7 +119,7 @@ pub fn run_spmv_auto(
     rt.set_thresholds(Thresholds::paper());
     let sv = sparse::generate::random_sparse_vector(matrix.cols(), vector_density, seed)
         .expect("valid density");
-    let decision = rt.decide(sv.density(), &cosparse::OpProfile::scalar());
+    let decision = rt.decide_exact(sv.nnz(), &cosparse::OpProfile::scalar());
     let frontier = match decision.software {
         SwConfig::OuterProduct => Frontier::Sparse(sv),
         SwConfig::InnerProduct => Frontier::Dense(sv.to_dense(0.0)),

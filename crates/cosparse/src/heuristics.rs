@@ -140,15 +140,6 @@ impl MatrixSummary {
         }
     }
 
-    /// Reconstructs the frontier population from a density that itself
-    /// came from `count / cols`. Rounds instead of truncating: the
-    /// round-trip quotient is often a hair below the true count (e.g.
-    /// `513/65643 * 65643 < 513`), and `as usize` truncation would lose
-    /// the element that decides a list-fit boundary.
-    pub fn frontier_count(&self, vector_density: f64) -> usize {
-        (vector_density * self.cols as f64).round() as usize
-    }
-
     /// Bytes of the streamed COO copy.
     pub fn coo_bytes(&self) -> usize {
         self.nnz * 12
@@ -251,16 +242,21 @@ impl Default for Thresholds {
     }
 }
 
-/// Runs the full decision tree of Figure 2.
+/// Runs the full decision tree of Figure 2 for a frontier of
+/// `frontier_nnz` active entries.
+///
+/// The tree takes the exact active count, not a density: the count
+/// decides the OP list-fit boundary, and the density (`frontier_nnz /
+/// cols`) is derived here only for the CVD comparison.
 ///
 /// ```
-/// use cosparse::{decide, MatrixSummary, OpProfile, SwConfig, Thresholds};
+/// use cosparse::{decide_exact, MatrixSummary, OpProfile, SwConfig, Thresholds};
 /// use transmuter::{Geometry, MicroArch};
 ///
 /// let m = MatrixSummary::new(1 << 17, 1 << 17, 4_000_000);
-/// let d = decide(
+/// let d = decide_exact(
 ///     m,
-///     0.001, // a very sparse frontier
+///     131, // a very sparse frontier: 0.1% of the columns
 ///     Geometry::new(4, 8),
 ///     &MicroArch::paper(),
 ///     &Thresholds::paper(),
@@ -268,31 +264,6 @@ impl Default for Thresholds {
 /// );
 /// assert_eq!(d.software, SwConfig::OuterProduct);
 /// ```
-pub fn decide(
-    matrix: MatrixSummary,
-    vector_density: f64,
-    geometry: Geometry,
-    ua: &MicroArch,
-    thresholds: &Thresholds,
-    profile: &OpProfile,
-) -> Decision {
-    let frontier_nnz = matrix.frontier_count(vector_density);
-    decide_tree(
-        matrix,
-        vector_density,
-        frontier_nnz,
-        geometry,
-        ua,
-        thresholds,
-        profile,
-    )
-}
-
-/// [`decide`] with the frontier population given exactly.
-///
-/// The runtime knows the true active count (it holds the frontier); the
-/// density is only needed for the CVD comparison, so this variant avoids
-/// the density→count round-trip entirely.
 pub fn decide_exact(
     matrix: MatrixSummary,
     frontier_nnz: usize,
@@ -306,27 +277,6 @@ pub fn decide_exact(
     } else {
         frontier_nnz as f64 / matrix.cols as f64
     };
-    decide_tree(
-        matrix,
-        vector_density,
-        frontier_nnz,
-        geometry,
-        ua,
-        thresholds,
-        profile,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decide_tree(
-    matrix: MatrixSummary,
-    vector_density: f64,
-    frontier_nnz: usize,
-    geometry: Geometry,
-    ua: &MicroArch,
-    thresholds: &Thresholds,
-    profile: &OpProfile,
-) -> Decision {
     let cvd = thresholds.cvd(geometry, matrix.density());
     let software = if vector_density < cvd {
         SwConfig::OuterProduct
@@ -420,10 +370,12 @@ mod tests {
         MatrixSummary::new(n, n, nnz)
     }
 
-    fn decide_default(m: MatrixSummary, vd: f64, g: Geometry) -> Decision {
-        decide(
+    /// The tree with the paper's parameters, for `active` frontier
+    /// entries.
+    fn decide_default(m: MatrixSummary, active: usize, g: Geometry) -> Decision {
+        decide_exact(
             m,
-            vd,
+            active,
             g,
             &MicroArch::paper(),
             &Thresholds::paper(),
@@ -433,13 +385,13 @@ mod tests {
 
     #[test]
     fn dense_vector_selects_ip() {
-        let d = decide_default(summary(1 << 17, 4_000_000), 1.0, Geometry::new(4, 8));
+        let d = decide_default(summary(1 << 17, 4_000_000), 1 << 17, Geometry::new(4, 8));
         assert_eq!(d.software, SwConfig::InnerProduct);
     }
 
     #[test]
     fn sparse_vector_selects_op() {
-        let d = decide_default(summary(1 << 17, 4_000_000), 0.001, Geometry::new(4, 8));
+        let d = decide_default(summary(1 << 17, 4_000_000), 131, Geometry::new(4, 8));
         assert_eq!(d.software, SwConfig::OuterProduct);
     }
 
@@ -465,7 +417,7 @@ mod tests {
     fn large_working_set_selects_scs() {
         // 4M nnz ≫ the 4x8 chip's 256 kB of cache, and the per-tile SPM
         // reuse (4M/131k/4 ≈ 7.6) clears the threshold.
-        let d = decide_default(summary(1 << 17, 4_000_000), 0.5, Geometry::new(4, 8));
+        let d = decide_default(summary(1 << 17, 4_000_000), 1 << 16, Geometry::new(4, 8));
         assert_eq!(d.software, SwConfig::InnerProduct);
         assert_eq!(d.hardware, HwConfig::Scs);
     }
@@ -475,7 +427,7 @@ mod tests {
         // Fig 5's N=131k regime (scale 4): reuse 1.9 < 2, but the 512 kB
         // vector overflows the 4x8 chip's 128 kB L2 → SCS wins there
         // empirically (+68-89%), and the tree should pick it.
-        let d = decide_default(summary(131_072, 1_000_000), 0.5, Geometry::new(4, 8));
+        let d = decide_default(summary(131_072, 1_000_000), 65_536, Geometry::new(4, 8));
         assert_eq!(d.hardware, HwConfig::Scs);
     }
 
@@ -483,9 +435,9 @@ mod tests {
     fn many_pes_per_tile_disable_scs() {
         // Same workload on 4x16: every Fig 5 B=16 row loses ~10%, so the
         // guard keeps SC regardless of reuse.
-        let d = decide_default(summary(131_072, 1_000_000), 0.5, Geometry::new(4, 16));
+        let d = decide_default(summary(131_072, 1_000_000), 65_536, Geometry::new(4, 16));
         assert_eq!(d.hardware, HwConfig::Sc);
-        let d = decide_default(summary(1 << 17, 4_000_000), 0.5, Geometry::new(4, 16));
+        let d = decide_default(summary(1 << 17, 4_000_000), 1 << 16, Geometry::new(4, 16));
         assert_eq!(d.hardware, HwConfig::Sc);
     }
 
@@ -493,30 +445,30 @@ mod tests {
     fn low_reuse_keeps_sc_even_when_cache_overflows() {
         // Reuse 4M/4M(cols)/4 ≈ 0.25: even with the vector overflowing
         // L2 the halved bar (1.0) is not met → SC.
-        let d = decide_default(summary(1 << 22, 4_000_000), 0.5, Geometry::new(4, 8));
+        let d = decide_default(summary(1 << 22, 4_000_000), 1 << 21, Geometry::new(4, 8));
         assert_eq!(d.software, SwConfig::InnerProduct);
         assert_eq!(d.hardware, HwConfig::Sc);
     }
 
     #[test]
     fn tiny_working_set_selects_sc() {
-        let d = decide_default(summary(256, 1000), 0.5, Geometry::new(4, 8));
+        let d = decide_default(summary(256, 1000), 128, Geometry::new(4, 8));
         assert_eq!(d.hardware, HwConfig::Sc);
     }
 
     #[test]
     fn long_sorted_list_selects_ps() {
-        // density 0.01 on 1M columns → ~10.5k frontier / 8 PEs → ~10 kB
-        // per-PE list ≫ the 4 kB private bank.
+        // 1% of 1M columns → ~10.5k frontier / 8 PEs → ~10 kB per-PE
+        // list ≫ the 4 kB private bank.
         let g = Geometry::new(4, 8);
-        let d = decide_default(summary(1 << 20, 4_000_000), 0.01, g);
+        let d = decide_default(summary(1 << 20, 4_000_000), 10_486, g);
         assert_eq!(d.software, SwConfig::OuterProduct);
         assert_eq!(d.hardware, HwConfig::Ps);
     }
 
     #[test]
     fn short_sorted_list_selects_pc() {
-        let d = decide_default(summary(1 << 17, 4_000_000), 0.0001, Geometry::new(4, 8));
+        let d = decide_default(summary(1 << 17, 4_000_000), 13, Geometry::new(4, 8));
         assert_eq!(d.software, SwConfig::OuterProduct);
         assert_eq!(d.hardware, HwConfig::Pc);
     }
@@ -531,82 +483,43 @@ mod tests {
         // the reuse guard keeps SC here.
         let g = Geometry::new(16, 16);
         let m = summary(1_632_803, 30_622_564);
-        let sparse_iter = decide_default(m, 0.002, g);
+        let sparse_iter = decide_default(m, 3_266, g);
         assert_eq!(sparse_iter.software, SwConfig::OuterProduct);
-        let dense_iter = decide_default(m, 0.47, g);
+        let dense_iter = decide_default(m, 767_417, g);
         assert_eq!(dense_iter.software, SwConfig::InnerProduct);
         assert_eq!(dense_iter.hardware, HwConfig::Sc);
     }
 
     #[test]
-    fn decide_exact_list_fit_boundary() {
+    fn list_fit_boundary_is_exact() {
         // 8 PEs/tile, 4 kB private banks, 8 bytes/node: 4096 frontier
         // entries → exactly 512 nodes (4096 B) per PE → PC; one more
         // entry spills the list → PS.
         let g = Geometry::new(4, 8);
         let m = summary(1 << 20, 4_000_000);
-        let args = (
-            &MicroArch::paper(),
-            &Thresholds::paper(),
-            &OpProfile::scalar(),
-        );
-        let fits = decide_exact(m, 4096, g, args.0, args.1, args.2);
+        let fits = decide_default(m, 4096, g);
         assert_eq!(fits.software, SwConfig::OuterProduct);
         assert_eq!(fits.hardware, HwConfig::Pc);
-        let spills = decide_exact(m, 4097, g, args.0, args.1, args.2);
+        let spills = decide_default(m, 4097, g);
         assert_eq!(spills.hardware, HwConfig::Ps);
-    }
-
-    #[test]
-    fn density_round_trip_does_not_truncate_frontier() {
-        // 513 active out of 65643 columns: 513/65643 is not exactly
-        // representable, and `density * cols` lands at 512.999…
-        // With one PE per tile the 513th node is exactly the one that
-        // spills the 4 kB list; truncation used to reconstruct 512
-        // entries → PC. Both the exact path and the rounding path must
-        // say PS.
+        // One PE per tile: the 513th node is the one that spills. Its
+        // density 513/65643 times the column count lands a hair below
+        // 513, so only the exact count keeps it.
         let g = Geometry::new(4, 1);
         let m = MatrixSummary::new(65_643, 65_643, 500_000);
-        let nnz = 513usize;
-        let density = nnz as f64 / m.cols as f64;
-        assert!(
-            density * (m.cols as f64) < nnz as f64,
-            "test premise: the round-trip must actually lose the last element"
-        );
-        let exact = decide_exact(
-            m,
-            nnz,
-            g,
-            &MicroArch::paper(),
-            &Thresholds::paper(),
-            &OpProfile::scalar(),
-        );
-        assert_eq!(exact.hardware, HwConfig::Ps);
-        let via_density = decide_default(m, density, g);
-        assert_eq!(via_density.hardware, HwConfig::Ps);
+        assert_eq!(decide_default(m, 512, g).hardware, HwConfig::Pc);
+        assert_eq!(decide_default(m, 513, g).hardware, HwConfig::Ps);
     }
 
     #[test]
     fn empty_matrix_degenerates_gracefully() {
-        // A 50%-dense vector is far above any CVD → IP, and the empty
-        // working set fits in cache → SC. No panics on zero shapes.
-        let d = decide_default(summary(0, 0), 0.5, Geometry::new(2, 4));
-        assert_eq!(d.software, SwConfig::InnerProduct);
-        assert_eq!(d.hardware, HwConfig::Sc);
-        assert_eq!(d.format, FormatKind::Coo);
-    }
-
-    #[test]
-    fn frontier_count_rounds_instead_of_truncating() {
-        // The exact hazard flagged next to `decide`: 513/65643 * 65643
-        // lands a hair below 513, and truncation would reconstruct 512.
-        let m = MatrixSummary::new(65_643, 65_643, 500_000);
-        let density = 513.0 / 65_643.0;
-        assert!(density * 65_643.0 < 513.0, "premise: round-trip loses");
-        assert_eq!(m.frontier_count(density), 513);
-        // And 4097/10^6, the boundary case from the original comment.
-        let m = MatrixSummary::new(1 << 20, 1_000_000, 4_000_000);
-        assert_eq!(m.frontier_count(4097.0 / 1_000_000.0), 4097);
+        // No columns: the frontier's density is 0, below any CVD → OP,
+        // and the empty list fits the private bank → PC. No panics on
+        // zero shapes.
+        let d = decide_default(summary(0, 0), 0, Geometry::new(2, 4));
+        assert_eq!(d.software, SwConfig::OuterProduct);
+        assert_eq!(d.hardware, HwConfig::Pc);
+        assert_eq!(d.format, FormatKind::Csc);
     }
 
     #[test]
@@ -630,7 +543,7 @@ mod tests {
             block_shape: (4, 4),
         };
         let m = MatrixSummary::with_probe(1 << 17, 1 << 17, 4_000_000, probe);
-        let d = decide_default(m, 0.001, Geometry::new(4, 8));
+        let d = decide_default(m, 131, Geometry::new(4, 8));
         assert_eq!(d.software, SwConfig::OuterProduct);
         assert_eq!(d.format, FormatKind::Csc);
     }
@@ -640,7 +553,7 @@ mod tests {
         let g = Geometry::new(4, 8);
         let base = summary(1 << 17, 4_000_000);
         // No probe: the paper's COO stream.
-        assert_eq!(decide_default(base, 0.5, g).format, FormatKind::Coo);
+        assert_eq!(decide_default(base, 1 << 16, g).format, FormatKind::Coo);
         // Blocky matrix: BCSR wins even though segments are also full.
         let blocky = MatrixSummary {
             probe: Some(FormatProbe {
@@ -650,7 +563,7 @@ mod tests {
             }),
             ..base
         };
-        assert_eq!(decide_default(blocky, 0.5, g).format, FormatKind::Bcsr);
+        assert_eq!(decide_default(blocky, 1 << 16, g).format, FormatKind::Bcsr);
         // Clustered but unblockable: bitmap.
         let clustered = MatrixSummary {
             probe: Some(FormatProbe {
@@ -660,7 +573,10 @@ mod tests {
             }),
             ..base
         };
-        assert_eq!(decide_default(clustered, 0.5, g).format, FormatKind::Bitmap);
+        assert_eq!(
+            decide_default(clustered, 1 << 16, g).format,
+            FormatKind::Bitmap
+        );
         // Scattered: stay on COO.
         let scattered = MatrixSummary {
             probe: Some(FormatProbe {
@@ -670,7 +586,10 @@ mod tests {
             }),
             ..base
         };
-        assert_eq!(decide_default(scattered, 0.5, g).format, FormatKind::Coo);
+        assert_eq!(
+            decide_default(scattered, 1 << 16, g).format,
+            FormatKind::Coo
+        );
     }
 
     #[test]
@@ -681,7 +600,7 @@ mod tests {
 
     #[test]
     fn no_reorder_probe_keeps_arrival_order() {
-        let d = decide_default(summary(1 << 17, 4_000_000), 0.5, Geometry::new(4, 8));
+        let d = decide_default(summary(1 << 17, 4_000_000), 1 << 16, Geometry::new(4, 8));
         assert_eq!(d.reorder, ReorderKind::None);
     }
 
@@ -696,7 +615,7 @@ mod tests {
             bandwidth: [25_000.0, 10_000.0, 24_000.0],
             occupancy: [1.3, 1.4, 1.5],
         };
-        let d = decide_default(base.with_reorder_probe(good), 0.5, g);
+        let d = decide_default(base.with_reorder_probe(good), 1 << 16, g);
         assert_eq!(d.reorder, ReorderKind::Rcm);
         // Marginal improvements everywhere: stay on arrival order.
         let marginal = ReorderProbe {
@@ -705,7 +624,7 @@ mod tests {
             bandwidth: [28_000.0, 26_000.0, 29_000.0],
             occupancy: [1.25, 1.3, 1.2],
         };
-        let d = decide_default(base.with_reorder_probe(marginal), 0.5, g);
+        let d = decide_default(base.with_reorder_probe(marginal), 1 << 16, g);
         assert_eq!(d.reorder, ReorderKind::None);
         // Occupancy growth alone can also clear the gate (the window
         // heuristic's signature win).
@@ -715,7 +634,7 @@ mod tests {
             bandwidth: [30_000.0, 30_000.0, 30_000.0],
             occupancy: [1.3, 1.3, 2.4],
         };
-        let d = decide_default(base.with_reorder_probe(packed), 0.5, g);
+        let d = decide_default(base.with_reorder_probe(packed), 1 << 16, g);
         assert_eq!(d.reorder, ReorderKind::WindowCluster);
     }
 
@@ -728,7 +647,7 @@ mod tests {
             occupancy: [1.3, 1.4, 1.5],
         };
         let m = summary(1 << 17, 4_000_000).with_reorder_probe(good);
-        let op = decide_default(m, 0.001, Geometry::new(4, 8));
+        let op = decide_default(m, 131, Geometry::new(4, 8));
         assert_eq!(op.software, SwConfig::OuterProduct);
         assert_eq!(op.reorder, ReorderKind::Rcm, "OP streams permuted CSC too");
     }

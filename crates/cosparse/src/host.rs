@@ -19,6 +19,7 @@
 //! order, so an answer is bit-identical whichever kernel, backend and
 //! worker count produced it, float reductions included.
 
+use crate::heuristics::SwConfig;
 use crate::ops::{self, Accumulator, GraphOp, Update};
 use crate::shared::SharedGraph;
 use sparse::{CooMatrix, Idx};
@@ -37,7 +38,10 @@ pub enum ExecBackend {
     Simulate,
     /// Native host execution: the functional step alone, orders of
     /// magnitude faster, no simulated timing (reports carry wall-clock
-    /// seconds and zero cycles).
+    /// seconds and zero cycles). A step runs no decision tree, policy
+    /// or override: it reports the kernel that ran — the pull as IP
+    /// over COO, the push as OP over CSC — with no reordering and the
+    /// machine's unchanged hardware configuration.
     Host,
 }
 
@@ -73,8 +77,10 @@ pub const PULL_CHUNK_ROWS: usize = 512;
 
 /// One functional step over `graph`'s arrival-order operands: a partial
 /// frontier pushes into `acc`, a full one pulls on `workers` threads
-/// (see the module docs). Returns the updates that passed
-/// [`GraphOp::is_update`], sorted by destination.
+/// (see the module docs). Returns the dataflow of the kernel that ran —
+/// [`SwConfig::OuterProduct`] for the push over CSC columns,
+/// [`SwConfig::InnerProduct`] for the pull over COO rows — and the
+/// updates that passed [`GraphOp::is_update`], sorted by destination.
 ///
 /// # Panics
 ///
@@ -87,18 +93,20 @@ pub(crate) fn execute<O: GraphOp>(
     state: &[O::Value],
     workers: usize,
     acc: &mut Accumulator<O::Value>,
-) -> Vec<Update<O::Value>> {
+) -> (SwConfig, Vec<Update<O::Value>>) {
     let csc = graph.matrix_csc();
     let degrees = graph.degrees();
     if active.len() < csc.cols() {
-        return ops::apply_with(op, csc, active, state, degrees, acc);
+        let updates = ops::apply_with(op, csc, active, state, degrees, acc);
+        return (SwConfig::OuterProduct, updates);
     }
     let inputs = StepInputs {
         active,
         state,
         degrees,
     };
-    pull(op, graph.matrix(), graph.row_counts(), inputs, workers)
+    let updates = pull(op, graph.matrix(), graph.row_counts(), inputs, workers);
+    (SwConfig::InnerProduct, updates)
 }
 
 /// The full-frontier kernel: every row `dst` of the row-major `coo`

@@ -61,9 +61,7 @@ pub mod serve;
 pub mod shared;
 pub mod verify;
 
-pub use heuristics::{
-    decide, decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
-};
+pub use heuristics::{decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds};
 pub use host::ExecBackend;
 pub use layout::Layout;
 pub use ops::{apply, GraphOp, OpProfile, SpmvOp, Update};

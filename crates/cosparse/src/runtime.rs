@@ -16,7 +16,7 @@
 use crate::adaptive::AdaptiveState;
 use crate::balance::Balancing;
 use crate::heuristics::{
-    decide, decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
+    decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
 };
 use crate::host::{self, ExecBackend};
 use crate::kernels::convert::{self, Direction};
@@ -67,7 +67,7 @@ impl Frontier {
         }
     }
 
-    /// Active fraction — the quantity the decision tree keys on.
+    /// Active fraction, `nnz / dim` (0 for a zero-dimension vector).
     pub fn density(&self) -> f64 {
         let d = self.dim();
         if d == 0 {
@@ -112,7 +112,9 @@ pub enum Policy {
     Adaptive,
 }
 
-/// Outcome of one plain SpMV invocation.
+/// Outcome of one plain SpMV invocation. Under [`ExecBackend::Host`]
+/// the configuration fields name the kernel that ran, not a decision
+/// (see [`ExecBackend::Host`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpmvOutcome {
     /// Chosen dataflow.
@@ -133,7 +135,9 @@ pub struct SpmvOutcome {
     pub result: Frontier,
 }
 
-/// Outcome of one generic graph-op step.
+/// Outcome of one generic graph-op step. Under [`ExecBackend::Host`]
+/// the configuration fields name the kernel that ran, not a decision
+/// (see [`ExecBackend::Host`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepOutcome<V> {
     /// Chosen dataflow.
@@ -537,8 +541,10 @@ impl CoSparse {
     /// [`ExecBackend::Simulate`]).
     ///
     /// Both backends compute answers through the same functional step
-    /// (see [`crate::host`]). Under [`ExecBackend::Host`] the runtime
-    /// still walks the decision tree and reports its choice, but no
+    /// (see [`crate::host`]). Under [`ExecBackend::Host`] a step runs
+    /// no decision: the policy, the thresholds and the format and
+    /// reorder overrides shape only simulated steps, and a Host step
+    /// reports the kernel that ran (see [`ExecBackend::Host`]). No
     /// simulated machine is in the path: reports carry wall-clock
     /// `seconds` with zero `cycles`. Verification
     /// ([`CoSparse::set_verify`]) and adaptive cycle recording apply
@@ -628,13 +634,14 @@ impl CoSparse {
 
     /// Structural summary used by the decision tree, with the cached
     /// probes (each computed once per graph) that the session's backend
-    /// reads: the format probe always, since every backend decides a
-    /// format; the locality probe only under [`ExecBackend::Simulate`],
-    /// whose simulated address stream a reordering shapes. A
-    /// [`ExecBackend::Host`] session answers from the arrival-order
-    /// operands whatever the reordering, so it computes no locality
+    /// reads: the format probe always; the locality probe only under
+    /// [`ExecBackend::Simulate`], whose simulated address stream a
+    /// reordering shapes. A [`ExecBackend::Host`] session answers from
+    /// the arrival-order operands whatever the reordering, so an
+    /// explicit [`CoSparse::decide_exact`] on it computes no locality
     /// probe and decides [`ReorderKind::None`] (a pinned
-    /// [`CoSparse::set_reorder_override`] still applies).
+    /// [`CoSparse::set_reorder_override`] still applies). Host steps
+    /// read no summary: they run no decision.
     pub fn summary(&self) -> MatrixSummary {
         let coo = self.shared.matrix();
         let summary = MatrixSummary::with_probe(
@@ -650,45 +657,10 @@ impl CoSparse {
         }
     }
 
-    /// Runs the decision tree for a frontier of the given density
-    /// (respecting a fixed policy when one is set).
-    pub fn decide(&self, vector_density: f64, profile: &OpProfile) -> Decision {
-        let tree = || {
-            decide(
-                self.summary(),
-                vector_density,
-                self.machine.geometry(),
-                self.machine.uarch(),
-                &self.thresholds,
-                profile,
-            )
-        };
-        let mut d = match self.policy {
-            Policy::Auto => tree(),
-            Policy::Fixed(sw, hw) => Decision {
-                software: sw,
-                hardware: hw,
-                format: default_format(sw),
-                reorder: ReorderKind::None,
-                cvd: f64::NAN,
-            },
-            Policy::Adaptive => self.adaptive.choose(vector_density, tree()),
-        };
-        if let Some(f) = self.format_override {
-            d.format = f;
-        }
-        if let Some(r) = self.reorder_override {
-            d.reorder = r;
-        }
-        d
-    }
-
-    /// [`CoSparse::decide`] with the frontier's exact active count.
-    ///
-    /// The density form reconstructs the count as `density * cols`,
-    /// which is lossy at the PS/PC list-fit boundary; the runtime knows
-    /// the true count and threads it through here (density is still
-    /// derived for the CVD comparison and adaptive bucketing).
+    /// Runs the decision tree for a frontier of `frontier_nnz` active
+    /// entries, respecting a fixed policy and the format and reorder
+    /// overrides when set. The density the CVD comparison and adaptive
+    /// bucketing key on is derived from the exact count.
     pub fn decide_exact(&self, frontier_nnz: usize, profile: &OpProfile) -> Decision {
         let tree = || {
             decide_exact(
@@ -709,14 +681,7 @@ impl CoSparse {
                 reorder: ReorderKind::None,
                 cvd: f64::NAN,
             },
-            Policy::Adaptive => {
-                let density = if self.shared.matrix().cols() == 0 {
-                    0.0
-                } else {
-                    frontier_nnz as f64 / self.shared.matrix().cols() as f64
-                };
-                self.adaptive.choose(density, tree())
-            }
+            Policy::Adaptive => self.adaptive.choose(self.density(frontier_nnz), tree()),
         };
         if let Some(f) = self.format_override {
             d.format = f;
@@ -725,6 +690,17 @@ impl CoSparse {
             d.reorder = r;
         }
         d
+    }
+
+    /// The active fraction of a frontier of `frontier_nnz` entries: the
+    /// key of the adaptive policy's buckets.
+    fn density(&self, frontier_nnz: usize) -> f64 {
+        let cols = self.shared.matrix().cols();
+        if cols == 0 {
+            0.0
+        } else {
+            frontier_nnz as f64 / cols as f64
+        }
     }
 
     /// (Re)binds the session's shared plan when none is bound or its key
@@ -788,10 +764,9 @@ impl CoSparse {
     ) -> Result<(SimReport, u64), SimError> {
         let geometry = self.machine.geometry();
         // SCS splits each tile's banks between cache and SPM, which
-        // needs at least two PEs per tile; the machine cannot even
-        // reconfigure into it on a 1-PE geometry. Reject statically
-        // (the finding the linter reports) instead of letting the
-        // reconfigure panic.
+        // needs at least two PEs per tile. Reject statically (the
+        // finding the linter reports) before reconfiguring the machine
+        // for a program that cannot run.
         if decision.hardware == HwConfig::Scs && geometry.pes_per_tile() < 2 {
             return Err(SimError::Rejected {
                 diagnostics: vec![Diagnostic {
@@ -1030,52 +1005,39 @@ impl CoSparse {
     /// session's accumulator, a full one pulls on
     /// [`CoSparse::set_host_threads`] threads. Reads the graph's
     /// arrival-order operands whatever format and reordering were
-    /// decided.
+    /// decided, and returns the dataflow of the kernel that ran with
+    /// the updates.
     fn answer<O: GraphOp>(
         &mut self,
         op: &O,
         active: &[(Idx, O::Value)],
         state: &[O::Value],
-    ) -> Vec<Update<O::Value>> {
+    ) -> (SwConfig, Vec<Update<O::Value>>) {
         let acc = self.accumulators.get();
         host::execute(op, &self.shared, active, state, self.host_threads, acc)
-    }
-
-    /// One host-backend step: the functional step alone, timed on the
-    /// wall clock. Binds no plan: the host reads no reordered operand
-    /// or layout.
-    fn host_step<O: GraphOp>(
-        &mut self,
-        op: &O,
-        active: &[(Idx, O::Value)],
-        state: &[O::Value],
-    ) -> (Vec<Update<O::Value>>, SimReport) {
-        let t0 = std::time::Instant::now();
-        let updates = self.answer(op, active, state);
-        (updates, self.host_report(t0.elapsed().as_secs_f64()))
     }
 
     /// One reconfigured SpMV: decides configurations from the frontier's
     /// density, simulates the access pattern, and computes `y = M * x`
     /// functionally.
     ///
-    /// Under [`ExecBackend::Host`] no machine runs: the report carries
+    /// Under [`ExecBackend::Host`] no decision and no machine run: the
+    /// outcome names the kernel that ran, and the report carries
     /// wall-clock seconds and zero cycles.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frontier dimension does not match the matrix
-    /// column count.
+    /// Returns [`SimError::DimensionMismatch`] if the frontier dimension
+    /// does not match the matrix column count, and propagates simulator
+    /// errors.
     pub fn spmv(&mut self, frontier: &Frontier) -> Result<SpmvOutcome, SimError> {
-        assert_eq!(
-            frontier.dim(),
-            self.shared.matrix().cols(),
-            "frontier dimension mismatch"
-        );
+        let cols = self.shared.matrix().cols();
+        if frontier.dim() != cols {
+            return Err(SimError::DimensionMismatch {
+                expected: cols,
+                found: frontier.dim(),
+            });
+        }
         // Stage the frontier in the reusable scratch buffer; steady-state
         // iterations allocate nothing here. `collect_active` keeps
         // exactly the entries `Frontier::nnz` counts, so `step` decides
@@ -1102,7 +1064,9 @@ impl CoSparse {
     /// One reconfigured step of a graph algorithm: `active` holds the
     /// frontier's `(index, value)` pairs, sorted by index without
     /// repeats, `state` the per-vertex state. Returns the updates and
-    /// the simulated timing.
+    /// the simulated timing. Under [`ExecBackend::Host`] the step runs
+    /// no decision and reports the kernel that ran (see
+    /// [`ExecBackend::Host`]).
     ///
     /// # Errors
     ///
@@ -1113,24 +1077,23 @@ impl CoSparse {
         active: &[(Idx, O::Value)],
         state: &[O::Value],
     ) -> Result<StepOutcome<O::Value>, SimError> {
-        let profile = op.profile();
-        let density = if self.shared.matrix().cols() == 0 {
-            0.0
-        } else {
-            active.len() as f64 / self.shared.matrix().cols() as f64
-        };
-        let decision = self.decide_exact(active.len(), &profile);
         if self.backend == ExecBackend::Host {
-            let (updates, report) = self.host_step(op, active, state);
+            // No decision: the record names the kernel that ran, over
+            // the format it read, on the machine state the host never
+            // reconfigures.
+            let t0 = std::time::Instant::now();
+            let (software, updates) = self.answer(op, active, state);
             return Ok(StepOutcome {
-                software: decision.software,
-                hardware: decision.hardware,
-                format: decision.format,
-                reorder: decision.reorder,
-                report,
+                software,
+                hardware: self.machine.config(),
+                format: default_format(software),
+                reorder: ReorderKind::None,
+                report: self.host_report(t0.elapsed().as_secs_f64()),
                 updates,
             });
         }
+        let profile = op.profile();
+        let decision = self.decide_exact(active.len(), &profile);
         let mut indices = std::mem::take(&mut self.indices_buf);
         indices.clear();
         indices.extend(active.iter().map(|&(i, _)| i));
@@ -1139,7 +1102,7 @@ impl CoSparse {
         let (report, kernel_cycles) = executed?;
         if self.policy == Policy::Adaptive {
             self.adaptive.record(
-                density,
+                self.density(active.len()),
                 decision.software,
                 decision.hardware,
                 decision.format,
@@ -1147,7 +1110,7 @@ impl CoSparse {
                 kernel_cycles,
             );
         }
-        let updates = self.answer(op, active, state);
+        let (_, updates) = self.answer(op, active, state);
         Ok(StepOutcome {
             software: decision.software,
             hardware: decision.hardware,
@@ -1261,6 +1224,46 @@ mod tests {
         assert_eq!(out.hardware, HwConfig::Ps);
     }
 
+    /// A Host step runs no decision: its outcome names the kernel that
+    /// ran — the full-frontier pull as IP over COO, the push as OP over
+    /// CSC — whatever policy and overrides are pinned.
+    #[test]
+    fn host_steps_report_the_kernel_that_ran() {
+        let mut rt = runtime(512, 8000);
+        rt.set_backend(ExecBackend::Host);
+        let full = Frontier::Dense(DenseVector::filled(512, 1.0f32));
+        let partial =
+            Frontier::Sparse(sparse::generate::random_sparse_vector(512, 0.02, 5).unwrap());
+        let kernels = [
+            (&full, SwConfig::InnerProduct, FormatKind::Coo),
+            (&partial, SwConfig::OuterProduct, FormatKind::Csc),
+        ];
+        for (x, software, format) in kernels {
+            let out = rt.spmv(x).unwrap();
+            assert_eq!((out.software, out.format), (software, format));
+            assert_eq!(out.hardware, HwConfig::Sc, "the machine's unchanged config");
+            assert_eq!(out.reorder, ReorderKind::None);
+            assert_eq!(out.report.cycles, 0);
+        }
+
+        rt.set_policy(Policy::Fixed(SwConfig::InnerProduct, HwConfig::Scs));
+        rt.set_format_override(Some(FormatKind::Bitmap));
+        rt.set_reorder_override(Some(ReorderKind::Rcm));
+        let out = rt.spmv(&partial).unwrap();
+        assert_eq!(
+            (out.software, out.hardware, out.format, out.reorder),
+            (
+                SwConfig::OuterProduct,
+                HwConfig::Sc,
+                FormatKind::Csc,
+                ReorderKind::None
+            ),
+            "no decision was consulted"
+        );
+        assert_eq!(rt.machine().config(), HwConfig::Sc);
+        assert!(rt.plan.is_none(), "a Host step binds no plan");
+    }
+
     #[test]
     fn dataflow_switch_charges_conversion() {
         let mut rt = runtime(4096, 40_000);
@@ -1332,11 +1335,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn wrong_dimension_panics() {
+    fn wrong_dimension_is_an_error() {
         let mut rt = runtime(128, 500);
         let x = Frontier::Dense(DenseVector::filled(64, 1.0f32));
-        let _ = rt.spmv(&x);
+        assert!(matches!(
+            rt.spmv(&x),
+            Err(SimError::DimensionMismatch {
+                expected: 128,
+                found: 64
+            })
+        ));
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub struct SharedCacheStats {
     /// materialized, at most one per [`ReorderKind`] per graph.
     pub reorder_builds: u64,
     /// Locality probes ([`ReorderProbe`]) computed: at most one per
-    /// graph, and none while only host sessions decide.
+    /// graph, and none while only host sessions step on it (a Host step
+    /// runs no decision).
     pub reorder_probes: u64,
 }
 
@@ -456,7 +457,7 @@ impl SharedGraph {
     }
 
     /// Opens a new session running on a caller-supplied `machine`
-    /// (e.g. with a pinned execution mode).
+    /// (e.g. one already reconfigured or warmed by earlier runs).
     ///
     /// # Panics
     ///

@@ -100,7 +100,14 @@ fn all_formats_and_engines_agree_bit_exactly() {
                 s.set_policy(Policy::Fixed(SwConfig::InnerProduct, hw));
                 s.set_format_override(Some(format));
                 let out = s.spmv(&x).expect("ip spmv");
-                assert_eq!(out.format, format, "override must reach the outcome");
+                // A simulated step streams the pinned format; a Host
+                // step decides nothing and reports the COO its pull
+                // read.
+                let ran = match backend {
+                    ExecBackend::Simulate => format,
+                    ExecBackend::Host => FormatKind::Coo,
+                };
+                assert_eq!(out.format, ran, "{backend:?} reports the format it read");
                 assert_eq!(
                     dense_bits(&out.result),
                     want,
@@ -135,8 +142,9 @@ fn all_formats_and_engines_agree_bit_exactly() {
 }
 
 /// Auto policy end to end on the clustered matrix: the probe steers the
-/// dense-frontier decision to a non-COO format on both backends, and
-/// the outcome is bit-identical to the reference.
+/// simulated dense-frontier decision to a non-COO format, a Host step
+/// reports the COO its pull read, and both outcomes are bit-identical
+/// to the reference.
 #[test]
 fn auto_policy_picks_probed_format_and_stays_bit_exact() {
     let m = banded(N);
@@ -148,11 +156,15 @@ fn auto_policy_picks_probed_format_and_stays_bit_exact() {
         let mut auto = session(&graph, backend);
         let out = auto.spmv(&x).expect("auto spmv");
         assert_eq!(out.software, SwConfig::InnerProduct);
-        assert_ne!(
-            out.format,
-            FormatKind::Coo,
-            "the banded matrix's probe must steer IP off the COO stream"
-        );
+        match backend {
+            ExecBackend::Simulate => assert_ne!(
+                out.format,
+                FormatKind::Coo,
+                "the banded matrix's probe must steer IP off the COO stream"
+            ),
+            // No probe steers a Host step: its pull reads the COO.
+            ExecBackend::Host => assert_eq!(out.format, FormatKind::Coo),
+        }
         assert_eq!(dense_bits(&out.result), want, "{backend:?} auto");
     }
 }

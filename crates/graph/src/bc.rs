@@ -124,7 +124,7 @@ pub fn betweenness_on(
             break;
         }
         let density = frontier.len() as f64 / n.max(1) as f64;
-        let decision = forward_rt.decide(density, &profile);
+        let decision = forward_rt.decide_exact(frontier.len(), &profile);
         let report = forward_rt.execute(decision, &frontier, &profile)?;
         records.push(BcLevelRecord {
             phase: Phase::Forward,
@@ -161,7 +161,7 @@ pub fn betweenness_on(
     for depth in (1..levels.len()).rev() {
         let frontier = levels[depth].clone();
         let density = frontier.len() as f64 / n.max(1) as f64;
-        let decision = backward_rt.decide(density, &profile);
+        let decision = backward_rt.decide_exact(frontier.len(), &profile);
         let report = backward_rt.execute(decision, &frontier, &profile)?;
         records.push(BcLevelRecord {
             phase: Phase::Backward,

@@ -54,7 +54,9 @@ pub trait Algorithm {
     fn max_iterations(&self, vertices: usize) -> usize;
 }
 
-/// One engine iteration's bookkeeping.
+/// One engine iteration's bookkeeping. Under [`ExecBackend::Host`] no
+/// decision runs: the record names the kernel that ran (see
+/// [`ExecBackend::Host`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationRecord {
     /// Iteration number (0-based).

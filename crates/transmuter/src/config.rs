@@ -241,10 +241,15 @@ impl MicroArch {
 
     /// Number of L1 banks operating as cache for a tile with
     /// `pes_per_tile` banks under `mode`. At least one bank remains a
-    /// cache in SCS mode.
+    /// cache in SCS mode. A tile with fewer than two banks has no legal
+    /// SCS split: every bank stays a cache and the tile exposes no SPM,
+    /// so its SPM ops are refused ([`crate::SimError::SpmUnavailable`]
+    /// from [`crate::Machine::run`], [`crate::verify::LintKind::UnsupportedConfig`]
+    /// from a program's lint).
     pub fn l1_cache_banks(&self, pes_per_tile: usize, mode: L1Mode) -> usize {
         match mode {
             L1Mode::SharedCache | L1Mode::PrivateCache => pes_per_tile,
+            L1Mode::SharedCacheSpm if pes_per_tile < 2 => pes_per_tile,
             L1Mode::SharedCacheSpm => {
                 let spm = ((pes_per_tile as f64 * self.scs_spm_fraction) as usize)
                     .clamp(1, pes_per_tile - 1);

@@ -67,6 +67,14 @@ pub enum SimError {
         /// The configuration the program was built for.
         program: HwConfig,
     },
+    /// A frontier's dimension does not match the operand matrix's
+    /// column count.
+    DimensionMismatch {
+        /// The matrix's column count.
+        expected: usize,
+        /// The frontier's dimension.
+        found: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -106,6 +114,12 @@ impl fmt::Display for SimError {
                     f,
                     "program built for {program} but machine is configured as {machine} \
                      (or for a different microarchitecture)"
+                )
+            }
+            SimError::DimensionMismatch { expected, found } => {
+                write!(
+                    f,
+                    "frontier has dimension {found} but the matrix has {expected} columns"
                 )
             }
         }
@@ -899,6 +913,35 @@ mod tests {
         assert!(matches!(
             m.run_traced(&s),
             Err(SimError::SpmUnavailable { worker, .. }) if worker == lcp
+        ));
+        assert!(matches!(
+            m.run_verified(&s, None),
+            Err(SimError::Rejected { .. })
+        ));
+    }
+
+    /// SCS has no legal cache/SPM split on a 1-PE tile: reconfiguring
+    /// into it keeps every bank a cache instead of panicking, and the
+    /// tile's SPM ops are refused — by the reference loop at the first
+    /// one, by the lint before a verified run starts.
+    #[test]
+    fn scs_on_one_pe_tiles_refuses_spm_ops() {
+        let mut m = machine(2, 1);
+        m.reconfigure(HwConfig::Scs);
+        assert_eq!(m.config(), HwConfig::Scs);
+        assert_eq!(
+            m.l1_cache_bytes_per_tile(),
+            MicroArch::paper().bank_bytes,
+            "the one bank stays a cache"
+        );
+        let mut s = ProgramSet::new(m.geometry());
+        s.set_pe(0, 0, [Op::Load(0), Op::SpmLoad(0)]);
+        assert!(matches!(
+            m.run(&s),
+            Err(SimError::SpmUnavailable {
+                config: HwConfig::Scs,
+                worker: 0
+            })
         ));
         assert!(matches!(
             m.run_verified(&s, None),

@@ -180,7 +180,11 @@ impl MemorySystem {
 
     /// True if the current configuration exposes scratchpad to PEs.
     pub fn has_spm(&self) -> bool {
-        matches!(self.hw.l1(), L1Mode::SharedCacheSpm | L1Mode::PrivateSpm)
+        match self.hw.l1() {
+            L1Mode::SharedCacheSpm => self.l1_banks < self.geom.pes_per_tile(),
+            L1Mode::PrivateSpm => true,
+            L1Mode::SharedCache | L1Mode::PrivateCache => false,
+        }
     }
 
     /// Resets per-run statistics and HBM channel occupancy. Cache

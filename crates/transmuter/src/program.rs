@@ -345,15 +345,10 @@ struct LowerCtx {
 impl LowerCtx {
     fn new(geom: Geometry, hw: HwConfig, ua: &MicroArch) -> Self {
         let b = geom.pes_per_tile();
-        // SCS needs at least one cache bank *and* one SPM bank per tile;
-        // on a <2-PE tile there is no legal split. Fall back to an
-        // all-cache split so construction still succeeds — the lint
-        // rejects such a program as UnsupportedConfig before it can run.
-        let l1_banks = if hw == HwConfig::Scs && b < 2 {
-            b
-        } else {
-            ua.l1_cache_banks(b, hw.l1())
-        };
+        // SCS on a <2-PE tile has no legal split and keeps every bank a
+        // cache; the lint rejects such a program as UnsupportedConfig
+        // before it can run.
+        let l1_banks = ua.l1_cache_banks(b, hw.l1());
         LowerCtx {
             line_div: FastDiv::new(ua.line_bytes as u64),
             word_div: FastDiv::new(ua.word_bytes as u64),
