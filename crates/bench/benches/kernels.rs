@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use cosparse::balance::{ip_partitions, op_tile_partitions, Balancing};
-use cosparse::host::{self, StepInputs};
+use cosparse::host::{self, RowSchedule, StepInputs};
 use cosparse::kernels::{ip, op};
 use cosparse::ops::{apply_with, Accumulator};
 use cosparse::{apply, GraphOp, Layout, OpProfile, SpmvOp, Update};
@@ -180,17 +180,19 @@ fn dense_push<O: GraphOp>(
         .collect()
 }
 
-/// One full-frontier PageRank step on the Pokec analogue at divisor 64
-/// (~478k edges), in ns per edge: the row pull over the row-major COO
-/// on one and two workers (`pull/w1`, `pull/w2`) next to the dense push
-/// it replaced (`dense_push`).
+/// One full-frontier step on the Pokec analogue at divisor 64 (~478k
+/// edges), in ns per edge: PageRank's row pull over the row-major COO,
+/// which reads one term per source, on one and two workers
+/// (`pull/w1`, `pull/w2`) next to the dense push it replaced
+/// (`dense_push`); and a weighted SpMV's pull, which calls `matrix_op`
+/// per edge (`spmv_pull/w1`, `spmv_pull/w2`).
 fn bench_pull(c: &mut Criterion) {
     let adj = SuiteGraph::Pokec.spec().scaled(64).generate(7).unwrap();
     let operand = adj.transpose();
     let csc = CscMatrix::from(&operand);
     let n = operand.cols();
     let degrees: Vec<u32> = operand.col_counts().into_iter().map(|x| x as u32).collect();
-    let row_counts = operand.row_counts();
+    let schedule = RowSchedule::new(operand.row_counts());
     let op = PageRankOp {
         teleport: 0.15 / n as f32,
         damping: 0.85,
@@ -212,9 +214,31 @@ fn bench_pull(c: &mut Criterion) {
     group.bench_function("pokec64/dense_push", |b| {
         b.iter(|| black_box(dense_push(&op, &csc, &active, &state, &degrees)))
     });
+    let mut acc = Accumulator::default();
+    let zeros = vec![0.0f32; n];
+    let spmv_inputs = StepInputs {
+        state: &zeros,
+        ..inputs
+    };
     for workers in [1, 2] {
         group.bench_function(&format!("pokec64/pull/w{workers}"), |b| {
-            b.iter(|| black_box(host::pull(&op, &operand, &row_counts, inputs, workers)))
+            b.iter(|| {
+                black_box(host::pull(
+                    &op, &operand, &schedule, inputs, workers, &mut acc,
+                ))
+            })
+        });
+        group.bench_function(&format!("pokec64/spmv_pull/w{workers}"), |b| {
+            b.iter(|| {
+                black_box(host::pull(
+                    &SpmvOp,
+                    &operand,
+                    &schedule,
+                    spmv_inputs,
+                    workers,
+                    &mut acc,
+                ))
+            })
         });
     }
     group.finish();

@@ -44,6 +44,23 @@ pub trait GraphOp: Sync {
         src_degree: u32,
     ) -> Self::Value;
 
+    /// The contribution source `src` makes to *every* destination, for
+    /// an op whose [`GraphOp::matrix_op`] reads neither the weight nor
+    /// the destination's state; `None` (the default) otherwise.
+    ///
+    /// The full-frontier pull ([`crate::host::pull`]) then evaluates
+    /// one term per source per step and reads it per edge, instead of
+    /// calling `matrix_op` per edge: PageRank divides once per source,
+    /// not once per edge. An op that returns `Some` must return it for
+    /// every source, and the value must equal
+    /// `matrix_op(w, src_value, s, src_degree)` bit for bit for every
+    /// weight `w` and state `s`, so the answer is the same whichever
+    /// way it was computed.
+    fn source_term(&self, src_value: Self::Value, src_degree: u32) -> Option<Self::Value> {
+        let _ = (src_value, src_degree);
+        None
+    }
+
     /// Reduction over contributions to the same destination (sum for
     /// SpMV/PR/CF, min for BFS/SSSP). Must be associative and
     /// commutative.
@@ -97,14 +114,16 @@ impl OpProfile {
 /// One state update produced by an SpMV step: `dst` takes `value`.
 pub type Update<V> = (Idx, V);
 
-/// The reusable scratch of the partial-frontier push kernel: a
-/// per-destination partial reduction, one mark bit per destination,
-/// and the destinations the current step touched. Between steps every
-/// mark is clear and the touched list is empty — a step clears only
-/// what it touched, and a value counts only while its mark is set — so
-/// one accumulator serves any number of steps (of any vertex count)
-/// without reallocating once it has grown. A [`crate::CoSparse`]
-/// session keeps one per value type it has run.
+/// The reusable scratch of both functional kernels. The partial-frontier
+/// push keeps a per-destination partial reduction, one mark bit per
+/// destination, and the destinations the current step touched. Between
+/// steps every mark is clear and the touched list is empty — a step
+/// clears only what it touched, and a value counts only while its mark
+/// is set — so one accumulator serves any number of steps (of any
+/// vertex count) without reallocating once it has grown. The
+/// full-frontier pull keeps its per-source terms
+/// ([`GraphOp::source_term`]) here, refilled each step. A
+/// [`crate::CoSparse`] session keeps one per value type it has run.
 #[derive(Debug)]
 pub struct Accumulator<V> {
     /// Partial reductions by destination, meaningful where marked.
@@ -115,6 +134,9 @@ pub struct Accumulator<V> {
     /// Destinations touched by the current step (first-touch order
     /// while pushing, then ascending).
     touched: Vec<Idx>,
+    /// The pull's per-source terms, one per source while the op has
+    /// them, else empty.
+    pub(crate) terms: Vec<V>,
 }
 
 impl<V> Default for Accumulator<V> {
@@ -123,6 +145,7 @@ impl<V> Default for Accumulator<V> {
             values: Vec::new(),
             marks: Vec::new(),
             touched: Vec::new(),
+            terms: Vec::new(),
         }
     }
 }
@@ -209,6 +232,7 @@ pub fn apply_with<O: GraphOp>(
         values,
         marks,
         touched,
+        ..
     } = acc;
     // Empty unless a step unwound mid-push (an out-of-bounds index),
     // leaving marks set.

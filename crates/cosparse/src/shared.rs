@@ -26,6 +26,7 @@
 //! with the single-pass builder pipeline, DESIGN.md §10).
 
 use crate::balance::{self, Balancing};
+use crate::host::RowSchedule;
 use crate::layout::Layout;
 use crate::ops::OpProfile;
 use crate::runtime::CoSparse;
@@ -220,7 +221,7 @@ impl SharedPlan {
         // actually streams — the permuted one when reordered.
         let row_counts = match &operands {
             Some(ops) => &ops.row_counts,
-            None => &graph.row_counts,
+            None => graph.row_counts(),
         };
         // Alternate formats get a packed image region sized from the
         // materialized structure (forcing it now, under the registry
@@ -399,9 +400,9 @@ pub struct SharedGraph {
     /// Out-degree of each frontier index in the original graph
     /// (= column counts of the operand matrix).
     degrees: Vec<u32>,
-    /// Entries per row of the COO: the arrival-order plans' row
-    /// distribution, and the full-frontier pull's row index.
-    row_counts: Vec<usize>,
+    /// Entries per row of the COO — the arrival-order plans' row
+    /// distribution — and the full-frontier pull's row order.
+    row_schedule: RowSchedule,
     /// All-zero per-row state for the plain-SpMV functional step,
     /// allocated once per graph (it is only ever read).
     zeros: Vec<f32>,
@@ -427,7 +428,7 @@ impl SharedGraph {
     pub fn new(matrix: &CooMatrix, geometry: Geometry, uarch: MicroArch) -> Arc<Self> {
         let csc = CscMatrix::from(matrix);
         let degrees = matrix.col_counts().into_iter().map(|c| c as u32).collect();
-        let row_counts = matrix.row_counts();
+        let row_schedule = RowSchedule::new(matrix.row_counts());
         Arc::new(SharedGraph {
             zeros: vec![0.0f32; matrix.rows()],
             coo: matrix.clone(),
@@ -439,7 +440,7 @@ impl SharedGraph {
             reordered: std::array::from_fn(|_| OnceLock::new()),
             epoch: AtomicU64::new(0),
             degrees,
-            row_counts,
+            row_schedule,
             geometry,
             uarch,
             plans: Mutex::new(Vec::new()),
@@ -589,7 +590,12 @@ impl SharedGraph {
 
     /// Entries per row of the COO.
     pub(crate) fn row_counts(&self) -> &[usize] {
-        &self.row_counts
+        self.row_schedule.row_counts()
+    }
+
+    /// The full-frontier pull's row index over the COO.
+    pub(crate) fn row_schedule(&self) -> &RowSchedule {
+        &self.row_schedule
     }
 
     /// The read-only all-zero state vector (rows long).

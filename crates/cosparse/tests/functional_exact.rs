@@ -15,9 +15,11 @@
 //! type persists across cases of different vertex counts, so a slot a
 //! call fails to reset corrupts a later answer and fails the suite. The
 //! pull cases span several row chunks, with a chunk boundary inside a
-//! run of empty rows and another next to a hub row.
+//! run of empty rows and another next to a hub row, and a run of rows
+//! whose lengths mix empty rows and rows one entry apart, so the pull's
+//! four-row groups end in tails of every length.
 
-use cosparse::host::{self, StepInputs, PULL_CHUNK_ROWS};
+use cosparse::host::{self, RowSchedule, StepInputs, PULL_CHUNK_ROWS};
 use cosparse::ops::{apply_with, Accumulator};
 use cosparse::{
     apply, CoSparse, ExecBackend, FormatKind, GraphOp, HwConfig, Policy, SpmvOp, SwConfig, Update,
@@ -65,7 +67,8 @@ impl GraphOp for MinLevel {
 }
 
 /// PageRank's op: rank mass split over the source's out-degree, summed,
-/// then damped toward a teleport term.
+/// then damped toward a teleport term. The split is its source term, so
+/// the pull reads it per source.
 #[derive(Debug)]
 struct PageRankOp;
 
@@ -73,6 +76,9 @@ impl GraphOp for PageRankOp {
     type Value = f32;
     fn matrix_op(&self, _w: f32, src: f32, _dst: f32, deg: u32) -> f32 {
         src / deg.max(1) as f32
+    }
+    fn source_term(&self, src: f32, deg: u32) -> Option<f32> {
+        Some(src / deg.max(1) as f32)
     }
     fn reduce(&self, a: f32, b: f32) -> f32 {
         a + b
@@ -509,13 +515,15 @@ proptest! {
 
 /// One multi-chunk graph for the pull: rows `[B − a, B + b)` (`B` =
 /// [`PULL_CHUNK_ROWS`]) are empty, so the first chunk boundary falls
-/// inside a run of empty rows, every row outside it has an entry, and a hub
+/// inside a run of empty rows; the rows of [`LADDER`] hold exactly
+/// `ladder_len(r)` entries, 0 to 22, so empty rows and rows one entry
+/// apart share four-row groups; every other row has an entry; and a hub
 /// row with an entry in every other column sits just before or at the
 /// second boundary.
 struct PullCase {
     coo: CooMatrix,
     csc: CscMatrix,
-    row_counts: Vec<usize>,
+    schedule: RowSchedule,
     degrees: Vec<u32>,
     seeds: Vec<(f32, f32)>,
 }
@@ -539,23 +547,34 @@ fn arb_pull_case() -> impl Strategy<Value = RawPullCase> {
     })
 }
 
+/// Rows of the pull case whose lengths are set by [`ladder_len`].
+const LADDER: std::ops::Range<u32> = 8..104;
+
+/// A [`LADDER`] row's length: every length from 0 to 22 recurs.
+fn ladder_len(r: u32) -> u32 {
+    r * 5 % 23
+}
+
 impl PullCase {
     fn new((n, mut triplets, seeds, (before, after, hub_first)): RawPullCase) -> PullCase {
         let b = PULL_CHUNK_ROWS;
         let empty = b - before..b + after;
-        triplets.retain(|&(r, _, _)| !empty.contains(&(r as usize)));
-        // Every row outside the empty run gets an entry, so the chunks
-        // past it update in every row.
+        triplets.retain(|&(r, _, _)| !empty.contains(&(r as usize)) && !LADDER.contains(&r));
+        // Every row outside the empty run and the ladder gets an entry,
+        // so the chunks past it update in every row.
         triplets.extend(
             (0..n as u32)
-                .filter(|&r| !empty.contains(&(r as usize)))
+                .filter(|&r| !empty.contains(&(r as usize)) && !LADDER.contains(&r))
                 .map(|r| (r, (r * 7 + 3) % n as u32, 0.5)),
         );
+        triplets.extend(LADDER.flat_map(|r| {
+            (0..ladder_len(r)).map(move |j| (r, (r * 13 + j * 31) % n as u32, 0.5 + j as f32 / 8.0))
+        }));
         let hub = (2 * b - usize::from(hub_first == 0)) as u32;
         triplets.extend((0..n as u32).step_by(2).map(|c| (hub, c, 0.25 + c as f32)));
         let coo = CooMatrix::from_triplets(n, n, triplets).expect("in bounds");
         PullCase {
-            row_counts: coo.row_counts(),
+            schedule: RowSchedule::new(coo.row_counts()),
             csc: CscMatrix::from(&coo),
             degrees: coo.col_counts().into_iter().map(|c| c as u32).collect(),
             coo,
@@ -586,7 +605,8 @@ impl PullCase {
         };
         let chunks = n.div_ceil(PULL_CHUNK_ROWS);
         for workers in [1, 2, 3, 4, chunks + 1] {
-            let got = host::pull(op, &self.coo, &self.row_counts, inputs, workers);
+            let mut acc = Accumulator::default();
+            let got = host::pull(op, &self.coo, &self.schedule, inputs, workers, &mut acc);
             assert_bits_eq(&got, &want, &format!("{what} pull w={workers}"));
             host.set_host_threads(workers);
             let got = host.step(op, &active, state).expect("host step").updates;
@@ -598,10 +618,12 @@ impl PullCase {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full-frontier pull reproduces the reference for the sum,
-    /// min-level, min-plus and PageRank ops at 1–4 workers and at more
-    /// workers than chunks, directly and through `Host` sessions; one
-    /// `Simulate` session pulls on two workers.
+    /// The full-frontier pull reproduces the reference for the
+    /// PageRank (per-source term), sum, min-level and min-plus ops at
+    /// 1–4 workers and at more workers than chunks, directly and
+    /// through `Host` sessions; one `Simulate` session pulls on two
+    /// workers. The sum runs after PageRank on the same session, so
+    /// terms PageRank left in the `f32` accumulator must not leak.
     #[test]
     fn full_frontier_pull_is_bit_exact_at_any_worker_count(raw in arb_pull_case()) {
         let case = PullCase::new(raw);
@@ -620,10 +642,10 @@ proptest! {
             .map(|i| if i % 4 == 0 { u32::MAX } else { case.seeds[i].1 as u32 })
             .collect();
         let ranks: Vec<f32> = case.seeds.iter().map(|s| s.0 / n as f32).collect();
+        case.check(&PageRankOp, |i| ranks[i], &ranks, &mut host, &format!("{what} pagerank"));
         case.check(&SpmvOp, |i| case.seeds[i].0, &zeros, &mut host, &format!("{what} sum"));
         case.check(&MinLevel, |i| i as u32 % 7, &levels, &mut host, &format!("{what} level"));
         case.check(&MinPlus, |i| case.seeds[i].0, &dist, &mut host, &format!("{what} min-plus"));
-        case.check(&PageRankOp, |i| ranks[i], &ranks, &mut host, &format!("{what} pagerank"));
 
         let mut sim = CoSparse::new(
             &case.coo,
@@ -634,5 +656,52 @@ proptest! {
         let want = reference_apply(&PageRankOp, &case.csc, &active, &ranks, &case.degrees);
         let got = sim.step(&PageRankOp, &active, &ranks).expect("simulate step");
         assert_bits_eq(&got.updates, &want, &format!("{what} pagerank Simulate"));
+    }
+}
+
+/// One chunk whose rows cancel: row `r` holds `[H, s, …, s, −H, s]`
+/// with `H = 2^30` and `s = r + 1`. In source order every `s` before
+/// `−H` is absorbed into `H`, so the row sums to its last entry, `s`;
+/// a reversed tail, a dropped last entry or another row's entries give
+/// other bits. Its seven live rows make one four-row group, whose tails
+/// run zero to four entries past their common length (two of them end
+/// in `−H, s`), and three rows outside any group; two rows are empty.
+#[test]
+fn pull_reduces_every_row_in_source_order() {
+    let lengths = [5u32, 9, 6, 7, 10, 5, 6, 0, 0];
+    let n = 16;
+    let big = (1u32 << 30) as f32;
+    let triplets = lengths
+        .iter()
+        .zip(0u32..)
+        .flat_map(|(&len, r)| {
+            (0..len).map(move |j| {
+                let w = match j {
+                    0 => big,
+                    j if j == len - 2 => -big,
+                    _ => (r + 1) as f32,
+                };
+                (r, j, w)
+            })
+        })
+        .collect();
+    let coo = CooMatrix::from_triplets(lengths.len(), n, triplets).expect("in bounds");
+    let csc = CscMatrix::from(&coo);
+    let degrees: Vec<u32> = coo.col_counts().into_iter().map(|c| c as u32).collect();
+    let active: Vec<(Idx, f32)> = (0..n as Idx).map(|i| (i, 1.0)).collect();
+    let state = vec![0.0f32; lengths.len()];
+    let want = reference_apply(&SpmvOp, &csc, &active, &state, &degrees);
+    let sums: Vec<f32> = want.iter().map(|u| u.1).collect();
+    assert_eq!(sums, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+    let schedule = RowSchedule::new(coo.row_counts());
+    let inputs = StepInputs {
+        active: &active,
+        state: &state,
+        degrees: &degrees,
+    };
+    for workers in [1, 2] {
+        let mut acc = Accumulator::default();
+        let got = host::pull(&SpmvOp, &coo, &schedule, inputs, workers, &mut acc);
+        assert_bits_eq(&got, &want, &format!("cancelling rows w={workers}"));
     }
 }

@@ -10,7 +10,7 @@
 //! unweighted path counts and dependencies are evaluated functionally
 //! on the host (the standard split — see DESIGN.md §2).
 
-use cosparse::{CoSparse, ExecBackend, OpProfile, SwConfig};
+use cosparse::{default_format, CoSparse, Decision, ExecBackend, OpProfile, ReorderKind, SwConfig};
 use sparse::{CooMatrix, CsrMatrix, Idx};
 use transmuter::{Geometry, HwConfig, Machine, MicroArch, SimError, SimReport};
 
@@ -79,10 +79,11 @@ pub fn betweenness(
 }
 
 /// [`betweenness`] on an explicit execution backend. Under
-/// [`ExecBackend::Host`] the per-level `execute` calls skip the
-/// simulator (reports carry zero cycles); the path-count and dependency
-/// math is host-evaluated either way, so the centrality scores are
-/// identical across backends.
+/// [`ExecBackend::Host`] a level runs no decision and no simulator: it
+/// records the push over the frontier's out-edges, the machine's
+/// unchanged hardware configuration and a zero-cycle report. The
+/// path-count and dependency math is host-evaluated either way, so the
+/// centrality scores are identical across backends.
 ///
 /// # Errors
 ///
@@ -124,14 +125,13 @@ pub fn betweenness_on(
             break;
         }
         let density = frontier.len() as f64 / n.max(1) as f64;
-        let decision = forward_rt.decide_exact(frontier.len(), &profile);
-        let report = forward_rt.execute(decision, &frontier, &profile)?;
+        let (software, hardware, report) = time_level(&mut forward_rt, &frontier, &profile)?;
         records.push(BcLevelRecord {
             phase: Phase::Forward,
             depth,
             frontier_density: density,
-            software: decision.software,
-            hardware: decision.hardware,
+            software,
+            hardware,
             report,
         });
         // Host math: extend levels and accumulate path counts.
@@ -161,14 +161,13 @@ pub fn betweenness_on(
     for depth in (1..levels.len()).rev() {
         let frontier = levels[depth].clone();
         let density = frontier.len() as f64 / n.max(1) as f64;
-        let decision = backward_rt.decide_exact(frontier.len(), &profile);
-        let report = backward_rt.execute(decision, &frontier, &profile)?;
+        let (software, hardware, report) = time_level(&mut backward_rt, &frontier, &profile)?;
         records.push(BcLevelRecord {
             phase: Phase::Backward,
             depth,
             frontier_density: density,
-            software: decision.software,
-            hardware: decision.hardware,
+            software,
+            hardware,
             report,
         });
         // Host math: predecessors of the frontier accumulate dependency.
@@ -191,6 +190,32 @@ pub fn betweenness_on(
         centrality,
         levels: records,
     })
+}
+
+/// Times one BC level over `frontier` on `rt`'s backend. A simulated
+/// level decides its configuration and simulates it. A Host level runs
+/// no decision: it records the push BC's host math makes over the
+/// frontier's out-edges, on the machine's unchanged hardware
+/// configuration, with a zero-cycle report.
+fn time_level(
+    rt: &mut CoSparse,
+    frontier: &[Idx],
+    profile: &OpProfile,
+) -> Result<(SwConfig, HwConfig, SimReport), SimError> {
+    let decision = if rt.backend() == ExecBackend::Host {
+        let software = SwConfig::OuterProduct;
+        Decision {
+            software,
+            hardware: rt.machine().config(),
+            format: default_format(software),
+            reorder: ReorderKind::None,
+            cvd: f64::NAN,
+        }
+    } else {
+        rt.decide_exact(frontier.len(), profile)
+    };
+    let report = rt.execute(decision, frontier, profile)?;
+    Ok((decision.software, decision.hardware, report))
 }
 
 /// Host reference: textbook Brandes, single source.
@@ -280,6 +305,35 @@ mod tests {
             .map(|l| l.depth)
             .collect();
         assert!(back.windows(2).all(|w| w[0] > w[1]));
+    }
+
+    #[test]
+    fn host_levels_record_the_push_they_ran() {
+        let adj = sparse::generate::rmat(9, 4_000, Default::default(), 3).unwrap();
+        let g = Geometry::new(2, 4);
+        let host = betweenness_on(&adj, 0, g, ExecBackend::Host).unwrap();
+        let sim = betweenness(&adj, 0, g).unwrap();
+        assert_eq!(host.centrality, sim.centrality);
+        assert_eq!(host.levels.len(), sim.levels.len());
+        // The simulated levels decided something other than the push on
+        // a fresh machine's configuration somewhere; no Host level did.
+        let config = Machine::new(g, MicroArch::paper()).config();
+        assert!(sim
+            .levels
+            .iter()
+            .any(|l| l.software != SwConfig::OuterProduct || l.hardware != config));
+        for l in &host.levels {
+            assert_eq!(
+                l.software,
+                SwConfig::OuterProduct,
+                "{:?} {}",
+                l.phase,
+                l.depth
+            );
+            assert_eq!(l.hardware, config, "{:?} {}", l.phase, l.depth);
+            assert_eq!(l.report.config, config);
+            assert_eq!(l.report.cycles, 0);
+        }
     }
 
     #[test]

@@ -29,6 +29,12 @@ impl GraphOp for PageRankOp {
         src_value / src_degree.max(1) as f32
     }
 
+    /// A source's rank share is the same for every out-edge: the pull
+    /// divides once per source (GAP's `score / out_degree`).
+    fn source_term(&self, src_value: f32, src_degree: u32) -> Option<f32> {
+        Some(src_value / src_degree.max(1) as f32)
+    }
+
     fn reduce(&self, a: f32, b: f32) -> f32 {
         a + b
     }
@@ -208,5 +214,25 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_rejected() {
         let _ = PageRank::new(1.5, 10);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The pull's per-source term is `matrix_op` bit for bit, for
+        /// any weight, state and value bits (NaNs, infinities and
+        /// subnormals included) and any degree, 0 among them.
+        #[test]
+        fn source_term_is_matrix_op(
+            bits in (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX),
+            degree in 0u32..=u32::MAX,
+        ) {
+            let op = PageRankOp { teleport: 0.01, damping: 0.85 };
+            let (w, v, s) = (f32::from_bits(bits.0), f32::from_bits(bits.1), f32::from_bits(bits.2));
+            for d in [degree, degree % 3] {
+                let term = op.source_term(v, d).expect("PageRank has a source term");
+                proptest::prop_assert_eq!(term.to_bits(), op.matrix_op(w, v, s, d).to_bits());
+            }
+        }
     }
 }
