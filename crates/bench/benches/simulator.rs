@@ -6,6 +6,7 @@
 //! cycles per host second).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use bench::run_spmv_fixed;
@@ -132,7 +133,9 @@ fn bench_end_to_end(c: &mut Criterion) {
 /// vertices, ~478k edges) and geometry (2 tiles × 4 PEs): a masked
 /// IP/SCS program over a 10% frontier and an OP/PS program over a 1%
 /// frontier. Builds go through one reused builder, as a session's
-/// scratch builds do; runs start from a fresh machine. Both report
+/// scratch builds do; `run` rows start from a fresh machine, so every
+/// matrix line misses, and `run_warm` rows run a fresh build on one
+/// persistent machine, as a traversal step does. All report
 /// time per *source* op — the ops the kernel emits, before compute
 /// bursts fold into the micro-op they follow.
 fn bench_pokec_programs(c: &mut Criterion) {
@@ -204,6 +207,21 @@ fn bench_pokec_programs(c: &mut Criterion) {
             b.iter_batched(
                 || machine(hw),
                 |mut m| black_box(m.run_program(&prog).unwrap().cycles),
+                BatchSize::SmallInput,
+            )
+        });
+        // A traversal step's shape: one persistent machine, and a
+        // program rebuilt (untimed) before every run, so each run gets a
+        // fresh id, the steady-state memo never hits, and the banks stay
+        // warm from the run before.
+        let warm = RefCell::new(ProgramBuilder::new());
+        let mut m = machine(hw);
+        group.bench_function(&format!("{name}/run_warm"), |b| {
+            b.iter_batched(
+                || {
+                    build(&mut warm.borrow_mut(), hw);
+                },
+                |()| black_box(m.run_program(warm.borrow().program()).unwrap().cycles),
                 BatchSize::SmallInput,
             )
         });

@@ -40,6 +40,14 @@ impl Way {
         self.meta & DIRTY != 0
     }
 
+    /// True if this way is valid and tagged `line`; both tests always
+    /// run (no short circuit), so a probe loop has no data-dependent
+    /// branch.
+    #[inline]
+    fn holds(self, line: u64) -> bool {
+        self.valid() & (self.tag == line)
+    }
+
     /// Victim priority: invalid ways evict first (key 0), then true LRU.
     #[inline]
     fn victim_key(self) -> u64 {
@@ -52,6 +60,39 @@ impl Way {
 }
 
 const INVALID: Way = Way { tag: 0, meta: 0 };
+
+/// The way of `slots` holding `line`, if any.
+///
+/// The scan visits every way and exits early nowhere. A tag is resident
+/// at most once per set, so the last match is the only match and equals
+/// what an early-exit probe returns. Each step is a compare and a
+/// conditional move, so the probe costs no mispredicted branch per way.
+#[inline]
+fn find(slots: &[Way], line: u64) -> Option<usize> {
+    let mut hit = usize::MAX;
+    for (i, w) in slots.iter().enumerate() {
+        if w.holds(line) {
+            hit = i;
+        }
+    }
+    (hit != usize::MAX).then_some(hit)
+}
+
+/// The way a fill of `slots` evicts: invalid ways first, then the least
+/// recently used; ties keep the first way, matching `min_by_key`.
+#[inline]
+fn victim(slots: &[Way]) -> usize {
+    let mut victim = 0;
+    let mut best = slots[0].victim_key();
+    for (i, w) in slots.iter().enumerate().skip(1) {
+        let key = w.victim_key();
+        if key < best {
+            best = key;
+            victim = i;
+        }
+    }
+    victim
+}
 
 /// One cache bank (4 kB, 4-way in the paper configuration).
 ///
@@ -89,38 +130,30 @@ impl CacheBank {
         (line as usize) & (self.sets - 1)
     }
 
+    /// The ways of `line`'s set.
+    #[inline]
+    fn set_mut(&mut self, line: u64) -> &mut [Way] {
+        let base = self.set_of(line) * self.ways;
+        &mut self.store[base..base + self.ways]
+    }
+
     /// Accesses `line`; on a miss the line is filled (write-allocate).
     /// `is_store` marks the line dirty.
+    #[inline(always)]
     pub fn access(&mut self, line: u64, is_store: bool) -> ProbeResult {
         self.stamp += 1;
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        let slots = &mut self.store[base..base + self.ways];
-        // Probe.
-        for way in slots.iter_mut() {
-            if way.valid() && way.tag == line {
-                way.meta = (self.stamp << LRU_SHIFT)
-                    | (way.meta & DIRTY)
-                    | ((is_store as u64) << 1)
-                    | VALID;
-                return ProbeResult::Hit;
-            }
+        let stamp = self.stamp;
+        let slots = self.set_mut(line);
+        if let Some(i) = find(slots, line) {
+            let way = &mut slots[i];
+            way.meta = (stamp << LRU_SHIFT) | (way.meta & DIRTY) | ((is_store as u64) << 1) | VALID;
+            return ProbeResult::Hit;
         }
-        // Miss: choose victim (invalid first, else LRU; ties keep the
-        // first way, matching `min_by_key`).
-        let mut victim = 0;
-        let mut best = slots[0].victim_key();
-        for (i, w) in slots.iter().enumerate().skip(1) {
-            let key = w.victim_key();
-            if key < best {
-                best = key;
-                victim = i;
-            }
-        }
-        let old = slots[victim];
-        slots[victim] = Way {
+        let v = victim(slots);
+        let old = slots[v];
+        slots[v] = Way {
             tag: line,
-            meta: (self.stamp << LRU_SHIFT) | ((is_store as u64) << 1) | VALID,
+            meta: (stamp << LRU_SHIFT) | ((is_store as u64) << 1) | VALID,
         };
         ProbeResult::Miss {
             victim_dirty: old.valid() && old.dirty(),
@@ -130,46 +163,37 @@ impl CacheBank {
 
     /// Installs `line` without counting a demand access (prefetch fill).
     /// Returns the dirty victim line if one was evicted.
+    #[inline]
     pub fn install(&mut self, line: u64) -> Option<u64> {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        let slots = &mut self.store[base..base + self.ways];
-        if slots.iter().any(|w| w.valid() && w.tag == line) {
+        let stamp = self.stamp + 1;
+        let slots = self.set_mut(line);
+        if find(slots, line).is_some() {
             return None;
         }
-        self.stamp += 1;
-        let mut victim = 0;
-        let mut best = slots[0].victim_key();
-        for (i, w) in slots.iter().enumerate().skip(1) {
-            let key = w.victim_key();
-            if key < best {
-                best = key;
-                victim = i;
-            }
-        }
-        let old = slots[victim];
+        let v = victim(slots);
+        let old = slots[v];
         // Prefetched lines install at LRU-but-valid priority: use current
         // stamp (simplification; thrash-resistance is second-order here).
-        slots[victim] = Way {
+        slots[v] = Way {
             tag: line,
-            meta: (self.stamp << LRU_SHIFT) | VALID,
+            meta: (stamp << LRU_SHIFT) | VALID,
         };
+        self.stamp = stamp;
         (old.valid() && old.dirty()).then_some(old.tag)
     }
 
     /// True if `line` is resident (no LRU update).
+    #[inline]
     pub fn contains(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        self.store[base..base + self.ways]
-            .iter()
-            .any(|w| w.valid() && w.tag == line)
+        let base = self.set_of(line) * self.ways;
+        find(&self.store[base..base + self.ways], line).is_some()
     }
 
     /// Detects a sequential stride: true when `line` directly follows
     /// the previously observed line (hits and misses both advance the
     /// detector, like a tagged stride prefetcher). The caller decides
     /// whether to prefetch `line + 1`.
+    #[inline]
     pub fn stride_detected(&mut self, line: u64) -> bool {
         let hit = self.last_miss_line != u64::MAX && line == self.last_miss_line + 1;
         self.last_miss_line = line;
@@ -323,5 +347,169 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = CacheBank::new(3, 4);
+    }
+
+    /// A naive bank: early-exit probe, first-minimum victim and the same
+    /// stamp rules as [`CacheBank`], over `(tag, dirty, lru)` ways.
+    struct RefBank {
+        sets: usize,
+        ways: usize,
+        slots: Vec<Option<(u64, bool, u64)>>,
+        stamp: u64,
+        last: u64,
+    }
+
+    impl RefBank {
+        fn new(sets: usize, ways: usize) -> Self {
+            RefBank {
+                sets,
+                ways,
+                slots: vec![None; sets * ways],
+                stamp: 0,
+                last: u64::MAX,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut [Option<(u64, bool, u64)>] {
+            let base = (line as usize % self.sets) * self.ways;
+            &mut self.slots[base..base + self.ways]
+        }
+
+        /// Index of the first way holding `line`, scanning with an early
+        /// exit.
+        fn find(&mut self, line: u64) -> Option<usize> {
+            self.set(line)
+                .iter()
+                .position(|w| matches!(w, Some((t, _, _)) if *t == line))
+        }
+
+        /// First way of minimum victim key: invalid ways first, then LRU.
+        fn victim(&mut self, line: u64) -> usize {
+            self.set(line)
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| w.map_or(0, |(_, _, lru)| lru + 1))
+                .map(|(i, _)| i)
+                .unwrap()
+        }
+
+        fn access(&mut self, line: u64, is_store: bool) -> ProbeResult {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            if let Some(i) = self.find(line) {
+                let (t, d, _) = self.set(line)[i].unwrap();
+                self.set(line)[i] = Some((t, d || is_store, stamp));
+                return ProbeResult::Hit;
+            }
+            let v = self.victim(line);
+            let old = self.set(line)[v].replace((line, is_store, stamp));
+            ProbeResult::Miss {
+                victim_dirty: old.is_some_and(|(_, d, _)| d),
+                victim_line: old.map(|(t, _, _)| t),
+            }
+        }
+
+        fn install(&mut self, line: u64) -> Option<u64> {
+            if self.find(line).is_some() {
+                return None;
+            }
+            self.stamp += 1;
+            let (v, stamp) = (self.victim(line), self.stamp);
+            let old = self.set(line)[v].replace((line, false, stamp));
+            old.filter(|&(_, d, _)| d).map(|(t, _, _)| t)
+        }
+
+        fn contains(&mut self, line: u64) -> bool {
+            self.find(line).is_some()
+        }
+
+        fn stride_detected(&mut self, line: u64) -> bool {
+            let hit = self.last != u64::MAX && line == self.last + 1;
+            self.last = line;
+            hit
+        }
+
+        fn flush(&mut self) -> usize {
+            let dirty = self
+                .slots
+                .iter()
+                .filter(|w| w.is_some_and(|(_, d, _)| d))
+                .count();
+            self.slots.fill(None);
+            self.stamp = 0;
+            self.last = u64::MAX;
+            dirty
+        }
+
+        /// The same state as a [`CacheBank`].
+        fn to_bank(&self) -> CacheBank {
+            let store = self
+                .slots
+                .iter()
+                .map(|w| match *w {
+                    None => INVALID,
+                    Some((tag, dirty, lru)) => Way {
+                        tag,
+                        meta: (lru << LRU_SHIFT) | ((dirty as u64) << 1) | VALID,
+                    },
+                })
+                .collect();
+            CacheBank {
+                sets: self.sets,
+                ways: self.ways,
+                store,
+                stamp: self.stamp,
+                last_miss_line: self.last,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The probe without early exits answers every access, install,
+        /// residency test and flush exactly like an early-exit probe,
+        /// and leaves the bank in the reference's state, way for way.
+        #[test]
+        fn probe_matches_early_exit_reference(
+            shape in (0usize..4, 0usize..2),
+            ops in proptest::collection::vec((0u8..20, 0u64..40), 1..300),
+        ) {
+            let (ways, sets) = (1 << shape.0, 1 << shape.1);
+            let mut bank = CacheBank::new(sets, ways);
+            let mut reference = RefBank::new(sets, ways);
+            for (step, &(k, line)) in ops.iter().enumerate() {
+                match k {
+                    0..=9 => proptest::prop_assert_eq!(
+                        bank.access(line, k % 2 == 1),
+                        reference.access(line, k % 2 == 1),
+                        "access at step {}", step
+                    ),
+                    10..=13 => proptest::prop_assert_eq!(
+                        bank.install(line),
+                        reference.install(line),
+                        "install at step {}", step
+                    ),
+                    14..=16 => proptest::prop_assert_eq!(
+                        bank.contains(line),
+                        reference.contains(line),
+                        "contains at step {}", step
+                    ),
+                    17..=18 => proptest::prop_assert_eq!(
+                        bank.stride_detected(line),
+                        reference.stride_detected(line)
+                    ),
+                    _ => proptest::prop_assert_eq!(bank.flush(), reference.flush()),
+                }
+                let expect = reference.to_bank();
+                proptest::prop_assert!(bank.same_behavior(&expect), "behaviour at step {}", step);
+                proptest::prop_assert!(expect.same_behavior(&bank));
+                let state = |b: &CacheBank| -> Vec<(u64, u64)> {
+                    b.store.iter().map(|w| (w.tag, w.meta)).collect()
+                };
+                proptest::prop_assert_eq!(state(&bank), state(&expect), "ways at step {}", step);
+                proptest::prop_assert_eq!(bank.stamp, expect.stamp);
+            }
+        }
     }
 }

@@ -171,7 +171,8 @@ impl Sched {
         if workers <= 1 << KEY_W_BITS && start < IDLE >> (KEY_W_BITS + 1) {
             Sched::Scan {
                 // Padded to a whole number of 8-lane chunks (pad slots
-                // stay IDLE forever) so `min_key` vectorizes.
+                // stay IDLE forever) so `min_key` unrolls into eight
+                // independent minima.
                 next: vec![IDLE; workers.max(1).div_ceil(8) * 8],
                 min: IDLE,
             }
@@ -193,11 +194,14 @@ impl Sched {
     }
 
     /// Smallest packed key, or `IDLE` when nothing is scheduled. The
-    /// slot array is padded to 8-lane chunks, so the lane-wise reduction
-    /// compiles to a few SIMD min ops instead of a serial compare chain
-    /// (this scan runs on nearly every context switch — it is the
-    /// scheduler's hottest instruction sequence).
-    #[inline]
+    /// slot array is padded to 8-lane chunks and the reduction keeps
+    /// eight independent running minima, so it is branch-free and its
+    /// compare chains run side by side. Baseline x86-64 has no packed
+    /// unsigned 64-bit min (that needs AVX-512), so it compiles to
+    /// scalar compare/`cmov` pairs, not SIMD min ops. This scan runs on
+    /// nearly every context switch, inlined into the interpreter loop
+    /// with [`Sched::step`].
+    #[inline(always)]
     fn min_key(next: &[u64]) -> u64 {
         let mut lanes = [IDLE; 8];
         for chunk in next.chunks_exact(8) {
@@ -236,7 +240,7 @@ impl Sched {
     /// equivalent to `push(done, w)` followed by `pop()`. The running
     /// worker has no slot, so the continue-inline fast path leaves the
     /// cached minimum untouched — no scan at all.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn step(&mut self, done: u64, w: u32) -> Option<(u64, u32)> {
         match self {
             Sched::Scan { next, min } => {

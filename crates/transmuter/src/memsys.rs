@@ -208,12 +208,11 @@ impl MemorySystem {
 
     #[inline]
     fn claim(&mut self, cycle: u64, kind: usize, tile: usize, bank: usize) -> u64 {
-        if cycle != self.cur_cycle {
-            self.cur_cycle = cycle;
-            // Invalidate every outstanding claim in O(1): slots stamped
-            // with an older epoch read as zero.
-            self.epoch += 1;
-        }
+        // A new cycle invalidates every outstanding claim in O(1): slots
+        // stamped with an older epoch read as zero. Branch-free, because
+        // lane switches make the cycle change unpredictably.
+        self.epoch += (cycle != self.cur_cycle) as u64;
+        self.cur_cycle = cycle;
         let idx = self.port_index(kind, tile, bank);
         // Slot layout: `epoch << 16 | count`. Same-cycle same-port
         // claims are bounded by the worker count, far below 2^16.

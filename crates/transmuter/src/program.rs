@@ -24,6 +24,7 @@ use crate::config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
 use crate::machine::{release, BarrierState, Sched, SimError};
 use crate::memsys::{FastDiv, MemorySystem};
 use crate::op::Addr;
+use crate::stats::SimStats;
 use crate::verify::{self, Diagnostic, LintKind, Race, RaceAccess, RegionMap, Severity};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -363,7 +364,7 @@ impl LowerCtx {
     /// Lowers a `Load`/`Store` of `addr` issued by `pe` (`None` = LCP).
     ///
     /// Kinds whose execution path does not consume `a` (every private
-    /// and direct route; see [`mem_access`]) carry the *word*
+    /// and direct route; see [`exec_span`]) carry the *word*
     /// index there instead, so [`crate::analyze`] can reason at word
     /// granularity without a second lowering pass. The shared-L1 kinds
     /// keep the bank-local line in `a` (execution needs it); shared-L2
@@ -1071,35 +1072,27 @@ struct Lane {
     end: u32,
 }
 
-/// Resolves one memory micro-op against the memory system to its
-/// completion cycle.
-#[inline]
-fn mem_access(mem: &mut MemorySystem, op: &MicroOp, tile: usize, cycle: u64) -> u64 {
-    match op.kind {
-        MicroKind::SharedLoad | MicroKind::SharedStore => {
-            let is_store = op.kind == MicroKind::SharedStore;
-            mem.shared_l1_access(tile, op.bank as usize, op.a, op.b, is_store, cycle)
-        }
-        MicroKind::SharedDirLoad | MicroKind::SharedDirStore => {
-            let is_store = op.kind == MicroKind::SharedDirStore;
-            mem.shared_direct_access(tile, op.b, is_store, cycle)
-        }
-        MicroKind::PrivLoad | MicroKind::PrivStore => {
-            let is_store = op.kind == MicroKind::PrivStore;
-            mem.priv_l1(tile, op.bank as usize, op.b, is_store, cycle)
-        }
-        MicroKind::DirPeLoad | MicroKind::DirPeStore => {
-            let is_store = op.kind == MicroKind::DirPeStore;
-            mem.priv_direct(tile, Some(op.bank as usize), op.b, is_store, cycle)
-        }
-        MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
-            let is_store = op.kind == MicroKind::DirLcpStore;
-            mem.priv_direct(tile, None, op.b, is_store, cycle)
-        }
-        MicroKind::SpmShared => mem.spm_shared_access(tile, op.bank as usize, cycle),
-        MicroKind::SpmPrivate => cycle + mem.uarch().l1_latency,
-        _ => unreachable!("non-memory micro-op reached mem_access()"),
+/// Counts a load or store that the memory system answered at `at` and
+/// returns its completion cycle: no access completes in the cycle it
+/// issues, and every cycle past the first is a stall.
+#[inline(always)]
+fn mem_done(stats: &mut SimStats, cycle: u64, at: u64, is_store: bool) -> u64 {
+    if is_store {
+        stats.stores += 1;
+    } else {
+        stats.loads += 1;
     }
+    let done = at.max(cycle + 1);
+    stats.mem_stall_cycles += done - cycle - 1;
+    done
+}
+
+/// Counts a scratchpad access answered at `done` and returns `done`.
+#[inline(always)]
+fn spm_done(stats: &mut SimStats, cycle: u64, done: u64) -> u64 {
+    stats.spm_accesses += 1;
+    stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
+    done
 }
 
 /// The error a poisoned micro-op returns: the program's lint verdict,
@@ -1162,36 +1155,61 @@ pub(crate) fn exec_span(
             let op = &ops[lane.pos as usize];
             lane.pos += 1;
             mem.stats.ops += op.source_len() as u64;
+            // One dispatch per micro-op: each arm calls its memory route
+            // directly, with the direction fixed by the kind.
+            let (bank, a, line) = (op.bank as usize, op.a, op.b);
             let done = match op.kind {
                 MicroKind::Compute => {
-                    mem.stats.compute_cycles += op.a;
-                    cycle + op.a
+                    mem.stats.compute_cycles += a;
+                    cycle + a
                 }
-                MicroKind::SharedLoad
-                | MicroKind::SharedDirLoad
-                | MicroKind::PrivLoad
-                | MicroKind::DirPeLoad
-                | MicroKind::DirLcpLoad => {
-                    mem.stats.loads += 1;
-                    let done = mem_access(mem, op, tile, cycle).max(cycle + 1);
-                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
-                    done
+                MicroKind::SharedLoad => {
+                    let at = mem.shared_l1_access(tile, bank, a, line, false, cycle);
+                    mem_done(&mut mem.stats, cycle, at, false)
                 }
-                MicroKind::SharedStore
-                | MicroKind::SharedDirStore
-                | MicroKind::PrivStore
-                | MicroKind::DirPeStore
-                | MicroKind::DirLcpStore => {
-                    mem.stats.stores += 1;
-                    let done = mem_access(mem, op, tile, cycle).max(cycle + 1);
-                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
-                    done
+                MicroKind::SharedStore => {
+                    let at = mem.shared_l1_access(tile, bank, a, line, true, cycle);
+                    mem_done(&mut mem.stats, cycle, at, true)
                 }
-                MicroKind::SpmShared | MicroKind::SpmPrivate => {
-                    mem.stats.spm_accesses += 1;
-                    let done = mem_access(mem, op, tile, cycle);
-                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
-                    done
+                MicroKind::SpmShared => {
+                    let at = mem.spm_shared_access(tile, bank, cycle);
+                    spm_done(&mut mem.stats, cycle, at)
+                }
+                MicroKind::PrivLoad => {
+                    let at = mem.priv_l1(tile, bank, line, false, cycle);
+                    mem_done(&mut mem.stats, cycle, at, false)
+                }
+                MicroKind::PrivStore => {
+                    let at = mem.priv_l1(tile, bank, line, true, cycle);
+                    mem_done(&mut mem.stats, cycle, at, true)
+                }
+                MicroKind::SpmPrivate => {
+                    let at = cycle + mem.uarch().l1_latency;
+                    spm_done(&mut mem.stats, cycle, at)
+                }
+                MicroKind::SharedDirLoad => {
+                    let at = mem.shared_direct_access(tile, line, false, cycle);
+                    mem_done(&mut mem.stats, cycle, at, false)
+                }
+                MicroKind::SharedDirStore => {
+                    let at = mem.shared_direct_access(tile, line, true, cycle);
+                    mem_done(&mut mem.stats, cycle, at, true)
+                }
+                MicroKind::DirPeLoad => {
+                    let at = mem.priv_direct(tile, Some(bank), line, false, cycle);
+                    mem_done(&mut mem.stats, cycle, at, false)
+                }
+                MicroKind::DirPeStore => {
+                    let at = mem.priv_direct(tile, Some(bank), line, true, cycle);
+                    mem_done(&mut mem.stats, cycle, at, true)
+                }
+                MicroKind::DirLcpLoad => {
+                    let at = mem.priv_direct(tile, None, line, false, cycle);
+                    mem_done(&mut mem.stats, cycle, at, false)
+                }
+                MicroKind::DirLcpStore => {
+                    let at = mem.priv_direct(tile, None, line, true, cycle);
+                    mem_done(&mut mem.stats, cycle, at, true)
                 }
                 MicroKind::TileBarrier => {
                     let b = &mut tile_barriers[tile];
