@@ -254,12 +254,6 @@ fn micro_op_bound(coo_t: &CooMatrix, geometry: Geometry, params: IpParams<'_>) -
     bound
 }
 
-/// Total ops a dense-frontier IP pass will issue, cheap estimate used by
-/// tests and budgeting (not a timing model).
-pub fn op_count_estimate(nnz: usize, profile: &OpProfile) -> usize {
-    nnz * (3 + profile.value_words)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,11 +395,6 @@ mod tests {
             ))
             .unwrap();
         assert!(wide.stats.loads > scalar.stats.loads * 2);
-    }
-
-    #[test]
-    fn op_count_estimate_orders() {
-        assert!(op_count_estimate(100, &OpProfile::scalar()) >= 300);
     }
 }
 

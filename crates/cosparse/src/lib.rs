@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod balance;
 pub mod heuristics;
 pub mod host;

@@ -4,8 +4,8 @@
 //! owned by an `Arc`-shared [`SharedGraph`].
 //!
 //! A [`CoSparse`] is one *session*: it owns a [`Machine`], frontier
-//! scratch buffers, the partial-frontier push accumulators,
-//! policy/adaptive state and a builder for frontier-dependent programs,
+//! scratch buffers, the partial-frontier push accumulators, the
+//! policy and a builder for frontier-dependent programs,
 //! while everything derivable from the matrix alone (formats, layout,
 //! partitions, compiled dense-IP programs) lives in
 //! the shared graph and is read lock-free (see [`crate::shared`]). `CoSparse::new` builds a private
@@ -13,7 +13,6 @@
 //! [`SharedGraph::session`] opens additional cheap sessions over an
 //! existing one.
 
-use crate::adaptive::AdaptiveState;
 use crate::balance::Balancing;
 use crate::heuristics::{
     decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
@@ -106,10 +105,6 @@ pub enum Policy {
     /// A fixed software/hardware pair — used for baselines and for the
     /// per-configuration columns of Figure 9.
     Fixed(SwConfig, HwConfig),
-    /// The decision tree refined online from observed iteration costs
-    /// (see [`crate::adaptive::AdaptiveState`]; extension beyond the
-    /// paper).
-    Adaptive,
 }
 
 /// Outcome of one plain SpMV invocation. Under [`ExecBackend::Host`]
@@ -392,7 +387,6 @@ pub struct CoSparse {
     /// value (see [`CoSparse::set_reorder_override`]).
     reorder_override: Option<ReorderKind>,
     prev_sw: Option<SwConfig>,
-    adaptive: AdaptiveState,
     /// The findings of the checked runs; `Some` exactly while
     /// verification is on (see [`CoSparse::set_verify`]).
     verify_report: Option<VerifyReport>,
@@ -460,7 +454,6 @@ impl CoSparse {
             format_override: None,
             reorder_override: None,
             prev_sw: None,
-            adaptive: AdaptiveState::new(),
             verify_report: None,
             plan: None,
             scratch: Scratch::default(),
@@ -547,8 +540,7 @@ impl CoSparse {
     /// reports the kernel that ran (see [`ExecBackend::Host`]). No
     /// simulated machine is in the path: reports carry wall-clock
     /// `seconds` with zero `cycles`. Verification
-    /// ([`CoSparse::set_verify`]) and adaptive cycle recording apply
-    /// only to the simulate path.
+    /// ([`CoSparse::set_verify`]) applies only to the simulate path.
     pub fn set_backend(&mut self, backend: ExecBackend) {
         self.backend = backend;
     }
@@ -570,11 +562,11 @@ impl CoSparse {
     }
 
     /// Selects the configuration policy (default: [`Policy::Auto`]).
-    /// Switching policy clears any adaptive observations.
+    /// Switching policy forgets the remembered dataflow, so the next
+    /// invocation owes no frontier conversion.
     pub fn set_policy(&mut self, policy: Policy) {
         self.policy = policy;
         self.prev_sw = None;
-        self.adaptive = AdaptiveState::new();
     }
 
     /// Pins (or unpins, with `None`) the storage format of every
@@ -596,25 +588,6 @@ impl CoSparse {
     /// unpinned run.
     pub fn set_reorder_override(&mut self, reorder: Option<ReorderKind>) {
         self.reorder_override = reorder;
-    }
-
-    /// Observations collected so far under [`Policy::Adaptive`].
-    pub fn adaptive_observations(&self) -> usize {
-        self.adaptive.observations()
-    }
-
-    /// Mean kernel-only cycles recorded for `(sw, hw, format, reorder)`
-    /// in `density`'s adaptive bucket, if observed (see
-    /// [`AdaptiveState::mean_cycles`]).
-    pub fn adaptive_mean_cycles(
-        &self,
-        density: f64,
-        sw: SwConfig,
-        hw: HwConfig,
-        format: FormatKind,
-        reorder: ReorderKind,
-    ) -> Option<f64> {
-        self.adaptive.mean_cycles(density, sw, hw, format, reorder)
     }
 
     /// The operand matrix (COO copy).
@@ -659,21 +632,18 @@ impl CoSparse {
 
     /// Runs the decision tree for a frontier of `frontier_nnz` active
     /// entries, respecting a fixed policy and the format and reorder
-    /// overrides when set. The density the CVD comparison and adaptive
-    /// bucketing key on is derived from the exact count.
+    /// overrides when set. The density the CVD comparison keys on is
+    /// derived from the exact count.
     pub fn decide_exact(&self, frontier_nnz: usize, profile: &OpProfile) -> Decision {
-        let tree = || {
-            decide_exact(
+        let mut d = match self.policy {
+            Policy::Auto => decide_exact(
                 self.summary(),
                 frontier_nnz,
                 self.machine.geometry(),
                 self.machine.uarch(),
                 &self.thresholds,
                 profile,
-            )
-        };
-        let mut d = match self.policy {
-            Policy::Auto => tree(),
+            ),
             Policy::Fixed(sw, hw) => Decision {
                 software: sw,
                 hardware: hw,
@@ -681,7 +651,6 @@ impl CoSparse {
                 reorder: ReorderKind::None,
                 cvd: f64::NAN,
             },
-            Policy::Adaptive => self.adaptive.choose(self.density(frontier_nnz), tree()),
         };
         if let Some(f) = self.format_override {
             d.format = f;
@@ -690,17 +659,6 @@ impl CoSparse {
             d.reorder = r;
         }
         d
-    }
-
-    /// The active fraction of a frontier of `frontier_nnz` entries: the
-    /// key of the adaptive policy's buckets.
-    fn density(&self, frontier_nnz: usize) -> f64 {
-        let cols = self.shared.matrix().cols();
-        if cols == 0 {
-            0.0
-        } else {
-            frontier_nnz as f64 / cols as f64
-        }
     }
 
     /// (Re)binds the session's shared plan when none is bound or its key
@@ -727,8 +685,11 @@ impl CoSparse {
     }
 
     /// Simulates one SpMV's access pattern for the given active indices
-    /// under `decision`, including reconfiguration and (when the
-    /// dataflow changed representation) frontier conversion cost.
+    /// under `decision`, including reconfiguration, (when the dataflow
+    /// changed representation) frontier conversion and (when the format
+    /// is still cold) the one-time format pack. It is the session's one
+    /// timing path: [`CoSparse::step`] times its decision through it, so
+    /// a caller that decides for itself gets the report `step` would.
     ///
     /// Under [`ExecBackend::Host`] there is no access pattern to time:
     /// the call returns a zero-cost host report without touching the
@@ -747,21 +708,6 @@ impl CoSparse {
         if self.backend == ExecBackend::Host {
             return Ok(self.host_report(0.0));
         }
-        self.execute_timed(decision, active, profile)
-            .map(|(report, _)| report)
-    }
-
-    /// [`CoSparse::execute`], additionally returning the kernel-only
-    /// cycle count: the report's total minus the one-off reconfiguration
-    /// and conversion charges. Adaptive learning keys on this — a
-    /// configuration must not look expensive in its density bucket just
-    /// because switching *into* it cost cycles once.
-    fn execute_timed(
-        &mut self,
-        decision: Decision,
-        active: &[Idx],
-        profile: &OpProfile,
-    ) -> Result<(SimReport, u64), SimError> {
         let geometry = self.machine.geometry();
         // SCS splits each tile's banks between cache and SPM, which
         // needs at least two PEs per tile. Reject statically (the
@@ -815,7 +761,7 @@ impl CoSparse {
         // reordering is invisible outside the simulated address stream.
         let perm = plan.perm();
         let dense = active.len() >= self.shared.matrix().cols();
-        let reconfig_cost = self.machine.reconfigure(decision.hardware);
+        self.machine.reconfigure(decision.hardware);
 
         // One-shot programs — a frontier conversion, a format pack — are
         // emitted into the session's builder and run once, so any cached
@@ -968,22 +914,13 @@ impl CoSparse {
         // rejected or failed invocation must not convince the next call
         // that the frontier representation already switched.
         self.prev_sw = Some(decision.software);
-
-        // Kernel-only cycles: when a conversion or format pack ran, it
-        // absorbed the reconfiguration carry and the kernel report is
-        // already clean; otherwise the carry landed on the kernel run.
-        let kernel_cycles = if conversion_report.is_some() || pack_report.is_some() {
-            report.cycles
-        } else {
-            report.cycles.saturating_sub(reconfig_cost)
-        };
         if let Some(conv) = conversion_report {
             report.accumulate(&conv);
         }
         if let Some(pack) = pack_report {
             report.accumulate(&pack);
         }
-        Ok((report, kernel_cycles))
+        Ok(report)
     }
 
     /// A report for a host-backend invocation that took `seconds` of
@@ -1097,19 +1034,9 @@ impl CoSparse {
         let mut indices = std::mem::take(&mut self.indices_buf);
         indices.clear();
         indices.extend(active.iter().map(|&(i, _)| i));
-        let executed = self.execute_timed(decision, &indices, &profile);
+        let executed = self.execute(decision, &indices, &profile);
         self.indices_buf = indices;
-        let (report, kernel_cycles) = executed?;
-        if self.policy == Policy::Adaptive {
-            self.adaptive.record(
-                self.density(active.len()),
-                decision.software,
-                decision.hardware,
-                decision.format,
-                decision.reorder,
-                kernel_cycles,
-            );
-        }
+        let report = executed?;
         let (_, updates) = self.answer(op, active, state);
         Ok(StepOutcome {
             software: decision.software,
@@ -1414,26 +1341,6 @@ mod frontier_tests {
     }
 
     #[test]
-    fn adaptive_policy_records_via_spmv() {
-        let m = sparse::generate::uniform(1024, 1024, 8000, 5).unwrap();
-        let machine = Machine::new(
-            transmuter::Geometry::new(2, 4),
-            transmuter::MicroArch::paper(),
-        );
-        let mut rt = CoSparse::new(&m, machine);
-        rt.set_policy(Policy::Adaptive);
-        assert_eq!(rt.adaptive_observations(), 0);
-        for i in 0..3 {
-            let sv = sparse::generate::random_sparse_vector(1024, 0.02, i).unwrap();
-            let _ = rt.spmv(&Frontier::Sparse(sv)).unwrap();
-        }
-        assert!(rt.adaptive_observations() >= 2, "adaptive should explore");
-        // Switching policy resets the observations.
-        rt.set_policy(Policy::Auto);
-        assert_eq!(rt.adaptive_observations(), 0);
-    }
-
-    #[test]
     fn repeated_spmv_reuses_warm_machine() {
         let m = sparse::generate::uniform(2048, 2048, 30_000, 4).unwrap();
         let machine = Machine::new(
@@ -1516,56 +1423,6 @@ mod frontier_tests {
         assert_eq!(got.stats.loads, want.stats.loads);
         // The conversion actually ran (its loads cover the frontier dim).
         assert!(got.stats.loads >= 256 + active.len() as u64);
-    }
-
-    #[test]
-    fn adaptive_records_kernel_only_cycles() {
-        let mut rt = runtime(512, 8000);
-        rt.set_policy(Policy::Adaptive);
-        let x = Frontier::Dense(sparse::generate::random_dense_vector(512, 3));
-        let density = x.density();
-        let first = rt.spmv(&x).unwrap();
-        let second = rt.spmv(&x).unwrap();
-        assert_eq!(first.software, second.software);
-        assert_ne!(
-            first.hardware, second.hardware,
-            "second call explores the hardware sibling"
-        );
-        // The sibling run paid a reconfiguration on top of its kernel,
-        // but the recorded cost must be kernel-only — strictly below the
-        // switch-inclusive report.
-        let mean = rt
-            .adaptive_mean_cycles(
-                density,
-                second.software,
-                second.hardware,
-                second.format,
-                second.reorder,
-            )
-            .unwrap();
-        assert!(
-            mean < second.report.cycles as f64,
-            "recorded {mean} should exclude the reconfiguration from {}",
-            second.report.cycles
-        );
-        // With both configs observed at kernel-only cost, the third call
-        // picks the bucket's argmin.
-        let first_mean = rt
-            .adaptive_mean_cycles(
-                density,
-                first.software,
-                first.hardware,
-                first.format,
-                first.reorder,
-            )
-            .unwrap();
-        let third = rt.spmv(&x).unwrap();
-        let want_hw = if first_mean <= mean {
-            first.hardware
-        } else {
-            second.hardware
-        };
-        assert_eq!(third.hardware, want_hw);
     }
 
     #[test]

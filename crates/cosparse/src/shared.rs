@@ -7,8 +7,8 @@
 //! lives in one [`SharedGraph`],
 //! built once and shared via [`Arc`] by any number of concurrent
 //! sessions. A [`CoSparse`] session keeps only what is genuinely
-//! per-query: its simulated [`Machine`], frontier scratch, adaptive
-//! state and policy knobs. Creating a session is cheap; creating a
+//! per-query: its simulated [`Machine`], frontier scratch and policy
+//! knobs. Creating a session is cheap; creating a
 //! graph is where the setup cost lives.
 //!
 //! Read paths are lock-free in the steady state: a session caches an

@@ -6,8 +6,10 @@
 //! [`BenchmarkGroup`], [`Bencher::iter`] / [`Bencher::iter_batched`],
 //! [`BatchSize`] and [`Throughput`]. There is no statistical analysis:
 //! each benchmark is warmed up once and then timed over a fixed number
-//! of iterations, and the mean wall-clock time per iteration (and per
-//! element, when a throughput is set) is printed.
+//! of iterations, each on its own clock, and the median and minimum
+//! wall-clock time per iteration (and per element, when a throughput is
+//! set) are printed. Unlike a mean, neither moves when one iteration of
+//! the sample is slowed by another process on a shared host.
 
 #![warn(missing_docs)]
 
@@ -35,17 +37,22 @@ pub enum Throughput {
 /// Timer handle passed to every benchmark closure.
 pub struct Bencher {
     iters: u64,
-    elapsed: Duration,
+    /// One wall-clock time per timed iteration.
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine` over a fixed number of iterations.
-    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            std::hint::black_box(routine());
+    fn new(iters: u64) -> Self {
+        Bencher {
+            iters,
+            samples: Vec::with_capacity(iters as usize),
         }
-        self.elapsed = start.elapsed();
+    }
+
+    /// Times `routine` over a fixed number of iterations, one clock
+    /// reading per iteration.
+    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
     }
 
     /// Times `routine` on fresh inputs from `setup`, excluding setup
@@ -55,14 +62,24 @@ impl Bencher {
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        let mut elapsed = Duration::ZERO;
+        self.samples.clear();
         for _ in 0..self.iters {
             let input = setup();
             let start = Instant::now();
             std::hint::black_box(routine(input));
-            elapsed += start.elapsed();
+            self.samples.push(start.elapsed());
         }
-        self.elapsed = elapsed;
+    }
+
+    /// The median and minimum iteration time, in seconds.
+    fn median_min(&mut self) -> (f64, f64) {
+        self.samples.sort_unstable();
+        let n = self.samples.len();
+        if n == 0 {
+            return (0.0, 0.0);
+        }
+        let mid = (self.samples[(n - 1) / 2] + self.samples[n / 2]).as_secs_f64() / 2.0;
+        (mid, self.samples[0].as_secs_f64())
     }
 }
 
@@ -91,29 +108,24 @@ impl BenchmarkGroup<'_> {
     /// Runs and reports one benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         // Warm-up pass with a single iteration.
-        let mut b = Bencher {
-            iters: 1,
-            elapsed: Duration::ZERO,
-        };
+        f(&mut Bencher::new(1));
+        let mut b = Bencher::new(self.sample_size);
         f(&mut b);
-        let mut b = Bencher {
-            iters: self.sample_size,
-            elapsed: Duration::ZERO,
-        };
-        f(&mut b);
-        let per_iter = b.elapsed.as_secs_f64() / b.iters as f64;
+        let (median, min) = b.median_min();
         let per_elem = match self.throughput {
             Some(Throughput::Elements(n)) => {
-                format!(", {:.2} ns/elem", per_iter * 1e9 / n.max(1) as f64)
+                let ns = |s: f64| s * 1e9 / n.max(1) as f64;
+                format!(", {:.2} ns/elem median, {:.2} min", ns(median), ns(min))
             }
             None => String::new(),
         };
         println!(
-            "{}/{}: {:.3} ms/iter ({} iters{per_elem})",
+            "{}/{}: {:.3} ms/iter median, {:.3} min ({} iters{per_elem})",
             self.name,
             id,
-            per_iter * 1e3,
-            b.iters
+            median * 1e3,
+            min * 1e3,
+            b.samples.len()
         );
         self
     }
@@ -192,5 +204,15 @@ mod tests {
     #[test]
     fn group_runner_executes() {
         benches();
+    }
+
+    #[test]
+    fn every_iteration_is_timed() {
+        let mut b = Bencher::new(4);
+        let mut calls = 0;
+        b.iter(|| calls += 1);
+        assert_eq!((calls, b.samples.len()), (4, 4));
+        b.samples = [5, 1, 9, 3].map(Duration::from_secs).to_vec();
+        assert_eq!(b.median_min(), (4.0, 1.0));
     }
 }

@@ -131,7 +131,7 @@ fn served_answers_match_the_reference_on_every_backend() {
 /// Eight client threads submitting the full mix concurrently get the
 /// same bit-exact answers a lone client would: per-query state lives in
 /// the session, so interleaving queries from many tenants cannot bleed
-/// adaptive or frontier state between them.
+/// frontier state between them.
 #[test]
 fn concurrent_clients_get_bit_identical_answers() {
     const CLIENTS: usize = 8;

@@ -279,12 +279,6 @@ impl MicroArch {
         }
     }
 
-    /// Total L2 cache capacity in bytes for a geometry (always B banks
-    /// per tile at L2).
-    pub fn l2_bytes_total(&self, geometry: Geometry) -> usize {
-        geometry.total_pes() * self.bank_bytes
-    }
-
     /// Number of cache sets per bank.
     pub fn sets_per_bank(&self) -> usize {
         self.bank_bytes / (self.line_bytes * self.ways)

@@ -136,11 +136,6 @@ impl SimStats {
             self.l2_hits as f64 / total as f64
         }
     }
-
-    /// Total DRAM traffic in bytes given the line size.
-    pub fn hbm_bytes(&self, line_bytes: usize) -> u64 {
-        (self.hbm_line_reads + self.hbm_line_writes) * line_bytes as u64
-    }
 }
 
 /// The outcome of one simulated kernel invocation.
@@ -218,15 +213,5 @@ mod tests {
         assert!((s.l1_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(SimStats::default().l1_hit_rate(), 1.0);
         assert_eq!(SimStats::default().l2_hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn hbm_bytes_counts_both_directions() {
-        let s = SimStats {
-            hbm_line_reads: 2,
-            hbm_line_writes: 3,
-            ..Default::default()
-        };
-        assert_eq!(s.hbm_bytes(64), 320);
     }
 }

@@ -293,37 +293,3 @@ fn cf_learns_on_ratings() {
     let after = graph::cf::training_error(&ratings, &run.state);
     assert!(after < before * 0.9, "training error {before} → {after}");
 }
-
-/// The adaptive policy (extension) stays correct, collects
-/// observations, and does not blow up total cost versus the decision
-/// tree despite its exploration probes.
-#[test]
-fn adaptive_policy_learns_without_losing() {
-    use cosparse::Policy;
-    let adjacency = sparse::generate::rmat(12, 80_000, Default::default(), 14).unwrap();
-    let csr = CsrMatrix::from(&adjacency);
-    let want = graph::sssp::reference(&csr, 0);
-
-    let mut auto_engine = Engine::new(&adjacency, machine(2, 8));
-    let auto = auto_engine.run(&Sssp::new(0)).unwrap();
-
-    let mut adaptive_engine = Engine::new(&adjacency, machine(2, 8));
-    adaptive_engine.runtime_mut().set_policy(Policy::Adaptive);
-    let adaptive = adaptive_engine.run(&Sssp::new(0)).unwrap();
-
-    // Correctness is policy-independent.
-    for (v, (&a, &b)) in adaptive.state.iter().zip(&want).enumerate() {
-        assert_eq!(a.is_infinite(), b.is_infinite(), "vertex {v}");
-        if a.is_finite() {
-            assert!((a - b).abs() < 1e-4, "vertex {v}");
-        }
-    }
-    assert!(adaptive_engine.runtime().adaptive_observations() > 0);
-    // Exploration is bounded: within 2x of the tree policy overall.
-    assert!(
-        adaptive.total_cycles() < auto.total_cycles() * 2,
-        "adaptive {} vs auto {}",
-        adaptive.total_cycles(),
-        auto.total_cycles()
-    );
-}
